@@ -14,9 +14,10 @@ low-pass filter.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
-from scipy.signal import fftconvolve, firwin, kaiserord
+from scipy.signal import firwin, kaiserord, upfirdn
 
 from .lte import FrameConfig, Pci, frame_samples
 
@@ -102,20 +103,27 @@ def envelope_square(rf: np.ndarray) -> np.ndarray:
     return rf * rf
 
 
+@lru_cache(maxsize=32)
 def design_lowpass(fs: float, cfg: FrontEndConfig) -> np.ndarray:
-    """Linear-phase Kaiser FIR taps for the detector low-pass at rate fs."""
+    """Linear-phase Kaiser FIR taps for the detector low-pass at rate fs.
+
+    Cached per (fs, cfg); the shared array is read-only.
+    """
     ntaps, beta = kaiserord(cfg.lpf_atten_db, cfg.lpf_transition_hz / (fs / 2.0))
     ntaps |= 1          # odd length, integer group delay
-    return firwin(ntaps, cfg.lpf_cutoff_hz / (fs / 2.0), window=("kaiser", beta))
+    taps = firwin(ntaps, cfg.lpf_cutoff_hz / (fs / 2.0), window=("kaiser", beta))
+    taps.setflags(write=False)
+    return taps
 
 
 def lowpass_decimate(sq: np.ndarray, fs_in: float, cfg: FrontEndConfig,
                      rng: np.random.Generator | None = None) -> np.ndarray:
     """Low-pass, decimate to the ADC rate, then add white Gaussian noise.
 
-    The 'same'-mode convolution with an odd-length linear-phase FIR keeps
-    the output aligned with the input (group delay compensated), so template
-    positions are unbiased.
+    Output i is the FIR output centered on input sample i * dec: the
+    odd-length linear-phase FIR's group delay is compensated, so template
+    positions are unbiased. This equals fftconvolve(sq, taps, "same")[::dec],
+    but the polyphase filter computes only the outputs that are kept.
     """
     ratio = fs_in / cfg.adc_rate_hz
     dec = int(round(ratio))
@@ -124,7 +132,13 @@ def lowpass_decimate(sq: np.ndarray, fs_in: float, cfg: FrontEndConfig,
                          f"ADC rate {cfg.adc_rate_hz}")
     if cfg.lpf_cutoff_hz < fs_in / 2.0:
         taps = design_lowpass(fs_in, cfg)
-        y = fftconvolve(sq, taps, mode="same")[::dec]
+        # full-convolution index of output i is (ntaps - 1) / 2 + i * dec;
+        # leading zero taps shift it onto the multiples of dec upfirdn keeps
+        center = (taps.size - 1) // 2
+        lead = -center % dec
+        first = (center + lead) // dec
+        y = upfirdn(np.concatenate([np.zeros(lead), taps]), sq, down=dec)
+        y = y[first:first + -(-sq.size // dec)]
     elif dec == 1:
         # already at the ADC rate and the cutoff clears its Nyquist band:
         # the filter would be all-pass, skip it
@@ -145,7 +159,9 @@ def fold_baseband(bb: np.ndarray, fs_in: float, cfg: FrontEndConfig,
     Matches the real-RF square+filter pipeline for any single band (the
     2*f_c image is what the filter removes), up to filter leakage.
     """
-    sq = 0.5 * (bb.real * bb.real + bb.imag * bb.imag)
+    sq = bb.real * bb.real
+    sq += bb.imag * bb.imag
+    sq *= 0.5
     return lowpass_decimate(sq, fs_in, cfg, rng)
 
 
@@ -197,9 +213,8 @@ def superpose(cells, rx_position, duration_s: float,
         cfg = cell.frame_cfg
         n_frames = int(np.ceil(duration_s / 0.01))
         rng = np.random.default_rng([rng_seed, idx])
-        frames = [frame_samples(cfg, cell.pci, "random_qpsk", rng)
-                  for _ in range(n_frames)]
-        bb = np.concatenate(frames)[:int(round(duration_s * cfg.sample_rate_hz))]
+        bb = frame_samples(cfg, cell.pci, "random_qpsk", rng, n_frames)
+        bb = bb[:int(round(duration_s * cfg.sample_rate_hz))]
 
         d = float(np.hypot(*(np.asarray(cell.position) - rx)))
         gain = path_amplitude(d, cell.carrier_hz) * \

@@ -6,6 +6,10 @@ outside the detector filter), detected with the hierarchical search, and
 localized from the surviving detections. Every random draw comes from a
 named substream of the scenario seed, so reports are byte-identical across
 runs and worker counts.
+
+Synthesis builds each cell's frames of a fix in one `frame_samples` call,
+then delays them exactly with one full-length FFT, a phase ramp and one
+inverse FFT, in place where scipy.fft allows it.
 """
 from __future__ import annotations
 
@@ -17,6 +21,7 @@ from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
+import scipy.fft
 
 from . import traceio
 from .amplitude import estimate_subsample
@@ -36,8 +41,30 @@ def _bank_for(fe: FrontEndConfig):
     return build_bank(fe, cache_dir=os.environ.get("FOLDLOC_CACHE_DIR"))
 
 
+def _delay_ramp(n: int, delay_samples: float, scale: float) -> np.ndarray:
+    """scale * exp(-2j*pi*fftfreq(n)*delay_samples): a delay as a phase ramp.
+
+    Bin k < n/2 gets w**k with w = exp(-2j*pi*delay_samples/n), written as
+    the outer product of ~sqrt(n) coarse steps w**(m*a) and fine steps w**b
+    instead of n complex exps; negative-frequency bins k >= n/2 stand for
+    k - n and carry the extra factor w**-n.
+    """
+    m = int(np.ceil(np.sqrt(n)))
+    step = -2j * np.pi * delay_samples / n
+    coarse = scale * np.exp(step * m * np.arange(-(-n // m)))
+    fine = np.exp(step * np.arange(m))
+    ramp = np.multiply.outer(coarse, fine).ravel()[:n]
+    ramp[(n + 1) // 2:] *= np.exp(-step * n)
+    return ramp
+
+
 def synth_fix_trace(sc: Scenario, fix_idx: int) -> np.ndarray:
-    """Detector-rate trace for one fix: delayed, scaled, folded cells + noise."""
+    """Detector-rate trace for one fix: delayed, scaled, folded cells + noise.
+
+    Each cell's n frames are one batched `frame_samples` call; its payload
+    comes from substream(seed, "payload", fix, cell) as if drawn frame by
+    frame.
+    """
     _, x, y = sc.trajectory[fix_idx]
     rx = np.array([x, y])
     n = sc.n_frames_per_fix
@@ -49,16 +76,18 @@ def synth_fix_trace(sc: Scenario, fix_idx: int) -> np.ndarray:
             continue
         cfg = cell.frame_cfg
         rng = substream(sc.rng_seed, "payload", fix_idx, ci)
-        bb = np.concatenate([frame_samples(cfg, cell.pci, "random_qpsk", rng)
-                             for _ in range(n)])
+        bb = frame_samples(cfg, cell.pci, "random_qpsk", rng, n_frames=n)
         d = float(np.hypot(*(np.asarray(cell.position) - rx)))
         delay_s = d / SPEED_OF_LIGHT + cell.frame_time_origin_s
-        # integer plus fractional delay as one frequency-domain phase ramp
-        freqs = np.fft.fftfreq(bb.size, 1.0 / cfg.sample_rate_hz)
-        bb = np.fft.ifft(np.fft.fft(bb) * np.exp(-2j * np.pi * freqs * delay_s))
         a_rx = path_amplitude(d, cell.carrier_hz) * \
             10.0 ** ((cell.tx_power_dbm - 30.0) / 20.0)
-        total += fold_baseband(a_rx * bb, cfg.sample_rate_hz, quiet)
+        # integer plus fractional delay as one frequency-domain phase ramp,
+        # with the receive amplitude folded into it; scipy.fft may reuse bb
+        # and plans long transforms faster than numpy.fft, to the same bits
+        bb = scipy.fft.fft(bb, overwrite_x=True)
+        bb *= _delay_ramp(bb.size, delay_s * cfg.sample_rate_hz, a_rx)
+        bb = scipy.fft.ifft(bb, overwrite_x=True)
+        total += fold_baseband(bb, cfg.sample_rate_hz, quiet)
 
     if sc.front_end.noise_sigma > 0:
         rng = substream(sc.rng_seed, "noise", fix_idx)

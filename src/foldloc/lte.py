@@ -4,10 +4,17 @@ Builds standards-shaped FDD downlink frames: primary/secondary synchronization
 sequences on the central 62 subcarriers, optional random QPSK payload across
 the occupied band, and cyclic-prefixed OFDM modulation. Only what the
 square-law receiver chain needs is modeled; no PBCH, CRS, or coding chains.
+
+Synthesis is batched: `frame_samples` fills all n frames of a cell as one
+symbol-major (n, 140, fft) grid, runs one IFFT over it, and inserts cyclic
+prefixes with one precomputed gather index per FFT size. The payload of n
+frames comes from one draw of the generator, bit-identical to n draws of one
+frame each.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -84,8 +91,9 @@ class FrameConfig:
                              f"{self.bandwidth_mhz} MHz")
         if abs(self.sample_rate_hz - self.fft_size * SUBCARRIER_HZ) > 1e-6:
             raise ValueError("sample_rate must equal fft_size * 15 kHz")
-        if self.cp_scheme not in ("normal", "extended"):
-            raise ValueError(f"unknown cp_scheme {self.cp_scheme!r}")
+        if self.cp_scheme != "normal":
+            raise ValueError(f"cp_scheme {self.cp_scheme!r} not supported; "
+                             f"only the normal cyclic prefix is modeled")
 
     @classmethod
     def from_bandwidth(cls, mhz: float) -> "FrameConfig":
@@ -200,21 +208,61 @@ def occupied_bins(cfg: FrameConfig) -> np.ndarray:
     return np.concatenate([neg, pos])
 
 
+_QPSK = np.exp(1j * (np.pi / 4 + np.pi / 2 * np.arange(4)))   # 2-bit symbol -> point
+
+
 @dataclass
 class ResourceGrid:
-    """One 10 ms frame as an (fft_size, 140) complex array.
+    """n consecutive 10 ms frames as an (fft_size, 140 * n) complex array.
 
     Rows are FFT bins (row 0 = DC, upper rows are negative frequencies),
-    columns are OFDM symbols.
+    columns are OFDM symbols, frame after frame.
     """
 
     symbols: np.ndarray
     config: FrameConfig = field(repr=False)
 
     def __post_init__(self):
-        expect = (self.config.fft_size, SYMBOLS_PER_FRAME)
-        if self.symbols.shape != expect:
-            raise ValueError(f"grid shape {self.symbols.shape} != {expect}")
+        shape = self.symbols.shape
+        if (len(shape) != 2 or shape[0] != self.config.fft_size
+                or shape[1] == 0 or shape[1] % SYMBOLS_PER_FRAME):
+            raise ValueError(f"grid shape {shape} is not ({self.config.fft_size}, "
+                             f"{SYMBOLS_PER_FRAME} * n)")
+
+
+def _cell_symbols(cfg: FrameConfig, pci: Pci | int, data_mode: str, rng_seed,
+                  n_frames: int) -> np.ndarray:
+    """n frames of one cell as a symbol-major (n, 140, fft_size) grid.
+
+    The payload of all frames is one (n, band, 140) draw, which takes the
+    same bits from the generator as n draws of one (band, 140) frame.
+    """
+    if isinstance(pci, int):
+        pci = Pci(pci)
+    if data_mode not in ("none", "random_qpsk"):
+        raise ValueError(f"unknown data_mode {data_mode!r}")
+    if n_frames < 1:
+        raise ValueError(f"n_frames must be at least 1, got {n_frames}")
+    rng = rng_seed if isinstance(rng_seed, np.random.Generator) \
+        else np.random.default_rng(rng_seed)
+
+    grid = np.zeros((n_frames, SYMBOLS_PER_FRAME, cfg.fft_size),
+                    dtype=np.complex128)
+    if data_mode == "random_qpsk":
+        half = 6 * cfg.n_resource_blocks
+        bits = rng.integers(0, 4, size=(n_frames, 2 * half, SYMBOLS_PER_FRAME))
+        qpsk = np.take(_QPSK, bits)
+        # occupied_bins order: negative subcarriers first, then 1..half
+        grid[:, :, -half:] = qpsk[:, :half].transpose(0, 2, 1)
+        grid[:, :, 1:half + 1] = qpsk[:, half:].transpose(0, 2, 1)
+
+    c62 = central_62_bins(cfg.fft_size)
+    pss = generate_pss(pci.sector)
+    for col, subframe in zip(SSS_COLS, (0, 5)):
+        grid[:, col, c62] = generate_sss(pci.group, pci.sector, subframe)
+    for col in PSS_COLS:
+        grid[:, col, c62] = pss
+    return grid
 
 
 def build_frame(cfg: FrameConfig, pci: Pci | int, data_mode: str = "none",
@@ -226,59 +274,71 @@ def build_frame(cfg: FrameConfig, pci: Pci | int, data_mode: str = "none",
     rng_seed (an int seed or a numpy Generator). Sync always overwrites the
     central 62 subcarriers of its four symbols.
     """
-    if isinstance(pci, int):
-        pci = Pci(pci)
-    if data_mode not in ("none", "random_qpsk"):
-        raise ValueError(f"unknown data_mode {data_mode!r}")
-    rng = rng_seed if isinstance(rng_seed, np.random.Generator) \
-        else np.random.default_rng(rng_seed)
+    symbols = _cell_symbols(cfg, pci, data_mode, rng_seed, 1)[0].T
+    return ResourceGrid(symbols=symbols, config=cfg)
 
-    grid = np.zeros((cfg.fft_size, SYMBOLS_PER_FRAME), dtype=np.complex128)
-    if data_mode == "random_qpsk":
-        band = occupied_bins(cfg)
-        bits = rng.integers(0, 4, size=(band.size, SYMBOLS_PER_FRAME))
-        grid[band, :] = np.exp(1j * (np.pi / 4 + np.pi / 2 * bits))
 
-    c62 = central_62_bins(cfg.fft_size)
-    pss = generate_pss(pci.sector)
-    for col, subframe in zip(SSS_COLS, (0, 5)):
-        grid[c62, col] = generate_sss(pci.group, pci.sector, subframe)
-    for col in PSS_COLS:
-        grid[c62, col] = pss
-    return ResourceGrid(symbols=grid, config=cfg)
+@lru_cache(maxsize=len(BANDWIDTH_TABLE))
+def _cp_layout(cfg: FrameConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Gather indices between one frame and its 140 symbol bodies.
+
+    With bodies the (140, fft_size) time-domain symbols of a frame,
+    bodies.ravel()[insert] is the frame with cyclic prefixes, and
+    frame[strip] is bodies.ravel() again. Both arrays are read-only.
+    """
+    fft = cfg.fft_size
+    cps = np.array([cfg.cp_len(s % SYMBOLS_PER_SLOT)
+                    for s in range(SYMBOLS_PER_FRAME)])
+    sym = np.repeat(np.arange(SYMBOLS_PER_FRAME), cps + fft)
+    starts = np.concatenate([[0], np.cumsum(cps + fft)[:-1]])
+    # offset of each frame sample within its symbol, counted from the body
+    # start, so the cyclic prefix sits at negative offsets
+    offset = np.arange(sym.size) - starts[sym] - cps[sym]
+    insert = sym * fft + offset % fft
+    strip = ((starts + cps)[:, None] + np.arange(fft)).ravel()
+    assert insert.size == cfg.frame_len
+    insert.setflags(write=False)
+    strip.setflags(write=False)
+    return insert, strip
+
+
+def _add_cyclic_prefixes(bodies: np.ndarray, cfg: FrameConfig) -> np.ndarray:
+    """(n, 140, fft_size) time-domain symbols -> n framed 10 ms frames."""
+    insert, _ = _cp_layout(cfg)
+    return np.take(bodies.reshape(bodies.shape[0], -1), insert, axis=1).ravel()
 
 
 def ofdm_modulate(grid: ResourceGrid) -> np.ndarray:
-    """Unitary IDFT per symbol with cyclic prefixes; returns one 10 ms frame."""
+    """Unitary IDFT per symbol with cyclic prefixes; returns the frames
+    of the grid end to end (one 10 ms frame per 140 columns)."""
     cfg = grid.config
-    if cfg.cp_scheme != "normal":
-        raise NotImplementedError("extended CP not implemented")
-    time_syms = np.fft.ifft(grid.symbols, axis=0, norm="ortho")
-    out = np.empty(cfg.frame_len, dtype=np.complex128)
-    pos = 0
-    for s in range(SYMBOLS_PER_FRAME):
-        cp = cfg.cp_len(s % SYMBOLS_PER_SLOT)
-        sym = time_syms[:, s]
-        out[pos:pos + cp] = sym[-cp:]
-        out[pos + cp:pos + cp + cfg.fft_size] = sym
-        pos += cp + cfg.fft_size
-    assert pos == cfg.frame_len
-    return out
+    bodies = grid.symbols.T.reshape(-1, SYMBOLS_PER_FRAME, cfg.fft_size)
+    return _add_cyclic_prefixes(np.fft.ifft(bodies, axis=-1, norm="ortho"), cfg)
 
 
 def ofdm_demodulate(samples: np.ndarray, cfg: FrameConfig) -> np.ndarray:
-    """Strip cyclic prefixes and apply the unitary DFT; inverse of modulate."""
-    grid = np.empty((cfg.fft_size, SYMBOLS_PER_FRAME), dtype=np.complex128)
-    pos = 0
-    for s in range(SYMBOLS_PER_FRAME):
-        cp = cfg.cp_len(s % SYMBOLS_PER_SLOT)
-        pos += cp
-        grid[:, s] = np.fft.fft(samples[pos:pos + cfg.fft_size], norm="ortho")
-        pos += cfg.fft_size
-    return grid
+    """Strip cyclic prefixes and apply the unitary DFT; inverse of modulate.
+
+    samples must hold whole frames; n frames give an (fft_size, 140 * n) grid.
+    """
+    samples = np.asarray(samples)
+    if samples.ndim != 1 or samples.size == 0 or samples.size % cfg.frame_len:
+        raise ValueError(f"{samples.size} samples are not whole "
+                         f"{cfg.frame_len}-sample frames")
+    _, strip = _cp_layout(cfg)
+    bodies = np.take(samples.reshape(-1, cfg.frame_len), strip, axis=1)
+    spec = np.fft.fft(bodies.reshape(-1, cfg.fft_size), axis=-1, norm="ortho")
+    return spec.T
 
 
 def frame_samples(cfg: FrameConfig, pci: Pci | int, data_mode: str = "none",
-                  rng_seed=0) -> np.ndarray:
-    """Convenience: build_frame followed by ofdm_modulate."""
-    return ofdm_modulate(build_frame(cfg, pci, data_mode, rng_seed))
+                  rng_seed=0, n_frames: int = 1) -> np.ndarray:
+    """n_frames consecutive 10 ms frames of one cell, modulated end to end.
+
+    Equal, to rounding, to concatenating n_frames single-frame calls that
+    share one Generator (build_frame followed by ofdm_modulate), but built
+    with one payload draw, one IFFT and one cyclic-prefix gather.
+    """
+    grid = _cell_symbols(cfg, pci, data_mode, rng_seed, n_frames)
+    np.fft.ifft(grid, axis=-1, norm="ortho", out=grid)
+    return _add_cyclic_prefixes(grid, cfg)

@@ -11,10 +11,12 @@ Layout, all little-endian:
     24      ...   samples, float32 * sample_count
 
 Samples are real post-detector values. Writing then reading returns the
-float32-rounded samples bit-exactly.
+float32-rounded samples bit-exactly. A reader rejects a file whose size is
+not exactly the header plus sample_count samples, and any non-finite sample.
 """
 from __future__ import annotations
 
+import os
 import struct
 
 import numpy as np
@@ -45,7 +47,16 @@ def read_trace(path) -> tuple[np.ndarray, float]:
             raise TraceFormatError(f"{path}: bad magic {magic!r}")
         if version != VERSION:
             raise TraceFormatError(f"{path}: unsupported version {version}")
+        have = os.fstat(f.fileno()).st_size - _HEADER.size
+        if have < 4 * count:
+            raise TraceFormatError(f"{path}: expected {count} samples, file short")
+        if have > 4 * count:
+            raise TraceFormatError(f"{path}: {have - 4 * count} trailing bytes "
+                                   f"after {count} samples")
         payload = f.read(4 * count)
     if len(payload) != 4 * count:
         raise TraceFormatError(f"{path}: expected {count} samples, file short")
-    return np.frombuffer(payload, dtype="<f4").astype(np.float64), rate
+    samples = np.frombuffer(payload, dtype="<f4").astype(np.float64)
+    if not np.isfinite(samples).all():
+        raise TraceFormatError(f"{path}: non-finite samples")
+    return samples, rate

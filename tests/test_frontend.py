@@ -215,3 +215,30 @@ def test_folded_spectrum_confined_preamble():
     f = np.fft.rfftfreq(y.size, 1.0 / 1.92e6)
     high = spec[f > 0.94e6].sum() / spec.sum()
     assert high < 1e-3
+
+
+@pytest.mark.parametrize("dec", [4, 8, 16, 80])
+@pytest.mark.parametrize("extra", [0, 3])
+def test_lowpass_decimate_matches_full_rate_filter(dec, extra):
+    """The decimating FIR keeps exactly the samples of the full-rate
+    'same'-mode convolution at multiples of dec, also for inputs shorter
+    than the filter."""
+    from scipy.signal import fftconvolve
+    fe = FrontEndConfig()
+    fs = dec * fe.adc_rate_hz
+    rng = np.random.default_rng(dec)
+    for n in (257 * dec + extra, 37 * dec + 1 + extra, 3 * dec + 1 + extra):
+        sq = rng.standard_normal(n) ** 2
+        want = fftconvolve(sq, design_lowpass(fs, fe), mode="same")[::dec]
+        got = lowpass_decimate(sq, fs, fe)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_design_lowpass_cached_read_only():
+    fe = FrontEndConfig()
+    taps = design_lowpass(FS_RF, fe)
+    assert design_lowpass(FS_RF, FrontEndConfig()) is taps
+    assert design_lowpass(FS_RF / 2, fe) is not taps
+    with pytest.raises(ValueError):
+        taps[0] = 1.0

@@ -7,16 +7,20 @@ import sys
 
 import numpy as np
 import pytest
+from scipy.signal import fftconvolve
 
 from foldloc import traceio
 from foldloc.detect import (FRAME_LEN, TEMPLATE_START, BankMismatchError,
                             Detection)
-from foldloc.frontend import CellConfig, FrontEndConfig
+from foldloc.frontend import (SPEED_OF_LIGHT, CellConfig, FrontEndConfig,
+                              design_lowpass, path_amplitude,
+                              received_power_dbm)
 from foldloc.harness import (cmd_localize, cmd_synth, compute_metrics,
                              detect_trace, run_eval, run_fix, run_urban_sim,
                              synth_fix_trace)
-from foldloc.lte import FrameConfig, Pci
-from foldloc.scenario import CellDatabase, Scenario, scenario_cell_db
+from foldloc.lte import (FrameConfig, Pci, central_62_bins, generate_pss,
+                         generate_sss, occupied_bins)
+from foldloc.scenario import CellDatabase, Scenario, scenario_cell_db, substream
 
 FS = 1.92e6
 CFG = FrameConfig.from_bandwidth(1.4)
@@ -66,6 +70,96 @@ def test_synth_differs_across_fixes_and_seeds():
     from dataclasses import replace
     c = synth_fix_trace(replace(sc, rng_seed=6), 0)
     assert not np.array_equal(a, c)
+
+
+def _seed_frame(cfg, pci, rng):
+    """One frame as the loop-based reference synthesizes it: a per-element
+    QPSK exp, a per-bin-major IFFT and a per-symbol cyclic-prefix loop."""
+    grid = np.zeros((cfg.fft_size, 140), dtype=np.complex128)
+    band = occupied_bins(cfg)
+    bits = rng.integers(0, 4, size=(band.size, 140))
+    grid[band, :] = np.exp(1j * (np.pi / 4 + np.pi / 2 * bits))
+    c62 = central_62_bins(cfg.fft_size)
+    for col, subframe in zip((5, 75), (0, 5)):
+        grid[c62, col] = generate_sss(pci.group, pci.sector, subframe)
+    for col in (6, 76):
+        grid[c62, col] = generate_pss(pci.sector)
+    body = np.fft.ifft(grid, axis=0, norm="ortho")
+    pieces = []
+    for s in range(140):
+        cp = cfg.cp_len(s % 7)
+        pieces += [body[-cp:, s], body[:, s]]
+    return np.concatenate(pieces)
+
+
+def _seed_synth_fix_trace(sc, fix_idx):
+    """Reference trace: frame-by-frame synthesis, an fftfreq phase ramp and
+    a full-rate 'same'-mode FIR decimated afterwards."""
+    _, x, y = sc.trajectory[fix_idx]
+    rx = np.array([x, y])
+    fe = sc.front_end
+    total = np.zeros(sc.n_frames_per_fix * FRAME_LEN)
+    for ci, cell in enumerate(sc.cells):
+        if received_power_dbm(cell, rx) < fe.sensitivity_floor_dbm:
+            continue
+        cfg = cell.frame_cfg
+        rng = substream(sc.rng_seed, "payload", fix_idx, ci)
+        bb = np.concatenate([_seed_frame(cfg, cell.pci, rng)
+                             for _ in range(sc.n_frames_per_fix)])
+        d = float(np.hypot(*(np.asarray(cell.position) - rx)))
+        delay_s = d / SPEED_OF_LIGHT + cell.frame_time_origin_s
+        freqs = np.fft.fftfreq(bb.size, 1.0 / cfg.sample_rate_hz)
+        bb = np.fft.ifft(np.fft.fft(bb) * np.exp(-2j * np.pi * freqs * delay_s))
+        a_rx = path_amplitude(d, cell.carrier_hz) * \
+            10.0 ** ((cell.tx_power_dbm - 30.0) / 20.0)
+        sq = 0.5 * np.abs(a_rx * bb) ** 2
+        dec = int(round(cfg.sample_rate_hz / fe.adc_rate_hz))
+        if dec > 1:
+            taps = design_lowpass(cfg.sample_rate_hz, fe)
+            sq = fftconvolve(sq, taps, mode="same")[::dec]
+        total += sq
+    return total
+
+
+S5_TOWERS = ((0.0, 0.0), (6000.0, 0.0), (0.0, 6000.0), (6000.0, 6000.0),
+             (3000.0, -3000.0))
+
+
+def _s5_scenario(origins):
+    cells = [CellConfig(pci=Pci(p), carrier_hz=700e6 + 20e6 * i, frame_cfg=CFG,
+                        position=pos, tx_power_dbm=46.0,
+                        frame_time_origin_s=o / FS)
+             for i, (p, pos, o) in enumerate(zip((10, 84, 150, 222, 301),
+                                                 S5_TOWERS, origins))]
+    return Scenario(cells=cells, front_end=FrontEndConfig(noise_sigma=0.0),
+                    trajectory=[(0.0, 2000.0, 2500.0), (1.0, 2130.0, 2290.0)],
+                    rng_seed=3, n_frames_per_fix=2)
+
+
+def _wideband_scenario():
+    cells = [CellConfig(pci=Pci(p), carrier_hz=f,
+                        frame_cfg=FrameConfig.from_bandwidth(bw), position=pos,
+                        tx_power_dbm=46.0, frame_time_origin_s=o / FS)
+             for p, bw, f, pos, o in ((101, 20.0, 2.115e9, (800.0, 0.0), 0),
+                                      (202, 10.0, 2.145e9, (0.0, 1000.0), 1500),
+                                      (303, 5.0, 2.175e9, (-884.0, -884.0), 3000))]
+    return Scenario(cells=cells, front_end=FrontEndConfig(noise_sigma=0.0),
+                    trajectory=[(0.0, 10.0, -20.0)], rng_seed=3,
+                    n_frames_per_fix=2, solver="ratio")
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _s5_scenario((0, 1500, 3000, 4500, 6000)),
+    lambda: _s5_scenario((0,) * 5),
+    _wideband_scenario,
+], ids=["s5_offset", "s5_synchronized", "wideband_20_10_5"])
+def test_synth_matches_frame_by_frame_reference(make):
+    sc = make()
+    for i in range(len(sc.trajectory)):
+        want = _seed_synth_fix_trace(sc, i)
+        got = synth_fix_trace(sc, i)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
 
 
 def test_detect_single_cell_at_geometric_delay(bank):

@@ -4,9 +4,10 @@ import cmath
 import numpy as np
 import pytest
 
-from foldloc.lte import (BANDWIDTH_TABLE, FrameConfig, Pci, build_frame,
-                         central_62_bins, frame_samples, generate_pss,
-                         generate_sss, ofdm_demodulate, ofdm_modulate)
+from foldloc.lte import (BANDWIDTH_TABLE, FrameConfig, Pci, ResourceGrid,
+                         build_frame, central_62_bins, frame_samples,
+                         generate_pss, generate_sss, ofdm_demodulate,
+                         ofdm_modulate)
 
 
 def test_pci_decomposition():
@@ -187,3 +188,53 @@ def test_preamble_frames_identical(cfg14):
     a = frame_samples(cfg14, Pci(300), "none")
     b = frame_samples(cfg14, Pci(300), "none")
     assert np.array_equal(a, b)
+
+
+def test_extended_cp_rejected_at_construction():
+    cfg = FrameConfig.from_bandwidth(1.4)
+    with pytest.raises(ValueError, match="cp_scheme"):
+        FrameConfig(bandwidth_mhz=1.4, fft_size=128,
+                    sample_rate_hz=cfg.sample_rate_hz, cp_scheme="extended",
+                    n_resource_blocks=6)
+
+
+@pytest.mark.parametrize("bw", [1.4, 5.0, 20.0])
+def test_batched_frames_match_single_frame_calls(bw):
+    """n frames from one call equal n single-frame calls on one Generator."""
+    cfg = FrameConfig.from_bandwidth(bw)
+    n = 3
+    rng = np.random.default_rng([11, 4])
+    single = np.concatenate([frame_samples(cfg, Pci(250), "random_qpsk", rng)
+                             for _ in range(n)])
+    batched_rng = np.random.default_rng([11, 4])
+    batched = frame_samples(cfg, Pci(250), "random_qpsk", batched_rng, n_frames=n)
+    assert batched.shape == (n * cfg.frame_len,)
+    assert np.abs(batched - single).max() <= 1e-12 * np.abs(single).max()
+    # both consumed the same number of draws
+    assert rng.integers(1 << 30) == batched_rng.integers(1 << 30)
+
+
+def test_ofdm_round_trip_multiple_frames(cfg14):
+    rng = np.random.default_rng(3)
+    grids = [build_frame(cfg14, Pci(101), "random_qpsk", rng).symbols
+             for _ in range(3)]
+    x = np.concatenate([ofdm_modulate(ResourceGrid(g, cfg14)) for g in grids])
+    back = ofdm_demodulate(x, cfg14)
+    assert back.shape == (cfg14.fft_size, 3 * 140)
+    assert np.abs(back - np.hstack(grids)).max() < 1e-9
+    joint = ofdm_modulate(ResourceGrid(np.hstack(grids), cfg14))
+    assert np.abs(joint - x).max() < 1e-12
+
+
+def test_ofdm_demodulate_rejects_partial_frames(cfg14):
+    with pytest.raises(ValueError, match="whole"):
+        ofdm_demodulate(np.zeros(cfg14.frame_len + 1, complex), cfg14)
+    with pytest.raises(ValueError, match="whole"):
+        ofdm_demodulate(np.zeros(0, complex), cfg14)
+
+
+def test_resource_grid_needs_whole_frames(cfg14):
+    with pytest.raises(ValueError):
+        ResourceGrid(np.zeros((cfg14.fft_size, 141), complex), cfg14)
+    with pytest.raises(ValueError):
+        ResourceGrid(np.zeros((64, 140), complex), cfg14)

@@ -68,3 +68,42 @@ def test_unknown_version_rejected(tmp_path):
     p.write_bytes(bytes(raw))
     with pytest.raises(TraceFormatError):
         read_trace(p)
+
+
+def _set_count(p, count):
+    raw = bytearray(p.read_bytes())
+    raw[16:24] = struct.pack("<Q", count)
+    p.write_bytes(bytes(raw))
+
+
+def test_huge_sample_count_rejected_with_exit_3(tmp_path):
+    from foldloc.cli import main
+    p = tmp_path / "t.bin"
+    write_trace(p, np.zeros(4), 1.92e6)
+    _set_count(p, 2 ** 62)
+    with pytest.raises(TraceFormatError, match="short"):
+        read_trace(p)
+    assert main(["detect", str(p), "-o", str(tmp_path)]) == 3
+
+
+def test_trailing_bytes_rejected(tmp_path):
+    p = tmp_path / "t.bin"
+    write_trace(p, np.zeros(100), 1e6)
+    p.write_bytes(p.read_bytes() + b"\0" * 4)
+    with pytest.raises(TraceFormatError, match="trailing"):
+        read_trace(p)
+    _set_count(p, 99)                    # count short of the payload
+    with pytest.raises(TraceFormatError, match="trailing"):
+        read_trace(p)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_samples_rejected_with_exit_3(tmp_path, bad):
+    from foldloc.cli import main
+    p = tmp_path / "t.bin"
+    x = np.zeros(50)
+    x[17] = bad
+    write_trace(p, x, 1.92e6)
+    with pytest.raises(TraceFormatError, match="non-finite"):
+        read_trace(p)
+    assert main(["detect", str(p), "-o", str(tmp_path)]) == 3

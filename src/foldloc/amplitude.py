@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_EPS = 1e-30
+_EPS = 1e-30                  # energies and norms below this count as zero
 
 
 @dataclass
@@ -43,17 +43,13 @@ class SubsampleEstimate:
         return self.n_bins < 8
 
 
-def _template_samples(tpl) -> np.ndarray:
-    return tpl.samples if hasattr(tpl, "samples") else np.asarray(tpl)
-
-
 def _window(x: np.ndarray, d: int, wlen: int) -> np.ndarray:
     return x.take(range(d, d + wlen), mode="wrap")
 
 
-def fit_amplitude(x: np.ndarray, tpl, d: int,
+def fit_amplitude(x: np.ndarray, tpl: np.ndarray, d: int,
                   a_max: float = np.inf) -> AmplitudeFit:
-    """Best scale of the template at delay d, clamped to [0, a_max].
+    """Best scale of the template (a bank row) at delay d, clamped to [0, a_max].
 
     The objective mean((window - A*template)^2) is quadratic in A, so the
     minimizer is the clamped projection <window, template> / <template,
@@ -62,15 +58,14 @@ def fit_amplitude(x: np.ndarray, tpl, d: int,
     """
     if a_max <= 0:
         raise ValueError("a_max must be positive")
-    t = _template_samples(tpl)
-    tt = float(t @ t)
+    tt = float(tpl @ tpl)
     if tt < _EPS:
         raise ValueError("zero-energy template")
-    w = _window(x, d, t.size)
-    a = float(np.clip((w @ t) / tt, 0.0, a_max))
-    resid = w - a * t
+    w = _window(x, d, tpl.size)
+    a = float(np.clip((w @ tpl) / tt, 0.0, a_max))
+    resid = w - a * tpl
     return AmplitudeFit(amplitude=a,
-                        residual_energy=float(resid @ resid) / t.size,
+                        residual_energy=float(resid @ resid) / tpl.size,
                         delay=int(d))
 
 
@@ -89,20 +84,20 @@ def iterative_separation(x: np.ndarray, detections, bank,
     resid = np.asarray(x, dtype=np.float64).copy()
     fits = []
     for det in dets:
-        tpl = bank.templates[det.pci.value]
+        tpl = bank.samples[det.pci.value]
         fit = fit_amplitude(resid, tpl, det.delay_samples, a_max)
         idx = np.arange(det.delay_samples,
-                        det.delay_samples + tpl.samples.size) % resid.size
-        resid[idx] -= fit.amplitude * tpl.samples
+                        det.delay_samples + tpl.size) % resid.size
+        resid[idx] -= fit.amplitude * tpl
         fits.append(fit)
 
     if joint_refit and fits:
         cols = np.zeros((resid.size, len(fits)))
         for j, (det, _) in enumerate(zip(dets, fits)):
-            tpl = bank.templates[det.pci.value]
+            tpl = bank.samples[det.pci.value]
             idx = np.arange(det.delay_samples,
-                            det.delay_samples + tpl.samples.size) % resid.size
-            cols[idx, j] = tpl.samples
+                            det.delay_samples + tpl.size) % resid.size
+            cols[idx, j] = tpl
         sol, *_ = np.linalg.lstsq(cols, np.asarray(x, dtype=np.float64),
                                   rcond=None)
         sol = np.clip(sol, 0.0, a_max)
@@ -113,8 +108,8 @@ def iterative_separation(x: np.ndarray, detections, bank,
     return fits
 
 
-def estimate_subsample(x: np.ndarray, tpl, d: int, floor: float = 0.05,
-                       n_passes: int = 3) -> SubsampleEstimate:
+def estimate_subsample(x: np.ndarray, tpl: np.ndarray, d: int,
+                       floor: float = 0.05, n_passes: int = 3) -> SubsampleEstimate:
     """Fractional delay of the windowed signal relative to the template.
 
     A delay of tau samples multiplies the window's spectrum by
@@ -125,9 +120,8 @@ def estimate_subsample(x: np.ndarray, tpl, d: int, floor: float = 0.05,
     never need unwrapping; coarse sync already bounds |tau| below one
     sample, which keeps every usable bin's phase inside (-pi, pi].
     """
-    t = _template_samples(tpl)
-    w = _window(x, d, t.size)
-    spec_t = np.fft.rfft(t)
+    w = _window(x, d, tpl.size)
+    spec_t = np.fft.rfft(tpl)
     spec_x = np.fft.rfft(w - w.mean())
     mag = np.abs(spec_t)
     mag[0] = 0.0
@@ -147,7 +141,7 @@ def estimate_subsample(x: np.ndarray, tpl, d: int, floor: float = 0.05,
     resid = np.angle(g * np.exp(-1j * slope * k))
     coherence = float(np.abs(wts @ np.exp(1j * resid)) / wts.sum())
 
-    tau = -slope * t.size / (2.0 * np.pi)
+    tau = -slope * tpl.size / (2.0 * np.pi)
     tau = float(np.clip(tau, -0.999999, 0.999999))
     return SubsampleEstimate(tau=tau, phase_slope=slope,
                              confidence=coherence, n_bins=int(n_bins))

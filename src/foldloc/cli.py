@@ -15,7 +15,7 @@ from .frontend import FrontEndConfig
 from .harness import cmd_detect, cmd_localize, cmd_synth, run_eval
 from .roads import Fix, geofence_events, load_geofence_csv, load_road_graph_csv, \
     snap_trajectory
-from .scenario import ScenarioError, load_cell_db, load_scenario
+from .scenario import ScenarioError, load_cell_db, load_scenario, read_csv_rows
 from .traceio import TraceFormatError
 
 EXIT_OK = 0
@@ -68,9 +68,10 @@ def _do_detect(args) -> int:
     fe = FrontEndConfig()
     outdir = args.outdir
     if args.input.endswith(".csv"):
-        rows = list(csv.DictReader(open(args.input)))
-        if not rows or "trace_path" not in rows[0]:
-            raise ScenarioError(f"{args.input}: not a synth manifest")
+        rows = [r for _, r in read_csv_rows(args.input, (
+            "fix", "trace_path", "t", "x_true", "y_true", "true_pcis"))]
+        if not rows:
+            raise ScenarioError(f"{args.input}: manifest lists no traces")
         outdir = outdir or os.path.dirname(os.path.abspath(args.input))
         os.makedirs(outdir, exist_ok=True)
         det_manifest = os.path.join(outdir, "detections_manifest.csv")
@@ -107,7 +108,7 @@ def _do_detect(args) -> int:
 def _do_localize(args) -> int:
     db = load_cell_db(args.cell_db)
     by_fix = []
-    for row in csv.DictReader(open(args.manifest)):
+    for _, row in read_csv_rows(args.manifest, ("t", "detections_path")):
         dets = read_detections_csv(row["detections_path"])
         by_fix.append((float(row["t"]), dets))
     rows = cmd_localize(by_fix, db, args.method, args.rate)
@@ -123,7 +124,7 @@ def _do_localize(args) -> int:
 def _do_track(args) -> int:
     graph = load_road_graph_csv(args.roads)
     fixes = []
-    for row in csv.DictReader(open(args.trajectory)):
+    for _, row in read_csv_rows(args.trajectory, ("t", "x_est", "y_est")):
         if row["x_est"] == "":
             continue
         fixes.append(Fix(t=float(row["t"]),

@@ -5,6 +5,13 @@ SSS and PSS symbols. Correlating a 504-entry bank of such windows against a
 stacked trace identifies cells and their coarse sample delays. Squaring
 destroys the sign difference between Zadoff-Chu roots 29 and 34, so their
 folded waveforms coincide and stage-1 scanning needs only two PSS shapes.
+
+The bank is three read-only arrays, one row per PCI: unit-norm windows,
+their original norms and the two PSS scan windows. Stage 2 scores every
+candidate window against the whole bank with one matrix product, and
+`correlate_bank` scores every lag with one FFT of the trace. Detection
+returns scored (pci, delay) pairs; `refine` then fills in each one's fitted
+amplitude and sub-sample offset, the single enrichment step for every mode.
 """
 from __future__ import annotations
 
@@ -14,8 +21,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import amplitude
+from .amplitude import _EPS
 from .frontend import FrontEndConfig, fold_baseband
 from .lte import FrameConfig, Pci, frame_samples
+from .scenario import read_csv_rows
 
 DETECTOR_RATE_HZ = 1.92e6
 FRAME_LEN = 19200             # 10 ms at the detector rate
@@ -23,22 +33,11 @@ HALF_FRAME = 9600             # sync repeats every 5 ms
 TEMPLATE_START = 684          # window start within a slot-aligned frame
 TEMPLATE_LEN = 276            # two tail samples + SSS symbol + PSS symbol
 PSS_TEMPLATE_LEN = 138        # trailing CP + PSS portion of the window
-
-_EPS = 1e-30
-
-
-@dataclass(frozen=True)
-class FoldedTemplate:
-    """One PCI's folded sync window.
-
-    samples are mean-removed and unit-normalized; norm holds the L2 norm
-    the window had before normalization, which carries the absolute folded
-    amplitude scale (proportional to received amplitude squared).
-    """
-
-    pci: Pci
-    samples: np.ndarray = field(repr=False)
-    norm: float = 1.0
+CANDIDATE_WINDOW = 3          # stage-2 lags searched either side of a PSS peak
+BANK_CHUNK = 72               # templates per FFT batch in correlate_bank
+PHAT_FLOOR = 0.05             # phat keeps bins above this share of the peak
+DETECTION_COLUMNS = ("pci", "delay_samples", "subsample_offset", "amplitude",
+                     "score")
 
 
 @dataclass
@@ -54,36 +53,31 @@ class BankMismatchError(RuntimeError):
     """Front-end config of a trace does not match the template bank."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class TemplateBank:
-    templates: list[FoldedTemplate]
-    unique_pss_folded: np.ndarray = field(repr=False)   # (2, 138) raw windows
+    """All 504 folded sync windows of one front end, as read-only arrays.
+
+    samples (504, 276): mean-removed, unit-norm windows, row = PCI.
+    norms (504,): the L2 norm each window had before normalization; it
+    carries the absolute folded amplitude scale (proportional to received
+    amplitude squared).
+    pss_unit (2, 138): mean-removed, unit-norm PSS scan windows of sectors
+    0 and 1, the only two folded PSS shapes.
+    """
+
+    samples: np.ndarray = field(repr=False)
+    norms: np.ndarray = field(repr=False)
+    pss_unit: np.ndarray = field(repr=False)
     config_key: str = ""
-    _matrix: np.ndarray | None = field(default=None, repr=False)
-    _pss_unit: np.ndarray | None = field(default=None, repr=False)
-    _rfft_cache: dict = field(default_factory=dict, repr=False)
 
-    @property
-    def matrix(self) -> np.ndarray:
-        """(504, 276) array of normalized template samples."""
-        if self._matrix is None:
-            self._matrix = np.stack([t.samples for t in self.templates])
-        return self._matrix
-
-    @property
-    def pss_unit(self) -> np.ndarray:
-        """(2, 138) mean-removed unit-norm PSS scan templates."""
-        if self._pss_unit is None:
-            w = self.unique_pss_folded - \
-                self.unique_pss_folded.mean(axis=1, keepdims=True)
-            self._pss_unit = w / np.linalg.norm(w, axis=1, keepdims=True)
-        return self._pss_unit
-
-    def template_rfft(self, n: int) -> np.ndarray:
-        """Conjugate spectra of all templates zero-padded to n, cached."""
-        if n not in self._rfft_cache:
-            self._rfft_cache[n] = np.conj(np.fft.rfft(self.matrix, n=n, axis=1))
-        return self._rfft_cache[n]
+    @classmethod
+    def from_arrays(cls, samples, norms, pss_raw, key: str) -> "TemplateBank":
+        """Bank from the stored arrays; pss_raw holds the two raw PSS windows."""
+        w = pss_raw - pss_raw.mean(axis=1, keepdims=True)
+        arrays = (samples, norms, w / np.linalg.norm(w, axis=1, keepdims=True))
+        for a in arrays:
+            a.setflags(write=False)
+        return cls(*arrays, config_key=key)
 
 
 def _fold_preamble(pci: int, fe: FrontEndConfig) -> np.ndarray:
@@ -111,9 +105,8 @@ def build_bank(fe: FrontEndConfig, cache_dir: str | None = None) -> TemplateBank
         if os.path.exists(cache_path):
             with np.load(cache_path, allow_pickle=False) as z:
                 if str(z["key"]) == key:
-                    tpls = [FoldedTemplate(Pci(p), z["samples"][p], float(z["norms"][p]))
-                            for p in range(504)]
-                    return TemplateBank(tpls, z["pss_raw"], config_key=key)
+                    return TemplateBank.from_arrays(z["samples"], z["norms"],
+                                                    z["pss_raw"], key)
 
     samples = np.empty((504, TEMPLATE_LEN))
     norms = np.empty(504)
@@ -132,9 +125,7 @@ def build_bank(fe: FrontEndConfig, cache_dir: str | None = None) -> TemplateBank
     if cache_path:
         os.makedirs(cache_dir, exist_ok=True)
         np.savez(cache_path, samples=samples, norms=norms, pss_raw=pss_raw, key=key)
-
-    tpls = [FoldedTemplate(Pci(p), samples[p], float(norms[p])) for p in range(504)]
-    return TemplateBank(tpls, pss_raw, config_key=key)
+    return TemplateBank.from_arrays(samples, norms, pss_raw, key)
 
 
 def stack_frames(trace: np.ndarray, n_frames: int,
@@ -152,57 +143,54 @@ def stack_frames(trace: np.ndarray, n_frames: int,
     return trace[:n_frames * frame_len].reshape(n_frames, frame_len).mean(axis=0)
 
 
-def _window_stats(x: np.ndarray, wlen: int) -> tuple[np.ndarray, np.ndarray]:
-    """Circular sliding sum and sum of squares over windows of wlen."""
+def _window_norms(x: np.ndarray, wlen: int) -> np.ndarray:
+    """L2 norm of every mean-removed circular window of wlen; 0 where flat.
+
+    Window variances are differences of running sums over x, so a flat
+    window (constant signal, zero padding) keeps a round-off variance of up
+    to about n * eps * sum(x**2); dividing FFT round-off by its root would
+    fabricate scores. Windows at or below that bound get norm 0 and score 0;
+    the bound scales with the trace, so scaling never changes which windows
+    are flat.
+    """
     ext = np.concatenate([x, x[:wlen - 1]])
     c1 = np.concatenate([[0.0], np.cumsum(ext)])
     c2 = np.concatenate([[0.0], np.cumsum(ext * ext)])
     idx = np.arange(x.size)
     s1 = c1[idx + wlen] - c1[idx]
     s2 = c2[idx + wlen] - c2[idx]
-    return s1, s2
-
-
-def _valid_windows(denom: np.ndarray) -> np.ndarray:
-    """Mask of windows with enough variance for a meaningful score.
-
-    Flat windows (constant signal, zero padding) have a vanishing
-    denominator; dividing FFT round-off by it would fabricate full-scale
-    scores.  The cut is relative to the largest window so scaling the
-    trace never changes the mask.
-    """
-    return denom > 1e-9 * max(float(denom.max()), _EPS)
+    var = s2 - s1 * s1 / wlen
+    flat = var <= x.size * np.finfo(np.float64).eps * float(x @ x)
+    return np.where(flat, 0.0, np.sqrt(np.maximum(var, 0.0)))
 
 
 def _ncc(x: np.ndarray, tpl: np.ndarray) -> np.ndarray:
     """Circular zero-mean NCC of a unit-norm zero-mean template against x."""
     n = x.size
-    wlen = tpl.size
     num = np.fft.irfft(np.fft.rfft(x) * np.conj(np.fft.rfft(tpl, n=n)), n=n)
-    s1, s2 = _window_stats(x, wlen)
-    denom = np.sqrt(np.maximum(s2 - s1 * s1 / wlen, 0.0))
-    return np.where(_valid_windows(denom), num / np.maximum(denom, _EPS), 0.0)
+    denom = _window_norms(x, tpl.size)
+    return np.where(denom > 0.0, num / np.maximum(denom, _EPS), 0.0)
 
 
-def _phat(x: np.ndarray, tpl: np.ndarray, floor: float = 0.05) -> np.ndarray:
+def _phat(x: np.ndarray, tpl: np.ndarray) -> np.ndarray:
     """Phase-transform correlation restricted to the template's own band.
 
     The cross spectrum is whitened to unit magnitude on bins where the
-    template holds at least `floor` of its peak magnitude and zeroed
+    template holds at least PHAT_FLOOR of its peak magnitude and zeroed
     elsewhere; narrowband interference then contributes at most its few
     bins' worth of weight instead of dominating the metric.
     """
     n = x.size
     spec_t = np.fft.rfft(tpl, n=n)
     mag_t = np.abs(spec_t)
-    keep = mag_t > floor * mag_t.max()
+    keep = mag_t > PHAT_FLOOR * mag_t.max()
     keep[0] = False
     r = np.fft.rfft(x) * np.conj(spec_t)
     w = np.where(keep, r / np.maximum(np.abs(r), _EPS), 0.0)
     return np.fft.irfft(w, n=n) / (np.count_nonzero(keep) / (n / 2.0))
 
 
-def correlate(stacked: np.ndarray, tpl: FoldedTemplate | np.ndarray,
+def correlate(stacked: np.ndarray, tpl: np.ndarray,
               mode: str = "plain") -> np.ndarray:
     """Score every circular lag of one template against a stacked frame.
 
@@ -210,7 +198,7 @@ def correlate(stacked: np.ndarray, tpl: FoldedTemplate | np.ndarray,
     variance normalization. phat: whitened cross-spectrum phase correlation.
     Both return one score per lag, clipped to [-1, 1].
     """
-    t = tpl.samples if isinstance(tpl, FoldedTemplate) else np.asarray(tpl)
+    t = np.asarray(tpl)
     if stacked.size < t.size:
         raise ValueError("trace shorter than template")
     if mode == "plain":
@@ -223,36 +211,43 @@ def correlate(stacked: np.ndarray, tpl: FoldedTemplate | np.ndarray,
 
 
 def correlate_bank(stacked: np.ndarray, bank: TemplateBank,
-                   mode: str = "plain", chunk: int = 72) -> np.ndarray:
+                   mode: str = "plain") -> np.ndarray:
     """(504, n) score array of the full bank against one stacked frame.
 
-    Vectorized equivalent of calling correlate per template; plain mode
-    shares one window-statistics pass across all templates.
+    Equal to calling correlate per template, computed from one FFT of the
+    trace and batches of BANK_CHUNK template spectra. plain divides by the
+    shared window statistics; phat whitens each template on its own band.
     """
+    if mode not in ("plain", "phat"):
+        raise ValueError(f"unknown correlation mode {mode!r}")
     n = stacked.size
+    spec_x = np.fft.rfft(stacked)
+    denom = _window_norms(stacked, TEMPLATE_LEN)
+    out = np.empty((504, n))
+    for lo in range(0, 504, BANK_CHUNK):
+        rows = slice(lo, lo + BANK_CHUNK)
+        spec_t = np.fft.rfft(bank.samples[rows], n=n, axis=1)
+        r = spec_x * np.conj(spec_t)
+        if mode == "plain":
+            out[rows] = np.fft.irfft(r, n=n, axis=1) / np.maximum(denom, _EPS)
+        else:
+            mag_t = np.abs(spec_t)
+            keep = mag_t > PHAT_FLOOR * mag_t.max(axis=1, keepdims=True)
+            keep[:, 0] = False
+            w = np.where(keep, r / np.maximum(np.abs(r), _EPS), 0.0)
+            out[rows] = np.fft.irfft(w, n=n, axis=1) / \
+                (np.count_nonzero(keep, axis=1) / (n / 2.0))[:, None]
     if mode == "plain":
-        spec_x = np.fft.rfft(stacked)
-        s1, s2 = _window_stats(stacked, TEMPLATE_LEN)
-        denom = np.maximum(np.sqrt(np.maximum(s2 - s1 * s1 / TEMPLATE_LEN, 0.0)), _EPS)
-        out = np.empty((504, n))
-        conj_t = bank.template_rfft(n)
-        for lo in range(0, 504, chunk):
-            hi = min(lo + chunk, 504)
-            num = np.fft.irfft(spec_x[None, :] * conj_t[lo:hi], n=n, axis=1)
-            out[lo:hi] = num / denom[None, :]
-        out[:, ~_valid_windows(denom)] = 0.0
-        return np.clip(out, -1.0, 1.0)
-    if mode == "phat":
-        return np.stack([correlate(stacked, t, "phat") for t in bank.templates])
-    raise ValueError(f"unknown correlation mode {mode!r}")
+        out[:, denom == 0.0] = 0.0
+    return np.clip(out, -1.0, 1.0)
 
 
 def _stage1_candidates(stacked: np.ndarray, bank: TemplateBank,
                        thresh_pss: float, group_gap: int = 8) -> list[int]:
     """Peak indices from scanning the two folded PSS shapes."""
     cands = []
-    for k in range(bank.pss_unit.shape[0]):
-        scores = _ncc(stacked, bank.pss_unit[k])
+    for pss in bank.pss_unit:
+        scores = _ncc(stacked, pss)
         above = np.flatnonzero(scores > thresh_pss)
         if above.size == 0:
             continue
@@ -268,43 +263,51 @@ def _stage1_candidates(stacked: np.ndarray, bank: TemplateBank,
 
 
 def hierarchical_detect(stacked: np.ndarray, bank: TemplateBank,
-                        thresh_pss: float = 0.3, thresh_sss: float = 0.5,
-                        candidate_window: int = 3) -> list[Detection]:
+                        thresh_pss: float = 0.3,
+                        thresh_sss: float = 0.5) -> list[Detection]:
     """Two-stage search: PSS scan for candidate lags, full bank only there.
 
     Stage 1 scans all lags with the two folded PSS waveforms and keeps
-    grouped peaks above thresh_pss. Stage 2 evaluates all 504 full
-    templates at each candidate's implied window start (PSS peak minus the
-    PSS-template offset) within +-candidate_window lags, keeping per-PCI
-    bests above thresh_sss. Detections are enriched with a fitted amplitude
-    and sub-sample offset, then returned sorted by score descending.
+    grouped peaks above thresh_pss. Stage 2 scores all 504 full templates
+    at each candidate's implied window start (PSS peak minus the
+    PSS-template offset) within +-CANDIDATE_WINDOW lags, in one matrix
+    product, and keeps each PCI's best lag (the first, on ties) if it scores
+    above thresh_sss. Returns scored detections sorted by score descending;
+    `refine` fills in amplitude and sub-sample offset.
     """
-    from .amplitude import estimate_subsample, fit_amplitude   # avoid cycle
-
-    n = stacked.size
-    dets: dict[int, Detection] = {}
-    for pk in _stage1_candidates(stacked, bank, thresh_pss):
-        base = pk - (TEMPLATE_LEN - PSS_TEMPLATE_LEN)
-        for lag in range(base - candidate_window, base + candidate_window + 1):
-            w = stacked.take(range(lag, lag + TEMPLATE_LEN), mode="wrap")
-            w0 = w - w.mean()
-            nrm = np.linalg.norm(w0)
-            if nrm < _EPS:
-                continue
-            scores = bank.matrix @ (w0 / nrm)
-            for p in np.flatnonzero(scores > thresh_sss):
-                lag_n = lag % n
-                if p not in dets or scores[p] > dets[p].score:
-                    dets[p] = Detection(Pci(int(p)), lag_n, float(scores[p]))
-    out = []
-    for det in dets.values():
-        tpl = bank.templates[det.pci.value]
-        det.amplitude = fit_amplitude(stacked, tpl, det.delay_samples).amplitude
-        det.subsample_offset = estimate_subsample(
-            stacked, tpl, det.delay_samples).tau
-        out.append(det)
+    cands = _stage1_candidates(stacked, bank, thresh_pss)
+    if not cands:
+        return []
+    offsets = np.arange(-CANDIDATE_WINDOW, CANDIDATE_WINDOW + 1)
+    lags = ((np.array(cands)[:, None] - (TEMPLATE_LEN - PSS_TEMPLATE_LEN)
+             + offsets).ravel() % stacked.size)
+    windows = stacked.take(lags[:, None] + np.arange(TEMPLATE_LEN), mode="wrap")
+    windows -= windows.mean(axis=1, keepdims=True)
+    nrm = np.linalg.norm(windows, axis=1)
+    flat = nrm < _EPS
+    scores = (windows / np.where(flat, 1.0, nrm)[:, None]) @ bank.samples.T
+    scores[flat] = -np.inf
+    best = np.argmax(scores, axis=0)
+    top = scores[best, np.arange(504)]
+    out = [Detection(Pci(int(p)), int(lags[best[p]]), float(top[p]))
+           for p in np.flatnonzero(top > thresh_sss)]
     out.sort(key=lambda d: (-d.score, d.delay_samples, d.pci.value))
     return out
+
+
+def refine(stacked: np.ndarray, bank: TemplateBank,
+           dets: list[Detection]) -> list[Detection]:
+    """Fill in each detection's fitted amplitude and sub-sample offset.
+
+    Updates dets in place and returns them.
+    """
+    for det in dets:
+        tpl = bank.samples[det.pci.value]
+        det.amplitude = amplitude.fit_amplitude(
+            stacked, tpl, det.delay_samples).amplitude
+        det.subsample_offset = amplitude.estimate_subsample(
+            stacked, tpl, det.delay_samples).tau
+    return dets
 
 
 def suppress_false_positives(raw: list[Detection],
@@ -340,20 +343,14 @@ def suppress_false_positives(raw: list[Detection],
 
 def write_detections_csv(path, detections: list[Detection]) -> None:
     with open(path, "w") as f:
-        f.write("pci,delay_samples,subsample_offset,amplitude,score\n")
+        f.write(",".join(DETECTION_COLUMNS) + "\n")
         for d in detections:
             f.write(f"{d.pci.value},{d.delay_samples},{d.subsample_offset:.6f},"
                     f"{d.amplitude:.6g},{d.score:.6f}\n")
 
 
 def read_detections_csv(path) -> list[Detection]:
-    out = []
-    with open(path) as f:
-        header = f.readline().strip()
-        if header != "pci,delay_samples,subsample_offset,amplitude,score":
-            raise ValueError(f"{path}: unexpected header {header!r}")
-        for line in f:
-            pci, delay, sub, amp, score = line.strip().split(",")
-            out.append(Detection(Pci(int(pci)), int(delay), float(score),
-                                 float(amp), float(sub)))
-    return out
+    return [Detection(Pci(int(r["pci"])), int(r["delay_samples"]),
+                      float(r["score"]), float(r["amplitude"]),
+                      float(r["subsample_offset"]))
+            for _, r in read_csv_rows(path, DETECTION_COLUMNS)]

@@ -2,10 +2,12 @@
 
 Per-fix traces are synthesized on the complex-baseband fast path (cells on
 far-spaced carriers fold independently; pairwise intermodulation lands
-outside the detector filter), detected with the hierarchical search, and
-localized from the surviving detections. Every random draw comes from a
-named substream of the scenario seed, so reports are byte-identical across
-runs and worker counts.
+outside the detector filter), detected with the hierarchical search (or the
+exhaustive phat scan), refined once with `detect.refine` so that
+false-positive suppression can compare fitted amplitudes, and localized
+from the surviving detections. The template bank is built once per process
+and front end. Every random draw comes from a named substream of the
+scenario seed, so reports are byte-identical across runs and worker counts.
 
 Synthesis builds each cell's frames of a fix in one `frame_samples` call,
 then delays them exactly with one full-length FFT, a phase ramp and one
@@ -24,10 +26,9 @@ import numpy as np
 import scipy.fft
 
 from . import traceio
-from .amplitude import estimate_subsample
-from .detect import (DETECTOR_RATE_HZ, FRAME_LEN, TEMPLATE_LEN, BankMismatchError,
-                     Detection, build_bank, correlate_bank, hierarchical_detect,
-                     stack_frames, suppress_false_positives)
+from .detect import (DETECTOR_RATE_HZ, FRAME_LEN, BankMismatchError, Detection,
+                     build_bank, correlate_bank, hierarchical_detect, refine,
+                     stack_frames, suppress_false_positives, write_detections_csv)
 from .frontend import (SPEED_OF_LIGHT, FrontEndConfig, fold_baseband,
                        path_amplitude, received_power_dbm)
 from .lte import Pci, frame_samples
@@ -37,8 +38,12 @@ from .scenario import Scenario, scenario_cell_db, substream
 
 
 @lru_cache(maxsize=4)
-def _bank_for(fe: FrontEndConfig):
-    return build_bank(fe, cache_dir=os.environ.get("FOLDLOC_CACHE_DIR"))
+def _bank_for(fe: FrontEndConfig, cache_dir: str | None = None):
+    """Template bank of a noise-free front end, built once per process.
+
+    cache_dir None falls back to FOLDLOC_CACHE_DIR inside build_bank.
+    """
+    return build_bank(fe, cache_dir)
 
 
 def _delay_ramp(n: int, delay_samples: float, scale: float) -> np.ndarray:
@@ -98,7 +103,7 @@ def synth_fix_trace(sc: Scenario, fix_idx: int) -> np.ndarray:
 def detect_trace(trace: np.ndarray, bank, thresh_pss: float = 0.3,
                  thresh_sss: float = 0.5, n_stack: int | None = None,
                  mode: str = "plain") -> list[Detection]:
-    """Stack, detect, and suppress false positives on one trace.
+    """Stack, detect, refine, and suppress false positives on one trace.
 
     plain mode runs the hierarchical two-stage search. phat mode correlates
     the full bank exhaustively with whitened-phase scoring (slower, robust
@@ -109,21 +114,14 @@ def detect_trace(trace: np.ndarray, bank, thresh_pss: float = 0.3,
     if mode == "plain":
         dets = hierarchical_detect(stacked, bank, thresh_pss, thresh_sss)
     elif mode == "phat":
-        from .amplitude import fit_amplitude
         scores = correlate_bank(stacked, bank, mode="phat")
-        dets = []
-        for p in range(504):
-            lag = int(np.argmax(scores[p]))
-            sc_ = float(scores[p, lag])
-            if sc_ > thresh_sss:
-                tpl = bank.templates[p]
-                det = Detection(Pci(p), lag, sc_)
-                det.amplitude = fit_amplitude(stacked, tpl, lag).amplitude
-                det.subsample_offset = estimate_subsample(stacked, tpl, lag).tau
-                dets.append(det)
+        lags = np.argmax(scores, axis=1)
+        best = scores[np.arange(504), lags]
+        dets = [Detection(Pci(int(p)), int(lags[p]), float(best[p]))
+                for p in np.flatnonzero(best > thresh_sss)]
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    return suppress_false_positives(dets)
+    return suppress_false_positives(refine(stacked, bank, dets))
 
 
 def _observations(dets: list[Detection], db, bank, prev_fix=None):
@@ -140,8 +138,7 @@ def _observations(dets: list[Detection], db, bank, prev_fix=None):
             skipped.append(det.pci.value)
             continue
         _, cx, cy, carrier, _, dbm = row
-        tpl = bank.templates[det.pci.value]
-        a_rx = np.sqrt(max(det.amplitude, 0.0) / tpl.norm)
+        a_rx = np.sqrt(max(det.amplitude, 0.0) / bank.norms[det.pci.value])
         amp = a_rx * carrier / np.sqrt(10.0 ** ((dbm - 30.0) / 10.0))
         obs.append(TowerObservation(
             position=(cx, cy), amplitude=float(amp),
@@ -324,12 +321,14 @@ def cmd_detect(trace_path: str, fe: FrontEndConfig, out_csv: str,
                thresh_pss: float = 0.3, thresh_sss: float = 0.5,
                n_stack: int | None = None, mode: str = "plain",
                cache_dir: str | None = None) -> list[Detection]:
-    from .detect import write_detections_csv
     samples, rate = traceio.read_trace(trace_path)
     if abs(rate - fe.adc_rate_hz) > 1e-6:
         raise BankMismatchError(
             f"trace rate {rate:g} does not match front end {fe.adc_rate_hz:g}")
-    bank = build_bank(replace(fe, noise_sigma=0.0), cache_dir=cache_dir)
+    quiet = replace(fe, noise_sigma=0.0)
+    # lru_cache tells _bank_for(quiet) and _bank_for(quiet, None) apart;
+    # without a cache dir, share the entry of run_fix and cmd_localize
+    bank = _bank_for(quiet, cache_dir) if cache_dir else _bank_for(quiet)
     dets = detect_trace(samples, bank, thresh_pss, thresh_sss, n_stack, mode)
     write_detections_csv(out_csv, dets)
     return dets

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-SPEED_OF_LIGHT = 3.0e8
+from .frontend import SPEED_OF_LIGHT
+
 _AMP_FLOOR = 1e-12
 
 

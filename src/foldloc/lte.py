@@ -13,7 +13,7 @@ frame each.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -70,39 +70,34 @@ class Pci:
 
 @dataclass(frozen=True)
 class FrameConfig:
-    """Sampling and grid geometry for one downlink carrier."""
+    """Sampling and grid geometry for one downlink carrier.
+
+    The bandwidth sets everything else (BANDWIDTH_TABLE); only the normal
+    cyclic prefix is modeled.
+    """
 
     bandwidth_mhz: float
-    fft_size: int
-    sample_rate_hz: float
-    cp_scheme: str = "normal"
-    n_resource_blocks: int = 0
 
     def __post_init__(self):
         if self.bandwidth_mhz not in BANDWIDTH_TABLE:
-            raise ValueError(f"unsupported bandwidth {self.bandwidth_mhz} MHz")
-        n_rb, fft = BANDWIDTH_TABLE[self.bandwidth_mhz]
-        if self.n_resource_blocks != n_rb:
-            raise ValueError(
-                f"{self.bandwidth_mhz} MHz carries {n_rb} resource blocks, "
-                f"got {self.n_resource_blocks}")
-        if self.fft_size != fft:
-            raise ValueError(f"fft_size {self.fft_size} != {fft} for "
-                             f"{self.bandwidth_mhz} MHz")
-        if abs(self.sample_rate_hz - self.fft_size * SUBCARRIER_HZ) > 1e-6:
-            raise ValueError("sample_rate must equal fft_size * 15 kHz")
-        if self.cp_scheme != "normal":
-            raise ValueError(f"cp_scheme {self.cp_scheme!r} not supported; "
-                             f"only the normal cyclic prefix is modeled")
+            raise ValueError(f"bandwidth {self.bandwidth_mhz} MHz not in "
+                             f"{sorted(BANDWIDTH_TABLE)}")
 
     @classmethod
     def from_bandwidth(cls, mhz: float) -> "FrameConfig":
-        if float(mhz) not in BANDWIDTH_TABLE:
-            raise ValueError(f"bandwidth {mhz} MHz not in "
-                             f"{sorted(BANDWIDTH_TABLE)}")
-        n_rb, fft = BANDWIDTH_TABLE[float(mhz)]
-        return cls(bandwidth_mhz=float(mhz), fft_size=fft,
-                   sample_rate_hz=fft * SUBCARRIER_HZ, n_resource_blocks=n_rb)
+        return cls(float(mhz))
+
+    @property
+    def n_resource_blocks(self) -> int:
+        return BANDWIDTH_TABLE[self.bandwidth_mhz][0]
+
+    @property
+    def fft_size(self) -> int:
+        return BANDWIDTH_TABLE[self.bandwidth_mhz][1]
+
+    @property
+    def sample_rate_hz(self) -> float:
+        return self.fft_size * SUBCARRIER_HZ
 
     @property
     def frame_len(self) -> int:
@@ -211,25 +206,6 @@ def occupied_bins(cfg: FrameConfig) -> np.ndarray:
 _QPSK = np.exp(1j * (np.pi / 4 + np.pi / 2 * np.arange(4)))   # 2-bit symbol -> point
 
 
-@dataclass
-class ResourceGrid:
-    """n consecutive 10 ms frames as an (fft_size, 140 * n) complex array.
-
-    Rows are FFT bins (row 0 = DC, upper rows are negative frequencies),
-    columns are OFDM symbols, frame after frame.
-    """
-
-    symbols: np.ndarray
-    config: FrameConfig = field(repr=False)
-
-    def __post_init__(self):
-        shape = self.symbols.shape
-        if (len(shape) != 2 or shape[0] != self.config.fft_size
-                or shape[1] == 0 or shape[1] % SYMBOLS_PER_FRAME):
-            raise ValueError(f"grid shape {shape} is not ({self.config.fft_size}, "
-                             f"{SYMBOLS_PER_FRAME} * n)")
-
-
 def _cell_symbols(cfg: FrameConfig, pci: Pci | int, data_mode: str, rng_seed,
                   n_frames: int) -> np.ndarray:
     """n frames of one cell as a symbol-major (n, 140, fft_size) grid.
@@ -266,16 +242,16 @@ def _cell_symbols(cfg: FrameConfig, pci: Pci | int, data_mode: str, rng_seed,
 
 
 def build_frame(cfg: FrameConfig, pci: Pci | int, data_mode: str = "none",
-                rng_seed=0) -> ResourceGrid:
-    """Populate one frame's resource grid for a single cell.
+                rng_seed=0) -> np.ndarray:
+    """One frame's resource grid for a single cell, (fft_size, 140) complex.
 
-    data_mode "none" leaves every non-sync element zero; "random_qpsk" fills
-    the occupied band with independent unit-power QPSK symbols drawn from
-    rng_seed (an int seed or a numpy Generator). Sync always overwrites the
-    central 62 subcarriers of its four symbols.
+    Rows are FFT bins (row 0 = DC, upper rows are negative frequencies),
+    columns are OFDM symbols. data_mode "none" leaves every non-sync element
+    zero; "random_qpsk" fills the occupied band with independent unit-power
+    QPSK symbols drawn from rng_seed (an int seed or a numpy Generator).
+    Sync always overwrites the central 62 subcarriers of its four symbols.
     """
-    symbols = _cell_symbols(cfg, pci, data_mode, rng_seed, 1)[0].T
-    return ResourceGrid(symbols=symbols, config=cfg)
+    return _cell_symbols(cfg, pci, data_mode, rng_seed, 1)[0].T
 
 
 @lru_cache(maxsize=len(BANDWIDTH_TABLE))
@@ -308,11 +284,18 @@ def _add_cyclic_prefixes(bodies: np.ndarray, cfg: FrameConfig) -> np.ndarray:
     return np.take(bodies.reshape(bodies.shape[0], -1), insert, axis=1).ravel()
 
 
-def ofdm_modulate(grid: ResourceGrid) -> np.ndarray:
-    """Unitary IDFT per symbol with cyclic prefixes; returns the frames
-    of the grid end to end (one 10 ms frame per 140 columns)."""
-    cfg = grid.config
-    bodies = grid.symbols.T.reshape(-1, SYMBOLS_PER_FRAME, cfg.fft_size)
+def ofdm_modulate(symbols: np.ndarray, cfg: FrameConfig) -> np.ndarray:
+    """Unitary IDFT per symbol with cyclic prefixes.
+
+    symbols is an (fft_size, 140 * n) grid laid out as build_frame's, n
+    frames side by side; returns the n frames end to end.
+    """
+    shape = symbols.shape
+    if (len(shape) != 2 or shape[0] != cfg.fft_size
+            or shape[1] == 0 or shape[1] % SYMBOLS_PER_FRAME):
+        raise ValueError(f"grid shape {shape} is not ({cfg.fft_size}, "
+                         f"{SYMBOLS_PER_FRAME} * n)")
+    bodies = symbols.T.reshape(-1, SYMBOLS_PER_FRAME, cfg.fft_size)
     return _add_cyclic_prefixes(np.fft.ifft(bodies, axis=-1, norm="ortho"), cfg)
 
 

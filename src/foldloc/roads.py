@@ -12,6 +12,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .scenario import read_csv_rows
+
+ROAD_COLUMNS = ("node_a_id", "node_b_id", "ax", "ay", "bx", "by", "max_speed_mps")
+
 
 @dataclass
 class RoadGraph:
@@ -186,21 +190,16 @@ def geofence_events(fixes: list[Fix], region: GeofenceRegion,
 
 
 def load_road_graph_csv(path) -> RoadGraph:
-    """Edge list: node_a_id,node_b_id,ax,ay,bx,by,max_speed_mps."""
+    """Edge list with the ROAD_COLUMNS header, one edge per row."""
     nodes, edges = {}, []
-    with open(path) as f:
-        header = f.readline().strip()
-        if header != "node_a_id,node_b_id,ax,ay,bx,by,max_speed_mps":
-            raise ValueError(f"{path}: unexpected header {header!r}")
-        for ln, line in enumerate(f, start=2):
-            if not line.strip():
-                continue
-            a, b, ax, ay, bx, by, v = line.strip().split(",")
-            for nid, xy in ((a, (float(ax), float(ay))), (b, (float(bx), float(by)))):
-                if nid in nodes and nodes[nid] != xy:
-                    raise ValueError(f"{path}:{ln}: node {nid} repositioned")
-                nodes[nid] = xy
-            edges.append((a, b, float(v)))
+    for ln, r in read_csv_rows(path, ROAD_COLUMNS):
+        a, b = r["node_a_id"], r["node_b_id"]
+        for nid, xy in ((a, (float(r["ax"]), float(r["ay"]))),
+                        (b, (float(r["bx"]), float(r["by"])))):
+            if nid in nodes and nodes[nid] != xy:
+                raise ValueError(f"{path}:{ln}: node {nid} repositioned")
+            nodes[nid] = xy
+        edges.append((a, b, float(r["max_speed_mps"])))
     return RoadGraph(nodes=nodes, edges=edges)
 
 

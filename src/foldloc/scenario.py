@@ -8,6 +8,7 @@ are reproducible and independent of execution order.
 from __future__ import annotations
 
 import configparser
+import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,7 +36,28 @@ def substream(seed: int, name: str, *indices: int) -> np.random.Generator:
 
 
 class ScenarioError(ValueError):
-    """Configuration rejected; message carries section/key context."""
+    """Configuration or input table rejected; message carries file, section,
+    key or line context."""
+
+
+def read_csv_rows(path, columns):
+    """Yield (line number, row dict) for each row of a CSV file.
+
+    The header must name every column in `columns` (it may name more), and
+    every row must have as many fields as the header; blank lines are
+    skipped. Violations raise ScenarioError.
+    """
+    with open(path, newline="") as f:
+        reader = csv.DictReader(f)
+        missing = [c for c in columns if c not in (reader.fieldnames or ())]
+        if missing:
+            raise ScenarioError(f"{path}: header {reader.fieldnames} lacks "
+                                f"columns {missing}")
+        for row in reader:
+            if None in row or None in row.values():
+                raise ScenarioError(f"{path}:{reader.line_num}: expected "
+                                    f"{len(reader.fieldnames)} fields")
+            yield reader.line_num, row
 
 
 @dataclass
@@ -197,23 +219,16 @@ class CellDatabase:
                                            r[3]))
 
 
+CELL_DB_COLUMNS = ("pci", "x", "y", "carrier_hz", "bandwidth_mhz", "tx_power_dbm")
+
+
 def load_cell_db(path) -> CellDatabase:
     rows = []
-    with open(path) as f:
-        header = f.readline().strip()
-        expect = "pci,x,y,carrier_hz,bandwidth_mhz,tx_power_dbm"
-        if header != expect:
-            raise ScenarioError(f"{path}: header {header!r}, expected {expect!r}")
-        for ln, line in enumerate(f, start=2):
-            if not line.strip():
-                continue
-            parts = line.strip().split(",")
-            if len(parts) != 6:
-                raise ScenarioError(f"{path}:{ln}: expected 6 fields")
-            try:
-                rows.append((int(parts[0]), *map(float, parts[1:])))
-            except ValueError as e:
-                raise ScenarioError(f"{path}:{ln}: {e}") from None
+    for ln, r in read_csv_rows(path, CELL_DB_COLUMNS):
+        try:
+            rows.append((int(r["pci"]), *(float(r[c]) for c in CELL_DB_COLUMNS[1:])))
+        except ValueError as e:
+            raise ScenarioError(f"{path}:{ln}: {e}") from None
     return CellDatabase(rows=rows)
 
 

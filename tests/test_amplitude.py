@@ -15,7 +15,7 @@ def _embed(pairs, bank, n=FRAME_LEN):
     x = np.zeros(n)
     for pci, d, a in pairs:
         idx = np.arange(d, d + WLEN) % n
-        x[idx] += a * bank.templates[pci].samples
+        x[idx] += a * bank.samples[pci]
     return x
 
 
@@ -30,7 +30,7 @@ def _objective(x, t, d, a):
 
 def test_fit_exact_recovery(bank):
     x = _embed([(42, 1000, 2.5)], bank)
-    fit = fit_amplitude(x, bank.templates[42], 1000)
+    fit = fit_amplitude(x, bank.samples[42], 1000)
     assert abs(fit.amplitude - 2.5) < 1e-12
     assert fit.residual_energy < 1e-24
     assert fit.delay == 1000
@@ -39,32 +39,32 @@ def test_fit_exact_recovery(bank):
 def test_fit_orthogonal_window_gives_zero(bank):
     # zero-mean template is orthogonal to any constant pedestal
     x = np.full(FRAME_LEN, 3.7)
-    fit = fit_amplitude(x, bank.templates[42], 500)
+    fit = fit_amplitude(x, bank.samples[42], 500)
     assert abs(fit.amplitude) < 1e-9
 
 
 def test_fit_explicitly_orthogonalized_noise(bank):
-    t = bank.templates[7].samples
+    t = bank.samples[7]
     rng = np.random.default_rng(0)
     w = rng.normal(size=WLEN)
     w -= (w @ t) / (t @ t) * t
     x = np.zeros(FRAME_LEN)
     x[100:100 + WLEN] = w
-    fit = fit_amplitude(x, bank.templates[7], 100)
+    fit = fit_amplitude(x, bank.samples[7], 100)
     assert abs(fit.amplitude) < 1e-12
 
 
 def test_fit_clamps_to_bounds(bank):
     x = _embed([(42, 1000, 2.0)], bank)
-    assert fit_amplitude(x, bank.templates[42], 1000, a_max=1.5).amplitude == 1.5
+    assert fit_amplitude(x, bank.samples[42], 1000, a_max=1.5).amplitude == 1.5
     xneg = _embed([(42, 1000, -2.0)], bank)
-    assert fit_amplitude(xneg, bank.templates[42], 1000).amplitude == 0.0
+    assert fit_amplitude(xneg, bank.samples[42], 1000).amplitude == 0.0
 
 
 def test_fit_rejects_bad_inputs(bank):
     x = np.zeros(FRAME_LEN)
     with pytest.raises(ValueError):
-        fit_amplitude(x, bank.templates[0], 0, a_max=0.0)
+        fit_amplitude(x, bank.samples[0], 0, a_max=0.0)
     with pytest.raises(ValueError):
         fit_amplitude(x, np.zeros(WLEN), 0)
 
@@ -80,9 +80,9 @@ def test_fit_is_constrained_optimum(bank):
         d = int(rng.integers(FRAME_LEN))
         x = rng.normal(scale=0.3, size=FRAME_LEN)
         idx = np.arange(d, d + WLEN) % FRAME_LEN
-        x[idx] += rng.uniform(-1.0, 6.0) * bank.templates[pci].samples
-        t = bank.templates[pci].samples
-        fit = fit_amplitude(x, bank.templates[pci], d, a_max)
+        x[idx] += rng.uniform(-1.0, 6.0) * bank.samples[pci]
+        t = bank.samples[pci]
+        fit = fit_amplitude(x, bank.samples[pci], d, a_max)
         best = _objective(x, t, d, fit.amplitude)
         assert abs(best - fit.residual_energy) < 1e-12
         for trial in (fit.amplitude - eps, fit.amplitude + eps):
@@ -132,7 +132,7 @@ def test_separation_frame_residual_never_increases(bank):
         resid = x.copy()
         for f, (p, d, _) in zip(fits, spec[:k]):
             idx = np.arange(d, d + WLEN) % FRAME_LEN
-            resid[idx] -= f.amplitude * bank.templates[p].samples
+            resid[idx] -= f.amplitude * bank.samples[p]
         e = float(resid @ resid)
         assert e <= prev + 1e-9
         prev = e
@@ -153,24 +153,24 @@ def _delayed_window(t, tau):
 
 
 def test_subsample_known_offsets(bank):
-    t = bank.templates[42].samples
+    t = bank.samples[42]
     for tau in (0.0, 0.5, -0.3):
         x = np.zeros(FRAME_LEN)
         x[2000:2000 + WLEN] = _delayed_window(t, tau)
-        est = estimate_subsample(x, bank.templates[42], 2000)
+        est = estimate_subsample(x, bank.samples[42], 2000)
         assert abs(est.tau - tau) <= 0.05
         assert est.confidence > 0.99
         assert not est.low_confidence
 
 
 def test_subsample_linearity_over_grid(bank):
-    t = bank.templates[17].samples
+    t = bank.samples[17]
     taus = np.linspace(-0.9, 0.9, 19)
     est = []
     for tau in taus:
         x = np.zeros(FRAME_LEN)
         x[400:400 + WLEN] = _delayed_window(t, tau)
-        est.append(estimate_subsample(x, bank.templates[17], 400).tau)
+        est.append(estimate_subsample(x, bank.samples[17], 400).tau)
     slope, intercept = np.polyfit(taus, est, 1)
     assert abs(slope - 1.0) <= 0.05
     assert abs(intercept) <= 0.02
@@ -196,21 +196,21 @@ def test_subsample_correction_never_hurts_fit(bank):
     """De-ramping the window by the estimated offset before the amplitude
     fit can only lower the residual."""
     rng = np.random.default_rng(9)
-    t = bank.templates[33].samples
+    t = bank.samples[33]
     for tau in (0.4, -0.25, 0.1):
         x = np.zeros(FRAME_LEN)
         x[3000:3000 + WLEN] = 1.3 * _delayed_window(t, tau)
         x += rng.normal(scale=0.01, size=FRAME_LEN)
-        direct = fit_amplitude(x, bank.templates[33], 3000)
-        est = estimate_subsample(x, bank.templates[33], 3000)
+        direct = fit_amplitude(x, bank.samples[33], 3000)
+        est = estimate_subsample(x, bank.samples[33], 3000)
         w = x[3000:3000 + WLEN]
         wc = _delayed_window(w, -est.tau)
-        corrected = fit_amplitude(wc, bank.templates[33], 0)
+        corrected = fit_amplitude(wc, bank.samples[33], 0)
         assert corrected.residual_energy <= direct.residual_energy + 1e-12
 
 
 def test_subsample_noise_robust_at_10db(bank):
-    t = bank.templates[9].samples
+    t = bank.samples[9]
     rng = np.random.default_rng(21)
     sig_p = float(t @ t) / WLEN
     sigma = np.sqrt(sig_p / 10.0)
@@ -219,5 +219,5 @@ def test_subsample_noise_robust_at_10db(bank):
         tau = float(rng.uniform(-0.45, 0.45))
         x = rng.normal(scale=sigma, size=FRAME_LEN)
         x[5000:5000 + WLEN] += _delayed_window(t, tau)
-        errs.append(abs(estimate_subsample(x, bank.templates[9], 5000).tau - tau))
+        errs.append(abs(estimate_subsample(x, bank.samples[9], 5000).tau - tau))
     assert np.median(errs) <= 0.05

@@ -145,7 +145,7 @@ def test_superpose_delay_shifts_detector_peak(bank):
     for d in (0.1, 10 * 156.25):
         rf = superpose([(cell, los)], (d, 0.0), 0.01, FS_RF, rng_seed=3)
         y = receive_rf(rf, FS_RF, fe)
-        lags.append(int(np.argmax(correlate(y, bank.templates[77], "plain"))))
+        lags.append(int(np.argmax(correlate(y, bank.samples[77], "plain"))))
     assert lags[1] - lags[0] == 10
 
 

@@ -9,9 +9,13 @@ import numpy as np
 import pytest
 from scipy.signal import fftconvolve
 
+import foldloc
 from foldloc import traceio
-from foldloc.detect import (FRAME_LEN, TEMPLATE_START, BankMismatchError,
-                            Detection)
+from foldloc.amplitude import estimate_subsample, fit_amplitude
+from foldloc.detect import (FRAME_LEN, PSS_TEMPLATE_LEN, TEMPLATE_LEN,
+                            TEMPLATE_START, BankMismatchError, Detection,
+                            _stage1_candidates, correlate, hierarchical_detect,
+                            stack_frames, suppress_false_positives)
 from foldloc.frontend import (SPEED_OF_LIGHT, CellConfig, FrontEndConfig,
                               design_lowpass, path_amplitude,
                               received_power_dbm)
@@ -160,6 +164,83 @@ def test_synth_matches_frame_by_frame_reference(make):
         got = synth_fix_trace(sc, i)
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
+
+
+# ------------------------------------------------------------- detection
+
+
+def _seed_stage2(stacked, bank, thresh_pss, thresh_sss, candidate_window=3):
+    """Reference stage 2: one matrix-vector product per candidate lag; a
+    PCI keeps the first lag with its best score above thresh_sss."""
+    n = stacked.size
+    dets = {}
+    for pk in _stage1_candidates(stacked, bank, thresh_pss):
+        base = pk - (TEMPLATE_LEN - PSS_TEMPLATE_LEN)
+        for lag in range(base - candidate_window, base + candidate_window + 1):
+            w = stacked.take(range(lag, lag + TEMPLATE_LEN), mode="wrap")
+            w0 = w - w.mean()
+            nrm = np.linalg.norm(w0)
+            if nrm < 1e-30:
+                continue
+            scores = bank.samples @ (w0 / nrm)
+            for p in np.flatnonzero(scores > thresh_sss):
+                if p not in dets or scores[p] > dets[p].score:
+                    dets[p] = Detection(Pci(int(p)), lag % n, float(scores[p]))
+    return sorted(dets.values(),
+                  key=lambda d: (-d.score, d.delay_samples, d.pci.value))
+
+
+def _seed_enrich(stacked, bank, dets):
+    for d in dets:
+        tpl = bank.samples[d.pci.value]
+        d.amplitude = fit_amplitude(stacked, tpl, d.delay_samples).amplitude
+        d.subsample_offset = estimate_subsample(stacked, tpl, d.delay_samples).tau
+    return dets
+
+
+def _assert_same_detections(got, want):
+    assert [(d.pci, d.delay_samples) for d in got] == \
+        [(d.pci, d.delay_samples) for d in want]
+    for g, w in zip(got, want):
+        assert abs(g.score - w.score) <= 1e-12
+        assert abs(g.amplitude - w.amplitude) <= 1e-12 * max(abs(w.amplitude), 1e-300)
+        assert abs(g.subsample_offset - w.subsample_offset) <= 1e-9
+
+
+@pytest.mark.parametrize("origins", [(0, 1500, 3000, 4500, 6000), (0,) * 5],
+                         ids=["s5_offset", "s5_synchronized"])
+def test_stage2_matches_per_lag_reference(bank, origins):
+    sc = _s5_scenario(origins)
+    for i in range(len(sc.trajectory)):
+        trace = synth_fix_trace(sc, i)
+        stacked = stack_frames(trace, sc.n_frames_per_fix)
+        for thresh_pss, thresh_sss in ((0.3, 0.5), (0.1, 0.3)):
+            want = _seed_stage2(stacked, bank, thresh_pss, thresh_sss)
+            assert want
+            _assert_same_detections(
+                hierarchical_detect(stacked, bank, thresh_pss, thresh_sss), want)
+        want = suppress_false_positives(
+            _seed_enrich(stacked, bank, _seed_stage2(stacked, bank, 0.3, 0.5)))
+        _assert_same_detections(detect_trace(trace, bank, n_stack=2), want)
+
+
+def test_phat_detect_matches_per_template_reference(bank):
+    sc = _s5_scenario((0, 1500, 3000, 4500, 6000))
+    trace = synth_fix_trace(sc, 0)
+    stacked = stack_frames(trace, sc.n_frames_per_fix)
+    # phat peaks reach only about 0.055 under random payload; this threshold
+    # keeps seven close-scoring PCIs
+    thresh = 0.045
+    raw = []
+    for p in range(504):
+        scores = correlate(stacked, bank.samples[p], "phat")
+        lag = int(np.argmax(scores))
+        if scores[lag] > thresh:
+            raw.append(Detection(Pci(p), lag, float(scores[lag])))
+    assert len(raw) == 7
+    want = suppress_false_positives(_seed_enrich(stacked, bank, raw))
+    got = detect_trace(trace, bank, thresh_sss=thresh, n_stack=2, mode="phat")
+    _assert_same_detections(got, want)
 
 
 def test_detect_single_cell_at_geometric_delay(bank):
@@ -322,6 +403,9 @@ ROADS = ("node_a_id,node_b_id,ax,ay,bx,by,max_speed_mps\n"
 
 def _run_cli(args, env_extra=None):
     env = dict(os.environ)
+    # the child imports the same foldloc as this process, installed or not
+    src = os.path.dirname(os.path.dirname(foldloc.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     if env_extra:
         env.update(env_extra)
     return subprocess.run([sys.executable, "-m", "foldloc", *args],
@@ -374,6 +458,52 @@ def test_cli_eval(cli_workdir, shared_cache):
     assert r.returncode == 0, r.stderr
     report = json.loads((cli_workdir / "report.json").read_text())
     assert report["metrics"]["recall"] == 1.0
+
+
+def test_cli_detect_builds_bank_once_per_process(tmp_path, monkeypatch,
+                                                shared_cache):
+    from dataclasses import replace
+
+    from foldloc import harness
+    from foldloc.cli import main
+    sc = replace(_single_cell_scenario(),
+                 trajectory=[(0.0, 468.75, 0.0), (1.0, 500.0, 0.0)])
+    manifest = cmd_synth(sc, str(tmp_path / "traces"))
+    builds = []
+
+    def counting_build_bank(*args, **kwargs):
+        builds.append(args)
+        return real_build_bank(*args, **kwargs)
+
+    real_build_bank = harness.build_bank
+    monkeypatch.setattr(harness, "build_bank", counting_build_bank)
+    harness._bank_for.cache_clear()
+    try:
+        assert main(["detect", manifest, "-o", str(tmp_path / "dets"),
+                     "--cache-dir", shared_cache]) == 0
+    finally:
+        harness._bank_for.cache_clear()
+    assert len(builds) == 1
+
+
+def test_cli_localize_manifest_without_detections_path_exits_2(tmp_path, capsys):
+    from foldloc.cli import main
+    (tmp_path / "manifest.csv").write_text("fix,t\n0,0.0\n")
+    (tmp_path / "cells.csv").write_text(CELL_DB)
+    assert main(["localize", str(tmp_path / "manifest.csv"),
+                 "--cell-db", str(tmp_path / "cells.csv"),
+                 "-o", str(tmp_path / "traj.csv")]) == 2
+    assert "detections_path" in capsys.readouterr().err
+
+
+def test_cli_track_trajectory_without_x_est_exits_2(tmp_path, capsys):
+    from foldloc.cli import main
+    (tmp_path / "traj.csv").write_text("t,y_est\n0.0,1.0\n")
+    (tmp_path / "roads.csv").write_text(ROADS)
+    assert main(["track", str(tmp_path / "traj.csv"),
+                 "--roads", str(tmp_path / "roads.csv"),
+                 "-o", str(tmp_path / "out")]) == 2
+    assert "x_est" in capsys.readouterr().err
 
 
 def test_cli_validation_error_exits_2(cli_workdir, tmp_path):

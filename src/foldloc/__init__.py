@@ -11,9 +11,8 @@ from .amplitude import (AmplitudeFit, SubsampleEstimate, estimate_subsample,
 from .detect import (Detection, TemplateBank, build_bank, correlate,
                      correlate_bank, hierarchical_detect, refine, stack_frames,
                      suppress_false_positives)
-from .frontend import (CellConfig, FrontEndConfig, MultipathProfile,
-                       envelope_square, fold_baseband, folded_sync_overlap,
-                       lowpass_decimate, path_amplitude, receive_rf, superpose)
+from .frontend import (CellConfig, FrontEndConfig, fold_baseband,
+                       lowpass_decimate, path_amplitude)
 from .harness import RunReport, run_eval, run_fix, run_urban_sim
 from .locate import (InsufficientAnchorsError, PositionEstimate,
                      TowerObservation, sample_to_distance, solve_tdoa,

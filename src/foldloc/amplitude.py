@@ -12,6 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 _EPS = 1e-30                  # energies and norms below this count as zero
+SUBSAMPLE_FLOOR = 0.05        # usable bins hold this share of the template peak
+SUBSAMPLE_PASSES = 3          # de-ramp passes of the phase-slope fit
 
 
 @dataclass
@@ -108,15 +110,14 @@ def iterative_separation(x: np.ndarray, detections, bank,
     return fits
 
 
-def estimate_subsample(x: np.ndarray, tpl: np.ndarray, d: int,
-                       floor: float = 0.05, n_passes: int = 3) -> SubsampleEstimate:
+def estimate_subsample(x: np.ndarray, tpl: np.ndarray, d: int) -> SubsampleEstimate:
     """Fractional delay of the windowed signal relative to the template.
 
     A delay of tau samples multiplies the window's spectrum by
     exp(-j 2 pi k tau / N), so the per-bin phase of X * conj(S) is a line
     through the origin with slope -2 pi tau / N. The slope is fit by
-    weighted least squares over bins where |S| exceeds `floor` of its peak
-    (weights |S|^2, DC excluded), iterating de-ramp passes so raw angles
+    weighted least squares over bins where |S| exceeds SUBSAMPLE_FLOOR of its
+    peak (weights |S|^2, DC excluded), iterating de-ramp passes so raw angles
     never need unwrapping; coarse sync already bounds |tau| below one
     sample, which keeps every usable bin's phase inside (-pi, pi].
     """
@@ -125,7 +126,7 @@ def estimate_subsample(x: np.ndarray, tpl: np.ndarray, d: int,
     spec_x = np.fft.rfft(w - w.mean())
     mag = np.abs(spec_t)
     mag[0] = 0.0
-    usable = mag > floor * mag.max()
+    usable = mag > SUBSAMPLE_FLOOR * mag.max()
     k = np.flatnonzero(usable).astype(np.float64)
     n_bins = k.size
 
@@ -135,7 +136,7 @@ def estimate_subsample(x: np.ndarray, tpl: np.ndarray, d: int,
     g = spec_x[usable] * np.conj(spec_t[usable])
     wts = mag[usable] ** 2
     slope = 0.0
-    for _ in range(n_passes):
+    for _ in range(SUBSAMPLE_PASSES):
         resid = np.angle(g * np.exp(-1j * slope * k))
         slope += float((wts * k) @ resid / ((wts * k) @ k))
     resid = np.angle(g * np.exp(-1j * slope * k))

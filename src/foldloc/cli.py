@@ -48,7 +48,6 @@ def _build_parser() -> argparse.ArgumentParser:
     pl.add_argument("manifest", help="detections manifest from `detect`")
     pl.add_argument("--cell-db", required=True)
     pl.add_argument("--method", choices=("tdoa", "ratio"), default="tdoa")
-    pl.add_argument("--rate", type=float, default=1.92e6)
     pl.add_argument("-o", "--out", required=True, help="trajectory CSV")
 
     pt = sub.add_parser("track", help="snap a trajectory and evaluate geofences")
@@ -111,7 +110,7 @@ def _do_localize(args) -> int:
     for _, row in read_csv_rows(args.manifest, ("t", "detections_path")):
         dets = read_detections_csv(row["detections_path"])
         by_fix.append((float(row["t"]), dets))
-    rows = cmd_localize(by_fix, db, args.method, args.rate)
+    rows = cmd_localize(by_fix, db, args.method)
     with open(args.out, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["t", "x_est", "y_est", "objective", "n_towers"])

@@ -10,14 +10,15 @@ The bank is three read-only arrays, one row per PCI: unit-norm windows,
 their original norms and the two PSS scan windows. Stage 2 scores every
 candidate window against the whole bank with one matrix product, and
 `correlate_bank` scores every lag with one FFT of the trace. Detection
-returns scored (pci, delay) pairs; `refine` then fills in each one's fitted
-amplitude and sub-sample offset, the single enrichment step for every mode.
+returns scored (pci, delay) pairs; `refine`, the single enrichment step for
+every mode, fits their amplitudes, suppresses false positives and gives the
+survivors a sub-sample offset.
 """
 from __future__ import annotations
 
 import hashlib
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,6 +35,8 @@ TEMPLATE_START = 684          # window start within a slot-aligned frame
 TEMPLATE_LEN = 276            # two tail samples + SSS symbol + PSS symbol
 PSS_TEMPLATE_LEN = 138        # trailing CP + PSS portion of the window
 CANDIDATE_WINDOW = 3          # stage-2 lags searched either side of a PSS peak
+STAGE1_GROUP_GAP = 8          # PSS lags this close above threshold are one peak
+DELAY_CLUSTER_RADIUS = 5      # delays this close (mod half frame) are one cluster
 BANK_CHUNK = 72               # templates per FFT batch in correlate_bank
 PHAT_FLOOR = 0.05             # phat keeps bins above this share of the peak
 DETECTION_COLUMNS = ("pci", "delay_samples", "subsample_offset", "amplitude",
@@ -82,9 +85,7 @@ class TemplateBank:
 
 def _fold_preamble(pci: int, fe: FrontEndConfig) -> np.ndarray:
     cfg = FrameConfig.from_bandwidth(1.4)
-    quiet = replace(fe, noise_sigma=0.0)
-    return fold_baseband(frame_samples(cfg, pci, "none"),
-                         cfg.sample_rate_hz, quiet)
+    return fold_baseband(frame_samples(cfg, pci, "none"), cfg.sample_rate_hz, fe)
 
 
 def build_bank(fe: FrontEndConfig, cache_dir: str | None = None) -> TemplateBank:
@@ -128,8 +129,7 @@ def build_bank(fe: FrontEndConfig, cache_dir: str | None = None) -> TemplateBank
     return TemplateBank.from_arrays(samples, norms, pss_raw, key)
 
 
-def stack_frames(trace: np.ndarray, n_frames: int,
-                 frame_len: int = FRAME_LEN) -> np.ndarray:
+def stack_frames(trace: np.ndarray, n_frames: int) -> np.ndarray:
     """Element-wise mean of n_frames consecutive frame-length windows.
 
     Sync content repeats each frame and reinforces; payload and noise
@@ -137,10 +137,10 @@ def stack_frames(trace: np.ndarray, n_frames: int,
     """
     if n_frames < 1:
         raise ValueError("n_frames must be >= 1")
-    if trace.size < n_frames * frame_len:
+    if trace.size < n_frames * FRAME_LEN:
         raise ValueError(f"trace of {trace.size} samples too short for "
-                         f"{n_frames} frames of {frame_len}")
-    return trace[:n_frames * frame_len].reshape(n_frames, frame_len).mean(axis=0)
+                         f"{n_frames} frames of {FRAME_LEN}")
+    return trace[:n_frames * FRAME_LEN].reshape(n_frames, FRAME_LEN).mean(axis=0)
 
 
 def _window_norms(x: np.ndarray, wlen: int) -> np.ndarray:
@@ -243,7 +243,7 @@ def correlate_bank(stacked: np.ndarray, bank: TemplateBank,
 
 
 def _stage1_candidates(stacked: np.ndarray, bank: TemplateBank,
-                       thresh_pss: float, group_gap: int = 8) -> list[int]:
+                       thresh_pss: float) -> list[int]:
     """Peak indices from scanning the two folded PSS shapes."""
     cands = []
     for pss in bank.pss_unit:
@@ -253,7 +253,7 @@ def _stage1_candidates(stacked: np.ndarray, bank: TemplateBank,
             continue
         run = [above[0]]
         for i in above[1:]:
-            if i - run[-1] > group_gap:
+            if i - run[-1] > STAGE1_GROUP_GAP:
                 cands.append(run[np.argmax(scores[run])])
                 run = [i]
             else:
@@ -295,50 +295,51 @@ def hierarchical_detect(stacked: np.ndarray, bank: TemplateBank,
     return out
 
 
-def refine(stacked: np.ndarray, bank: TemplateBank,
-           dets: list[Detection]) -> list[Detection]:
-    """Fill in each detection's fitted amplitude and sub-sample offset.
-
-    Updates dets in place and returns them.
-    """
-    for det in dets:
-        tpl = bank.samples[det.pci.value]
-        det.amplitude = amplitude.fit_amplitude(
-            stacked, tpl, det.delay_samples).amplitude
-        det.subsample_offset = amplitude.estimate_subsample(
-            stacked, tpl, det.delay_samples).tau
-    return dets
-
-
-def suppress_false_positives(raw: list[Detection],
-                             delay_cluster_radius: int = 5,
-                             period: int = HALF_FRAME) -> list[Detection]:
+def suppress_false_positives(raw: list[Detection]) -> list[Detection]:
     """Keep only the highest-amplitude detection per delay cluster.
 
-    Delays are clustered modulo the sync repetition period: the same
-    emission epoch surfaces at d and d + period, and near-miss templates
-    (notably half-sequence aliases) score there too. Sorting survivors by
-    score descending.
+    Delays are clustered modulo the sync repetition period HALF_FRAME: the
+    same emission epoch surfaces at d and d + HALF_FRAME, and near-miss
+    templates (notably half-sequence aliases) score there too. Sorting
+    survivors by score descending.
     """
     if not raw:
         return []
-    keyed = sorted(raw, key=lambda d: d.delay_samples % period)
+    keyed = sorted(raw, key=lambda d: d.delay_samples % HALF_FRAME)
     clusters: list[list[Detection]] = [[keyed[0]]]
     for det in keyed[1:]:
-        prev = clusters[-1][-1].delay_samples % period
-        if det.delay_samples % period - prev <= delay_cluster_radius:
+        prev = clusters[-1][-1].delay_samples % HALF_FRAME
+        if det.delay_samples % HALF_FRAME - prev <= DELAY_CLUSTER_RADIUS:
             clusters[-1].append(det)
         else:
             clusters.append([det])
     # modulo wrap: last cluster may adjoin the first
     if len(clusters) > 1:
-        first = clusters[0][0].delay_samples % period
-        last = clusters[-1][-1].delay_samples % period
-        if first + period - last <= delay_cluster_radius:
+        first = clusters[0][0].delay_samples % HALF_FRAME
+        last = clusters[-1][-1].delay_samples % HALF_FRAME
+        if first + HALF_FRAME - last <= DELAY_CLUSTER_RADIUS:
             clusters[0] = clusters.pop() + clusters[0]
     out = [max(c, key=lambda d: d.amplitude) for c in clusters]
     out.sort(key=lambda d: (-d.score, d.delay_samples, d.pci.value))
     return out
+
+
+def refine(stacked: np.ndarray, bank: TemplateBank,
+           dets: list[Detection]) -> list[Detection]:
+    """Fit amplitudes, suppress false positives, then time the survivors.
+
+    Suppression compares fitted amplitudes, so every raw detection gets
+    one (in place); only the kept detections get a sub-sample offset.
+    Returns the kept detections sorted by score descending.
+    """
+    for det in dets:
+        det.amplitude = amplitude.fit_amplitude(
+            stacked, bank.samples[det.pci.value], det.delay_samples).amplitude
+    kept = suppress_false_positives(dets)
+    for det in kept:
+        det.subsample_offset = amplitude.estimate_subsample(
+            stacked, bank.samples[det.pci.value], det.delay_samples).tau
+    return kept
 
 
 def write_detections_csv(path, detections: list[Detection]) -> None:

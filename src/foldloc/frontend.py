@@ -3,7 +3,9 @@
 Models the path from tower antennas to detector-rate real samples: free-space
 amplitude, geometric and multipath delay, carrier upconversion and
 superposition across bands, the envelope detector's squaring, FIR low-pass
-filtering, decimation to the ADC rate, and additive noise.
+filtering and decimation to the ADC rate. Nothing here adds noise: detector
+noise of `FrontEndConfig.noise_sigma` is added once per fix trace, by
+`harness.synth_fix_trace`.
 
 Two receive paths are provided. The real-RF path squares an explicitly
 upconverted waveform and captures cross-band intermodulation. The complex
@@ -32,13 +34,16 @@ class FrontEndConfig:
     Note the deliberately aggressive default cutoff: folded sync content
     lives below ~0.96 MHz, so sampling at 1.92 MHz with a 1.4 MHz filter
     aliases only data-difference terms that the detector tolerates.
+
+    noise_sigma takes no part in equality or hashing, like `key()`: front
+    ends that differ only in noise share one filter and one template bank.
     """
 
     lpf_cutoff_hz: float = 1.4e6
     lpf_transition_hz: float = 0.4e6
     lpf_atten_db: float = 60.0
     adc_rate_hz: float = 1.92e6
-    noise_sigma: float = 0.0
+    noise_sigma: float = field(default=0.0, compare=False)
     sensitivity_floor_dbm: float = -70.0
 
     def __post_init__(self):
@@ -116,9 +121,8 @@ def design_lowpass(fs: float, cfg: FrontEndConfig) -> np.ndarray:
     return taps
 
 
-def lowpass_decimate(sq: np.ndarray, fs_in: float, cfg: FrontEndConfig,
-                     rng: np.random.Generator | None = None) -> np.ndarray:
-    """Low-pass, decimate to the ADC rate, then add white Gaussian noise.
+def lowpass_decimate(sq: np.ndarray, fs_in: float, cfg: FrontEndConfig) -> np.ndarray:
+    """Low-pass and decimate to the ADC rate.
 
     Output i is the FIR output centered on input sample i * dec: the
     odd-length linear-phase FIR's group delay is compensated, so template
@@ -145,15 +149,10 @@ def lowpass_decimate(sq: np.ndarray, fs_in: float, cfg: FrontEndConfig,
         y = sq.copy()
     else:
         raise ValueError("anti-alias cutoff at or above input Nyquist")
-    if cfg.noise_sigma > 0:
-        if rng is None:
-            raise ValueError("noise_sigma > 0 requires an rng")
-        y = y + rng.normal(0.0, cfg.noise_sigma, y.size)
     return y
 
 
-def fold_baseband(bb: np.ndarray, fs_in: float, cfg: FrontEndConfig,
-                  rng: np.random.Generator | None = None) -> np.ndarray:
+def fold_baseband(bb: np.ndarray, fs_in: float, cfg: FrontEndConfig) -> np.ndarray:
     """Fast path: detector output from complex baseband, |I+jQ|^2 / 2.
 
     Matches the real-RF square+filter pipeline for any single band (the
@@ -162,13 +161,12 @@ def fold_baseband(bb: np.ndarray, fs_in: float, cfg: FrontEndConfig,
     sq = bb.real * bb.real
     sq += bb.imag * bb.imag
     sq *= 0.5
-    return lowpass_decimate(sq, fs_in, cfg, rng)
+    return lowpass_decimate(sq, fs_in, cfg)
 
 
-def receive_rf(rf: np.ndarray, fs_in: float, cfg: FrontEndConfig,
-               rng: np.random.Generator | None = None) -> np.ndarray:
+def receive_rf(rf: np.ndarray, fs_in: float, cfg: FrontEndConfig) -> np.ndarray:
     """Full detector chain on a real RF waveform."""
-    return lowpass_decimate(envelope_square(rf), fs_in, cfg, rng)
+    return lowpass_decimate(envelope_square(rf), fs_in, cfg)
 
 
 def _upsampled_spectrum(bb: np.ndarray, n_out: int) -> np.ndarray:

@@ -3,15 +3,19 @@
 Per-fix traces are synthesized on the complex-baseband fast path (cells on
 far-spaced carriers fold independently; pairwise intermodulation lands
 outside the detector filter), detected with the hierarchical search (or the
-exhaustive phat scan), refined once with `detect.refine` so that
-false-positive suppression can compare fitted amplitudes, and localized
-from the surviving detections. The template bank is built once per process
-and front end. Every random draw comes from a named substream of the
-scenario seed, so reports are byte-identical across runs and worker counts.
+exhaustive phat scan), refined once with `detect.refine`, which suppresses
+false positives by fitted amplitude, and localized from the surviving
+detections. The template bank is built once per process and front end
+(noise is no part of a front end's identity). Every random draw comes from
+a named substream of the scenario seed, so reports are byte-identical
+across runs and worker counts.
 
 Synthesis builds each cell's frames of a fix in one `frame_samples` call,
 then delays them exactly with one full-length FFT, a phase ramp and one
-inverse FFT, in place where scipy.fft allows it.
+inverse FFT, in place where scipy.fft allows it. `synth_fix_trace` is the
+only place that adds detector noise: white Gaussian noise of the front
+end's noise_sigma on the summed detector-rate trace, from the fix's own
+"noise" substream.
 """
 from __future__ import annotations
 
@@ -19,7 +23,7 @@ import csv
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -28,20 +32,20 @@ import scipy.fft
 from . import traceio
 from .detect import (DETECTOR_RATE_HZ, FRAME_LEN, BankMismatchError, Detection,
                      build_bank, correlate_bank, hierarchical_detect, refine,
-                     stack_frames, suppress_false_positives, write_detections_csv)
+                     stack_frames, write_detections_csv)
 from .frontend import (SPEED_OF_LIGHT, FrontEndConfig, fold_baseband,
                        path_amplitude, received_power_dbm)
 from .lte import Pci, frame_samples
-from .locate import (InsufficientAnchorsError, TowerObservation, solve_tdoa,
-                     trilaterate_ratio)
+from .locate import TowerObservation, solve_tdoa, trilaterate_ratio
 from .scenario import Scenario, scenario_cell_db, substream
 
 
 @lru_cache(maxsize=4)
 def _bank_for(fe: FrontEndConfig, cache_dir: str | None = None):
-    """Template bank of a noise-free front end, built once per process.
+    """Template bank of a front end, built once per process.
 
-    cache_dir None falls back to FOLDLOC_CACHE_DIR inside build_bank.
+    Front ends that differ only in noise_sigma share one entry. cache_dir
+    None falls back to FOLDLOC_CACHE_DIR inside build_bank.
     """
     return build_bank(fe, cache_dir)
 
@@ -74,7 +78,6 @@ def synth_fix_trace(sc: Scenario, fix_idx: int) -> np.ndarray:
     rx = np.array([x, y])
     n = sc.n_frames_per_fix
     total = np.zeros(n * FRAME_LEN)
-    quiet = replace(sc.front_end, noise_sigma=0.0)
 
     for ci, cell in enumerate(sc.cells):
         if received_power_dbm(cell, rx) < sc.front_end.sensitivity_floor_dbm:
@@ -92,7 +95,7 @@ def synth_fix_trace(sc: Scenario, fix_idx: int) -> np.ndarray:
         bb = scipy.fft.fft(bb, overwrite_x=True)
         bb *= _delay_ramp(bb.size, delay_s * cfg.sample_rate_hz, a_rx)
         bb = scipy.fft.ifft(bb, overwrite_x=True)
-        total += fold_baseband(bb, cfg.sample_rate_hz, quiet)
+        total += fold_baseband(bb, cfg.sample_rate_hz, sc.front_end)
 
     if sc.front_end.noise_sigma > 0:
         rng = substream(sc.rng_seed, "noise", fix_idx)
@@ -103,13 +106,15 @@ def synth_fix_trace(sc: Scenario, fix_idx: int) -> np.ndarray:
 def detect_trace(trace: np.ndarray, bank, thresh_pss: float = 0.3,
                  thresh_sss: float = 0.5, n_stack: int | None = None,
                  mode: str = "plain") -> list[Detection]:
-    """Stack, detect, refine, and suppress false positives on one trace.
+    """Stack, detect, then refine (suppressing false positives) one trace.
 
-    plain mode runs the hierarchical two-stage search. phat mode correlates
-    the full bank exhaustively with whitened-phase scoring (slower, robust
-    to narrowband interference) and thresholds per-PCI peaks.
+    n_stack None stacks every whole frame of the trace. plain mode runs the
+    hierarchical two-stage search. phat mode correlates the full bank
+    exhaustively with whitened-phase scoring (slower, robust to narrowband
+    interference) and thresholds per-PCI peaks.
     """
-    n_stack = n_stack or max(1, trace.size // FRAME_LEN)
+    if n_stack is None:
+        n_stack = max(1, trace.size // FRAME_LEN)
     stacked = stack_frames(trace, n_stack)
     if mode == "plain":
         dets = hierarchical_detect(stacked, bank, thresh_pss, thresh_sss)
@@ -121,7 +126,7 @@ def detect_trace(trace: np.ndarray, bank, thresh_pss: float = 0.3,
                 for p in np.flatnonzero(best > thresh_sss)]
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    return suppress_false_positives(refine(stacked, bank, dets))
+    return refine(stacked, bank, dets)
 
 
 def _observations(dets: list[Detection], db, bank, prev_fix=None):
@@ -142,8 +147,7 @@ def _observations(dets: list[Detection], db, bank, prev_fix=None):
         amp = a_rx * carrier / np.sqrt(10.0 ** ((dbm - 30.0) / 10.0))
         obs.append(TowerObservation(
             position=(cx, cy), amplitude=float(amp),
-            toa_samples=det.delay_samples + det.subsample_offset,
-            pci=det.pci))
+            toa_samples=det.delay_samples + det.subsample_offset))
     return obs, skipped
 
 
@@ -152,7 +156,7 @@ def run_fix(sc: Scenario, fix_idx: int) -> dict:
     t, x, y = sc.trajectory[fix_idx]
     rx = np.array([x, y])
     trace = synth_fix_trace(sc, fix_idx)
-    bank = _bank_for(replace(sc.front_end, noise_sigma=0.0))
+    bank = _bank_for(sc.front_end)
     dets = detect_trace(trace, bank, sc.thresh_pss, sc.thresh_sss,
                         sc.n_frames_per_fix, sc.correlation_mode)
     truth = sorted(c.pci.value for c in sc.cells
@@ -175,18 +179,13 @@ def run_fix(sc: Scenario, fix_idx: int) -> dict:
         "converged": None,
     }
     if len(obs) >= 3:
-        try:
-            if sc.solver == "tdoa":
-                est = solve_tdoa(obs, DETECTOR_RATE_HZ)
-            else:
-                est = trilaterate_ratio(obs)
-            record["estimate"] = [round(est.position[0], 9),
-                                  round(est.position[1], 9)]
-            record["error_m"] = round(float(np.hypot(est.position[0] - x,
-                                                     est.position[1] - y)), 9)
-            record["converged"] = est.converged
-        except InsufficientAnchorsError:
-            pass
+        est = solve_tdoa(obs, DETECTOR_RATE_HZ) if sc.solver == "tdoa" \
+            else trilaterate_ratio(obs)
+        record["estimate"] = [round(est.position[0], 9),
+                              round(est.position[1], 9)]
+        record["error_m"] = round(float(np.hypot(est.position[0] - x,
+                                                 est.position[1] - y)), 9)
+        record["converged"] = est.converged
     return record
 
 
@@ -240,7 +239,7 @@ def run_eval(sc: Scenario, workers: int = 1) -> RunReport:
     if workers <= 1:
         records = [run_fix(sc, i) for i in range(n)]
     else:
-        _bank_for(replace(sc.front_end, noise_sigma=0.0))   # warm before fork
+        _bank_for(sc.front_end)   # warm before fork
         with ProcessPoolExecutor(max_workers=workers) as ex:
             records = list(ex.map(_run_fix_task, [(sc, i) for i in range(n)]))
     records.sort(key=lambda r: r["fix"])
@@ -256,23 +255,21 @@ def run_eval(sc: Scenario, workers: int = 1) -> RunReport:
 
 
 def run_urban_sim(towers, n_fixes: int = 500, timing_noise_samples: float = 0.1,
-                  epochs_per_fix: int = 10, sample_rate_hz: float = DETECTOR_RATE_HZ,
-                  seed: int = 0, region=None) -> dict:
+                  epochs_per_fix: int = 10, seed: int = 0) -> dict:
     """Observation-level localization study at a given tower geometry.
 
-    Receiver positions are drawn uniformly in `region` (default: the central
-    70% of the tower bounding box). Each fix observes per-tower arrival
-    times corrupted by Gaussian timing noise of the given sample sigma,
+    Receiver positions are drawn uniformly in the central 70% of the tower
+    bounding box. Each fix observes per-tower arrival times, in detector
+    samples, corrupted by Gaussian timing noise of the given sample sigma,
     averaged over epochs_per_fix independent sync epochs, then solved by
     TDOA. Returns per-fix errors and percentiles.
     """
     towers = np.asarray(towers, dtype=np.float64)
     lo = towers.min(axis=0)
     hi = towers.max(axis=0)
-    if region is None:
-        mid, span = (lo + hi) / 2.0, (hi - lo) / 2.0
-        region = (mid - 0.7 * span, mid + 0.7 * span)
-    m_per_sample = SPEED_OF_LIGHT / sample_rate_hz
+    mid, span = (lo + hi) / 2.0, (hi - lo) / 2.0
+    region = (mid - 0.7 * span, mid + 0.7 * span)
+    m_per_sample = SPEED_OF_LIGHT / DETECTOR_RATE_HZ
     errors = []
     for i in range(n_fixes):
         rng_p = substream(seed, "scene", i)
@@ -284,7 +281,7 @@ def run_urban_sim(towers, n_fixes: int = 500, timing_noise_samples: float = 0.1,
         toa = toas.mean(axis=0)
         obs = [TowerObservation(position=tuple(towers[k]), toa_samples=float(toa[k]))
                for k in range(towers.shape[0])]
-        est = solve_tdoa(obs, sample_rate_hz)
+        est = solve_tdoa(obs, DETECTOR_RATE_HZ)
         errors.append(float(np.hypot(est.position[0] - p[0],
                                      est.position[1] - p[1])))
     e = np.array(errors)
@@ -325,24 +322,23 @@ def cmd_detect(trace_path: str, fe: FrontEndConfig, out_csv: str,
     if abs(rate - fe.adc_rate_hz) > 1e-6:
         raise BankMismatchError(
             f"trace rate {rate:g} does not match front end {fe.adc_rate_hz:g}")
-    quiet = replace(fe, noise_sigma=0.0)
-    # lru_cache tells _bank_for(quiet) and _bank_for(quiet, None) apart;
+    # lru_cache tells _bank_for(fe) and _bank_for(fe, None) apart;
     # without a cache dir, share the entry of run_fix and cmd_localize
-    bank = _bank_for(quiet, cache_dir) if cache_dir else _bank_for(quiet)
+    bank = _bank_for(fe, cache_dir) if cache_dir else _bank_for(fe)
     dets = detect_trace(samples, bank, thresh_pss, thresh_sss, n_stack, mode)
     write_detections_csv(out_csv, dets)
     return dets
 
 
-def cmd_localize(detections_by_fix, db, method: str = "tdoa",
-                 sample_rate_hz: float = DETECTOR_RATE_HZ,
-                 fe: FrontEndConfig | None = None):
+def cmd_localize(detections_by_fix, db, method: str = "tdoa"):
     """Solve one position per fix from detection lists; yields CSV rows.
 
+    Detection delays count detector samples at DETECTOR_RATE_HZ, and
+    amplitudes are read against the default front end's template norms.
     Rows are (t, x_est, y_est, objective, n_towers); unresolvable fixes
     (under three matched towers) yield empty estimate fields.
     """
-    bank = _bank_for(replace(fe or FrontEndConfig(), noise_sigma=0.0))
+    bank = _bank_for(FrontEndConfig())
     rows = []
     prev = None
     for t, dets in detections_by_fix:
@@ -350,7 +346,7 @@ def cmd_localize(detections_by_fix, db, method: str = "tdoa",
         if len(obs) < 3:
             rows.append((t, "", "", "", len(obs)))
             continue
-        est = solve_tdoa(obs, sample_rate_hz) if method == "tdoa" \
+        est = solve_tdoa(obs, DETECTOR_RATE_HZ) if method == "tdoa" \
             else trilaterate_ratio(obs)
         rows.append((t, f"{est.position[0]:.6f}", f"{est.position[1]:.6f}",
                      f"{est.objective_value:.6e}", len(obs)))

@@ -27,7 +27,6 @@ class TowerObservation:
     position: tuple[float, float]
     amplitude: float = 0.0
     toa_samples: float | None = None
-    pci: object = None
 
 
 @dataclass
@@ -79,13 +78,12 @@ def _simplex(objective, init: np.ndarray, scale: float):
     return best, total_it
 
 
-def trilaterate_ratio(obs, init=None) -> PositionEstimate:
+def trilaterate_ratio(obs) -> PositionEstimate:
     """Minimize pairwise amplitude-ratio mismatch over position.
 
     With A ~ 1/d, the observable A_i/A_j equals d_j/d_i, so each unordered
     pair contributes (A_i/A_j - d_j(p)/d_i(p))^2. Initialized at the tower
-    centroid unless an init point is given. Amplitudes are floored at 1e-12
-    to guard degenerate ratios.
+    centroid. Amplitudes are floored at 1e-12 to guard degenerate ratios.
     """
     pos = _positions(obs)
     warning = _geometry_warning(pos)
@@ -93,30 +91,29 @@ def trilaterate_ratio(obs, init=None) -> PositionEstimate:
     if np.any(amps < _AMP_FLOOR):
         amps = np.maximum(amps, _AMP_FLOOR)
         warning = (warning + "; " if warning else "") + "amplitude floored"
-    pairs = [(i, j) for i in range(len(obs)) for j in range(i + 1, len(obs))]
-    ratios = {(i, j): amps[i] / amps[j] for i, j in pairs}
-    scale = _scene_scale(pos)
+    ii, jj = np.triu_indices(len(obs), 1)
+    ratios = amps[ii] / amps[jj]
 
     def objective(p):
         d = np.maximum(np.hypot(pos[:, 0] - p[0], pos[:, 1] - p[1]), 1e-9)
-        return sum((ratios[(i, j)] - d[j] / d[i]) ** 2 for i, j in pairs)
+        r = ratios - d[jj] / d[ii]
+        return sum((r * r).tolist())    # summed left to right, pair by pair
 
-    start = np.asarray(init, dtype=np.float64) if init is not None \
-        else pos.mean(axis=0)
-    res, nit = _simplex(objective, start, scale)
+    res, nit = _simplex(objective, pos.mean(axis=0), _scene_scale(pos))
     return PositionEstimate(position=(float(res.x[0]), float(res.x[1])),
                             objective_value=float(res.fun),
                             iterations=nit, converged=bool(res.success),
                             warning=warning)
 
 
-def solve_tdoa(obs, sample_rate_hz: float, init=None) -> PositionEstimate:
+def solve_tdoa(obs, sample_rate_hz: float) -> PositionEstimate:
     """Hyperbolic least squares over all pairwise arrival-time differences.
 
     Sample offsets convert to range differences; a uniform arrival-time
     bias across towers cancels in every pair. The search runs on residuals
     in meters for conditioning; the reported objective value is the sum of
-    squared time residuals in seconds.
+    squared time residuals in seconds. The search starts at the tower
+    centroid.
     """
     pos = _positions(obs)
     if any(o.toa_samples is None for o in obs):
@@ -124,20 +121,15 @@ def solve_tdoa(obs, sample_rate_hz: float, init=None) -> PositionEstimate:
     warning = _geometry_warning(pos)
     rng_m = np.array([sample_to_distance(o.toa_samples, sample_rate_hz)
                       for o in obs])
-    pairs = [(i, j) for i in range(len(obs)) for j in range(i + 1, len(obs))]
-    obs_dd = {(i, j): rng_m[j] - rng_m[i] for i, j in pairs}
-    scale = _scene_scale(pos)
-
-    def resid_m(p):
-        d = np.hypot(pos[:, 0] - p[0], pos[:, 1] - p[1])
-        return [obs_dd[(i, j)] - (d[j] - d[i]) for i, j in pairs]
+    ii, jj = np.triu_indices(len(obs), 1)
+    obs_dd = rng_m[jj] - rng_m[ii]
 
     def objective(p):
-        return sum(r * r for r in resid_m(p))
+        d = np.hypot(pos[:, 0] - p[0], pos[:, 1] - p[1])
+        r = obs_dd - (d[jj] - d[ii])
+        return sum((r * r).tolist())    # summed left to right, pair by pair
 
-    start = np.asarray(init, dtype=np.float64) if init is not None \
-        else pos.mean(axis=0)
-    res, nit = _simplex(objective, start, scale)
+    res, nit = _simplex(objective, pos.mean(axis=0), _scene_scale(pos))
     obj_seconds = float(res.fun) / SPEED_OF_LIGHT ** 2
     return PositionEstimate(position=(float(res.x[0]), float(res.x[1])),
                             objective_value=obj_seconds,

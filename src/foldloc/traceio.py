@@ -12,10 +12,12 @@ Layout, all little-endian:
 
 Samples are real post-detector values. Writing then reading returns the
 float32-rounded samples bit-exactly. A reader rejects a file whose size is
-not exactly the header plus sample_count samples, and any non-finite sample.
+not exactly the header plus sample_count samples, a sample rate that is not
+finite and positive, and any non-finite sample.
 """
 from __future__ import annotations
 
+import math
 import os
 import struct
 
@@ -47,6 +49,9 @@ def read_trace(path) -> tuple[np.ndarray, float]:
             raise TraceFormatError(f"{path}: bad magic {magic!r}")
         if version != VERSION:
             raise TraceFormatError(f"{path}: unsupported version {version}")
+        if not (math.isfinite(rate) and rate > 0):
+            raise TraceFormatError(f"{path}: sample rate {rate!r} is not "
+                                   f"finite and positive")
         have = os.fstat(f.fileno()).st_size - _HEADER.size
         if have < 4 * count:
             raise TraceFormatError(f"{path}: expected {count} samples, file short")

@@ -76,6 +76,17 @@ def test_synth_differs_across_fixes_and_seeds():
     assert not np.array_equal(a, c)
 
 
+def test_noise_added_once_and_not_part_of_front_end_identity():
+    from dataclasses import replace
+    quiet = _single_cell_scenario()
+    noisy = replace(quiet, front_end=FrontEndConfig(noise_sigma=1e-9))
+    assert noisy.front_end == quiet.front_end
+    assert hash(noisy.front_end) == hash(quiet.front_end)
+    noise = substream(quiet.rng_seed, "noise", 0).normal(0.0, 1e-9, 2 * FRAME_LEN)
+    assert np.array_equal(synth_fix_trace(noisy, 0),
+                          synth_fix_trace(quiet, 0) + noise)
+
+
 def _seed_frame(cfg, pci, rng):
     """One frame as the loop-based reference synthesizes it: a per-element
     QPSK exp, a per-bin-major IFFT and a per-symbol cyclic-prefix loop."""
@@ -302,6 +313,11 @@ def test_run_eval_repeat_is_byte_identical():
     assert run_eval(sc).to_json() == run_eval(sc).to_json()
 
 
+def test_run_eval_worker_pool_is_byte_identical():
+    sc = _single_cell_scenario()
+    assert run_eval(sc, workers=2).to_json() == run_eval(sc).to_json()
+
+
 def test_compute_metrics_counts():
     records = [
         {"detections": [[1, 0, 0, 0, 0], [2, 0, 0, 0, 0]],
@@ -366,7 +382,7 @@ def test_cmd_localize_rows(tmp_path):
         delay = d_m / 156.25
         dets.append(Detection(Pci(p), int(delay), 0.9, 1.0,
                               delay - int(delay)))
-    rows = cmd_localize([(0.0, dets), (1.0, dets[:2])], db, "tdoa", FS)
+    rows = cmd_localize([(0.0, dets), (1.0, dets[:2])], db, "tdoa")
     assert len(rows) == 2
     t, xs, ys, obj, n = rows[0]
     assert n == 3
@@ -524,3 +540,23 @@ def test_cli_data_error_exits_3(tmp_path):
     r = _run_cli(["detect", str(garbage), "-o", str(tmp_path)])
     assert r.returncode == 3
     assert "error" in r.stderr
+
+
+@pytest.mark.parametrize("rate", [float("nan"), float("inf"), 0.0, -FS])
+def test_cli_detect_bad_trace_rate_exits_3(tmp_path, capsys, rate):
+    from foldloc.cli import main
+    p = tmp_path / "t.bin"
+    traceio.write_trace(p, np.zeros(2 * FRAME_LEN), rate)
+    assert main(["detect", str(p), "-o", str(tmp_path)]) == 3
+    assert "sample rate" in capsys.readouterr().err
+    assert not (tmp_path / "t.detections.csv").exists()
+
+
+def test_cli_detect_stack_zero_exits_2(tmp_path, capsys, shared_cache):
+    from foldloc.cli import main
+    manifest = cmd_synth(_single_cell_scenario(), str(tmp_path / "traces"))
+    trace = list(csv.DictReader(open(manifest)))[0]["trace_path"]
+    assert main(["detect", trace, "-o", str(tmp_path), "--stack", "0",
+                 "--cache-dir", shared_cache]) == 2
+    assert "n_frames" in capsys.readouterr().err
+    assert not (tmp_path / "trace_fix_0000.detections.csv").exists()

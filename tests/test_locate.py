@@ -201,3 +201,39 @@ def test_solvers_deterministic():
     t1, t2 = solve_tdoa(tobs, FS), solve_tdoa(tobs, FS)
     assert r1.position == r2.position and r1.iterations == r2.iterations
     assert t1.position == t2.position and t1.iterations == t2.iterations
+
+
+def _pair_loop_reference(obs, tdoa):
+    """Both objectives as one Python term per unordered pair, in (i, j) order."""
+    from foldloc.locate import _scene_scale, _simplex
+    pos = np.array([o.position for o in obs])
+    pairs = [(i, j) for i in range(len(obs)) for j in range(i + 1, len(obs))]
+    if tdoa:
+        rng_m = [sample_to_distance(o.toa_samples, FS) for o in obs]
+
+        def objective(p):
+            d = np.hypot(pos[:, 0] - p[0], pos[:, 1] - p[1])
+            return sum((rng_m[j] - rng_m[i] - (d[j] - d[i])) ** 2
+                       for i, j in pairs)
+    else:
+        amps = [o.amplitude for o in obs]
+
+        def objective(p):
+            d = np.maximum(np.hypot(pos[:, 0] - p[0], pos[:, 1] - p[1]), 1e-9)
+            return sum((amps[i] / amps[j] - d[j] / d[i]) ** 2 for i, j in pairs)
+    return _simplex(objective, pos.mean(axis=0), _scene_scale(pos))
+
+
+@pytest.mark.parametrize("n", [3, 4, 6])
+def test_solvers_match_pair_loop_reference_exactly(n):
+    rng = np.random.default_rng(n)
+    towers = rng.uniform(-3000.0, 3000.0, (n, 2))
+    d = _dist(towers, rng.uniform(-1000.0, 1000.0, 2))
+    robs = [TowerObservation(tuple(t), amplitude=(1.0 + 0.05 * e) / di)
+            for t, di, e in zip(towers, d, rng.standard_normal(n))]
+    tobs = [TowerObservation(tuple(t), toa_samples=di / M_PER_SAMPLE + 0.3 * e)
+            for t, di, e in zip(towers, d, rng.standard_normal(n))]
+    for obs, est in ((robs, trilaterate_ratio(robs)), (tobs, solve_tdoa(tobs, FS))):
+        ref, nit = _pair_loop_reference(obs, obs is tobs)
+        assert est.position == (float(ref.x[0]), float(ref.x[1]))
+        assert est.iterations == nit

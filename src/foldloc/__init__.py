@@ -8,8 +8,8 @@ sampled below 2 MHz.
 """
 from .amplitude import (AmplitudeFit, SubsampleEstimate, estimate_subsample,
                         fit_amplitude, iterative_separation)
-from .detect import (Detection, TemplateBank, build_bank, correlate,
-                     correlate_bank, hierarchical_detect, refine, stack_frames,
+from .detect import (Detection, TemplateBank, build_bank, correlate_bank,
+                     hierarchical_detect, refine, stack_frames,
                      suppress_false_positives)
 from .frontend import (CellConfig, FrontEndConfig, fold_baseband,
                        lowpass_decimate, path_amplitude)

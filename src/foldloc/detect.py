@@ -7,11 +7,13 @@ destroys the sign difference between Zadoff-Chu roots 29 and 34, so their
 folded waveforms coincide and stage-1 scanning needs only two PSS shapes.
 
 The bank is three read-only arrays, one row per PCI: unit-norm windows,
-their original norms and the two PSS scan windows. Stage 2 scores every
-candidate window against the whole bank with one matrix product, and
-`correlate_bank` scores every lag with one FFT of the trace. Detection
-returns scored (pci, delay) pairs; `refine`, the single enrichment step for
-every mode, fits their amplitudes, suppresses false positives and gives the
+their original norms and the two PSS scan windows. `correlate_bank` is the
+one kernel that scores templates at every lag, from one FFT of the trace:
+stage 1 runs it once on both PSS shapes, the phat scan on the whole bank,
+and a single template is a one-row array. Stage 2 scores every candidate
+window against the whole bank with one matrix product. Detection returns
+scored (pci, delay) pairs; `refine`, the single enrichment step for every
+mode, fits their amplitudes, suppresses false positives and gives the
 survivors a sub-sample offset.
 """
 from __future__ import annotations
@@ -164,69 +166,33 @@ def _window_norms(x: np.ndarray, wlen: int) -> np.ndarray:
     return np.where(flat, 0.0, np.sqrt(np.maximum(var, 0.0)))
 
 
-def _ncc(x: np.ndarray, tpl: np.ndarray) -> np.ndarray:
-    """Circular zero-mean NCC of a unit-norm zero-mean template against x."""
-    n = x.size
-    num = np.fft.irfft(np.fft.rfft(x) * np.conj(np.fft.rfft(tpl, n=n)), n=n)
-    denom = _window_norms(x, tpl.size)
-    return np.where(denom > 0.0, num / np.maximum(denom, _EPS), 0.0)
-
-
-def _phat(x: np.ndarray, tpl: np.ndarray) -> np.ndarray:
-    """Phase-transform correlation restricted to the template's own band.
-
-    The cross spectrum is whitened to unit magnitude on bins where the
-    template holds at least PHAT_FLOOR of its peak magnitude and zeroed
-    elsewhere; narrowband interference then contributes at most its few
-    bins' worth of weight instead of dominating the metric.
-    """
-    n = x.size
-    spec_t = np.fft.rfft(tpl, n=n)
-    mag_t = np.abs(spec_t)
-    keep = mag_t > PHAT_FLOOR * mag_t.max()
-    keep[0] = False
-    r = np.fft.rfft(x) * np.conj(spec_t)
-    w = np.where(keep, r / np.maximum(np.abs(r), _EPS), 0.0)
-    return np.fft.irfft(w, n=n) / (np.count_nonzero(keep) / (n / 2.0))
-
-
-def correlate(stacked: np.ndarray, tpl: np.ndarray,
-              mode: str = "plain") -> np.ndarray:
-    """Score every circular lag of one template against a stacked frame.
-
-    plain: normalized cross-correlation with per-window mean removal and
-    variance normalization. phat: whitened cross-spectrum phase correlation.
-    Both return one score per lag, clipped to [-1, 1].
-    """
-    t = np.asarray(tpl)
-    if stacked.size < t.size:
-        raise ValueError("trace shorter than template")
-    if mode == "plain":
-        scores = _ncc(stacked, t)
-    elif mode == "phat":
-        scores = _phat(stacked, t)
-    else:
-        raise ValueError(f"unknown correlation mode {mode!r}")
-    return np.clip(scores, -1.0, 1.0)
-
-
-def correlate_bank(stacked: np.ndarray, bank: TemplateBank,
+def correlate_bank(stacked: np.ndarray, templates: np.ndarray,
                    mode: str = "plain") -> np.ndarray:
-    """(504, n) score array of the full bank against one stacked frame.
+    """(k, n) scores of k zero-mean, unit-norm templates at every lag.
 
-    Equal to calling correlate per template, computed from one FFT of the
-    trace and batches of BANK_CHUNK template spectra. plain divides by the
-    shared window statistics; phat whitens each template on its own band.
+    Every circular lag of the stacked frame is scored against each row of
+    templates (k, L), from one FFT of the trace and batches of BANK_CHUNK
+    template spectra; scores are clipped to [-1, 1]. plain: normalized
+    cross-correlation, dividing by the shared window norms (Lewis's
+    running-sum fast NCC; flat windows score 0). phat: the cross spectrum
+    whitened to unit magnitude on the bins where the template holds at
+    least PHAT_FLOOR of its peak magnitude and zeroed elsewhere, so
+    narrowband interference weighs only its few bins (Knapp & Carter's
+    phase transform). A single template scores as
+    correlate_bank(x, tpl[None])[0].
     """
     if mode not in ("plain", "phat"):
         raise ValueError(f"unknown correlation mode {mode!r}")
+    k, wlen = templates.shape
     n = stacked.size
+    if n < wlen:
+        raise ValueError("trace shorter than template")
     spec_x = np.fft.rfft(stacked)
-    denom = _window_norms(stacked, TEMPLATE_LEN)
-    out = np.empty((504, n))
-    for lo in range(0, 504, BANK_CHUNK):
+    denom = _window_norms(stacked, wlen)
+    out = np.empty((k, n))
+    for lo in range(0, k, BANK_CHUNK):
         rows = slice(lo, lo + BANK_CHUNK)
-        spec_t = np.fft.rfft(bank.samples[rows], n=n, axis=1)
+        spec_t = np.fft.rfft(templates[rows], n=n, axis=1)
         r = spec_x * np.conj(spec_t)
         if mode == "plain":
             out[rows] = np.fft.irfft(r, n=n, axis=1) / np.maximum(denom, _EPS)
@@ -244,22 +210,15 @@ def correlate_bank(stacked: np.ndarray, bank: TemplateBank,
 
 def _stage1_candidates(stacked: np.ndarray, bank: TemplateBank,
                        thresh_pss: float) -> list[int]:
-    """Peak indices from scanning the two folded PSS shapes."""
-    cands = []
-    for pss in bank.pss_unit:
-        scores = _ncc(stacked, pss)
+    """Peak lags of the two folded PSS shapes, one per group of lags above
+    thresh_pss that lie at most STAGE1_GROUP_GAP apart."""
+    cands = set()
+    for scores in correlate_bank(stacked, bank.pss_unit):
         above = np.flatnonzero(scores > thresh_pss)
-        if above.size == 0:
-            continue
-        run = [above[0]]
-        for i in above[1:]:
-            if i - run[-1] > STAGE1_GROUP_GAP:
-                cands.append(run[np.argmax(scores[run])])
-                run = [i]
-            else:
-                run.append(i)
-        cands.append(run[np.argmax(scores[run])])
-    return sorted(set(cands))
+        groups = np.split(above,
+                          np.flatnonzero(np.diff(above) > STAGE1_GROUP_GAP) + 1)
+        cands.update(int(g[np.argmax(scores[g])]) for g in groups if g.size)
+    return sorted(cands)
 
 
 def hierarchical_detect(stacked: np.ndarray, bank: TemplateBank,

@@ -67,6 +67,14 @@ def _delay_ramp(n: int, delay_samples: float, scale: float) -> np.ndarray:
     return ramp
 
 
+def _heard_cells(sc: Scenario, rx) -> list:
+    """(index, cell) of every cell received at rx at or above the front
+    end's sensitivity floor; the others are neither synthesized nor truth."""
+    floor = sc.front_end.sensitivity_floor_dbm
+    return [(ci, c) for ci, c in enumerate(sc.cells)
+            if received_power_dbm(c, rx) >= floor]
+
+
 def synth_fix_trace(sc: Scenario, fix_idx: int) -> np.ndarray:
     """Detector-rate trace for one fix: delayed, scaled, folded cells + noise.
 
@@ -79,9 +87,7 @@ def synth_fix_trace(sc: Scenario, fix_idx: int) -> np.ndarray:
     n = sc.n_frames_per_fix
     total = np.zeros(n * FRAME_LEN)
 
-    for ci, cell in enumerate(sc.cells):
-        if received_power_dbm(cell, rx) < sc.front_end.sensitivity_floor_dbm:
-            continue
+    for ci, cell in _heard_cells(sc, rx):
         cfg = cell.frame_cfg
         rng = substream(sc.rng_seed, "payload", fix_idx, ci)
         bb = frame_samples(cfg, cell.pci, "random_qpsk", rng, n_frames=n)
@@ -119,7 +125,7 @@ def detect_trace(trace: np.ndarray, bank, thresh_pss: float = 0.3,
     if mode == "plain":
         dets = hierarchical_detect(stacked, bank, thresh_pss, thresh_sss)
     elif mode == "phat":
-        scores = correlate_bank(stacked, bank, mode="phat")
+        scores = correlate_bank(stacked, bank.samples, "phat")
         lags = np.argmax(scores, axis=1)
         best = scores[np.arange(504), lags]
         dets = [Detection(Pci(int(p)), int(lags[p]), float(best[p]))
@@ -159,8 +165,7 @@ def run_fix(sc: Scenario, fix_idx: int) -> dict:
     bank = _bank_for(sc.front_end)
     dets = detect_trace(trace, bank, sc.thresh_pss, sc.thresh_sss,
                         sc.n_frames_per_fix, sc.correlation_mode)
-    truth = sorted(c.pci.value for c in sc.cells
-                   if received_power_dbm(c, rx) >= sc.front_end.sensitivity_floor_dbm)
+    truth = sorted(c.pci.value for _, c in _heard_cells(sc, rx))
 
     db = scenario_cell_db(sc)
     obs, skipped = _observations(dets, db, bank)
@@ -179,7 +184,7 @@ def run_fix(sc: Scenario, fix_idx: int) -> dict:
         "converged": None,
     }
     if len(obs) >= 3:
-        est = solve_tdoa(obs, DETECTOR_RATE_HZ) if sc.solver == "tdoa" \
+        est = solve_tdoa(obs) if sc.solver == "tdoa" \
             else trilaterate_ratio(obs)
         record["estimate"] = [round(est.position[0], 9),
                               round(est.position[1], 9)]
@@ -281,7 +286,7 @@ def run_urban_sim(towers, n_fixes: int = 500, timing_noise_samples: float = 0.1,
         toa = toas.mean(axis=0)
         obs = [TowerObservation(position=tuple(towers[k]), toa_samples=float(toa[k]))
                for k in range(towers.shape[0])]
-        est = solve_tdoa(obs, DETECTOR_RATE_HZ)
+        est = solve_tdoa(obs)
         errors.append(float(np.hypot(est.position[0] - p[0],
                                      est.position[1] - p[1])))
     e = np.array(errors)
@@ -307,9 +312,7 @@ def cmd_synth(sc: Scenario, outdir: str) -> str:
             trace = synth_fix_trace(sc, i)
             path = os.path.join(outdir, f"trace_fix_{i:04d}.bin")
             traceio.write_trace(path, trace, sc.front_end.adc_rate_hz)
-            truth = ";".join(str(c.pci.value) for c in sc.cells
-                             if received_power_dbm(c, (x, y))
-                             >= sc.front_end.sensitivity_floor_dbm)
+            truth = ";".join(str(c.pci.value) for _, c in _heard_cells(sc, (x, y)))
             w.writerow([i, path, t, x, y, truth])
     return manifest
 
@@ -346,7 +349,7 @@ def cmd_localize(detections_by_fix, db, method: str = "tdoa"):
         if len(obs) < 3:
             rows.append((t, "", "", "", len(obs)))
             continue
-        est = solve_tdoa(obs, DETECTOR_RATE_HZ) if method == "tdoa" \
+        est = solve_tdoa(obs) if method == "tdoa" \
             else trilaterate_ratio(obs)
         rows.append((t, f"{est.position[0]:.6f}", f"{est.position[1]:.6f}",
                      f"{est.objective_value:.6e}", len(obs)))

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
+from .detect import DETECTOR_RATE_HZ
 from .frontend import SPEED_OF_LIGHT
 
 _AMP_FLOOR = 1e-12
@@ -106,10 +107,11 @@ def trilaterate_ratio(obs) -> PositionEstimate:
                             warning=warning)
 
 
-def solve_tdoa(obs, sample_rate_hz: float) -> PositionEstimate:
+def solve_tdoa(obs) -> PositionEstimate:
     """Hyperbolic least squares over all pairwise arrival-time differences.
 
-    Sample offsets convert to range differences; a uniform arrival-time
+    Arrival times count detector samples at DETECTOR_RATE_HZ; sample
+    offsets convert to range differences; a uniform arrival-time
     bias across towers cancels in every pair. The search runs on residuals
     in meters for conditioning; the reported objective value is the sum of
     squared time residuals in seconds. The search starts at the tower
@@ -119,7 +121,7 @@ def solve_tdoa(obs, sample_rate_hz: float) -> PositionEstimate:
     if any(o.toa_samples is None for o in obs):
         raise ValueError("every observation needs toa_samples for TDOA")
     warning = _geometry_warning(pos)
-    rng_m = np.array([sample_to_distance(o.toa_samples, sample_rate_hz)
+    rng_m = np.array([sample_to_distance(o.toa_samples, DETECTOR_RATE_HZ)
                       for o in obs])
     ii, jj = np.triu_indices(len(obs), 1)
     obs_dd = rng_m[jj] - rng_m[ii]

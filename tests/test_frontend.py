@@ -137,7 +137,7 @@ def test_fast_path_matches_rf_pipeline():
 
 def test_superpose_delay_shifts_detector_peak(bank):
     """Ten detector samples of geometric delay move the peak by ten."""
-    from foldloc.detect import correlate
+    from foldloc.detect import correlate_bank
     fe = FrontEndConfig()
     cell = _cell(77, 20e6)
     los = MultipathProfile.los()
@@ -145,7 +145,7 @@ def test_superpose_delay_shifts_detector_peak(bank):
     for d in (0.1, 10 * 156.25):
         rf = superpose([(cell, los)], (d, 0.0), 0.01, FS_RF, rng_seed=3)
         y = receive_rf(rf, FS_RF, fe)
-        lags.append(int(np.argmax(correlate(y, bank.samples[77], "plain"))))
+        lags.append(int(np.argmax(correlate_bank(y, bank.samples[77][None])[0])))
     assert lags[1] - lags[0] == 10
 
 

@@ -9,13 +9,16 @@ import numpy as np
 import pytest
 from scipy.signal import fftconvolve
 
+from conftest import phat_reference
+
 import foldloc
 from foldloc import traceio
 from foldloc.amplitude import estimate_subsample, fit_amplitude
 from foldloc.detect import (FRAME_LEN, PSS_TEMPLATE_LEN, TEMPLATE_LEN,
                             TEMPLATE_START, BankMismatchError, Detection,
-                            _stage1_candidates, correlate, hierarchical_detect,
-                            stack_frames, suppress_false_positives)
+                            _stage1_candidates, _window_norms,
+                            hierarchical_detect, stack_frames,
+                            suppress_false_positives)
 from foldloc.frontend import (SPEED_OF_LIGHT, CellConfig, FrontEndConfig,
                               design_lowpass, path_amplitude,
                               received_power_dbm)
@@ -180,12 +183,40 @@ def test_synth_matches_frame_by_frame_reference(make):
 # ------------------------------------------------------------- detection
 
 
+def _seed_ncc(x, tpl):
+    """Circular zero-mean NCC of one unit-norm zero-mean template, alone."""
+    n = x.size
+    num = np.fft.irfft(np.fft.rfft(x) * np.conj(np.fft.rfft(tpl, n=n)), n=n)
+    denom = _window_norms(x, tpl.size)
+    return np.where(denom > 0.0, num / np.maximum(denom, 1e-30), 0.0)
+
+
+def _seed_stage1(stacked, bank, thresh_pss, group_gap=8):
+    """Reference stage 1: one NCC per PSS shape; lags above thresh_pss at
+    most group_gap apart form a run, and each run keeps its best lag."""
+    cands = []
+    for pss in bank.pss_unit:
+        scores = _seed_ncc(stacked, pss)
+        above = np.flatnonzero(scores > thresh_pss)
+        if above.size == 0:
+            continue
+        run = [above[0]]
+        for i in above[1:]:
+            if i - run[-1] > group_gap:
+                cands.append(run[np.argmax(scores[run])])
+                run = [i]
+            else:
+                run.append(i)
+        cands.append(run[np.argmax(scores[run])])
+    return sorted(set(cands))
+
+
 def _seed_stage2(stacked, bank, thresh_pss, thresh_sss, candidate_window=3):
     """Reference stage 2: one matrix-vector product per candidate lag; a
     PCI keeps the first lag with its best score above thresh_sss."""
     n = stacked.size
     dets = {}
-    for pk in _stage1_candidates(stacked, bank, thresh_pss):
+    for pk in _seed_stage1(stacked, bank, thresh_pss):
         base = pk - (TEMPLATE_LEN - PSS_TEMPLATE_LEN)
         for lag in range(base - candidate_window, base + candidate_window + 1):
             w = stacked.take(range(lag, lag + TEMPLATE_LEN), mode="wrap")
@@ -220,6 +251,18 @@ def _assert_same_detections(got, want):
 
 @pytest.mark.parametrize("origins", [(0, 1500, 3000, 4500, 6000), (0,) * 5],
                          ids=["s5_offset", "s5_synchronized"])
+def test_stage1_matches_per_shape_reference(bank, origins):
+    sc = _s5_scenario(origins)
+    for i in range(len(sc.trajectory)):
+        stacked = stack_frames(synth_fix_trace(sc, i), sc.n_frames_per_fix)
+        for thresh_pss in (0.1, 0.3):
+            want = _seed_stage1(stacked, bank, thresh_pss)
+            assert want
+            assert _stage1_candidates(stacked, bank, thresh_pss) == want
+
+
+@pytest.mark.parametrize("origins", [(0, 1500, 3000, 4500, 6000), (0,) * 5],
+                         ids=["s5_offset", "s5_synchronized"])
 def test_stage2_matches_per_lag_reference(bank, origins):
     sc = _s5_scenario(origins)
     for i in range(len(sc.trajectory)):
@@ -244,7 +287,7 @@ def test_phat_detect_matches_per_template_reference(bank):
     thresh = 0.045
     raw = []
     for p in range(504):
-        scores = correlate(stacked, bank.samples[p], "phat")
+        scores = phat_reference(stacked, bank.samples[p])
         lag = int(np.argmax(scores))
         if scores[lag] > thresh:
             raw.append(Detection(Pci(p), lag, float(scores[lag])))

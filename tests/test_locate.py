@@ -112,7 +112,7 @@ def test_tdoa_noiseless_exact():
     toa = _dist(towers, truth) / M_PER_SAMPLE
     obs = [TowerObservation(tuple(t), toa_samples=ti)
            for t, ti in zip(towers, toa)]
-    est = solve_tdoa(obs, FS)
+    est = solve_tdoa(obs)
     assert _err(est, truth) < 1e-3
     assert est.objective_value < 1e-20
 
@@ -124,7 +124,7 @@ def test_tdoa_equal_arrivals_pin_the_bisector():
     toa = _dist(towers, truth) / M_PER_SAMPLE
     obs = [TowerObservation(tuple(t), toa_samples=ti)
            for t, ti in zip(towers, toa)]
-    est = solve_tdoa(obs, FS)
+    est = solve_tdoa(obs)
     assert abs(est.position[0] - 1000.0) < 1e-3
     assert abs(est.position[1] - 700.0) < 1e-3
 
@@ -134,9 +134,9 @@ def test_tdoa_common_bias_cancels():
     truth = np.array([400.0, 900.0])
     toa = _dist(towers, truth) / M_PER_SAMPLE
     base = solve_tdoa([TowerObservation(tuple(t), toa_samples=ti)
-                       for t, ti in zip(towers, toa)], FS)
+                       for t, ti in zip(towers, toa)])
     biased = solve_tdoa([TowerObservation(tuple(t), toa_samples=ti + 1234.5)
-                         for t, ti in zip(towers, toa)], FS)
+                         for t, ti in zip(towers, toa)])
     assert abs(biased.position[0] - base.position[0]) < 1e-6
     assert abs(biased.position[1] - base.position[1]) < 1e-6
 
@@ -147,9 +147,9 @@ def test_tdoa_translation_equivariance():
     shift = np.array([-7000.0, 2500.0])
     toa = _dist(towers, truth) / M_PER_SAMPLE
     a = solve_tdoa([TowerObservation(tuple(t), toa_samples=ti)
-                    for t, ti in zip(towers, toa)], FS)
+                    for t, ti in zip(towers, toa)])
     b = solve_tdoa([TowerObservation(tuple(t + shift), toa_samples=ti)
-                    for t, ti in zip(towers, toa)], FS)
+                    for t, ti in zip(towers, toa)])
     assert abs(b.position[0] - a.position[0] - shift[0]) < 1e-3
     assert abs(b.position[1] - a.position[1] - shift[1]) < 1e-3
 
@@ -158,13 +158,13 @@ def test_tdoa_requires_toa():
     towers = np.array([[0.0, 0.0], [2000.0, 0.0], [1000.0, 1732.0]])
     obs = [TowerObservation(tuple(t), amplitude=1.0) for t in towers]
     with pytest.raises(ValueError):
-        solve_tdoa(obs, FS)
+        solve_tdoa(obs)
 
 
 def test_tdoa_two_towers_raises():
     with pytest.raises(InsufficientAnchorsError):
         solve_tdoa([TowerObservation((0.0, 0.0), toa_samples=0.0),
-                    TowerObservation((100.0, 0.0), toa_samples=0.1)], FS)
+                    TowerObservation((100.0, 0.0), toa_samples=0.1)])
 
 
 def test_tdoa_residual_consistent_with_noise():
@@ -184,7 +184,7 @@ def test_tdoa_residual_consistent_with_noise():
         toa = d / M_PER_SAMPLE + rng.normal(scale=sigma_samples, size=4)
         obs = [TowerObservation(tuple(t), toa_samples=ti)
                for t, ti in zip(towers, toa)]
-        objs.append(solve_tdoa(obs, FS).objective_value)
+        objs.append(solve_tdoa(obs).objective_value)
     assert max(objs) <= bound
     assert np.median(objs) <= n_pairs * 2.0 * sigma_t ** 2
 
@@ -198,7 +198,7 @@ def test_solvers_deterministic():
     tobs = [TowerObservation(tuple(t), toa_samples=di / M_PER_SAMPLE)
             for t, di in zip(towers, d)]
     r1, r2 = trilaterate_ratio(robs), trilaterate_ratio(robs)
-    t1, t2 = solve_tdoa(tobs, FS), solve_tdoa(tobs, FS)
+    t1, t2 = solve_tdoa(tobs), solve_tdoa(tobs)
     assert r1.position == r2.position and r1.iterations == r2.iterations
     assert t1.position == t2.position and t1.iterations == t2.iterations
 
@@ -233,7 +233,7 @@ def test_solvers_match_pair_loop_reference_exactly(n):
             for t, di, e in zip(towers, d, rng.standard_normal(n))]
     tobs = [TowerObservation(tuple(t), toa_samples=di / M_PER_SAMPLE + 0.3 * e)
             for t, di, e in zip(towers, d, rng.standard_normal(n))]
-    for obs, est in ((robs, trilaterate_ratio(robs)), (tobs, solve_tdoa(tobs, FS))):
+    for obs, est in ((robs, trilaterate_ratio(robs)), (tobs, solve_tdoa(tobs))):
         ref, nit = _pair_loop_reference(obs, obs is tobs)
         assert est.position == (float(ref.x[0]), float(ref.x[1]))
         assert est.iterations == nit

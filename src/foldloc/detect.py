@@ -7,27 +7,31 @@ destroys the sign difference between Zadoff-Chu roots 29 and 34, so their
 folded waveforms coincide and stage-1 scanning needs only two PSS shapes.
 
 The bank is three read-only arrays, one row per PCI: unit-norm windows,
-their original norms and the two PSS scan windows. `correlate_bank` is the
-one kernel that scores templates at every lag, from one FFT of the trace:
-stage 1 runs it once on both PSS shapes, the phat scan on the whole bank,
-and a single template is a one-row array. Stage 2 scores every candidate
-window against the whole bank with one matrix product. Detection returns
-scored (pci, delay) pairs; `refine`, the single enrichment step for every
-mode, fits their amplitudes, suppresses false positives and gives the
-survivors a sub-sample offset.
+their original norms and the two PSS scan windows. A data-free frame is
+zero outside its four sync symbols, and the window holds two zero samples,
+then SSS and PSS of slot 0 with their cyclic prefixes. So `build_bank`
+modulates only those two symbols, many PCIs per transform, and folds a
+segment that reaches the FIR's half length past each window edge; only a
+reach above about 9,300 samples would take in the slot-10 pair too.
+
+`correlate_bank` is the one kernel that scores templates at every lag,
+from one FFT of the trace: stage 1 runs it once on both PSS shapes, the
+phat scan on the whole bank, and a single template is a one-row array.
+Stage 2 scores every candidate window against the whole bank with one
+matrix product. Detection returns scored (pci, delay) pairs; `refine`, the
+single enrichment step for every mode, fits their amplitudes, suppresses
+false positives and gives the survivors a sub-sample offset.
 """
 from __future__ import annotations
 
-import hashlib
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import amplitude
 from .amplitude import _EPS
-from .frontend import FrontEndConfig, fold_baseband
-from .lte import FrameConfig, Pci, frame_samples
+from .frontend import FrontEndConfig, design_lowpass, fold_baseband
+from .lte import FrameConfig, Pci, sync_segment
 from .scenario import read_csv_rows
 
 DETECTOR_RATE_HZ = 1.92e6
@@ -39,7 +43,7 @@ PSS_TEMPLATE_LEN = 138        # trailing CP + PSS portion of the window
 CANDIDATE_WINDOW = 3          # stage-2 lags searched either side of a PSS peak
 STAGE1_GROUP_GAP = 8          # PSS lags this close above threshold are one peak
 DELAY_CLUSTER_RADIUS = 5      # delays this close (mod half frame) are one cluster
-BANK_CHUNK = 72               # templates per FFT batch in correlate_bank
+BANK_CHUNK = 72               # templates per batch in correlate_bank and build_bank
 PHAT_FLOOR = 0.05             # phat keeps bins above this share of the peak
 DETECTION_COLUMNS = ("pci", "delay_samples", "subsample_offset", "amplitude",
                      "score")
@@ -73,62 +77,54 @@ class TemplateBank:
     samples: np.ndarray = field(repr=False)
     norms: np.ndarray = field(repr=False)
     pss_unit: np.ndarray = field(repr=False)
-    config_key: str = ""
-
-    @classmethod
-    def from_arrays(cls, samples, norms, pss_raw, key: str) -> "TemplateBank":
-        """Bank from the stored arrays; pss_raw holds the two raw PSS windows."""
-        w = pss_raw - pss_raw.mean(axis=1, keepdims=True)
-        arrays = (samples, norms, w / np.linalg.norm(w, axis=1, keepdims=True))
-        for a in arrays:
-            a.setflags(write=False)
-        return cls(*arrays, config_key=key)
 
 
-def _fold_preamble(pci: int, fe: FrontEndConfig) -> np.ndarray:
-    cfg = FrameConfig.from_bandwidth(1.4)
-    return fold_baseband(frame_samples(cfg, pci, "none"), cfg.sample_rate_hz, fe)
-
-
-def build_bank(fe: FrontEndConfig, cache_dir: str | None = None) -> TemplateBank:
+def build_bank(fe: FrontEndConfig) -> TemplateBank:
     """Materialize all 504 folded sync templates through the ideal front end.
 
-    Deterministic for a given front-end config; cache_dir (or the
-    FOLDLOC_CACHE_DIR environment variable) enables an npz disk cache keyed
-    by a hash of the filter parameters.
+    Each row equals the PCI's data-free 1.4 MHz frame folded through fe and
+    windowed at TEMPLATE_START, but only the input the window reads is
+    built: a segment reaching the FIR's half length either side of the
+    window, zero outside the sync symbols it holds. Without the FIR that
+    is SSS and PSS of slot 0 alone; the slot-10 pair enters only for a
+    reach above about 9,300 samples. Per block of BANK_CHUNK PCIs,
+    `sync_segment` modulates those symbols in one IFFT and one
+    fold_baseband call folds the (BANK_CHUNK, segment) array.
     """
     if abs(fe.adc_rate_hz - DETECTOR_RATE_HZ) > 1e-6:
         raise ValueError("template bank arithmetic requires a 1.92 MHz ADC rate")
-    cache_dir = cache_dir or os.environ.get("FOLDLOC_CACHE_DIR")
-    key = fe.key()
-    cache_path = None
-    if cache_dir:
-        digest = hashlib.sha256(key.encode()).hexdigest()[:12]
-        cache_path = os.path.join(cache_dir, f"bank_{digest}.npz")
-        if os.path.exists(cache_path):
-            with np.load(cache_path, allow_pickle=False) as z:
-                if str(z["key"]) == key:
-                    return TemplateBank.from_arrays(z["samples"], z["norms"],
-                                                    z["pss_raw"], key)
+    cfg = FrameConfig.from_bandwidth(1.4)    # sampled at the detector rate
+    fs = cfg.sample_rate_hz
+    # lowpass_decimate runs its FIR only below Nyquist; each output then
+    # reads `reach` input samples either side
+    reach = (design_lowpass(fs, fe).size - 1) // 2 \
+        if fe.lpf_cutoff_hz < fs / 2.0 else 0
+    lo = max(0, TEMPLATE_START - reach)
+    hi = min(cfg.frame_len, TEMPLATE_START + TEMPLATE_LEN + reach)
+
+    def windows(pcis):
+        y = fold_baseband(sync_segment(cfg, pcis, lo, hi), fs, fe)
+        return y[:, TEMPLATE_START - lo:][:, :TEMPLATE_LEN]
 
     samples = np.empty((504, TEMPLATE_LEN))
     norms = np.empty(504)
-    pss_raw = np.empty((2, PSS_TEMPLATE_LEN))
-    for p in range(504):
-        y = _fold_preamble(p, fe)
-        w = y[TEMPLATE_START:TEMPLATE_START + TEMPLATE_LEN]
-        w0 = w - w.mean()
-        norms[p] = np.linalg.norm(w0)
-        samples[p] = w0 / norms[p]
-        if p < 2:
-            # sectors 0 and 1 of group 0; root 34 (sector 2) folds
-            # identically to root 29 and needs no third entry
-            pss_raw[p] = w[-PSS_TEMPLATE_LEN:]
-
-    if cache_path:
-        os.makedirs(cache_dir, exist_ok=True)
-        np.savez(cache_path, samples=samples, norms=norms, pss_raw=pss_raw, key=key)
-    return TemplateBank.from_arrays(samples, norms, pss_raw, key)
+    # BANK_CHUNK PCIs at a time: freeing a whole-bank temporary (2.2 MB)
+    # raises glibc's mmap threshold, and later set-ups then peak ~3 MB higher
+    for block in np.split(np.arange(504), range(BANK_CHUNK, 504, BANK_CHUNK)):
+        # row by row: norm(axis=1) can differ from the 1-D norm in the last
+        # bit, and each row must equal its single-frame reference exactly
+        for p, w in zip(block, windows(block)):
+            w0 = w - w.mean()
+            norms[p] = np.linalg.norm(w0)
+            samples[p] = w0 / norms[p]
+    # sectors 0 and 1 of group 0; root 34 (sector 2) folds identically to
+    # root 29 and needs no third entry
+    w = windows(np.arange(2))[:, -PSS_TEMPLATE_LEN:]
+    w = w - w.mean(axis=1, keepdims=True)
+    pss_unit = w / np.linalg.norm(w, axis=1, keepdims=True)
+    for a in (samples, norms, pss_unit):
+        a.setflags(write=False)
+    return TemplateBank(samples, norms, pss_unit)
 
 
 def stack_frames(trace: np.ndarray, n_frames: int) -> np.ndarray:
@@ -158,9 +154,8 @@ def _window_norms(x: np.ndarray, wlen: int) -> np.ndarray:
     ext = np.concatenate([x, x[:wlen - 1]])
     c1 = np.concatenate([[0.0], np.cumsum(ext)])
     c2 = np.concatenate([[0.0], np.cumsum(ext * ext)])
-    idx = np.arange(x.size)
-    s1 = c1[idx + wlen] - c1[idx]
-    s2 = c2[idx + wlen] - c2[idx]
+    s1 = c1[wlen:] - c1[:-wlen]
+    s2 = c2[wlen:] - c2[:-wlen]
     var = s2 - s1 * s1 / wlen
     flat = var <= x.size * np.finfo(np.float64).eps * float(x @ x)
     return np.where(flat, 0.0, np.sqrt(np.maximum(var, 0.0)))

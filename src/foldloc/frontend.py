@@ -35,8 +35,8 @@ class FrontEndConfig:
     lives below ~0.96 MHz, so sampling at 1.92 MHz with a 1.4 MHz filter
     aliases only data-difference terms that the detector tolerates.
 
-    noise_sigma takes no part in equality or hashing, like `key()`: front
-    ends that differ only in noise share one filter and one template bank.
+    noise_sigma takes no part in equality or hashing: front ends that
+    differ only in noise share one filter and one template bank.
     """
 
     lpf_cutoff_hz: float = 1.4e6
@@ -51,11 +51,6 @@ class FrontEndConfig:
             raise ValueError("cutoff and adc rate must be positive")
         if self.lpf_cutoff_hz > self.adc_rate_hz:
             raise ValueError("lpf cutoff above the ADC rate is unrealizable")
-
-    def key(self) -> str:
-        """Stable identity string; template banks are cached under its hash."""
-        return (f"cutoff={self.lpf_cutoff_hz:.6g};trans={self.lpf_transition_hz:.6g};"
-                f"atten={self.lpf_atten_db:.6g};adc={self.adc_rate_hz:.6g}")
 
 
 @dataclass(frozen=True)
@@ -122,7 +117,7 @@ def design_lowpass(fs: float, cfg: FrontEndConfig) -> np.ndarray:
 
 
 def lowpass_decimate(sq: np.ndarray, fs_in: float, cfg: FrontEndConfig) -> np.ndarray:
-    """Low-pass and decimate to the ADC rate.
+    """Low-pass and decimate to the ADC rate, along the last axis.
 
     Output i is the FIR output centered on input sample i * dec: the
     odd-length linear-phase FIR's group delay is compensated, so template
@@ -142,7 +137,7 @@ def lowpass_decimate(sq: np.ndarray, fs_in: float, cfg: FrontEndConfig) -> np.nd
         lead = -center % dec
         first = (center + lead) // dec
         y = upfirdn(np.concatenate([np.zeros(lead), taps]), sq, down=dec)
-        y = y[first:first + -(-sq.size // dec)]
+        y = y[..., first:first + -(-sq.shape[-1] // dec)]
     elif dec == 1:
         # already at the ADC rate and the cutoff clears its Nyquist band:
         # the filter would be all-pass, skip it

@@ -6,9 +6,9 @@ outside the detector filter), detected with the hierarchical search (or the
 exhaustive phat scan), refined once with `detect.refine`, which suppresses
 false positives by fitted amplitude, and localized from the surviving
 detections. The template bank is built once per process and front end
-(noise is no part of a front end's identity). Every random draw comes from
-a named substream of the scenario seed, so reports are byte-identical
-across runs and worker counts.
+(noise is no part of a front end's identity), with no disk cache. Every
+random draw comes from a named substream of the scenario seed, so reports
+are byte-identical across runs and worker counts.
 
 Synthesis builds each cell's frames of a fix in one `frame_samples` call,
 then delays them exactly with one full-length FFT, a phase ramp and one
@@ -41,13 +41,13 @@ from .scenario import Scenario, scenario_cell_db, substream
 
 
 @lru_cache(maxsize=4)
-def _bank_for(fe: FrontEndConfig, cache_dir: str | None = None):
+def _bank_for(fe: FrontEndConfig):
     """Template bank of a front end, built once per process.
 
-    Front ends that differ only in noise_sigma share one entry. cache_dir
-    None falls back to FOLDLOC_CACHE_DIR inside build_bank.
+    Front ends that differ only in noise_sigma share one entry; nothing is
+    kept on disk.
     """
-    return build_bank(fe, cache_dir)
+    return build_bank(fe)
 
 
 def _delay_ramp(n: int, delay_samples: float, scale: float) -> np.ndarray:
@@ -319,16 +319,14 @@ def cmd_synth(sc: Scenario, outdir: str) -> str:
 
 def cmd_detect(trace_path: str, fe: FrontEndConfig, out_csv: str,
                thresh_pss: float = 0.3, thresh_sss: float = 0.5,
-               n_stack: int | None = None, mode: str = "plain",
-               cache_dir: str | None = None) -> list[Detection]:
+               n_stack: int | None = None,
+               mode: str = "plain") -> list[Detection]:
     samples, rate = traceio.read_trace(trace_path)
     if abs(rate - fe.adc_rate_hz) > 1e-6:
         raise BankMismatchError(
             f"trace rate {rate:g} does not match front end {fe.adc_rate_hz:g}")
-    # lru_cache tells _bank_for(fe) and _bank_for(fe, None) apart;
-    # without a cache dir, share the entry of run_fix and cmd_localize
-    bank = _bank_for(fe, cache_dir) if cache_dir else _bank_for(fe)
-    dets = detect_trace(samples, bank, thresh_pss, thresh_sss, n_stack, mode)
+    dets = detect_trace(samples, _bank_for(fe), thresh_pss, thresh_sss,
+                        n_stack, mode)
     write_detections_csv(out_csv, dets)
     return dets
 

@@ -9,7 +9,8 @@ Synthesis is batched: `frame_samples` fills all n frames of a cell as one
 symbol-major (n, 140, fft) grid, runs one IFFT over it, and inserts cyclic
 prefixes with one precomputed gather index per FFT size. The payload of n
 frames comes from one draw of the generator, bit-identical to n draws of one
-frame each.
+frame each. `sync_segment` builds a span of many PCIs' data-free frames from
+the sync symbols inside it alone.
 """
 from __future__ import annotations
 
@@ -144,9 +145,13 @@ _C_TILDE = 1 - 2 * _mseq((3, 0))
 _Z_TILDE = 1 - 2 * _mseq((4, 2, 1, 0))
 
 
-def sss_shift_pair(group: int) -> tuple[int, int]:
-    """Cyclic-shift pair (m0, m1) for an SSS group id in [0, 167]."""
-    if not 0 <= group <= 167:
+def sss_shift_pair(group):
+    """Cyclic-shift pair (m0, m1) for SSS group ids in [0, 167].
+
+    group may be an int or an integer array; m0 and m1 take its shape.
+    """
+    group = np.asarray(group)
+    if np.any((group < 0) | (group > 167)):
         raise ValueError(f"group {group} outside [0, 167]")
     q_prime = group // 30
     q = (group + q_prime * (q_prime + 1) // 2) // 30
@@ -156,17 +161,19 @@ def sss_shift_pair(group: int) -> tuple[int, int]:
     return m0, m1
 
 
-def generate_sss(group: int, sector: int, subframe: int) -> np.ndarray:
+def generate_sss(group, sector, subframe: int) -> np.ndarray:
     """Length-62 BPSK SSS for (group, sector) in subframe 0 or 5.
 
     Two cyclic shifts of an m-sequence are interleaved on even/odd
     subcarriers, scrambled by sector-dependent shifts of two more
     m-sequences; subframes 0 and 5 swap the shift roles so the receiver can
-    resolve frame timing.
+    resolve frame timing. group and sector may be broadcastable integer
+    arrays; the sequences then run along a trailing axis of 62.
     """
     if subframe not in (0, 5):
         raise ValueError("SSS exists only in subframes 0 and 5")
     m0, m1 = sss_shift_pair(group)
+    m0, m1, sector = m0[..., None], m1[..., None], np.asarray(sector)[..., None]
     n = np.arange(31)
     s_m0 = _S_TILDE[(n + m0) % 31]
     s_m1 = _S_TILDE[(n + m1) % 31]
@@ -174,13 +181,13 @@ def generate_sss(group: int, sector: int, subframe: int) -> np.ndarray:
     c1 = _C_TILDE[(n + sector + 3) % 31]
     z_m0 = _Z_TILDE[(n + (m0 % 8)) % 31]
     z_m1 = _Z_TILDE[(n + (m1 % 8)) % 31]
-    out = np.empty(62, dtype=np.float64)
+    out = np.empty(np.broadcast_shapes(s_m0.shape, c0.shape)[:-1] + (62,))
     if subframe == 0:
-        out[0::2] = s_m0 * c0
-        out[1::2] = s_m1 * c1 * z_m0
+        out[..., 0::2] = s_m0 * c0
+        out[..., 1::2] = s_m1 * c1 * z_m0
     else:
-        out[0::2] = s_m1 * c0
-        out[1::2] = s_m0 * c1 * z_m1
+        out[..., 0::2] = s_m1 * c0
+        out[..., 1::2] = s_m0 * c1 * z_m1
     return out
 
 
@@ -325,3 +332,28 @@ def frame_samples(cfg: FrameConfig, pci: Pci | int, data_mode: str = "none",
     grid = _cell_symbols(cfg, pci, data_mode, rng_seed, n_frames)
     np.fft.ifft(grid, axis=-1, norm="ortho", out=grid)
     return _add_cyclic_prefixes(grid, cfg)
+
+
+def sync_segment(cfg: FrameConfig, pcis, lo: int, hi: int) -> np.ndarray:
+    """Samples lo:hi of the data-free frame of each PCI, (len(pcis), hi - lo).
+
+    Row k equals frame_samples(cfg, pcis[k], "none")[lo:hi], but only the
+    sync symbols inside the span are modulated, all PCIs in one IFFT:
+    every other symbol of a data-free frame is zero.
+    """
+    pcis = np.asarray(pcis)
+    sym, pos = np.divmod(_cp_layout(cfg)[0][lo:hi], cfg.fft_size)
+    # the span's sync symbols, then one zero symbol for all the others
+    cols = [c for c in SSS_COLS + PSS_COLS if c in sym]
+    bodies = np.zeros((pcis.size, len(cols) + 1, cfg.fft_size),
+                      dtype=np.complex128)
+    c62 = central_62_bins(cfg.fft_size)
+    sss_subframe = dict(zip(SSS_COLS, (0, 5)))
+    pss = np.stack([generate_pss(s) for s in range(3)])[pcis % 3]
+    for i, col in enumerate(cols):
+        bodies[:, i, c62] = pss if col in PSS_COLS else \
+            generate_sss(pcis // 3, pcis % 3, sss_subframe[col])
+    np.fft.ifft(bodies, axis=-1, norm="ortho", out=bodies)
+    slot = np.full(SYMBOLS_PER_FRAME, len(cols))
+    slot[cols] = np.arange(len(cols))
+    return bodies.reshape(pcis.size, -1)[:, slot[sym] * cfg.fft_size + pos]

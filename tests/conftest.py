@@ -46,9 +46,3 @@ def fold_frame(pci, data_mode="none", rng=None, bandwidth=1.4,
     cfg = FrameConfig.from_bandwidth(bandwidth)
     bb = frame_samples(cfg, Pci(pci), data_mode, rng)
     return fold_baseband(bb, cfg.sample_rate_hz, fe_cfg or FrontEndConfig())
-
-
-@pytest.fixture(scope="session")
-def shared_cache(tmp_path_factory):
-    """One bank cache dir shared by every CLI subprocess in the session."""
-    return str(tmp_path_factory.mktemp("bankcache"))

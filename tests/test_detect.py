@@ -1,4 +1,6 @@
 """Template bank, correlation modes, hierarchical search, suppression."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -12,6 +14,7 @@ from foldloc.detect import (FRAME_LEN, HALF_FRAME, PSS_TEMPLATE_LEN,
                             stack_frames, suppress_false_positives,
                             write_detections_csv)
 from foldloc.frontend import FrontEndConfig
+from foldloc.harness import _bank_for
 from foldloc.lte import Pci
 
 
@@ -30,14 +33,39 @@ def test_bank_shape_and_normalization(bank):
         assert not a.flags.writeable
 
 
-def test_bank_deterministic_and_cached(fe, tmp_path):
+def test_bank_deterministic_and_cached(fe):
     a = build_bank(fe)
-    b = build_bank(fe, cache_dir=str(tmp_path))      # writes the cache
-    c = build_bank(fe, cache_dir=str(tmp_path))      # reads it back
+    b = build_bank(fe)
     for name in ("samples", "norms", "pss_unit"):
         assert np.array_equal(getattr(a, name), getattr(b, name))
-        assert np.array_equal(getattr(b, name), getattr(c, name))
-    assert list(tmp_path.glob("bank_*.npz"))
+    # one bank per process and front end; noise is no part of its identity
+    assert _bank_for(fe) is _bank_for(replace(fe, noise_sigma=0.5))
+
+
+@pytest.mark.parametrize("fe_cfg", [FrontEndConfig(),
+                                    FrontEndConfig(lpf_cutoff_hz=0.8e6)],
+                         ids=["no_fir", "fir"])
+def test_bank_matches_full_frame_reference(fe_cfg):
+    """Each row is, to the bit, the window of the PCI's whole data-free
+    frame folded through the front end, mean-removed and normalized; at
+    0.8 MHz the FIR runs and reads past the window edges."""
+    samples = np.empty((504, TEMPLATE_LEN))
+    norms = np.empty(504)
+    for p in range(504):
+        w = fold_frame(p, fe_cfg=fe_cfg)[TEMPLATE_START:
+                                         TEMPLATE_START + TEMPLATE_LEN]
+        w0 = w - w.mean()
+        norms[p] = np.linalg.norm(w0)
+        samples[p] = w0 / norms[p]
+    pss = np.stack([fold_frame(p, fe_cfg=fe_cfg)[
+        TEMPLATE_START + TEMPLATE_LEN - PSS_TEMPLATE_LEN:
+        TEMPLATE_START + TEMPLATE_LEN] for p in (0, 1)])
+    pss -= pss.mean(axis=1, keepdims=True)
+    pss /= np.linalg.norm(pss, axis=1, keepdims=True)
+    got = build_bank(fe_cfg)
+    assert np.array_equal(got.samples, samples)
+    assert np.array_equal(got.norms, norms)
+    assert np.array_equal(got.pss_unit, pss)
 
 
 def test_bank_requires_detector_rate():

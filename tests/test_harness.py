@@ -460,13 +460,11 @@ ROADS = ("node_a_id,node_b_id,ax,ay,bx,by,max_speed_mps\n"
          "a,b,-1000,0,1000,0,30\n")
 
 
-def _run_cli(args, env_extra=None):
+def _run_cli(args):
     env = dict(os.environ)
     # the child imports the same foldloc as this process, installed or not
     src = os.path.dirname(os.path.dirname(foldloc.__file__))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    if env_extra:
-        env.update(env_extra)
     return subprocess.run([sys.executable, "-m", "foldloc", *args],
                           capture_output=True, text=True, env=env)
 
@@ -480,16 +478,15 @@ def cli_workdir(tmp_path_factory):
     return d
 
 
-def test_cli_synth_detect_chain(cli_workdir, shared_cache):
-    env = {"FOLDLOC_CACHE_DIR": shared_cache}
+def test_cli_synth_detect_chain(cli_workdir):
     r = _run_cli(["synth", str(cli_workdir / "sc.ini"),
-                  "-o", str(cli_workdir / "traces")], env)
+                  "-o", str(cli_workdir / "traces")])
     assert r.returncode == 0, r.stderr
     manifest = cli_workdir / "traces" / "manifest.csv"
     assert manifest.exists()
 
     r = _run_cli(["detect", str(manifest),
-                  "-o", str(cli_workdir / "dets")], env)
+                  "-o", str(cli_workdir / "dets")])
     assert r.returncode == 0, r.stderr
     det_manifest = cli_workdir / "dets" / "detections_manifest.csv"
     assert det_manifest.exists()
@@ -499,28 +496,26 @@ def test_cli_synth_detect_chain(cli_workdir, shared_cache):
 
     r = _run_cli(["localize", str(det_manifest),
                   "--cell-db", str(cli_workdir / "cells.csv"),
-                  "-o", str(cli_workdir / "traj.csv")], env)
+                  "-o", str(cli_workdir / "traj.csv")])
     assert r.returncode == 0, r.stderr
 
     r = _run_cli(["track", str(cli_workdir / "traj.csv"),
                   "--roads", str(cli_workdir / "roads.csv"),
-                  "-o", str(cli_workdir / "out")], env)
+                  "-o", str(cli_workdir / "out")])
     assert r.returncode == 0, r.stderr
     assert (cli_workdir / "out.snapped.csv").exists()
     assert (cli_workdir / "out.alerts.csv").exists()
 
 
-def test_cli_eval(cli_workdir, shared_cache):
+def test_cli_eval(cli_workdir):
     r = _run_cli(["eval", str(cli_workdir / "sc.ini"),
-                  "-o", str(cli_workdir / "report.json")],
-                 {"FOLDLOC_CACHE_DIR": shared_cache})
+                  "-o", str(cli_workdir / "report.json")])
     assert r.returncode == 0, r.stderr
     report = json.loads((cli_workdir / "report.json").read_text())
     assert report["metrics"]["recall"] == 1.0
 
 
-def test_cli_detect_builds_bank_once_per_process(tmp_path, monkeypatch,
-                                                shared_cache):
+def test_cli_detect_builds_bank_once_per_process(tmp_path, monkeypatch):
     from dataclasses import replace
 
     from foldloc import harness
@@ -538,8 +533,7 @@ def test_cli_detect_builds_bank_once_per_process(tmp_path, monkeypatch,
     monkeypatch.setattr(harness, "build_bank", counting_build_bank)
     harness._bank_for.cache_clear()
     try:
-        assert main(["detect", manifest, "-o", str(tmp_path / "dets"),
-                     "--cache-dir", shared_cache]) == 0
+        assert main(["detect", manifest, "-o", str(tmp_path / "dets")]) == 0
     finally:
         harness._bank_for.cache_clear()
     assert len(builds) == 1
@@ -595,11 +589,10 @@ def test_cli_detect_bad_trace_rate_exits_3(tmp_path, capsys, rate):
     assert not (tmp_path / "t.detections.csv").exists()
 
 
-def test_cli_detect_stack_zero_exits_2(tmp_path, capsys, shared_cache):
+def test_cli_detect_stack_zero_exits_2(tmp_path, capsys):
     from foldloc.cli import main
     manifest = cmd_synth(_single_cell_scenario(), str(tmp_path / "traces"))
     trace = list(csv.DictReader(open(manifest)))[0]["trace_path"]
-    assert main(["detect", trace, "-o", str(tmp_path), "--stack", "0",
-                 "--cache-dir", shared_cache]) == 2
+    assert main(["detect", trace, "-o", str(tmp_path), "--stack", "0"]) == 2
     assert "n_frames" in capsys.readouterr().err
     assert not (tmp_path / "trace_fix_0000.detections.csv").exists()

@@ -7,7 +7,7 @@ import pytest
 from foldloc.lte import (BANDWIDTH_TABLE, FrameConfig, Pci,
                          build_frame, central_62_bins, frame_samples,
                          generate_pss, generate_sss, ofdm_demodulate,
-                         ofdm_modulate)
+                         ofdm_modulate, sss_shift_pair, sync_segment)
 
 
 def test_pci_decomposition():
@@ -81,6 +81,20 @@ def test_sss_subframes_differ_for_every_group():
         a = generate_sss(group, 0, 0)
         b = generate_sss(group, 0, 5)
         assert not np.array_equal(a, b)
+
+
+def test_sss_batched_matches_scalar_calls():
+    groups = np.arange(504) // 3
+    sectors = np.arange(504) % 3
+    m0, m1 = sss_shift_pair(groups)
+    for sf in (0, 5):
+        batch = generate_sss(groups, sectors, sf)
+        assert batch.shape == (504, 62)
+        for p in range(504):
+            assert np.array_equal(batch[p], generate_sss(p // 3, p % 3, sf))
+            assert (m0[p], m1[p]) == sss_shift_pair(p // 3)
+    with pytest.raises(ValueError):
+        sss_shift_pair(np.array([0, 168]))
 
 
 def test_sss_distinct_across_groups():
@@ -236,3 +250,16 @@ def test_ofdm_modulate_needs_whole_frames(cfg14):
         ofdm_modulate(np.zeros((cfg14.fft_size, 141), complex), cfg14)
     with pytest.raises(ValueError):
         ofdm_modulate(np.zeros((64, 140), complex), cfg14)
+
+
+@pytest.mark.parametrize("span", [(684, 960), (0, 19200), (9000, 10600)])
+def test_sync_segment_matches_data_free_frames(cfg14, span):
+    """Rows equal slices of whole data-free frames to the bit, for spans
+    holding the slot-0 sync pair, all four sync symbols, or the slot-10
+    pair alone."""
+    lo, hi = span
+    pcis = [0, 1, 2, 250, 503]
+    got = sync_segment(cfg14, pcis, lo, hi)
+    assert got.shape == (len(pcis), hi - lo)
+    for row, p in zip(got, pcis):
+        assert np.array_equal(row, frame_samples(cfg14, p, "none")[lo:hi])

@@ -41,7 +41,6 @@ def _build_parser() -> argparse.ArgumentParser:
     pd.add_argument("--thresh-sss", type=float, default=0.5)
     pd.add_argument("--stack", type=int, default=None,
                     help="frames to stack (default: whole trace)")
-    pd.add_argument("--mode", choices=("plain", "phat"), default="plain")
 
     pl = sub.add_parser("localize", help="solve positions from detections")
     pl.add_argument("manifest", help="detections manifest from `detect`")
@@ -82,7 +81,7 @@ def _do_detect(args) -> int:
                     outdir, f"detections_fix_{int(row['fix']):04d}.csv")
                 dets = cmd_detect(row["trace_path"], fe, out_csv,
                                   args.thresh_pss, args.thresh_sss,
-                                  args.stack, args.mode)
+                                  args.stack)
                 w.writerow([row["fix"], row["t"], out_csv, row["x_true"],
                             row["y_true"], row["true_pcis"]])
                 print(f"fix {row['fix']}: {len(dets)} detections")
@@ -94,7 +93,7 @@ def _do_detect(args) -> int:
             outdir, os.path.basename(args.input).rsplit(".", 1)[0]
             + ".detections.csv")
         dets = cmd_detect(args.input, fe, out_csv, args.thresh_pss,
-                          args.thresh_sss, args.stack, args.mode)
+                          args.thresh_sss, args.stack)
         for d in dets:
             print(f"pci={d.pci.value} delay={d.delay_samples} "
                   f"score={d.score:.3f} amp={d.amplitude:.4g}")

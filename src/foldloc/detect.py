@@ -15,12 +15,12 @@ segment that reaches the FIR's half length past each window edge; only a
 reach above about 9,300 samples would take in the slot-10 pair too.
 
 `correlate_bank` is the one kernel that scores templates at every lag,
-from one FFT of the trace: stage 1 runs it once on both PSS shapes, the
-phat scan on the whole bank, and a single template is a one-row array.
-Stage 2 scores every candidate window against the whole bank with one
-matrix product. Detection returns scored (pci, delay) pairs; `refine`, the
-single enrichment step for every mode, fits their amplitudes, suppresses
-false positives and gives the survivors a sub-sample offset.
+from one FFT of the trace: stage 1 runs it once on both PSS shapes, and a
+single template is a one-row array. Stage 2 scores every candidate window
+against the whole bank with one matrix product. Detection returns scored
+(pci, delay) pairs; `refine`, the single enrichment step, gives them their
+received power, suppresses false positives by it and gives the survivors
+a sub-sample offset.
 """
 from __future__ import annotations
 
@@ -32,7 +32,7 @@ from . import amplitude
 from .amplitude import _EPS
 from .frontend import FrontEndConfig, design_lowpass, fold_baseband
 from .lte import FrameConfig, Pci, sync_segment
-from .scenario import read_csv_rows
+from .scenario import ScenarioError, read_csv_rows
 
 DETECTOR_RATE_HZ = 1.92e6
 FRAME_LEN = 19200             # 10 ms at the detector rate
@@ -44,7 +44,6 @@ CANDIDATE_WINDOW = 3          # stage-2 lags searched either side of a PSS peak
 STAGE1_GROUP_GAP = 8          # PSS lags this close above threshold are one peak
 DELAY_CLUSTER_RADIUS = 5      # delays this close (mod half frame) are one cluster
 BANK_CHUNK = 72               # templates per batch in correlate_bank and build_bank
-PHAT_FLOOR = 0.05             # phat keeps bins above this share of the peak
 DETECTION_COLUMNS = ("pci", "delay_samples", "subsample_offset", "amplitude",
                      "score")
 
@@ -54,7 +53,7 @@ class Detection:
     pci: Pci
     delay_samples: int            # index where the folded sync window starts
     score: float
-    amplitude: float = 0.0
+    amplitude: float = 0.0        # received amplitude squared, set by refine
     subsample_offset: float = 0.0
 
 
@@ -67,9 +66,10 @@ class TemplateBank:
     """All 504 folded sync windows of one front end, as read-only arrays.
 
     samples (504, 276): mean-removed, unit-norm windows, row = PCI.
-    norms (504,): the L2 norm each window had before normalization; it
-    carries the absolute folded amplitude scale (proportional to received
-    amplitude squared).
+    norms (504,): the L2 norm each window had before normalization, that
+    is the folded window of a unit-amplitude cell. `refine` divides each
+    fitted scale of a unit window by it, so a detection's amplitude is
+    the received amplitude squared, comparable across PCIs.
     pss_unit (2, 138): mean-removed, unit-norm PSS scan windows of sectors
     0 and 1, the only two folded PSS shapes.
     """
@@ -161,23 +161,16 @@ def _window_norms(x: np.ndarray, wlen: int) -> np.ndarray:
     return np.where(flat, 0.0, np.sqrt(np.maximum(var, 0.0)))
 
 
-def correlate_bank(stacked: np.ndarray, templates: np.ndarray,
-                   mode: str = "plain") -> np.ndarray:
-    """(k, n) scores of k zero-mean, unit-norm templates at every lag.
+def correlate_bank(stacked: np.ndarray, templates: np.ndarray) -> np.ndarray:
+    """(k, n) normalized cross-correlation of k templates at every lag.
 
     Every circular lag of the stacked frame is scored against each row of
-    templates (k, L), from one FFT of the trace and batches of BANK_CHUNK
-    template spectra; scores are clipped to [-1, 1]. plain: normalized
-    cross-correlation, dividing by the shared window norms (Lewis's
-    running-sum fast NCC; flat windows score 0). phat: the cross spectrum
-    whitened to unit magnitude on the bins where the template holds at
-    least PHAT_FLOOR of its peak magnitude and zeroed elsewhere, so
-    narrowband interference weighs only its few bins (Knapp & Carter's
-    phase transform). A single template scores as
+    templates (k, L), zero-mean and unit-norm, from one FFT of the trace
+    and batches of BANK_CHUNK template spectra, dividing by the shared
+    window norms (Lewis's running-sum fast NCC; flat windows score 0).
+    Scores are clipped to [-1, 1]. A single template scores as
     correlate_bank(x, tpl[None])[0].
     """
-    if mode not in ("plain", "phat"):
-        raise ValueError(f"unknown correlation mode {mode!r}")
     k, wlen = templates.shape
     n = stacked.size
     if n < wlen:
@@ -188,18 +181,9 @@ def correlate_bank(stacked: np.ndarray, templates: np.ndarray,
     for lo in range(0, k, BANK_CHUNK):
         rows = slice(lo, lo + BANK_CHUNK)
         spec_t = np.fft.rfft(templates[rows], n=n, axis=1)
-        r = spec_x * np.conj(spec_t)
-        if mode == "plain":
-            out[rows] = np.fft.irfft(r, n=n, axis=1) / np.maximum(denom, _EPS)
-        else:
-            mag_t = np.abs(spec_t)
-            keep = mag_t > PHAT_FLOOR * mag_t.max(axis=1, keepdims=True)
-            keep[:, 0] = False
-            w = np.where(keep, r / np.maximum(np.abs(r), _EPS), 0.0)
-            out[rows] = np.fft.irfft(w, n=n, axis=1) / \
-                (np.count_nonzero(keep, axis=1) / (n / 2.0))[:, None]
-    if mode == "plain":
-        out[:, denom == 0.0] = 0.0
+        out[rows] = np.fft.irfft(spec_x * np.conj(spec_t), n=n, axis=1) / \
+            np.maximum(denom, _EPS)
+    out[:, denom == 0.0] = 0.0
     return np.clip(out, -1.0, 1.0)
 
 
@@ -254,8 +238,9 @@ def suppress_false_positives(raw: list[Detection]) -> list[Detection]:
 
     Delays are clustered modulo the sync repetition period HALF_FRAME: the
     same emission epoch surfaces at d and d + HALF_FRAME, and near-miss
-    templates (notably half-sequence aliases) score there too. Sorting
-    survivors by score descending.
+    templates (notably half-sequence aliases) score there too. Amplitudes
+    are received powers (see `refine`), whatever each template's norm.
+    Sorting survivors by score descending.
     """
     if not raw:
         return []
@@ -280,15 +265,18 @@ def suppress_false_positives(raw: list[Detection]) -> list[Detection]:
 
 def refine(stacked: np.ndarray, bank: TemplateBank,
            dets: list[Detection]) -> list[Detection]:
-    """Fit amplitudes, suppress false positives, then time the survivors.
+    """Fit received powers, suppress false positives, time the survivors.
 
-    Suppression compares fitted amplitudes, so every raw detection gets
-    one (in place); only the kept detections get a sub-sample offset.
-    Returns the kept detections sorted by score descending.
+    Every raw detection gets its amplitude in place: the fitted scale of
+    its unit template over bank.norms, the received amplitude squared. This
+    is the one place that division happens, so suppression compares like
+    with like and no later step needs the bank. Only the kept detections
+    get a sub-sample offset. Returns them sorted by score descending.
     """
     for det in dets:
-        det.amplitude = amplitude.fit_amplitude(
-            stacked, bank.samples[det.pci.value], det.delay_samples).amplitude
+        p = det.pci.value
+        det.amplitude = float(amplitude.fit_amplitude(
+            stacked, bank.samples[p], det.delay_samples).amplitude / bank.norms[p])
     kept = suppress_false_positives(dets)
     for det in kept:
         det.subsample_offset = amplitude.estimate_subsample(
@@ -305,7 +293,16 @@ def write_detections_csv(path, detections: list[Detection]) -> None:
 
 
 def read_detections_csv(path) -> list[Detection]:
-    return [Detection(Pci(int(r["pci"])), int(r["delay_samples"]),
-                      float(r["score"]), float(r["amplitude"]),
-                      float(r["subsample_offset"]))
-            for _, r in read_csv_rows(path, DETECTION_COLUMNS)]
+    """Detections of one CSV; a malformed or non-finite value raises
+    ScenarioError naming path:line."""
+    out = []
+    for ln, r in read_csv_rows(path, DETECTION_COLUMNS):
+        try:
+            tau, amp, score = (float(r[c]) for c in DETECTION_COLUMNS[2:])
+            if not np.isfinite([tau, amp, score]).all():
+                raise ValueError("non-finite subsample_offset, amplitude or score")
+            out.append(Detection(Pci(int(r["pci"])), int(r["delay_samples"]),
+                                 score, amp, tau))
+        except ValueError as e:
+            raise ScenarioError(f"{path}:{ln}: {e}") from None
+    return out

@@ -2,13 +2,14 @@
 
 Per-fix traces are synthesized on the complex-baseband fast path (cells on
 far-spaced carriers fold independently; pairwise intermodulation lands
-outside the detector filter), detected with the hierarchical search (or the
-exhaustive phat scan), refined once with `detect.refine`, which suppresses
-false positives by fitted amplitude, and localized from the surviving
-detections. The template bank is built once per process and front end
-(noise is no part of a front end's identity), with no disk cache. Every
-random draw comes from a named substream of the scenario seed, so reports
-are byte-identical across runs and worker counts.
+outside the detector filter), detected with the hierarchical search,
+refined once with `detect.refine`, which gives each detection its received
+power and suppresses false positives by it, and localized from the
+surviving detections; localization needs no bank. The template bank is
+built once per process and front end (noise is no part of a front end's
+identity), with no disk cache. Every random draw comes from a named
+substream of the scenario seed, so reports are byte-identical across runs
+and worker counts.
 
 Synthesis builds each cell's frames of a fix in one `frame_samples` call,
 then delays them exactly with one full-length FFT, a phase ramp and one
@@ -31,11 +32,11 @@ import scipy.fft
 
 from . import traceio
 from .detect import (DETECTOR_RATE_HZ, FRAME_LEN, BankMismatchError, Detection,
-                     build_bank, correlate_bank, hierarchical_detect, refine,
-                     stack_frames, write_detections_csv)
+                     build_bank, hierarchical_detect, refine, stack_frames,
+                     write_detections_csv)
 from .frontend import (SPEED_OF_LIGHT, FrontEndConfig, fold_baseband,
                        path_amplitude, received_power_dbm)
-from .lte import Pci, frame_samples
+from .lte import frame_samples
 from .locate import TowerObservation, solve_tdoa, trilaterate_ratio
 from .scenario import Scenario, scenario_cell_db, substream
 
@@ -112,35 +113,28 @@ def synth_fix_trace(sc: Scenario, fix_idx: int) -> np.ndarray:
 def detect_trace(trace: np.ndarray, bank, thresh_pss: float = 0.3,
                  thresh_sss: float = 0.5, n_stack: int | None = None,
                  mode: str = "plain") -> list[Detection]:
-    """Stack, detect, then refine (suppressing false positives) one trace.
+    """Stack, detect with the hierarchical search, then refine one trace.
 
-    n_stack None stacks every whole frame of the trace. plain mode runs the
-    hierarchical two-stage search. phat mode correlates the full bank
-    exhaustively with whitened-phase scoring (slower, robust to narrowband
-    interference) and thresholds per-PCI peaks.
+    n_stack None stacks every whole frame of the trace. mode has the one
+    value "plain" and raises otherwise; it stays only because the
+    benchmark's workloads pass Scenario.correlation_mode positionally.
     """
+    if mode != "plain":
+        raise ValueError(f"unknown mode {mode!r}")
     if n_stack is None:
         n_stack = max(1, trace.size // FRAME_LEN)
     stacked = stack_frames(trace, n_stack)
-    if mode == "plain":
-        dets = hierarchical_detect(stacked, bank, thresh_pss, thresh_sss)
-    elif mode == "phat":
-        scores = correlate_bank(stacked, bank.samples, "phat")
-        lags = np.argmax(scores, axis=1)
-        best = scores[np.arange(504), lags]
-        dets = [Detection(Pci(int(p)), int(lags[p]), float(best[p]))
-                for p in np.flatnonzero(best > thresh_sss)]
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    return refine(stacked, bank, dets)
+    return refine(stacked, bank,
+                  hierarchical_detect(stacked, bank, thresh_pss, thresh_sss))
 
 
-def _observations(dets: list[Detection], db, bank, prev_fix=None):
+def _observations(dets: list[Detection], db, prev_fix=None):
     """Map detections to database towers, building solver observations.
 
-    Fitted folded amplitude scales as (received amplitude)^2 times the
-    template norm; its square root, corrected for carrier frequency and
-    transmit power from the database row, is proportional to 1/distance.
+    A detection's amplitude is already the received amplitude squared
+    (`refine` divided it by the template norm); its square root, corrected
+    for carrier frequency and transmit power from the database row, is
+    proportional to 1/distance.
     """
     obs, skipped = [], []
     for det in dets:
@@ -149,7 +143,7 @@ def _observations(dets: list[Detection], db, bank, prev_fix=None):
             skipped.append(det.pci.value)
             continue
         _, cx, cy, carrier, _, dbm = row
-        a_rx = np.sqrt(max(det.amplitude, 0.0) / bank.norms[det.pci.value])
+        a_rx = np.sqrt(max(det.amplitude, 0.0))
         amp = a_rx * carrier / np.sqrt(10.0 ** ((dbm - 30.0) / 10.0))
         obs.append(TowerObservation(
             position=(cx, cy), amplitude=float(amp),
@@ -162,13 +156,12 @@ def run_fix(sc: Scenario, fix_idx: int) -> dict:
     t, x, y = sc.trajectory[fix_idx]
     rx = np.array([x, y])
     trace = synth_fix_trace(sc, fix_idx)
-    bank = _bank_for(sc.front_end)
-    dets = detect_trace(trace, bank, sc.thresh_pss, sc.thresh_sss,
-                        sc.n_frames_per_fix, sc.correlation_mode)
+    dets = detect_trace(trace, _bank_for(sc.front_end), sc.thresh_pss,
+                        sc.thresh_sss, sc.n_frames_per_fix)
     truth = sorted(c.pci.value for _, c in _heard_cells(sc, rx))
 
     db = scenario_cell_db(sc)
-    obs, skipped = _observations(dets, db, bank)
+    obs, skipped = _observations(dets, db)
     record = {
         "fix": fix_idx,
         "t": t,
@@ -254,7 +247,6 @@ def run_eval(sc: Scenario, workers: int = 1) -> RunReport:
         "seed": sc.rng_seed,
         "n_frames_per_fix": sc.n_frames_per_fix,
         "solver": sc.solver,
-        "mode": sc.correlation_mode,
     }
     return RunReport(summary, records, compute_metrics(records))
 
@@ -319,14 +311,13 @@ def cmd_synth(sc: Scenario, outdir: str) -> str:
 
 def cmd_detect(trace_path: str, fe: FrontEndConfig, out_csv: str,
                thresh_pss: float = 0.3, thresh_sss: float = 0.5,
-               n_stack: int | None = None,
-               mode: str = "plain") -> list[Detection]:
+               n_stack: int | None = None) -> list[Detection]:
     samples, rate = traceio.read_trace(trace_path)
     if abs(rate - fe.adc_rate_hz) > 1e-6:
         raise BankMismatchError(
             f"trace rate {rate:g} does not match front end {fe.adc_rate_hz:g}")
     dets = detect_trace(samples, _bank_for(fe), thresh_pss, thresh_sss,
-                        n_stack, mode)
+                        n_stack)
     write_detections_csv(out_csv, dets)
     return dets
 
@@ -335,15 +326,15 @@ def cmd_localize(detections_by_fix, db, method: str = "tdoa"):
     """Solve one position per fix from detection lists; yields CSV rows.
 
     Detection delays count detector samples at DETECTOR_RATE_HZ, and
-    amplitudes are read against the default front end's template norms.
-    Rows are (t, x_est, y_est, objective, n_towers); unresolvable fixes
-    (under three matched towers) yield empty estimate fields.
+    amplitudes are received powers, already divided by the template norm
+    in `refine`, so no bank is needed. Rows are (t, x_est, y_est,
+    objective, n_towers); unresolvable fixes (under three matched towers)
+    yield empty estimate fields.
     """
-    bank = _bank_for(FrontEndConfig())
     rows = []
     prev = None
     for t, dets in detections_by_fix:
-        obs, _ = _observations(dets, db, bank, prev_fix=prev)
+        obs, _ = _observations(dets, db, prev_fix=prev)
         if len(obs) < 3:
             rows.append((t, "", "", "", len(obs)))
             continue

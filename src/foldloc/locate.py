@@ -4,7 +4,7 @@ Both objectives are smooth functions of a 2-D position, minimized with
 derivative-free simplex descent from a handful of deterministic starts.
 Under the free-space law received amplitude scales as 1/distance, so
 amplitude ratios constrain distance ratios; sample-delay differences
-constrain range differences directly.
+constrain range differences directly. A far-off estimate is not converged.
 """
 from __future__ import annotations
 
@@ -17,6 +17,7 @@ from .detect import DETECTOR_RATE_HZ
 from .frontend import SPEED_OF_LIGHT
 
 _AMP_FLOOR = 1e-12
+DIVERGENCE_SCALES = 10.0      # farther from the tower centroid is diverged
 
 
 class InsufficientAnchorsError(ValueError):
@@ -79,6 +80,26 @@ def _simplex(objective, init: np.ndarray, scale: float):
     return best, total_it
 
 
+def _solve(objective, pos: np.ndarray, notes=(),
+           objective_unit: float = 1.0) -> PositionEstimate:
+    """Minimize from the tower centroid, reporting the objective over
+    objective_unit. The warning joins the geometry check, notes, and a
+    divergence note: an estimate more than DIVERGENCE_SCALES scene scales
+    from the centroid is not converged, whatever the optimizer says."""
+    centroid, scale = pos.mean(axis=0), _scene_scale(pos)
+    res, nit = _simplex(objective, centroid, scale)
+    off = float(np.hypot(*(res.x - centroid)))
+    diverged = off > DIVERGENCE_SCALES * scale
+    notes = [_geometry_warning(pos), *notes,
+             f"diverged: estimate {off:.3g} m from the tower centroid, over "
+             f"{DIVERGENCE_SCALES:g}x the scene scale" if diverged else None]
+    return PositionEstimate(position=(float(res.x[0]), float(res.x[1])),
+                            objective_value=float(res.fun) / objective_unit,
+                            iterations=nit,
+                            converged=bool(res.success) and not diverged,
+                            warning="; ".join(n for n in notes if n) or None)
+
+
 def trilaterate_ratio(obs) -> PositionEstimate:
     """Minimize pairwise amplitude-ratio mismatch over position.
 
@@ -87,11 +108,9 @@ def trilaterate_ratio(obs) -> PositionEstimate:
     centroid. Amplitudes are floored at 1e-12 to guard degenerate ratios.
     """
     pos = _positions(obs)
-    warning = _geometry_warning(pos)
     amps = np.array([o.amplitude for o in obs], dtype=np.float64)
-    if np.any(amps < _AMP_FLOOR):
-        amps = np.maximum(amps, _AMP_FLOOR)
-        warning = (warning + "; " if warning else "") + "amplitude floored"
+    floored = ["amplitude floored"] if np.any(amps < _AMP_FLOOR) else []
+    amps = np.maximum(amps, _AMP_FLOOR)
     ii, jj = np.triu_indices(len(obs), 1)
     ratios = amps[ii] / amps[jj]
 
@@ -100,11 +119,7 @@ def trilaterate_ratio(obs) -> PositionEstimate:
         r = ratios - d[jj] / d[ii]
         return sum((r * r).tolist())    # summed left to right, pair by pair
 
-    res, nit = _simplex(objective, pos.mean(axis=0), _scene_scale(pos))
-    return PositionEstimate(position=(float(res.x[0]), float(res.x[1])),
-                            objective_value=float(res.fun),
-                            iterations=nit, converged=bool(res.success),
-                            warning=warning)
+    return _solve(objective, pos, floored)
 
 
 def solve_tdoa(obs) -> PositionEstimate:
@@ -120,7 +135,6 @@ def solve_tdoa(obs) -> PositionEstimate:
     pos = _positions(obs)
     if any(o.toa_samples is None for o in obs):
         raise ValueError("every observation needs toa_samples for TDOA")
-    warning = _geometry_warning(pos)
     rng_m = np.array([sample_to_distance(o.toa_samples, DETECTOR_RATE_HZ)
                       for o in obs])
     ii, jj = np.triu_indices(len(obs), 1)
@@ -131,9 +145,4 @@ def solve_tdoa(obs) -> PositionEstimate:
         r = obs_dd - (d[jj] - d[ii])
         return sum((r * r).tolist())    # summed left to right, pair by pair
 
-    res, nit = _simplex(objective, pos.mean(axis=0), _scene_scale(pos))
-    obj_seconds = float(res.fun) / SPEED_OF_LIGHT ** 2
-    return PositionEstimate(position=(float(res.x[0]), float(res.x[1])),
-                            objective_value=obj_seconds,
-                            iterations=nit, converged=bool(res.success),
-                            warning=warning)
+    return _solve(objective, pos, objective_unit=SPEED_OF_LIGHT ** 2)

@@ -70,6 +70,7 @@ class Scenario:
     thresh_pss: float = 0.3
     thresh_sss: float = 0.5
     solver: str = "tdoa"
+    # one legal value; kept only for the benchmark's detect_trace call
     correlation_mode: str = "plain"
 
     def __post_init__(self):
@@ -89,8 +90,8 @@ class Scenario:
             raise ScenarioError("trajectory times must be strictly increasing")
         if self.solver not in ("tdoa", "ratio"):
             raise ScenarioError(f"solver must be tdoa or ratio, got {self.solver!r}")
-        if self.correlation_mode not in ("plain", "phat"):
-            raise ScenarioError("correlation_mode must be plain or phat")
+        if self.correlation_mode != "plain":
+            raise ScenarioError("correlation_mode must be plain")
         if self.n_frames_per_fix < 1:
             raise ScenarioError("n_frames_per_fix must be >= 1")
 

@@ -1,4 +1,4 @@
-"""Template bank, correlation modes, hierarchical search, suppression."""
+"""Template bank, correlation, hierarchical search, suppression."""
 from dataclasses import replace
 
 import numpy as np
@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import fold_frame, phat_reference
+from conftest import fold_frame
 from foldloc.detect import (FRAME_LEN, HALF_FRAME, PSS_TEMPLATE_LEN,
                             TEMPLATE_LEN, TEMPLATE_START, Detection,
                             build_bank, correlate_bank,
@@ -139,14 +139,11 @@ def test_correlate_self_peak(bank):
     tpl = bank.samples[42]
     x = np.zeros(FRAME_LEN)
     x[:TEMPLATE_LEN] = tpl
-    for mode in ("plain", "phat"):
-        c = correlate_bank(x, tpl[None], mode)[0]
-        assert c.shape == (FRAME_LEN,)
-        assert int(np.argmax(c)) == 0
-        # phat discards out-of-band bins, so its self peak is only near 1
-        tol = 1e-6 if mode == "plain" else 1e-3
-        assert abs(c[0] - 1.0) < tol
-        assert c.min() >= -1.0 and c.max() <= 1.0
+    c = correlate_bank(x, tpl[None])[0]
+    assert c.shape == (FRAME_LEN,)
+    assert int(np.argmax(c)) == 0
+    assert abs(c[0] - 1.0) < 1e-6
+    assert c.min() >= -1.0 and c.max() <= 1.0
 
 
 def _ncc_by_definition(x, tpl, lag):
@@ -160,20 +157,17 @@ def test_correlate_bank_matches_single(bank):
     rng = np.random.default_rng(3)
     x = rng.normal(size=FRAME_LEN)
     x[500:500 + TEMPLATE_LEN] += 0.5 * bank.samples[7]
-    plain = correlate_bank(x, bank.samples, mode="plain")
-    phat = correlate_bank(x, bank.samples, mode="phat")
+    scores = correlate_bank(x, bank.samples)
     for p in (0, 7, 200, 503):
         tpl = bank.samples[p]
         for lag in (0, 1, 500, FRAME_LEN - 1):
-            assert abs(plain[p, lag] - _ncc_by_definition(x, tpl, lag)) < 1e-9
-        assert np.allclose(phat[p], phat_reference(x, tpl), atol=1e-9)
+            assert abs(scores[p, lag] - _ncc_by_definition(x, tpl, lag)) < 1e-9
 
 
 @pytest.mark.parametrize("n", [TEMPLATE_LEN - 1, 100])
 def test_correlate_bank_rejects_trace_shorter_than_template(bank, n):
-    for mode in ("plain", "phat"):
-        with pytest.raises(ValueError, match="shorter than template"):
-            correlate_bank(np.ones(n), bank.samples, mode)
+    with pytest.raises(ValueError, match="shorter than template"):
+        correlate_bank(np.ones(n), bank.samples)
 
 
 def test_preamble_identification_subset(bank):
@@ -205,7 +199,7 @@ def test_hierarchical_is_superset_of_exhaustive(bank):
     rng = np.random.default_rng(11)
     x = fold_frame(30) + 1.2 * np.roll(fold_frame(451), 900)
     x += rng.normal(0, 1e-4 * x.std() + 1e-12, x.size)
-    scores = correlate_bank(x, bank.samples, mode="plain")
+    scores = correlate_bank(x, bank.samples)
     exhaustive = set()
     for p in range(504):
         lag = int(np.argmax(scores[p]))
@@ -240,8 +234,8 @@ def test_shift_equivariance(bank, shift):
 @example(scale=500.5625)      # round-off once left flat windows unmasked here
 def test_scale_invariance(bank, scale):
     x = fold_frame(77) + 1e-5
-    a = correlate_bank(x, bank.samples[77][None], "plain")[0]
-    b = correlate_bank(scale * x, bank.samples[77][None], "plain")[0]
+    a = correlate_bank(x, bank.samples[77][None])[0]
+    b = correlate_bank(scale * x, bank.samples[77][None])[0]
     assert np.allclose(a, b, atol=1e-9)
     da = hierarchical_detect(x, bank)
     db = hierarchical_detect(scale * x, bank)

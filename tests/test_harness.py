@@ -9,8 +9,6 @@ import numpy as np
 import pytest
 from scipy.signal import fftconvolve
 
-from conftest import phat_reference
-
 import foldloc
 from foldloc import traceio
 from foldloc.amplitude import estimate_subsample, fit_amplitude
@@ -233,9 +231,12 @@ def _seed_stage2(stacked, bank, thresh_pss, thresh_sss, candidate_window=3):
 
 
 def _seed_enrich(stacked, bank, dets):
+    """Reference enrichment: received power (the fitted scale of the unit
+    template over its norm) and sub-sample offset of every detection."""
     for d in dets:
         tpl = bank.samples[d.pci.value]
-        d.amplitude = fit_amplitude(stacked, tpl, d.delay_samples).amplitude
+        d.amplitude = fit_amplitude(stacked, tpl, d.delay_samples).amplitude \
+            / bank.norms[d.pci.value]
         d.subsample_offset = estimate_subsample(stacked, tpl, d.delay_samples).tau
     return dets
 
@@ -278,34 +279,22 @@ def test_stage2_matches_per_lag_reference(bank, origins):
         _assert_same_detections(detect_trace(trace, bank, n_stack=2), want)
 
 
-def test_phat_detect_matches_per_template_reference(bank):
-    sc = _s5_scenario((0, 1500, 3000, 4500, 6000))
-    trace = synth_fix_trace(sc, 0)
-    stacked = stack_frames(trace, sc.n_frames_per_fix)
-    # phat peaks reach only about 0.055 under random payload; this threshold
-    # keeps seven close-scoring PCIs
-    thresh = 0.045
-    raw = []
-    for p in range(504):
-        scores = phat_reference(stacked, bank.samples[p])
-        lag = int(np.argmax(scores))
-        if scores[lag] > thresh:
-            raw.append(Detection(Pci(p), lag, float(scores[lag])))
-    assert len(raw) == 7
-    want = suppress_false_positives(_seed_enrich(stacked, bank, raw))
-    got = detect_trace(trace, bank, thresh_sss=thresh, n_stack=2, mode="phat")
-    _assert_same_detections(got, want)
-
-
 def test_detect_single_cell_at_geometric_delay(bank):
     sc = _single_cell_scenario()
-    dets = detect_trace(synth_fix_trace(sc, 0), bank, n_stack=2)
+    trace = synth_fix_trace(sc, 0)
+    dets = detect_trace(trace, bank, n_stack=2)
     assert len(dets) == 1
     d = dets[0]
     assert d.pci.value == 101
     assert d.delay_samples == TEMPLATE_START + 3
     assert abs(d.subsample_offset) < 0.3
-    assert d.amplitude > 0
+    # the amplitude is the received amplitude squared, whatever the PCI
+    cell = sc.cells[0]
+    a_rx = path_amplitude(468.75, cell.carrier_hz) * \
+        10.0 ** ((cell.tx_power_dbm - 30.0) / 20.0)
+    assert d.amplitude == pytest.approx(a_rx ** 2, rel=0.01)
+    with pytest.raises(ValueError, match="mode"):
+        detect_trace(trace, bank, n_stack=2, mode="phat")
 
 
 def test_detect_three_origin_separated_cells(bank):
@@ -329,6 +318,21 @@ def test_run_fix_record_roundtrips_through_json():
     assert back["detections"][0][0] == 101
     assert back["estimate"] is None   # one tower cannot localize
     assert back["n_towers"] == 1
+
+
+def test_run_fix_keeps_true_pci_over_its_half_frame_alias():
+    """Fix 5 of the seed-1 S5 offset scenario: PCI 10 at delay ~703 and
+    its half-frame alias PCI 274 at ~10304 share a delay cluster; the
+    cluster keeps the larger received power, which is PCI 10's."""
+    from dataclasses import replace
+    point = (5.0, 1840.755179550707, 2415.420520220291)
+    sc = replace(_s5_scenario((0, 1500, 3000, 4500, 6000)), rng_seed=1,
+                 n_frames_per_fix=10,
+                 trajectory=[(float(i), 2000.0, 2500.0) for i in range(5)]
+                 + [point])
+    got = {d[0]: d[1] for d in run_fix(sc, 5)["detections"]}
+    assert 274 not in got
+    assert abs(got[10] - 703) <= 1
 
 
 def test_run_fix_ratio_solver_localizes():
@@ -549,6 +553,31 @@ def test_cli_localize_manifest_without_detections_path_exits_2(tmp_path, capsys)
     assert "detections_path" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("column", ["subsample_offset", "amplitude", "score"])
+def test_cli_localize_nonfinite_detection_exits_2(tmp_path, capsys, column,
+                                                   value):
+    from foldloc.cli import main
+    fields = {"subsample_offset": "0.1", "amplitude": "1e-09", "score": "0.9"}
+    rows = [dict(fields, pci=p, delay_samples=700 + 10 * p) for p in (1, 2, 3)]
+    rows[1][column] = value
+    dets = tmp_path / "dets.csv"
+    with open(dets, "w", newline="") as f:
+        w = csv.DictWriter(f, ["pci", "delay_samples", *fields])
+        w.writeheader()
+        w.writerows(rows)
+    (tmp_path / "manifest.csv").write_text(f"t,detections_path\n0.0,{dets}\n")
+    (tmp_path / "cells.csv").write_text(
+        "pci,x,y,carrier_hz,bandwidth_mhz,tx_power_dbm\n"
+        "1,0,0,2.145e9,1.4,46\n2,2000,0,2.145e9,1.4,46\n"
+        "3,1000,1732,2.145e9,1.4,46\n")
+    assert main(["localize", str(tmp_path / "manifest.csv"),
+                 "--cell-db", str(tmp_path / "cells.csv"),
+                 "-o", str(tmp_path / "traj.csv")]) == 2
+    assert f"{dets}:3" in capsys.readouterr().err
+    assert not (tmp_path / "traj.csv").exists()
+
+
 def test_cli_track_trajectory_without_x_est_exits_2(tmp_path, capsys):
     from foldloc.cli import main
     (tmp_path / "traj.csv").write_text("t,y_est\n0.0,1.0\n")
@@ -565,6 +594,11 @@ def test_cli_validation_error_exits_2(cli_workdir, tmp_path):
     r = _run_cli(["synth", str(bad), "-o", str(tmp_path / "x")])
     assert r.returncode == 2
     assert "pci" in r.stderr
+    # correlation_mode has one legal value; another is rejected, not ignored
+    bad.write_text(SCENARIO_INI.replace("seed = 5\n", "seed = 5\nmode = phat\n"))
+    r = _run_cli(["synth", str(bad), "-o", str(tmp_path / "x")])
+    assert r.returncode == 2
+    assert "correlation_mode" in r.stderr
 
 
 def test_cli_data_error_exits_3(tmp_path):

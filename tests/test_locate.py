@@ -2,8 +2,9 @@
 import numpy as np
 import pytest
 
-from foldloc.locate import (InsufficientAnchorsError, TowerObservation,
-                            sample_to_distance, solve_tdoa, trilaterate_ratio)
+from foldloc.locate import (DIVERGENCE_SCALES, InsufficientAnchorsError,
+                            TowerObservation, sample_to_distance, solve_tdoa,
+                            trilaterate_ratio)
 
 FS = 1.92e6
 M_PER_SAMPLE = 156.25
@@ -187,6 +188,40 @@ def test_tdoa_residual_consistent_with_noise():
         objs.append(solve_tdoa(obs).objective_value)
     assert max(objs) <= bound
     assert np.median(objs) <= n_pairs * 2.0 * sigma_t ** 2
+
+
+def test_tdoa_far_estimate_is_not_converged():
+    """Frame origins 0/1500/3000/4500 samples left in the arrival times
+    drive the search millions of metres off; the optimizer stops cleanly
+    there, but such an estimate is reported as diverged."""
+    towers = np.array([[0.0, 0.0], [6000.0, 0.0], [0.0, 6000.0],
+                       [6000.0, 6000.0]])
+    toa = _dist(towers, (2000.0, 2500.0)) / M_PER_SAMPLE
+    far = solve_tdoa([TowerObservation(tuple(t), toa_samples=ti + o)
+                      for t, ti, o in zip(towers, toa, (0, 1500, 3000, 4500))])
+    off = np.hypot(*(np.array(far.position) - towers.mean(axis=0)))
+    assert off > DIVERGENCE_SCALES * 6000.0 * np.sqrt(2)
+    assert not far.converged
+    assert "diverged" in far.warning
+    near = solve_tdoa([TowerObservation(tuple(t), toa_samples=ti)
+                       for t, ti in zip(towers, toa)])
+    assert near.converged and near.warning is None
+
+
+def test_ratio_far_estimate_is_not_converged(monkeypatch):
+    """The ratio search stays near the towers on every input tried, so a
+    far optimizer result is injected."""
+    from scipy.optimize import OptimizeResult
+
+    from foldloc import locate
+    towers = np.array([[0.0, 0.0], [2000.0, 0.0], [1000.0, 1732.0]])
+    obs = [TowerObservation(tuple(t), amplitude=1.0) for t in towers]
+    far = OptimizeResult(x=np.array([1000.0, 1e6]), fun=0.0, success=True)
+    monkeypatch.setattr(locate, "_simplex", lambda *a: (far, 1))
+    est = trilaterate_ratio(obs)
+    assert est.position == (1000.0, 1e6)
+    assert not est.converged
+    assert "diverged" in est.warning
 
 
 def test_solvers_deterministic():

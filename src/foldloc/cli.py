@@ -10,9 +10,11 @@ import csv
 import os
 import sys
 
-from .detect import BankMismatchError, read_detections_csv
+from .detect import THRESH_PSS, THRESH_SSS, BankMismatchError
 from .frontend import FrontEndConfig
-from .harness import cmd_detect, cmd_localize, cmd_synth, run_eval
+from .harness import cmd_detect, cmd_localize, cmd_synth, read_detections_csv, \
+    run_eval
+from .locate import SOLVERS
 from .roads import Fix, geofence_events, load_geofence_csv, load_road_graph_csv, \
     snap_trajectory
 from .scenario import ScenarioError, load_cell_db, load_scenario, read_csv_rows
@@ -37,15 +39,15 @@ def _build_parser() -> argparse.ArgumentParser:
     pd.add_argument("input", help="trace file or manifest.csv")
     pd.add_argument("-o", "--outdir", default=None,
                     help="output directory (default: alongside input)")
-    pd.add_argument("--thresh-pss", type=float, default=0.3)
-    pd.add_argument("--thresh-sss", type=float, default=0.5)
+    pd.add_argument("--thresh-pss", type=float, default=THRESH_PSS)
+    pd.add_argument("--thresh-sss", type=float, default=THRESH_SSS)
     pd.add_argument("--stack", type=int, default=None,
                     help="frames to stack (default: whole trace)")
 
     pl = sub.add_parser("localize", help="solve positions from detections")
     pl.add_argument("manifest", help="detections manifest from `detect`")
     pl.add_argument("--cell-db", required=True)
-    pl.add_argument("--method", choices=("tdoa", "ratio"), default="tdoa")
+    pl.add_argument("--method", choices=SOLVERS, default="tdoa")
     pl.add_argument("-o", "--out", required=True, help="trajectory CSV")
 
     pt = sub.add_parser("track", help="snap a trajectory and evaluate geofences")
@@ -63,13 +65,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _do_detect(args) -> int:
     fe = FrontEndConfig()
-    outdir = args.outdir
+    outdir = args.outdir or os.path.dirname(os.path.abspath(args.input))
     if args.input.endswith(".csv"):
         rows = [r for _, r in read_csv_rows(args.input, (
             "fix", "trace_path", "t", "x_true", "y_true", "true_pcis"))]
         if not rows:
             raise ScenarioError(f"{args.input}: manifest lists no traces")
-        outdir = outdir or os.path.dirname(os.path.abspath(args.input))
         os.makedirs(outdir, exist_ok=True)
         det_manifest = os.path.join(outdir, "detections_manifest.csv")
         with open(det_manifest, "w", newline="") as f:
@@ -79,15 +80,13 @@ def _do_detect(args) -> int:
             for row in rows:
                 out_csv = os.path.join(
                     outdir, f"detections_fix_{int(row['fix']):04d}.csv")
-                dets = cmd_detect(row["trace_path"], fe, out_csv,
-                                  args.thresh_pss, args.thresh_sss,
-                                  args.stack)
+                dets = cmd_detect(row["trace_path"], fe, out_csv, args.thresh_pss,
+                                  args.thresh_sss, args.stack)
                 w.writerow([row["fix"], row["t"], out_csv, row["x_true"],
                             row["y_true"], row["true_pcis"]])
                 print(f"fix {row['fix']}: {len(dets)} detections")
         print(f"wrote {det_manifest}")
     else:
-        outdir = outdir or os.path.dirname(os.path.abspath(args.input)) or "."
         os.makedirs(outdir, exist_ok=True)
         out_csv = os.path.join(
             outdir, os.path.basename(args.input).rsplit(".", 1)[0]

@@ -32,7 +32,6 @@ from . import amplitude
 from .amplitude import _EPS
 from .frontend import FrontEndConfig, design_lowpass, fold_baseband
 from .lte import FrameConfig, Pci, sync_segment
-from .scenario import ScenarioError, read_csv_rows
 
 DETECTOR_RATE_HZ = 1.92e6
 FRAME_LEN = 19200             # 10 ms at the detector rate
@@ -44,8 +43,8 @@ CANDIDATE_WINDOW = 3          # stage-2 lags searched either side of a PSS peak
 STAGE1_GROUP_GAP = 8          # PSS lags this close above threshold are one peak
 DELAY_CLUSTER_RADIUS = 5      # delays this close (mod half frame) are one cluster
 BANK_CHUNK = 72               # templates per batch in correlate_bank and build_bank
-DETECTION_COLUMNS = ("pci", "delay_samples", "subsample_offset", "amplitude",
-                     "score")
+THRESH_PSS = 0.3              # default stage-1 score threshold
+THRESH_SSS = 0.5              # default stage-2 score threshold
 
 
 @dataclass
@@ -201,8 +200,8 @@ def _stage1_candidates(stacked: np.ndarray, bank: TemplateBank,
 
 
 def hierarchical_detect(stacked: np.ndarray, bank: TemplateBank,
-                        thresh_pss: float = 0.3,
-                        thresh_sss: float = 0.5) -> list[Detection]:
+                        thresh_pss: float = THRESH_PSS,
+                        thresh_sss: float = THRESH_SSS) -> list[Detection]:
     """Two-stage search: PSS scan for candidate lags, full bank only there.
 
     Stage 1 scans all lags with the two folded PSS waveforms and keeps
@@ -283,26 +282,3 @@ def refine(stacked: np.ndarray, bank: TemplateBank,
             stacked, bank.samples[det.pci.value], det.delay_samples).tau
     return kept
 
-
-def write_detections_csv(path, detections: list[Detection]) -> None:
-    with open(path, "w") as f:
-        f.write(",".join(DETECTION_COLUMNS) + "\n")
-        for d in detections:
-            f.write(f"{d.pci.value},{d.delay_samples},{d.subsample_offset:.6f},"
-                    f"{d.amplitude:.6g},{d.score:.6f}\n")
-
-
-def read_detections_csv(path) -> list[Detection]:
-    """Detections of one CSV; a malformed or non-finite value raises
-    ScenarioError naming path:line."""
-    out = []
-    for ln, r in read_csv_rows(path, DETECTION_COLUMNS):
-        try:
-            tau, amp, score = (float(r[c]) for c in DETECTION_COLUMNS[2:])
-            if not np.isfinite([tau, amp, score]).all():
-                raise ValueError("non-finite subsample_offset, amplitude or score")
-            out.append(Detection(Pci(int(r["pci"])), int(r["delay_samples"]),
-                                 score, amp, tau))
-        except ValueError as e:
-            raise ScenarioError(f"{path}:{ln}: {e}") from None
-    return out

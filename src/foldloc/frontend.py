@@ -76,12 +76,15 @@ class CellConfig:
 
     pci: Pci
     carrier_hz: float
-    frame_cfg: FrameConfig = field(repr=False)
+    frame_cfg: FrameConfig = field(default=FrameConfig(1.4), repr=False)
     position: tuple[float, float] = (0.0, 0.0)
     tx_power_dbm: float = 30.0
     frame_time_origin_s: float = 0.0
 
     def __post_init__(self):
+        if not np.isfinite([self.carrier_hz, *self.position, self.tx_power_dbm,
+                            self.frame_time_origin_s]).all():
+            raise ValueError(f"non-finite value in {self}")
         if self.carrier_hz <= self.frame_cfg.bandwidth_mhz * 1e6:
             raise ValueError("carrier must exceed the signal bandwidth")
 

@@ -31,14 +31,15 @@ import numpy as np
 import scipy.fft
 
 from . import traceio
-from .detect import (DETECTOR_RATE_HZ, FRAME_LEN, BankMismatchError, Detection,
-                     build_bank, hierarchical_detect, refine, stack_frames,
-                     write_detections_csv)
+from .detect import (DETECTOR_RATE_HZ, FRAME_LEN, THRESH_PSS, THRESH_SSS,
+                     BankMismatchError, Detection, build_bank,
+                     hierarchical_detect, refine, stack_frames)
 from .frontend import (SPEED_OF_LIGHT, FrontEndConfig, fold_baseband,
                        path_amplitude, received_power_dbm)
-from .lte import frame_samples
-from .locate import TowerObservation, solve_tdoa, trilaterate_ratio
-from .scenario import Scenario, scenario_cell_db, substream
+from .lte import Pci, frame_samples
+from .locate import SOLVERS, TowerObservation, solve_tdoa
+from .scenario import Scenario, ScenarioError, read_csv_rows, scenario_cell_db, \
+    substream
 
 
 @lru_cache(maxsize=4)
@@ -110,8 +111,8 @@ def synth_fix_trace(sc: Scenario, fix_idx: int) -> np.ndarray:
     return total
 
 
-def detect_trace(trace: np.ndarray, bank, thresh_pss: float = 0.3,
-                 thresh_sss: float = 0.5, n_stack: int | None = None,
+def detect_trace(trace: np.ndarray, bank, thresh_pss: float = THRESH_PSS,
+                 thresh_sss: float = THRESH_SSS, n_stack: int | None = None,
                  mode: str = "plain") -> list[Detection]:
     """Stack, detect with the hierarchical search, then refine one trace.
 
@@ -133,20 +134,19 @@ def _observations(dets: list[Detection], db, prev_fix=None):
 
     A detection's amplitude is already the received amplitude squared
     (`refine` divided it by the template norm); its square root, corrected
-    for carrier frequency and transmit power from the database row, is
+    for carrier frequency and transmit power from the database cell, is
     proportional to 1/distance.
     """
     obs, skipped = [], []
     for det in dets:
-        row = db.resolve(det.pci.value, prev_fix)
-        if row is None:
+        cell = db.resolve(det.pci.value, prev_fix)
+        if cell is None:
             skipped.append(det.pci.value)
             continue
-        _, cx, cy, carrier, _, dbm = row
-        a_rx = np.sqrt(max(det.amplitude, 0.0))
-        amp = a_rx * carrier / np.sqrt(10.0 ** ((dbm - 30.0) / 10.0))
+        amp = np.sqrt(max(det.amplitude, 0.0)) * cell.carrier_hz / \
+            np.sqrt(10.0 ** ((cell.tx_power_dbm - 30.0) / 10.0))
         obs.append(TowerObservation(
-            position=(cx, cy), amplitude=float(amp),
+            position=cell.position, amplitude=float(amp),
             toa_samples=det.delay_samples + det.subsample_offset))
     return obs, skipped
 
@@ -160,15 +160,14 @@ def run_fix(sc: Scenario, fix_idx: int) -> dict:
                         sc.thresh_sss, sc.n_frames_per_fix)
     truth = sorted(c.pci.value for _, c in _heard_cells(sc, rx))
 
-    db = scenario_cell_db(sc)
-    obs, skipped = _observations(dets, db)
+    obs, skipped = _observations(dets, scenario_cell_db(sc))
     record = {
         "fix": fix_idx,
         "t": t,
         "true_position": [x, y],
         "true_pcis": truth,
         "detections": [[d.pci.value, d.delay_samples,
-                        round(d.subsample_offset, 9), round(d.amplitude, 12),
+                        round(d.subsample_offset, 9), float(f"{d.amplitude:.9g}"),
                         round(d.score, 9)] for d in dets],
         "skipped_pcis": skipped,
         "estimate": None,
@@ -177,8 +176,7 @@ def run_fix(sc: Scenario, fix_idx: int) -> dict:
         "converged": None,
     }
     if len(obs) >= 3:
-        est = solve_tdoa(obs) if sc.solver == "tdoa" \
-            else trilaterate_ratio(obs)
+        est = SOLVERS[sc.solver](obs)
         record["estimate"] = [round(est.position[0], 9),
                               round(est.position[1], 9)]
         record["error_m"] = round(float(np.hypot(est.position[0] - x,
@@ -310,7 +308,7 @@ def cmd_synth(sc: Scenario, outdir: str) -> str:
 
 
 def cmd_detect(trace_path: str, fe: FrontEndConfig, out_csv: str,
-               thresh_pss: float = 0.3, thresh_sss: float = 0.5,
+               thresh_pss: float = THRESH_PSS, thresh_sss: float = THRESH_SSS,
                n_stack: int | None = None) -> list[Detection]:
     samples, rate = traceio.read_trace(trace_path)
     if abs(rate - fe.adc_rate_hz) > 1e-6:
@@ -320,6 +318,34 @@ def cmd_detect(trace_path: str, fe: FrontEndConfig, out_csv: str,
                         n_stack)
     write_detections_csv(out_csv, dets)
     return dets
+
+
+DETECTION_COLUMNS = ("pci", "delay_samples", "subsample_offset", "amplitude",
+                     "score")
+
+
+def write_detections_csv(path, detections: list[Detection]) -> None:
+    with open(path, "w") as f:
+        f.write(",".join(DETECTION_COLUMNS) + "\n")
+        for d in detections:
+            f.write(f"{d.pci.value},{d.delay_samples},{d.subsample_offset:.6f},"
+                    f"{d.amplitude:.6g},{d.score:.6f}\n")
+
+
+def read_detections_csv(path) -> list[Detection]:
+    """Detections of one CSV; a malformed or non-finite value raises
+    ScenarioError naming path:line."""
+    out = []
+    for ln, r in read_csv_rows(path, DETECTION_COLUMNS):
+        try:
+            tau, amp, score = (float(r[c]) for c in DETECTION_COLUMNS[2:])
+            if not np.isfinite([tau, amp, score]).all():
+                raise ValueError("non-finite subsample_offset, amplitude or score")
+            out.append(Detection(Pci(int(r["pci"])), int(r["delay_samples"]),
+                                 score, amp, tau))
+        except ValueError as e:
+            raise ScenarioError(f"{path}:{ln}: {e}") from None
+    return out
 
 
 def cmd_localize(detections_by_fix, db, method: str = "tdoa"):
@@ -338,8 +364,7 @@ def cmd_localize(detections_by_fix, db, method: str = "tdoa"):
         if len(obs) < 3:
             rows.append((t, "", "", "", len(obs)))
             continue
-        est = solve_tdoa(obs) if method == "tdoa" \
-            else trilaterate_ratio(obs)
+        est = SOLVERS[method](obs)
         rows.append((t, f"{est.position[0]:.6f}", f"{est.position[1]:.6f}",
                      f"{est.objective_value:.6e}", len(obs)))
         prev = est.position

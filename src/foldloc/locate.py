@@ -146,3 +146,8 @@ def solve_tdoa(obs) -> PositionEstimate:
         return sum((r * r).tolist())    # summed left to right, pair by pair
 
     return _solve(objective, pos, objective_unit=SPEED_OF_LIGHT ** 2)
+
+
+# name -> solver, looked up at call time so a module-attribute wrapper sees it
+SOLVERS = {"tdoa": lambda obs: solve_tdoa(obs),
+           "ratio": lambda obs: trilaterate_ratio(obs)}

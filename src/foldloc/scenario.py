@@ -1,19 +1,35 @@
-"""Scenario configuration and deterministic randomness.
+"""Scenario configuration, the cell database and deterministic randomness.
 
-Scenarios are INI files (key/value with sections) describing cells, the
-front end, a trajectory, and detector/solver settings. All randomness in a
-run flows from the single scenario seed through named substreams, so results
-are reproducible and independent of execution order.
+A scenario is an INI file with the sections and keys below; any other
+section or key raises ScenarioError. A key left out keeps the default of
+the dataclass field it sets.
+
+- `[scenario]`: `seed` (`Scenario.rng_seed`), `n_frames_per_fix`,
+  `thresh_pss`, `thresh_sss` and `solver` (the `Scenario` fields).
+- `[frontend]`: every `FrontEndConfig` field, by name.
+- `[cell.NAME]`, one per cell, read by `parse_cell`: `pci`, `carrier_hz`,
+  `x` and `y` (`CellConfig.position`) are required; `bandwidth_mhz`
+  (`CellConfig.frame_cfg`), `tx_power_dbm` and `frame_time_origin_s`.
+- `[trajectory]`: `static = x y` with `n_fixes` (default 1) fixes at
+  t = 0, 1, ..., or `points = t,x,y; t,x,y; ...`.
+
+The cell database is a CSV with the columns CELL_DB_COLUMNS, each row read
+by `parse_cell`. All randomness in a run flows from the scenario seed
+through named substreams, so results are reproducible and independent of
+execution order.
 """
 from __future__ import annotations
 
 import configparser
 import csv
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
+from .detect import THRESH_PSS, THRESH_SSS
 from .frontend import CellConfig, FrontEndConfig
+from .locate import SOLVERS
 from .lte import FrameConfig, Pci
 
 # named substream tags; a substream is seeded by [seed, tag, *indices]
@@ -67,174 +83,149 @@ class Scenario:
     trajectory: list[tuple[float, float, float]]   # (t, x, y)
     rng_seed: int = 0
     n_frames_per_fix: int = 10
-    thresh_pss: float = 0.3
-    thresh_sss: float = 0.5
-    solver: str = "tdoa"
-    # one legal value; kept only for the benchmark's detect_trace call
-    correlation_mode: str = "plain"
+    thresh_pss: float = THRESH_PSS
+    thresh_sss: float = THRESH_SSS
+    solver: str = "tdoa"                            # a key of locate.SOLVERS
+    correlation_mode: str = "plain"   # no INI key; the benchmark passes it on
 
     def __post_init__(self):
-        if not self.cells:
-            raise ScenarioError("scenario has no cells")
-        seen = set()
-        for c in self.cells:
-            key = (c.pci.value, c.carrier_hz)
-            if key in seen:
-                raise ScenarioError(f"duplicate cell (pci={key[0]}, "
-                                    f"carrier={key[1]:g})")
-            seen.add(key)
+        CellDatabase(self.cells)        # rejects no cells or a duplicate
         times = [t for t, _, _ in self.trajectory]
         if not times:
             raise ScenarioError("trajectory is empty")
         if any(b <= a for a, b in zip(times, times[1:])):
             raise ScenarioError("trajectory times must be strictly increasing")
-        if self.solver not in ("tdoa", "ratio"):
-            raise ScenarioError(f"solver must be tdoa or ratio, got {self.solver!r}")
+        if self.solver not in SOLVERS:
+            raise ScenarioError(f"solver {self.solver!r} not in {list(SOLVERS)}")
         if self.correlation_mode != "plain":
             raise ScenarioError("correlation_mode must be plain")
         if self.n_frames_per_fix < 1:
             raise ScenarioError("n_frames_per_fix must be >= 1")
 
 
-def _get(cp, section, key, cast, default=None, required=False):
+def _typed(values, types: dict, where: str) -> dict:
+    """values parsed key by key by types; an unknown key or a value its
+    parser rejects raises ScenarioError prefixed with where."""
+    out = {}
+    for key, raw in values.items():
+        if key not in types:
+            raise ScenarioError(f"{where}: unknown key {key!r}, not in {list(types)}")
+        try:
+            out[key] = types[key](raw)
+        except ValueError as e:
+            raise ScenarioError(f"{where}: {key} = {raw!r}: {e}") from None
+    return out
+
+
+def _field_types(cls, skip=()) -> dict[str, type]:
+    """Name -> type of the default, for each defaulted field of a dataclass."""
+    return {f.name: type(f.default) for f in fields(cls)
+            if f.default is not MISSING and f.name not in skip}
+
+
+# cell-section key or cell-DB column -> parser of its string
+CELL_KEYS = {"pci": lambda v: Pci(int(v)), "carrier_hz": float, "x": float,
+             "y": float, "bandwidth_mhz": FrameConfig.from_bandwidth,
+             "tx_power_dbm": float, "frame_time_origin_s": float}
+CELL_DB_COLUMNS = ("pci", "x", "y", "carrier_hz", "bandwidth_mhz", "tx_power_dbm")
+
+
+def parse_cell(values, where: str) -> CellConfig:
+    """The CellConfig of an INI cell section or a cell-DB row: values maps
+    CELL_KEYS names to strings, and a key left out keeps CellConfig's
+    default. A failed parse or check (Pci's, FrameConfig's or CellConfig's)
+    raises ScenarioError prefixed with where, the section or path:line."""
+    kw = _typed(values, CELL_KEYS, where)
+    missing = [k for k in ("pci", "carrier_hz", "x", "y") if k not in kw]
+    if missing:
+        raise ScenarioError(f"{where}: missing required key {missing[0]!r}")
+    if "bandwidth_mhz" in kw:
+        kw["frame_cfg"] = kw.pop("bandwidth_mhz")
     try:
-        raw = cp.get(section, key)
-    except (configparser.NoSectionError, configparser.NoOptionError):
-        if required:
-            raise ScenarioError(f"[{section}] missing required key {key!r}")
-        return default
-    try:
-        return cast(raw)
+        return CellConfig(position=(kw.pop("x"), kw.pop("y")), **kw)
     except ValueError as e:
-        raise ScenarioError(f"[{section}] {key} = {raw!r}: {e}") from None
+        raise ScenarioError(f"{where}: {e}") from None
+
+
+def _trajectory(section) -> list[tuple[float, float, float]]:
+    kw = _typed(section, {"static": str, "points": str, "n_fixes": int},
+                "[trajectory]")
+    if ("static" in kw) == ("points" in kw) or "n_fixes" in kw and "points" in kw:
+        raise ScenarioError("[trajectory] give either static (with n_fixes) "
+                            "or points, not both")
+    key = "static" if "static" in kw else "points"
+    try:
+        if key == "static":
+            x, y = map(float, kw["static"].split())
+            return [(float(i), x, y) for i in range(kw.get("n_fixes", 1))]
+        return [(t, x, y) for t, x, y in (map(float, p.split(","))
+                for p in kw["points"].split(";") if p.strip())]
+    except ValueError:
+        raise ScenarioError(f"[trajectory] {key} = {kw[key]!r} is not "
+                            "'x y' or 't,x,y; ...'") from None
 
 
 def load_scenario(path) -> Scenario:
+    """The Scenario of an INI file; see the module docstring for its keys."""
     cp = configparser.ConfigParser()
-    read = cp.read(path)
-    if not read:
-        raise ScenarioError(f"cannot read scenario file {path}")
-
-    fe = FrontEndConfig(
-        lpf_cutoff_hz=_get(cp, "frontend", "lpf_cutoff_hz", float, 1.4e6),
-        lpf_transition_hz=_get(cp, "frontend", "lpf_transition_hz", float, 0.4e6),
-        lpf_atten_db=_get(cp, "frontend", "lpf_atten_db", float, 60.0),
-        adc_rate_hz=_get(cp, "frontend", "adc_rate_hz", float, 1.92e6),
-        noise_sigma=_get(cp, "frontend", "noise_sigma", float, 0.0),
-        sensitivity_floor_dbm=_get(cp, "frontend", "sensitivity_floor_dbm",
-                                   float, -70.0),
-    )
-
-    cells = []
-    for section in sorted(s for s in cp.sections() if s.startswith("cell.")):
-        try:
-            cfg = FrameConfig.from_bandwidth(
-                _get(cp, section, "bandwidth_mhz", float, 1.4))
-            cells.append(CellConfig(
-                pci=Pci(_get(cp, section, "pci", int, required=True)),
-                carrier_hz=_get(cp, section, "carrier_hz", float, required=True),
-                frame_cfg=cfg,
-                position=(_get(cp, section, "x", float, required=True),
-                          _get(cp, section, "y", float, required=True)),
-                tx_power_dbm=_get(cp, section, "tx_power_dbm", float, 30.0),
-                frame_time_origin_s=_get(cp, section, "frame_time_origin_s",
-                                         float, 0.0),
-            ))
-        except (ValueError, KeyError) as e:
-            if isinstance(e, ScenarioError):
-                raise
-            raise ScenarioError(f"[{section}] {e}") from None
-
-    trajectory = []
-    static = _get(cp, "trajectory", "static", str)
-    points = _get(cp, "trajectory", "points", str)
-    if static is not None and points is not None:
-        raise ScenarioError("[trajectory] give either static or points, not both")
-    if static is not None:
-        try:
-            x, y = (float(v) for v in static.split())
-        except ValueError:
-            raise ScenarioError(f"[trajectory] static = {static!r}, "
-                                "expected 'x y'") from None
-        n_fixes = _get(cp, "trajectory", "n_fixes", int, 1)
-        trajectory = [(float(i), x, y) for i in range(n_fixes)]
-    elif points is not None:
-        for chunk in points.split(";"):
-            chunk = chunk.strip()
-            if not chunk:
-                continue
-            try:
-                t, x, y = (float(v) for v in chunk.split(","))
-            except ValueError:
-                raise ScenarioError(f"[trajectory] bad point {chunk!r}, "
-                                    "expected 't,x,y'") from None
-            trajectory.append((t, x, y))
-    else:
-        raise ScenarioError("[trajectory] needs static or points")
-
-    return Scenario(
-        cells=cells,
-        front_end=fe,
-        trajectory=trajectory,
-        rng_seed=_get(cp, "scenario", "seed", int, 0),
-        n_frames_per_fix=_get(cp, "scenario", "n_frames_per_fix", int, 10),
-        thresh_pss=_get(cp, "scenario", "thresh_pss", float, 0.3),
-        thresh_sss=_get(cp, "scenario", "thresh_sss", float, 0.5),
-        solver=_get(cp, "scenario", "solver", str, "tdoa"),
-        correlation_mode=_get(cp, "scenario", "mode", str, "plain"),
-    )
+    cp.read_dict({"scenario": {}, "frontend": {}, "trajectory": {}})
+    try:
+        if not cp.read(path):
+            raise ScenarioError(f"cannot read scenario file {path}")
+    except configparser.Error as e:
+        raise ScenarioError(f"{path}: {e}") from None
+    for s in cp.sections():
+        if s not in ("scenario", "frontend", "trajectory") \
+                and not s.startswith("cell."):
+            raise ScenarioError(f"unknown section [{s}]; expected [scenario], "
+                                "[frontend], [trajectory] or [cell.NAME]")
+    fe = FrontEndConfig(**_typed(cp["frontend"], _field_types(FrontEndConfig),
+                                 "[frontend]"))
+    cells = [parse_cell(cp[s], f"[{s}]")
+             for s in sorted(s for s in cp.sections() if s.startswith("cell."))]
+    kw = _typed(cp["scenario"], {"seed": int, **_field_types(
+        Scenario, skip=("rng_seed", "correlation_mode"))}, "[scenario]")
+    if "seed" in kw:
+        kw["rng_seed"] = kw.pop("seed")
+    return Scenario(cells=cells, front_end=fe,
+                    trajectory=_trajectory(cp["trajectory"]), **kw)
 
 
 @dataclass
 class CellDatabase:
-    """Flat tower table: pci, position, carrier, bandwidth, tx power."""
+    """The towers detections resolve to; no two share (pci, carrier)."""
 
-    rows: list = field(default_factory=list)   # (pci, x, y, carrier, bw, dbm)
+    cells: list[CellConfig]
 
     def __post_init__(self):
-        seen = set()
-        for pci, x, y, carrier, bw, dbm in self.rows:
-            if not all(np.isfinite(v) for v in (x, y, carrier, bw, dbm)):
-                raise ScenarioError(f"cell db row pci={pci}: non-finite value")
-            key = (pci, carrier)
-            if key in seen:
-                raise ScenarioError(f"cell db duplicate (pci={pci}, "
-                                    f"carrier={carrier:g})")
-            seen.add(key)
+        if not self.cells:
+            raise ScenarioError("no cells")
+        counts = Counter((c.pci.value, c.carrier_hz) for c in self.cells)
+        for (pci, carrier), n in counts.items():
+            if n > 1:
+                raise ScenarioError(f"duplicate cell (pci={pci}, carrier={carrier:g})")
 
-    def resolve(self, pci: int, prev_fix=None):
-        """Row for a PCI; ambiguity resolved toward the previous fix.
-
-        Returns None when the PCI is absent or ambiguous with no prior fix
-        (PCIs repeat over large distances, so a cold start cannot pick).
-        """
-        matches = [r for r in self.rows if r[0] == pci]
-        if not matches:
-            return None
+    def resolve(self, pci: int, prev_fix=None) -> CellConfig | None:
+        """Cell of a PCI, ambiguity resolved toward the previous fix; None
+        when the PCI is absent or ambiguous with no prior fix (PCIs repeat
+        over large distances, so a cold start cannot pick)."""
+        matches = [c for c in self.cells if c.pci.value == pci]
         if len(matches) == 1:
             return matches[0]
-        if prev_fix is None:
+        if not matches or prev_fix is None:
             return None
-        return min(matches, key=lambda r: (np.hypot(r[1] - prev_fix[0],
-                                                    r[2] - prev_fix[1]),
-                                           r[3]))
-
-
-CELL_DB_COLUMNS = ("pci", "x", "y", "carrier_hz", "bandwidth_mhz", "tx_power_dbm")
+        return min(matches, key=lambda c: (
+            np.hypot(c.position[0] - prev_fix[0], c.position[1] - prev_fix[1]),
+            c.carrier_hz))
 
 
 def load_cell_db(path) -> CellDatabase:
-    rows = []
-    for ln, r in read_csv_rows(path, CELL_DB_COLUMNS):
-        try:
-            rows.append((int(r["pci"]), *(float(r[c]) for c in CELL_DB_COLUMNS[1:])))
-        except ValueError as e:
-            raise ScenarioError(f"{path}:{ln}: {e}") from None
-    return CellDatabase(rows=rows)
+    """Cells of a CSV whose header names CELL_DB_COLUMNS, one per row."""
+    return CellDatabase([parse_cell({c: r[c] for c in CELL_DB_COLUMNS},
+                                    f"{path}:{ln}")
+                         for ln, r in read_csv_rows(path, CELL_DB_COLUMNS)])
 
 
 def scenario_cell_db(sc: Scenario) -> CellDatabase:
     """Database view of a scenario's own cells (simulation ground truth)."""
-    return CellDatabase(rows=[
-        (c.pci.value, c.position[0], c.position[1], c.carrier_hz,
-         c.frame_cfg.bandwidth_mhz, c.tx_power_dbm) for c in sc.cells])
+    return CellDatabase(sc.cells)

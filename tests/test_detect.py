@@ -10,11 +10,10 @@ from conftest import fold_frame
 from foldloc.detect import (FRAME_LEN, HALF_FRAME, PSS_TEMPLATE_LEN,
                             TEMPLATE_LEN, TEMPLATE_START, Detection,
                             build_bank, correlate_bank,
-                            hierarchical_detect, read_detections_csv, refine,
-                            stack_frames, suppress_false_positives,
-                            write_detections_csv)
+                            hierarchical_detect, refine, stack_frames,
+                            suppress_false_positives)
 from foldloc.frontend import FrontEndConfig
-from foldloc.harness import _bank_for
+from foldloc.harness import _bank_for, read_detections_csv, write_detections_csv
 from foldloc.lte import Pci
 
 

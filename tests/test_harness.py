@@ -320,6 +320,17 @@ def test_run_fix_record_roundtrips_through_json():
     assert back["n_towers"] == 1
 
 
+def test_run_fix_records_amplitude_to_nine_significant_digits(bank):
+    # received powers are ~1e-8 here, so rounding to decimal places would
+    # keep only a few digits
+    sc = _single_cell_scenario()
+    (det,) = detect_trace(synth_fix_trace(sc, 0), bank, sc.thresh_pss,
+                          sc.thresh_sss, sc.n_frames_per_fix)
+    got = run_fix(sc, 0)["detections"][0][3]
+    assert got == float(f"{det.amplitude:.9g}")
+    assert got == pytest.approx(det.amplitude, rel=5e-9, abs=0.0)
+
+
 def test_run_fix_keeps_true_pci_over_its_half_frame_alias():
     """Fix 5 of the seed-1 S5 offset scenario: PCI 10 at delay ~703 and
     its half-frame alias PCI 274 at ~10304 share a delay cluster; the
@@ -420,8 +431,8 @@ def test_cmd_detect_rejects_rate_mismatch(tmp_path, bank):
 def test_cmd_localize_rows(tmp_path):
     # three synchronized towers, detections at exact geometric delays
     towers = [(10, 0.0, 0.0), (11, 2000.0, 0.0), (12, 1000.0, 1732.0)]
-    db = CellDatabase(rows=[(p, x, y, 2.145e9, 1.4, 46.0)
-                            for p, x, y in towers])
+    db = CellDatabase([CellConfig(Pci(p), 2.145e9, CFG, (x, y), 46.0)
+                       for p, x, y in towers])
     truth = np.array([700.0, 500.0])
     dets = []
     for p, x, y in towers:
@@ -594,11 +605,46 @@ def test_cli_validation_error_exits_2(cli_workdir, tmp_path):
     r = _run_cli(["synth", str(bad), "-o", str(tmp_path / "x")])
     assert r.returncode == 2
     assert "pci" in r.stderr
-    # correlation_mode has one legal value; another is rejected, not ignored
-    bad.write_text(SCENARIO_INI.replace("seed = 5\n", "seed = 5\nmode = phat\n"))
-    r = _run_cli(["synth", str(bad), "-o", str(tmp_path / "x")])
-    assert r.returncode == 2
-    assert "correlation_mode" in r.stderr
+    # a misspelt or retired key or section is rejected, not ignored
+    for old, new, named in (
+            ("seed = 5\n", "seed = 5\ntresh_sss = 0.99\n", "'tresh_sss'"),
+            ("tx_power_dbm = 46", "tx_powr_dbm = 46", "'tx_powr_dbm'"),
+            ("[scenario]", "[scenaro]", "[scenaro]"),
+            ("seed = 5\n", "seed = 5\nmode = plain\n", "'mode'"),
+            ("seed = 5\n", "seed = 5\nmode = phat\n", "'mode'")):
+        bad.write_text(SCENARIO_INI.replace(old, new))
+        r = _run_cli(["eval", str(bad), "-o", str(tmp_path / "r.json")])
+        assert r.returncode == 2, new
+        assert named in r.stderr
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_cli_synth_nonfinite_cell_exits_2(tmp_path, capsys):
+    from foldloc.cli import main
+    bad = tmp_path / "bad.ini"
+    bad.write_text(SCENARIO_INI.replace("x = 0", "x = nan"))
+    assert main(["synth", str(bad), "-o", str(tmp_path / "x")]) == 2
+    assert "[cell.a]: non-finite value in CellConfig" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("row", ["999,0,0,2.145e9,1.4,46",
+                                 "101,0,0,2.145e9,7.0,46",
+                                 "101,0,0,1000,1.4,46",
+                                 "101,0,0,2.145e9,1.4,inf",
+                                 "101,nan,0,2.145e9,1.4,46"],
+                         ids=["pci_999", "bandwidth_7", "carrier_1kHz",
+                              "tx_power_inf", "x_nan"])
+def test_cli_localize_bad_cell_db_row_exits_2(tmp_path, capsys, row):
+    from foldloc.cli import main
+    db = tmp_path / "cells.csv"
+    db.write_text(CELL_DB.splitlines()[0] + "\n102,9,9,2.145e9,1.4,46\n"
+                  + row + "\n")
+    (tmp_path / "manifest.csv").write_text("t,detections_path\n")
+    assert main(["localize", str(tmp_path / "manifest.csv"),
+                 "--cell-db", str(db), "-o", str(tmp_path / "traj.csv")]) == 2
+    assert f"{db}:3: " in capsys.readouterr().err
+    assert not (tmp_path / "traj.csv").exists()
 
 
 def test_cli_data_error_exits_3(tmp_path):

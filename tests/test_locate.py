@@ -238,6 +238,27 @@ def test_solvers_deterministic():
     assert t1.position == t2.position and t1.iterations == t2.iterations
 
 
+def test_solvers_table_calls_the_module_attributes(monkeypatch):
+    """Each SOLVERS entry looks its solver up when called, so a wrapper
+    bound to the module attribute (as the benchmark's tracer binds one)
+    sees every call, and the result is the solver's own."""
+    from foldloc import locate
+    towers = np.array([[0.0, 0.0], [2000.0, 0.0], [1000.0, 1732.0]])
+    d = _dist(towers, np.array([820.0, 610.0]))
+    obs = [TowerObservation(tuple(t), amplitude=1.0 / di,
+                            toa_samples=di / M_PER_SAMPLE)
+           for t, di in zip(towers, d)]
+    calls = []
+    for name in ("solve_tdoa", "trilaterate_ratio"):
+        real = getattr(locate, name)
+        monkeypatch.setattr(locate, name, lambda o, real=real, name=name:
+                            calls.append(name) or real(o))
+    assert set(locate.SOLVERS) == {"tdoa", "ratio"}
+    assert locate.SOLVERS["tdoa"](obs) == solve_tdoa(obs)
+    assert locate.SOLVERS["ratio"](obs) == trilaterate_ratio(obs)
+    assert calls == ["solve_tdoa", "trilaterate_ratio"]
+
+
 def _pair_loop_reference(obs, tdoa):
     """Both objectives as one Python term per unordered pair, in (i, j) order."""
     from foldloc.locate import _scene_scale, _simplex

@@ -1,7 +1,11 @@
 """Scenario INI loading, seed substreams, cell database resolution."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from foldloc.frontend import CellConfig, FrontEndConfig
+from foldloc.lte import BANDWIDTH_TABLE, FrameConfig, Pci
 from foldloc.scenario import (CellDatabase, Scenario, ScenarioError,
                               load_cell_db, load_scenario, scenario_cell_db,
                               substream)
@@ -120,9 +124,108 @@ def test_nonincreasing_trajectory_rejected(tmp_path):
         load_scenario(_write(tmp_path, ini))
 
 
+@pytest.mark.parametrize("old, new, named", [
+    ("thresh_pss = 0.25", "thresh_pss = 0.25\ntresh_sss = 0.99",
+     r"\[scenario\]: unknown key 'tresh_sss'"),
+    ("tx_power_dbm = 33", "tx_powr_dbm = 33",
+     r"\[cell\.b\]: unknown key 'tx_powr_dbm'"),
+    ("noise_sigma = 0.001", "noise_sigma = 0.001\nnoise = 0.1",
+     r"\[frontend\]: unknown key 'noise'"),
+    ("points =", "n_fix = 2\npoints =", r"\[trajectory\]: unknown key 'n_fix'"),
+    ("[scenario]", "[scenaro]", r"unknown section \[scenaro\]"),
+    ("[cell.a]", "[cells.a]", r"unknown section \[cells\.a\]"),
+    ("seed = 7", "seed = 7\nmode = plain", r"\[scenario\]: unknown key 'mode'"),
+    ("seed = 7", "seed = 7\nmode = phat", r"\[scenario\]: unknown key 'mode'"),
+    ("seed = 7", "seed = 7\nrng_seed = 8",
+     r"\[scenario\]: unknown key 'rng_seed'"),
+    ("seed = 7", "seed = 7\ncorrelation_mode = plain",
+     r"\[scenario\]: unknown key 'correlation_mode'"),
+], ids=["tresh_sss", "tx_powr_dbm", "frontend_key", "trajectory_key", "scenaro",
+        "cells_section", "mode_plain", "mode_phat", "rng_seed",
+        "correlation_mode"])
+def test_unknown_section_or_key_rejected(tmp_path, old, new, named):
+    assert old in GOOD_INI
+    with pytest.raises(ScenarioError, match=named):
+        load_scenario(_write(tmp_path, GOOD_INI.replace(old, new, 1)))
+
+
+def test_defaults_are_the_dataclass_defaults(tmp_path):
+    ini = ("[cell.a]\npci = 1\ncarrier_hz = 2.1e9\nx = 0\ny = 0\n"
+           "[trajectory]\nstatic = 5 5\n")
+    sc = load_scenario(_write(tmp_path, ini))
+    default = Scenario(cells=sc.cells, front_end=FrontEndConfig(),
+                       trajectory=[(0.0, 5.0, 5.0)])
+    assert sc == default
+    assert sc.front_end.noise_sigma == FrontEndConfig().noise_sigma
+    assert sc.cells == [CellConfig(pci=Pci(1), carrier_hz=2.1e9)]
+
+
+def test_every_setting_of_the_docstring_is_accepted(tmp_path):
+    ini = """\
+[scenario]
+seed = 3
+n_frames_per_fix = 2
+thresh_pss = 0.2
+thresh_sss = 0.4
+solver = ratio
+
+[frontend]
+lpf_cutoff_hz = 1.2e6
+lpf_transition_hz = 0.3e6
+lpf_atten_db = 50
+adc_rate_hz = 1.92e6
+noise_sigma = 0.01
+sensitivity_floor_dbm = -80
+
+[cell.a]
+pci = 7
+carrier_hz = 2.1e9
+x = 1
+y = 2
+bandwidth_mhz = 5
+tx_power_dbm = 40
+frame_time_origin_s = 0.001
+
+[trajectory]
+static = 5 5
+n_fixes = 2
+"""
+    sc = load_scenario(_write(tmp_path, ini))
+    assert (sc.rng_seed, sc.n_frames_per_fix, sc.thresh_pss, sc.thresh_sss,
+            sc.solver) == (3, 2, 0.2, 0.4, "ratio")
+    assert sc.front_end == FrontEndConfig(1.2e6, 0.3e6, 50.0, 1.92e6, 0.01,
+                                          -80.0)
+    assert sc.front_end.noise_sigma == 0.01
+    assert sc.cells == [CellConfig(Pci(7), 2.1e9, FrameConfig.from_bandwidth(5),
+                                   (1.0, 2.0), 40.0, 0.001)]
+    assert sc.trajectory == [(0.0, 5.0, 5.0), (1.0, 5.0, 5.0)]
+
+
+def test_nonfinite_cell_value_names_section(tmp_path):
+    ini = GOOD_INI.replace("x = 2000", "x = nan")
+    with pytest.raises(ScenarioError, match=r"\[cell\.b\]: non-finite value in CellConfig"):
+        load_scenario(_write(tmp_path, ini))
+
+
+def test_frontend_check_applies(tmp_path):
+    ini = GOOD_INI.replace("noise_sigma = 0.001", "lpf_cutoff_hz = 3e6")
+    with pytest.raises(ValueError, match="lpf cutoff"):
+        load_scenario(_write(tmp_path, ini))
+
+
+def test_ini_syntax_error_is_scenario_error(tmp_path):
+    ini = GOOD_INI.replace("seed = 7", "seed = 7\nseed = 8")
+    with pytest.raises(ScenarioError, match="seed"):
+        load_scenario(_write(tmp_path, ini))
+
+
+def test_n_fixes_without_static_rejected(tmp_path):
+    ini = GOOD_INI + "n_fixes = 3\n"
+    with pytest.raises(ScenarioError, match="n_fixes"):
+        load_scenario(_write(tmp_path, ini))
+
+
 def test_scenario_validation_direct(cfg14):
-    from foldloc.frontend import CellConfig, FrontEndConfig
-    from foldloc.lte import Pci
     cell = CellConfig(pci=Pci(1), carrier_hz=2.1e9, frame_cfg=cfg14,
                       position=(0.0, 0.0))
     with pytest.raises(ScenarioError, match="no cells"):
@@ -174,39 +277,47 @@ def test_substream_unknown_name_raises():
 DB_HEADER = "pci,x,y,carrier_hz,bandwidth_mhz,tx_power_dbm"
 
 
-def _db(rows):
-    return CellDatabase(rows=rows)
+def _cell(pci, x, carrier=2.1e9):
+    return CellConfig(pci=Pci(pci), carrier_hz=carrier,
+                      frame_cfg=FrameConfig.from_bandwidth(1.4),
+                      position=(x, 0.0), tx_power_dbm=30.0)
 
 
 def test_resolve_unique():
-    db = _db([(10, 0.0, 0.0, 2.1e9, 1.4, 30.0),
-              (11, 500.0, 0.0, 2.1e9, 1.4, 30.0)])
-    assert db.resolve(10)[1:3] == (0.0, 0.0)
+    db = CellDatabase([_cell(10, 0.0), _cell(11, 500.0)])
+    assert db.resolve(10).position == (0.0, 0.0)
     assert db.resolve(99) is None
 
 
 def test_resolve_ambiguous_cold_start_is_none():
-    db = _db([(10, 0.0, 0.0, 2.1e9, 1.4, 30.0),
-              (10, 9000.0, 0.0, 2.2e9, 1.4, 30.0)])
+    db = CellDatabase([_cell(10, 0.0), _cell(10, 9000.0, 2.2e9)])
     assert db.resolve(10) is None
 
 
 def test_resolve_ambiguous_prefers_nearest_to_previous_fix():
-    db = _db([(10, 0.0, 0.0, 2.1e9, 1.4, 30.0),
-              (10, 9000.0, 0.0, 2.2e9, 1.4, 30.0)])
-    assert db.resolve(10, prev_fix=(8000.0, 100.0))[1] == 9000.0
-    assert db.resolve(10, prev_fix=(100.0, 0.0))[1] == 0.0
+    db = CellDatabase([_cell(10, 0.0), _cell(10, 9000.0, 2.2e9)])
+    assert db.resolve(10, prev_fix=(8000.0, 100.0)).position[0] == 9000.0
+    assert db.resolve(10, prev_fix=(100.0, 0.0)).position[0] == 0.0
 
 
 def test_db_duplicate_rejected():
     with pytest.raises(ScenarioError, match="duplicate"):
-        _db([(10, 0.0, 0.0, 2.1e9, 1.4, 30.0),
-             (10, 1.0, 1.0, 2.1e9, 1.4, 30.0)])
+        CellDatabase([_cell(10, 0.0), _cell(10, 1.0)])
 
 
-def test_db_nonfinite_rejected():
-    with pytest.raises(ScenarioError, match="non-finite"):
-        _db([(10, np.nan, 0.0, 2.1e9, 1.4, 30.0)])
+def test_db_nonfinite_rejected(tmp_path):
+    p = tmp_path / "cells.csv"
+    p.write_text(DB_HEADER + "\n10,nan,0,2.1e9,1.4,30\n")
+    with pytest.raises(ScenarioError, match=r"cells\.csv:2: non-finite value in CellConfig"):
+        load_cell_db(p)
+
+
+def test_cell_config_rejects_nonfinite(cfg14):
+    for kw in (dict(carrier_hz=np.inf), dict(position=(0.0, np.nan)),
+               dict(tx_power_dbm=-np.inf), dict(frame_time_origin_s=np.nan)):
+        args = {"pci": Pci(1), "carrier_hz": 2.1e9, "frame_cfg": cfg14, **kw}
+        with pytest.raises(ValueError, match="non-finite"):
+            CellConfig(**args)
 
 
 def test_load_cell_db_round_trip(tmp_path):
@@ -215,8 +326,59 @@ def test_load_cell_db_round_trip(tmp_path):
                  "10,0,0,2.145e9,1.4,30\n"
                  "11,2000,0,2.145e9,1.4,33\n")
     db = load_cell_db(p)
-    assert len(db.rows) == 2
-    assert db.rows[1] == (11, 2000.0, 0.0, 2.145e9, 1.4, 33.0)
+    assert len(db.cells) == 2
+    c = db.cells[1]
+    assert (c.pci.value, c.position, c.carrier_hz, c.frame_cfg.bandwidth_mhz,
+            c.tx_power_dbm) == (11, (2000.0, 0.0), 2.145e9, 1.4, 33.0)
+
+
+@pytest.mark.parametrize("row, what", [
+    ("999,0,0,2.1e9,1.4,30", "PCI 999"),
+    ("10,0,0,2.1e9,7.0,30", "bandwidth 7.0"),
+    ("10,0,0,1000,1.4,30", "carrier"),
+    ("10,0,inf,2.1e9,1.4,30", r"non-finite .*position=\(0\.0, inf\)"),
+    ("10,0,0,2.1e9,1.4,nan", "non-finite .*tx_power_dbm=nan"),
+    ("10,0,0,nan,1.4,30", "non-finite .*carrier_hz=nan"),
+    ("10.5,0,0,2.1e9,1.4,30", "pci"),
+], ids=["pci_999", "bandwidth_7", "carrier_1kHz", "y_inf", "tx_power_nan",
+        "carrier_nan", "pci_10.5"])
+def test_load_cell_db_rejects_bad_row(tmp_path, row, what):
+    p = tmp_path / "cells.csv"
+    p.write_text(DB_HEADER + "\n10,0,0,2.2e9,1.4,30\n" + row + "\n")
+    with pytest.raises(ScenarioError, match=r"cells\.csv:3: .*" + what):
+        load_cell_db(p)
+
+
+_finite = dict(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _cells(draw):
+    bw = draw(st.sampled_from(sorted(BANDWIDTH_TABLE)))
+    return CellConfig(
+        pci=Pci(draw(st.integers(0, 503))),
+        carrier_hz=draw(st.floats(bw * 1e6, 1e12, exclude_min=True, **_finite)),
+        frame_cfg=FrameConfig.from_bandwidth(bw),
+        position=(draw(st.floats(-1e7, 1e7, **_finite)),
+                  draw(st.floats(-1e7, 1e7, **_finite))),
+        tx_power_dbm=draw(st.floats(-50.0, 90.0, **_finite)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(cell=_cells())
+def test_cell_db_row_round_trips_any_valid_cell(tmp_path_factory, cell):
+    p = tmp_path_factory.mktemp("db") / "cells.csv"
+    values = (cell.pci.value, *cell.position, cell.carrier_hz,
+              cell.frame_cfg.bandwidth_mhz, cell.tx_power_dbm)
+    p.write_text(DB_HEADER + "\n" + ",".join(map(repr, values)) + "\n")
+    assert load_cell_db(p).cells == [cell]
+
+
+def test_load_cell_db_without_rows_rejected(tmp_path):
+    p = tmp_path / "cells.csv"
+    p.write_text(DB_HEADER + "\n")
+    with pytest.raises(ScenarioError, match="no cells"):
+        load_cell_db(p)
 
 
 def test_load_cell_db_bad_header(tmp_path):
@@ -236,5 +398,7 @@ def test_load_cell_db_bad_field_count(tmp_path):
 def test_scenario_cell_db_matches_cells(tmp_path):
     sc = load_scenario(_write(tmp_path, GOOD_INI))
     db = scenario_cell_db(sc)
-    assert [r[0] for r in db.rows] == [101, 202]
-    assert db.rows[0][1:4] == (0.0, 0.0, 2.145e9)
+    assert [c.pci.value for c in db.cells] == [101, 202]
+    c = db.cells[0]
+    assert (*c.position, c.carrier_hz) == (0.0, 0.0, 2.145e9)
+    assert db.cells == sc.cells

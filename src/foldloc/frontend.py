@@ -15,7 +15,7 @@ low-pass filter.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 
 import numpy as np
@@ -47,6 +47,10 @@ class FrontEndConfig:
     sensitivity_floor_dbm: float = -70.0
 
     def __post_init__(self):
+        if not np.isfinite([getattr(self, f.name) for f in fields(self)]).all():
+            raise ValueError(f"non-finite value in {self}")
+        if self.noise_sigma < 0:
+            raise ValueError("noise_sigma must be >= 0")
         if self.lpf_cutoff_hz <= 0 or self.adc_rate_hz <= 0:
             raise ValueError("cutoff and adc rate must be positive")
         if self.lpf_cutoff_hz > self.adc_rate_hz:

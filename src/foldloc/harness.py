@@ -12,11 +12,16 @@ substream of the scenario seed, so reports are byte-identical across runs
 and worker counts.
 
 Synthesis builds each cell's frames of a fix in one `frame_samples` call,
-then delays them exactly with one full-length FFT, a phase ramp and one
-inverse FFT, in place where scipy.fft allows it. `synth_fix_trace` is the
-only place that adds detector noise: white Gaussian noise of the front
-end's noise_sigma on the summed detector-rate trace, from the fix's own
-"noise" substream.
+then delays them exactly with `_delay`, a four-step DFT (Bailey 1990): its
+passes are batched scipy.fft transforms along the two axes of an
+(n1, FRAME_LEN) view of the trace, so no full-length transform runs and no
+N-sized scratch buffer is taken. The transforms use every CPU the process
+may run on; `run_eval` with several workers gives each worker process an
+equal share of them, at least one, so the pool never oversubscribes the
+CPUs. The output does not depend on the thread count. `synth_fix_trace`
+is the only place that adds detector noise: white Gaussian noise of the
+front end's noise_sigma on the summed detector-rate trace, from the fix's
+own "noise" substream.
 """
 from __future__ import annotations
 
@@ -52,21 +57,52 @@ def _bank_for(fe: FrontEndConfig):
     return build_bank(fe)
 
 
-def _delay_ramp(n: int, delay_samples: float, scale: float) -> np.ndarray:
-    """scale * exp(-2j*pi*fftfreq(n)*delay_samples): a delay as a phase ramp.
+# threads of each delay transform: every CPU this process may run on, or
+# its share of them in a run_eval worker (see _share_cpus)
+_FFT_THREADS = len(os.sched_getaffinity(0))
 
-    Bin k < n/2 gets w**k with w = exp(-2j*pi*delay_samples/n), written as
-    the outer product of ~sqrt(n) coarse steps w**(m*a) and fine steps w**b
-    instead of n complex exps; negative-frequency bins k >= n/2 stand for
-    k - n and carry the extra factor w**-n.
+
+def _share_cpus(workers: int) -> None:
+    """Pool initializer: give each of workers processes its share of CPUs."""
+    global _FFT_THREADS
+    _FFT_THREADS = max(1, len(os.sched_getaffinity(0)) // workers)
+
+
+def _twiddle(a: np.ndarray, sign: int, row=1.0) -> None:
+    """a[k1, b] *= row[k1, 0] * exp(sign*2j*pi*k1*b/N) in place, N = a.size.
+
+    With b = 160*q + r (FRAME_LEN = 120*160) the factor is the product of
+    an (n1, 120) and an (n1, 160) table, so no N-sized table is made.
     """
-    m = int(np.ceil(np.sqrt(n)))
-    step = -2j * np.pi * delay_samples / n
-    coarse = scale * np.exp(step * m * np.arange(-(-n // m)))
-    fine = np.exp(step * np.arange(m))
-    ramp = np.multiply.outer(coarse, fine).ravel()[:n]
-    ramp[(n + 1) // 2:] *= np.exp(-step * n)
-    return ramp
+    n1 = a.shape[0]
+    v = a.reshape(n1, FRAME_LEN // 160, 160)
+    step = sign * 2j * np.pi / a.size * np.arange(n1)[:, None]
+    v *= (row * np.exp(step * 160 * np.arange(FRAME_LEN // 160)))[:, :, None]
+    v *= np.exp(step * np.arange(160))[:, None, :]
+
+
+def _delay(bb: np.ndarray, delay_samples: float, scale: float) -> np.ndarray:
+    """scale * ifft(fft(bb) * exp(-2j*pi*fftfreq(N)*delay_samples)): bb
+    delayed exactly, circularly and band-limited; bb may be overwritten.
+
+    bb, N samples in whole 10 ms frames, is viewed as an (n1, FRAME_LEN)
+    array. n1-point transforms along axis 0, a twiddle and FRAME_LEN-point
+    transforms along axis 1 leave bin k1 + n1*k2 at [k1, k2], so the ramp
+    is a row factor (with scale) times a column factor; k2 >= FRAME_LEN/2
+    holds the negative frequencies, as in fftfreq. The inverse runs the
+    same steps backwards.
+    """
+    n1 = bb.size // FRAME_LEN
+    step = -2j * np.pi * delay_samples / bb.size
+    a = scipy.fft.fft(bb.reshape(n1, FRAME_LEN), axis=0, overwrite_x=True,
+                      workers=_FFT_THREADS)
+    _twiddle(a, -1, scale * np.exp(step * np.arange(n1))[:, None])
+    a = scipy.fft.fft(a, axis=1, overwrite_x=True, workers=_FFT_THREADS)
+    a *= np.exp(step * n1 * scipy.fft.fftfreq(FRAME_LEN, 1.0 / FRAME_LEN))
+    a = scipy.fft.ifft(a, axis=1, overwrite_x=True, workers=_FFT_THREADS)
+    _twiddle(a, 1)
+    return scipy.fft.ifft(a, axis=0, overwrite_x=True,
+                          workers=_FFT_THREADS).ravel()
 
 
 def _heard_cells(sc: Scenario, rx) -> list:
@@ -97,12 +133,7 @@ def synth_fix_trace(sc: Scenario, fix_idx: int) -> np.ndarray:
         delay_s = d / SPEED_OF_LIGHT + cell.frame_time_origin_s
         a_rx = path_amplitude(d, cell.carrier_hz) * \
             10.0 ** ((cell.tx_power_dbm - 30.0) / 20.0)
-        # integer plus fractional delay as one frequency-domain phase ramp,
-        # with the receive amplitude folded into it; scipy.fft may reuse bb
-        # and plans long transforms faster than numpy.fft, to the same bits
-        bb = scipy.fft.fft(bb, overwrite_x=True)
-        bb *= _delay_ramp(bb.size, delay_s * cfg.sample_rate_hz, a_rx)
-        bb = scipy.fft.ifft(bb, overwrite_x=True)
+        bb = _delay(bb, delay_s * cfg.sample_rate_hz, a_rx)
         total += fold_baseband(bb, cfg.sample_rate_hz, sc.front_end)
 
     if sc.front_end.noise_sigma > 0:
@@ -236,7 +267,8 @@ def run_eval(sc: Scenario, workers: int = 1) -> RunReport:
         records = [run_fix(sc, i) for i in range(n)]
     else:
         _bank_for(sc.front_end)   # warm before fork
-        with ProcessPoolExecutor(max_workers=workers) as ex:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_share_cpus,
+                                 initargs=(workers,)) as ex:
             records = list(ex.map(_run_fix_task, [(sc, i) for i in range(n)]))
     records.sort(key=lambda r: r["fix"])
     summary = {

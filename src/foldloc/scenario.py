@@ -1,8 +1,8 @@
 """Scenario configuration, the cell database and deterministic randomness.
 
 A scenario is an INI file with the sections and keys below; any other
-section or key raises ScenarioError. A key left out keeps the default of
-the dataclass field it sets.
+section or key, `[DEFAULT]` included, raises ScenarioError. A key left out
+keeps the default of the dataclass field it sets.
 
 - `[scenario]`: `seed` (`Scenario.rng_seed`), `n_frames_per_fix`,
   `thresh_pss`, `thresh_sss` and `solver` (the `Scenario` fields).
@@ -13,10 +13,10 @@ the dataclass field it sets.
 - `[trajectory]`: `static = x y` with `n_fixes` (default 1) fixes at
   t = 0, 1, ..., or `points = t,x,y; t,x,y; ...`.
 
-The cell database is a CSV with the columns CELL_DB_COLUMNS, each row read
-by `parse_cell`. All randomness in a run flows from the scenario seed
-through named substreams, so results are reproducible and independent of
-execution order.
+The cell database is a CSV with the columns CELL_DB_COLUMNS and no others,
+each row read by `parse_cell`. All randomness in a run flows from the
+scenario seed through named substreams, so results are reproducible and
+independent of execution order.
 """
 from __future__ import annotations
 
@@ -101,6 +101,8 @@ class Scenario:
             raise ScenarioError("correlation_mode must be plain")
         if self.n_frames_per_fix < 1:
             raise ScenarioError("n_frames_per_fix must be >= 1")
+        if not np.isfinite([self.thresh_pss, self.thresh_sss]).all():
+            raise ScenarioError("thresh_pss and thresh_sss must be finite")
 
 
 def _typed(values, types: dict, where: str) -> dict:
@@ -174,13 +176,19 @@ def load_scenario(path) -> Scenario:
             raise ScenarioError(f"cannot read scenario file {path}")
     except configparser.Error as e:
         raise ScenarioError(f"{path}: {e}") from None
+    if cp.defaults():
+        raise ScenarioError(f"{path}: a [DEFAULT] section is not accepted; "
+                            "give each key in its own section")
     for s in cp.sections():
         if s not in ("scenario", "frontend", "trajectory") \
                 and not s.startswith("cell."):
             raise ScenarioError(f"unknown section [{s}]; expected [scenario], "
                                 "[frontend], [trajectory] or [cell.NAME]")
-    fe = FrontEndConfig(**_typed(cp["frontend"], _field_types(FrontEndConfig),
-                                 "[frontend]"))
+    kw = _typed(cp["frontend"], _field_types(FrontEndConfig), "[frontend]")
+    try:
+        fe = FrontEndConfig(**kw)
+    except ValueError as e:
+        raise ScenarioError(f"[frontend]: {e}") from None
     cells = [parse_cell(cp[s], f"[{s}]")
              for s in sorted(s for s in cp.sections() if s.startswith("cell."))]
     kw = _typed(cp["scenario"], {"seed": int, **_field_types(
@@ -220,10 +228,16 @@ class CellDatabase:
 
 
 def load_cell_db(path) -> CellDatabase:
-    """Cells of a CSV whose header names CELL_DB_COLUMNS, one per row."""
-    return CellDatabase([parse_cell({c: r[c] for c in CELL_DB_COLUMNS},
-                                    f"{path}:{ln}")
-                         for ln, r in read_csv_rows(path, CELL_DB_COLUMNS)])
+    """Cells of a CSV whose header names CELL_DB_COLUMNS and no other
+    column, one per row."""
+    cells = []
+    for ln, r in read_csv_rows(path, CELL_DB_COLUMNS):
+        extra = [c for c in r if c not in CELL_DB_COLUMNS]
+        if extra:
+            raise ScenarioError(f"{path}: unknown columns {extra}, not in "
+                                f"{list(CELL_DB_COLUMNS)}")
+        cells.append(parse_cell(r, f"{path}:{ln}"))
+    return CellDatabase(cells)
 
 
 def scenario_cell_db(sc: Scenario) -> CellDatabase:

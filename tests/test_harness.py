@@ -4,13 +4,14 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.signal import fftconvolve
 
 import foldloc
-from foldloc import traceio
+from foldloc import harness, traceio
 from foldloc.amplitude import estimate_subsample, fit_amplitude
 from foldloc.detect import (FRAME_LEN, PSS_TEMPLATE_LEN, TEMPLATE_LEN,
                             TEMPLATE_START, BankMismatchError, Detection,
@@ -72,13 +73,11 @@ def test_synth_differs_across_fixes_and_seeds():
     a = synth_fix_trace(sc, 0)
     b = synth_fix_trace(sc, 1)
     assert not np.array_equal(a, b)
-    from dataclasses import replace
     c = synth_fix_trace(replace(sc, rng_seed=6), 0)
     assert not np.array_equal(a, c)
 
 
 def test_noise_added_once_and_not_part_of_front_end_identity():
-    from dataclasses import replace
     quiet = _single_cell_scenario()
     noisy = replace(quiet, front_end=FrontEndConfig(noise_sigma=1e-9))
     assert noisy.front_end == quiet.front_end
@@ -152,23 +151,32 @@ def _s5_scenario(origins):
                     rng_seed=3, n_frames_per_fix=2)
 
 
-def _wideband_scenario():
+def _wideband_scenario(bandwidths=(20.0, 10.0, 5.0), n_frames=2):
     cells = [CellConfig(pci=Pci(p), carrier_hz=f,
                         frame_cfg=FrameConfig.from_bandwidth(bw), position=pos,
                         tx_power_dbm=46.0, frame_time_origin_s=o / FS)
-             for p, bw, f, pos, o in ((101, 20.0, 2.115e9, (800.0, 0.0), 0),
-                                      (202, 10.0, 2.145e9, (0.0, 1000.0), 1500),
-                                      (303, 5.0, 2.175e9, (-884.0, -884.0), 3000))]
+             for p, bw, f, pos, o in zip(
+                 (101, 202, 303), bandwidths, (2.115e9, 2.145e9, 2.175e9),
+                 ((800.0, 0.0), (0.0, 1000.0), (-884.0, -884.0)),
+                 (0, 1500, 3000))]
     return Scenario(cells=cells, front_end=FrontEndConfig(noise_sigma=0.0),
                     trajectory=[(0.0, 10.0, -20.0)], rng_seed=3,
-                    n_frames_per_fix=2, solver="ratio")
+                    n_frames_per_fix=n_frames, solver="ratio")
 
 
+# the delay views a cell's n frames as (n * fft_size / 128, FRAME_LEN): one
+# row per frame at 1.4 MHz, and 12 per frame at 15 MHz (FFT size 1536)
 @pytest.mark.parametrize("make", [
     lambda: _s5_scenario((0, 1500, 3000, 4500, 6000)),
     lambda: _s5_scenario((0,) * 5),
     _wideband_scenario,
-], ids=["s5_offset", "s5_synchronized", "wideband_20_10_5"])
+    lambda: replace(_s5_scenario((0, 1500, 3000, 4500, 6000)),
+                    n_frames_per_fix=1),
+    lambda: _wideband_scenario(n_frames=1),
+    lambda: _wideband_scenario(n_frames=3),
+    lambda: _wideband_scenario((15.0, 3.0, 1.4)),
+], ids=["s5_offset", "s5_synchronized", "wideband_20_10_5", "s5_offset_1_frame",
+        "wideband_1_frame", "wideband_3_frames", "wideband_15_3_1.4"])
 def test_synth_matches_frame_by_frame_reference(make):
     sc = make()
     for i in range(len(sc.trajectory)):
@@ -176,6 +184,23 @@ def test_synth_matches_frame_by_frame_reference(make):
         got = synth_fix_trace(sc, i)
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
+
+
+def test_synth_does_not_depend_on_fft_threads(monkeypatch):
+    sc = _wideband_scenario((20.0, 15.0, 1.4))
+    monkeypatch.setattr(harness, "_FFT_THREADS", 1)
+    one = synth_fix_trace(sc, 0)
+    monkeypatch.setattr(harness, "_FFT_THREADS", 2)
+    assert np.array_equal(synth_fix_trace(sc, 0), one)
+
+
+def test_pool_workers_share_the_cpus(monkeypatch):
+    monkeypatch.setattr(harness, "_FFT_THREADS", 0)
+    cpus = len(os.sched_getaffinity(0))
+    harness._share_cpus(1)
+    assert harness._FFT_THREADS == cpus
+    harness._share_cpus(cpus + 1)
+    assert harness._FFT_THREADS == 1
 
 
 # ------------------------------------------------------------- detection
@@ -335,7 +360,6 @@ def test_run_fix_keeps_true_pci_over_its_half_frame_alias():
     """Fix 5 of the seed-1 S5 offset scenario: PCI 10 at delay ~703 and
     its half-frame alias PCI 274 at ~10304 share a delay cluster; the
     cluster keeps the larger received power, which is PCI 10's."""
-    from dataclasses import replace
     point = (5.0, 1840.755179550707, 2415.420520220291)
     sc = replace(_s5_scenario((0, 1500, 3000, 4500, 6000)), rng_seed=1,
                  n_frames_per_fix=10,
@@ -531,9 +555,6 @@ def test_cli_eval(cli_workdir):
 
 
 def test_cli_detect_builds_bank_once_per_process(tmp_path, monkeypatch):
-    from dataclasses import replace
-
-    from foldloc import harness
     from foldloc.cli import main
     sc = replace(_single_cell_scenario(),
                  trajectory=[(0.0, 468.75, 0.0), (1.0, 500.0, 0.0)])
@@ -599,23 +620,31 @@ def test_cli_track_trajectory_without_x_est_exits_2(tmp_path, capsys):
     assert "x_est" in capsys.readouterr().err
 
 
-def test_cli_validation_error_exits_2(cli_workdir, tmp_path):
+def test_cli_validation_error_exits_2(cli_workdir, tmp_path, capsys):
+    from foldloc.cli import main
     bad = tmp_path / "bad.ini"
     bad.write_text(SCENARIO_INI.replace("pci = 101\n", ""))
     r = _run_cli(["synth", str(bad), "-o", str(tmp_path / "x")])
     assert r.returncode == 2
     assert "pci" in r.stderr
-    # a misspelt or retired key or section is rejected, not ignored
+    # a misspelt or retired key or section, a non-finite setting and a
+    # [DEFAULT] section are rejected, not ignored; the process exit status
+    # is main's return value, checked once above
     for old, new, named in (
             ("seed = 5\n", "seed = 5\ntresh_sss = 0.99\n", "'tresh_sss'"),
             ("tx_power_dbm = 46", "tx_powr_dbm = 46", "'tx_powr_dbm'"),
             ("[scenario]", "[scenaro]", "[scenaro]"),
             ("seed = 5\n", "seed = 5\nmode = plain\n", "'mode'"),
-            ("seed = 5\n", "seed = 5\nmode = phat\n", "'mode'")):
+            ("seed = 5\n", "seed = 5\nmode = phat\n", "'mode'"),
+            ("seed = 5\n", "seed = 5\nthresh_pss = nan\n", "thresh_pss"),
+            ("seed = 5\n", "seed = 5\nthresh_sss = -inf\n", "thresh_sss"),
+            ("[scenario]", "[frontend]\nnoise_sigma = nan\n\n[scenario]",
+             "[frontend]: non-finite"),
+            ("[scenario]", "[DEFAULT]\ntx_power_dbm = 40\n\n[scenario]",
+             "[DEFAULT]")):
         bad.write_text(SCENARIO_INI.replace(old, new))
-        r = _run_cli(["eval", str(bad), "-o", str(tmp_path / "r.json")])
-        assert r.returncode == 2, new
-        assert named in r.stderr
+        assert main(["eval", str(bad), "-o", str(tmp_path / "r.json")]) == 2, new
+        assert named in capsys.readouterr().err
     assert not (tmp_path / "r.json").exists()
 
 
@@ -644,6 +673,18 @@ def test_cli_localize_bad_cell_db_row_exits_2(tmp_path, capsys, row):
     assert main(["localize", str(tmp_path / "manifest.csv"),
                  "--cell-db", str(db), "-o", str(tmp_path / "traj.csv")]) == 2
     assert f"{db}:3: " in capsys.readouterr().err
+    assert not (tmp_path / "traj.csv").exists()
+
+
+def test_cli_localize_unknown_cell_db_column_exits_2(tmp_path, capsys):
+    from foldloc.cli import main
+    db = tmp_path / "cells.csv"
+    header, row = CELL_DB.splitlines()
+    db.write_text(f"{header},tx_powr_dbm\n{row},40\n")
+    (tmp_path / "manifest.csv").write_text("t,detections_path\n")
+    assert main(["localize", str(tmp_path / "manifest.csv"),
+                 "--cell-db", str(db), "-o", str(tmp_path / "traj.csv")]) == 2
+    assert "unknown columns ['tx_powr_dbm']" in capsys.readouterr().err
     assert not (tmp_path / "traj.csv").exists()
 
 

@@ -207,6 +207,31 @@ def test_nonfinite_cell_value_names_section(tmp_path):
         load_scenario(_write(tmp_path, ini))
 
 
+@pytest.mark.parametrize("old, new, named", [
+    ("thresh_pss = 0.25", "thresh_pss = nan", "thresh_pss and thresh_sss"),
+    ("thresh_pss = 0.25", "thresh_pss = 0.25\nthresh_sss = -inf",
+     "thresh_pss and thresh_sss"),
+    ("noise_sigma = 0.001", "noise_sigma = nan",
+     r"\[frontend\]: non-finite value in FrontEndConfig"),
+    ("noise_sigma = 0.001", "noise_sigma = 0.001\nlpf_atten_db = inf",
+     r"\[frontend\]: non-finite value in FrontEndConfig"),
+    ("noise_sigma = 0.001", "noise_sigma = -0.001",
+     r"\[frontend\]: noise_sigma must be >= 0"),
+], ids=["thresh_pss_nan", "thresh_sss_-inf", "noise_sigma_nan",
+        "lpf_atten_db_inf", "noise_sigma_negative"])
+def test_nonfinite_setting_rejected(tmp_path, old, new, named):
+    assert old in GOOD_INI
+    with pytest.raises(ScenarioError, match=named):
+        load_scenario(_write(tmp_path, GOOD_INI.replace(old, new, 1)))
+
+
+def test_default_section_rejected_by_name(tmp_path):
+    ini = "[DEFAULT]\ntx_power_dbm = 40\n\n" + GOOD_INI
+    with pytest.raises(ScenarioError, match=r"\[DEFAULT\] section") as e:
+        load_scenario(_write(tmp_path, ini))
+    assert "[frontend]" not in str(e.value)
+
+
 def test_frontend_check_applies(tmp_path):
     ini = GOOD_INI.replace("noise_sigma = 0.001", "lpf_cutoff_hz = 3e6")
     with pytest.raises(ValueError, match="lpf cutoff"):
@@ -346,6 +371,16 @@ def test_load_cell_db_rejects_bad_row(tmp_path, row, what):
     p = tmp_path / "cells.csv"
     p.write_text(DB_HEADER + "\n10,0,0,2.2e9,1.4,30\n" + row + "\n")
     with pytest.raises(ScenarioError, match=r"cells\.csv:3: .*" + what):
+        load_cell_db(p)
+
+
+@pytest.mark.parametrize("column", ["tx_powr_dbm", "frame_offset_s",
+                                    "frame_time_origin_s"])
+def test_load_cell_db_rejects_unknown_column(tmp_path, column):
+    p = tmp_path / "cells.csv"
+    p.write_text(f"{DB_HEADER},{column}\n10,0,0,2.2e9,1.4,30,0\n")
+    with pytest.raises(ScenarioError,
+                       match=rf"cells\.csv: unknown columns \['{column}'\]"):
         load_cell_db(p)
 
 

@@ -12,6 +12,13 @@ upconverted waveform and captures cross-band intermodulation. The complex
 baseband fast path uses |I+jQ|^2/2, exact for a single band and for
 multi-band layouts whose pairwise difference frequencies all clear the
 low-pass filter.
+
+`fold_baseband` takes the square into one array and `lowpass_decimate`
+runs the FIR by blocks of outputs, each over the input span it reads;
+both run their blocks on the calling thread's CPU share once the input
+holds lte._PARALLEL_MIN samples (see `lte._run_blocks`). The helper
+threads run only private code, so `lowpass_decimate` is always entered on
+the caller's thread.
 """
 from __future__ import annotations
 
@@ -21,10 +28,13 @@ from functools import lru_cache
 import numpy as np
 from scipy.signal import firwin, kaiserord, upfirdn
 
-from .lte import FrameConfig, Pci, frame_samples
+from .lte import FrameConfig, Pci, _run_blocks, frame_samples
 
 SPEED_OF_LIGHT = 3.0e8
 SYNC_BAND_HZ = 1.08e6         # folded sync occupies DC..~1 MHz
+# elements of the temporaries one block of the square or the FIR makes, so
+# that helper threads keep little memory
+_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -129,7 +139,10 @@ def lowpass_decimate(sq: np.ndarray, fs_in: float, cfg: FrontEndConfig) -> np.nd
     Output i is the FIR output centered on input sample i * dec: the
     odd-length linear-phase FIR's group delay is compensated, so template
     positions are unbiased. This equals fftconvolve(sq, taps, "same")[::dec],
-    but the polyphase filter computes only the outputs that are kept.
+    but the polyphase filter computes only the outputs that are kept, by
+    blocks of outputs on the caller's share of the CPUs (_fir_blocks).
+    With dec == 1 and the cutoff above the input's Nyquist band the filter
+    is all-pass and sq itself is returned, not a copy.
     """
     ratio = fs_in / cfg.adc_rate_hz
     dec = int(round(ratio))
@@ -137,20 +150,36 @@ def lowpass_decimate(sq: np.ndarray, fs_in: float, cfg: FrontEndConfig) -> np.nd
         raise ValueError(f"input rate {fs_in} not an integer multiple of "
                          f"ADC rate {cfg.adc_rate_hz}")
     if cfg.lpf_cutoff_hz < fs_in / 2.0:
-        taps = design_lowpass(fs_in, cfg)
-        # full-convolution index of output i is (ntaps - 1) / 2 + i * dec;
-        # leading zero taps shift it onto the multiples of dec upfirdn keeps
-        center = (taps.size - 1) // 2
-        lead = -center % dec
-        first = (center + lead) // dec
-        y = upfirdn(np.concatenate([np.zeros(lead), taps]), sq, down=dec)
-        y = y[..., first:first + -(-sq.shape[-1] // dec)]
-    elif dec == 1:
-        # already at the ADC rate and the cutoff clears its Nyquist band:
-        # the filter would be all-pass, skip it
-        y = sq.copy()
-    else:
-        raise ValueError("anti-alias cutoff at or above input Nyquist")
+        return _fir_blocks(sq, design_lowpass(fs_in, cfg), dec)
+    if dec == 1:
+        return sq
+    raise ValueError("anti-alias cutoff at or above input Nyquist")
+
+
+def _fir_blocks(sq: np.ndarray, taps: np.ndarray, dec: int) -> np.ndarray:
+    """upfirdn's decimating FIR along the last axis, group delay removed.
+
+    Each block of outputs filters only the input span it reads, starting
+    on a multiple of dec, so its outputs are upfirdn's own outputs of the
+    whole trace, term for term and in the same order.
+    """
+    # full-convolution index of output i is (ntaps - 1) / 2 + i * dec;
+    # leading zero taps shift it onto the multiples of dec upfirdn keeps
+    center = (taps.size - 1) // 2
+    lead = -center % dec
+    first = (center + lead) // dec
+    h = np.concatenate([np.zeros(lead), taps])
+    n_in = sq.shape[-1]
+    y = np.empty(sq.shape[:-1] + (-(-n_in // dec),))
+
+    def outputs(lo, hi):
+        s0 = max(0, (first + lo) * dec - h.size + 1) // dec * dec
+        s1 = min(n_in, (first + hi - 1) * dec + 1)
+        m0 = first + lo - s0 // dec
+        y[..., lo:hi] = upfirdn(h, sq[..., s0:s1], down=dec)[..., m0:m0 + hi - lo]
+
+    rows = sq.size // n_in if n_in else 1
+    _run_blocks(outputs, y.shape[-1], sq.size, max(1, _CHUNK // max(1, rows)))
     return y
 
 
@@ -158,11 +187,20 @@ def fold_baseband(bb: np.ndarray, fs_in: float, cfg: FrontEndConfig) -> np.ndarr
     """Fast path: detector output from complex baseband, |I+jQ|^2 / 2.
 
     Matches the real-RF square+filter pipeline for any single band (the
-    2*f_c image is what the filter removes), up to filter leakage.
+    2*f_c image is what the filter removes), up to filter leakage. The
+    square is taken into one array by blocks on the caller's share of the
+    CPUs, then filtered by lowpass_decimate on the calling thread.
     """
-    sq = bb.real * bb.real
-    sq += bb.imag * bb.imag
-    sq *= 0.5
+    sq = np.empty(bb.shape)
+    flat_bb, flat_sq = bb.reshape(-1), sq.reshape(-1)
+
+    def square(lo, hi):
+        x, s = flat_bb[lo:hi], flat_sq[lo:hi]
+        np.multiply(x.real, x.real, out=s)
+        s += x.imag * x.imag
+        s *= 0.5
+
+    _run_blocks(square, sq.size, sq.size, _CHUNK)
     return lowpass_decimate(sq, fs_in, cfg)
 
 

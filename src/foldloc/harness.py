@@ -15,13 +15,18 @@ Synthesis builds each cell's frames of a fix in one `frame_samples` call,
 then delays them exactly with `_delay`, a four-step DFT (Bailey 1990): its
 passes are batched scipy.fft transforms along the two axes of an
 (n1, FRAME_LEN) view of the trace, so no full-length transform runs and no
-N-sized scratch buffer is taken. The transforms use every CPU the process
-may run on; `run_eval` with several workers gives each worker process an
-equal share of them, at least one, so the pool never oversubscribes the
-CPUs. The output does not depend on the thread count. `synth_fix_trace`
-is the only place that adds detector noise: white Gaussian noise of the
-front end's noise_sigma on the summed detector-rate trace, from the fix's
-own "noise" substream.
+N-sized scratch buffer is taken. Cells are synthesized one after another;
+within a cell, frame building, the delay and the fold each use the
+process's CPU share once the cell holds lte._PARALLEL_MIN = 2**19 samples
+(the transforms through scipy's own threads, the rest through
+`lte._run_blocks`), and one thread below that. `run_eval` with several
+workers gives each worker process an equal share of the CPUs, at least
+one, so the pool never oversubscribes them. Helper threads run only
+private code: every call of a public function stays on the thread that
+synthesizes the fix. The output does not depend on the thread count.
+`synth_fix_trace` is the only place that adds detector noise: white
+Gaussian noise of the front end's noise_sigma on the summed detector-rate
+trace, from the fix's own "noise" substream.
 """
 from __future__ import annotations
 
@@ -41,7 +46,7 @@ from .detect import (DETECTOR_RATE_HZ, FRAME_LEN, THRESH_PSS, THRESH_SSS,
                      hierarchical_detect, refine, stack_frames)
 from .frontend import (SPEED_OF_LIGHT, FrontEndConfig, fold_baseband,
                        path_amplitude, received_power_dbm)
-from .lte import Pci, frame_samples
+from .lte import Pci, _run_blocks, _share_cpus, _threads, frame_samples
 from .locate import SOLVERS, TowerObservation, solve_tdoa
 from .scenario import Scenario, ScenarioError, read_csv_rows, scenario_cell_db, \
     substream
@@ -57,28 +62,22 @@ def _bank_for(fe: FrontEndConfig):
     return build_bank(fe)
 
 
-# threads of each delay transform: every CPU this process may run on, or
-# its share of them in a run_eval worker (see _share_cpus)
-_FFT_THREADS = len(os.sched_getaffinity(0))
-
-
-def _share_cpus(workers: int) -> None:
-    """Pool initializer: give each of workers processes its share of CPUs."""
-    global _FFT_THREADS
-    _FFT_THREADS = max(1, len(os.sched_getaffinity(0)) // workers)
-
-
-def _twiddle(a: np.ndarray, sign: int, row=1.0) -> None:
-    """a[k1, b] *= row[k1, 0] * exp(sign*2j*pi*k1*b/N) in place, N = a.size.
+def _twiddle(a: np.ndarray, sign: int, row: np.ndarray | None = None) -> None:
+    """a[k1, b] *= row[k1, 0] * exp(sign*2j*pi*k1*b/N) in place, N = a.size,
+    with row 1 when None.
 
     With b = 160*q + r (FRAME_LEN = 120*160) the factor is the product of
-    an (n1, 120) and an (n1, 160) table, so no N-sized table is made.
+    an (n1, 120) and an (n1, 160) table, so no N-sized table is made. Row
+    blocks run on the caller's share of the CPUs (_run_blocks).
     """
-    n1 = a.shape[0]
-    v = a.reshape(n1, FRAME_LEN // 160, 160)
-    step = sign * 2j * np.pi / a.size * np.arange(n1)[:, None]
-    v *= (row * np.exp(step * 160 * np.arange(FRAME_LEN // 160)))[:, :, None]
-    v *= np.exp(step * np.arange(160))[:, None, :]
+    def rows(lo, hi):
+        v = a[lo:hi].reshape(hi - lo, FRAME_LEN // 160, 160)
+        step = sign * 2j * np.pi / a.size * np.arange(lo, hi)[:, None]
+        q = np.exp(step * 160 * np.arange(FRAME_LEN // 160))
+        v *= (q if row is None else row[lo:hi] * q)[:, :, None]
+        v *= np.exp(step * np.arange(160))[:, None, :]
+
+    _run_blocks(rows, a.shape[0], a.size)
 
 
 def _delay(bb: np.ndarray, delay_samples: float, scale: float) -> np.ndarray:
@@ -90,19 +89,26 @@ def _delay(bb: np.ndarray, delay_samples: float, scale: float) -> np.ndarray:
     transforms along axis 1 leave bin k1 + n1*k2 at [k1, k2], so the ramp
     is a row factor (with scale) times a column factor; k2 >= FRAME_LEN/2
     holds the negative frequencies, as in fftfreq. The inverse runs the
-    same steps backwards.
+    same steps backwards. The transforms use scipy's own threads, the
+    twiddles and the column factor row blocks (_run_blocks); below
+    lte._PARALLEL_MIN samples everything runs on one thread.
     """
     n1 = bb.size // FRAME_LEN
+    threads = _threads(bb.size)
     step = -2j * np.pi * delay_samples / bb.size
     a = scipy.fft.fft(bb.reshape(n1, FRAME_LEN), axis=0, overwrite_x=True,
-                      workers=_FFT_THREADS)
+                      workers=threads)
     _twiddle(a, -1, scale * np.exp(step * np.arange(n1))[:, None])
-    a = scipy.fft.fft(a, axis=1, overwrite_x=True, workers=_FFT_THREADS)
-    a *= np.exp(step * n1 * scipy.fft.fftfreq(FRAME_LEN, 1.0 / FRAME_LEN))
-    a = scipy.fft.ifft(a, axis=1, overwrite_x=True, workers=_FFT_THREADS)
+    a = scipy.fft.fft(a, axis=1, overwrite_x=True, workers=threads)
+    ramp = np.exp(step * n1 * scipy.fft.fftfreq(FRAME_LEN, 1.0 / FRAME_LEN))
+
+    def columns(lo, hi):
+        a[lo:hi] *= ramp
+
+    _run_blocks(columns, n1, a.size)
+    a = scipy.fft.ifft(a, axis=1, overwrite_x=True, workers=threads)
     _twiddle(a, 1)
-    return scipy.fft.ifft(a, axis=0, overwrite_x=True,
-                          workers=_FFT_THREADS).ravel()
+    return scipy.fft.ifft(a, axis=0, overwrite_x=True, workers=threads).ravel()
 
 
 def _heard_cells(sc: Scenario, rx) -> list:

@@ -5,15 +5,29 @@ sequences on the central 62 subcarriers, optional random QPSK payload across
 the occupied band, and cyclic-prefixed OFDM modulation. Only what the
 square-law receiver chain needs is modeled; no PBCH, CRS, or coding chains.
 
-Synthesis is batched: `frame_samples` fills all n frames of a cell as one
-symbol-major (n, 140, fft) grid, runs one IFFT over it, and inserts cyclic
-prefixes with one precomputed gather index per FFT size. The payload of n
-frames comes from one draw of the generator, bit-identical to n draws of one
-frame each. `sync_segment` builds a span of many PCIs' data-free frames from
-the sync symbols inside it alone.
+`frame_samples` draws the payload of all n frames of a cell at once,
+bit-identical to n draws of one frame each, then builds the frames one at
+a time: it fills a symbol-major (140, fft) grid, runs its IFFT and gathers
+it, cyclic prefixes inserted by one precomputed index per FFT size, into
+one preallocated output. `sync_segment` builds a span of many PCIs'
+data-free frames from the sync symbols inside it alone.
+
+The large layers of synthesis split their work into blocks with
+`_run_blocks`: the frames of `frame_samples`, the twiddles and column
+factor of `harness._delay`, and the square and the FIR of
+`frontend.fold_baseband`. A layer whose array holds at least
+_PARALLEL_MIN = 2**19 elements runs its blocks on the process's CPU share
+(`_share_cpus`), the first on the calling thread and the others on helper
+threads; a smaller one runs them all on the calling thread, where a second
+thread would cost more than it saves. Block functions are private and
+call no public function of the package, so a tracer that wraps public
+functions, and keeps one span stack for all threads, sees every call on
+the thread that made it. The output does not depend on the thread count.
 """
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -40,6 +54,71 @@ BANDWIDTH_TABLE = {
 # symbol immediately before PSS, PSS is the last symbol of slots 0 and 10
 SSS_COLS = (5, 75)
 PSS_COLS = (6, 76)
+
+
+# threads of a large layer: every CPU this process may run on, or its share
+# of them in a run_eval worker (see _share_cpus)
+_CPU_SHARE = len(os.sched_getaffinity(0))
+# a layer whose array holds fewer elements runs on the caller's thread
+# alone, where a second thread costs more than it saves
+_PARALLEL_MIN = 1 << 19
+_helper_pool: tuple[tuple[int, int], ThreadPoolExecutor] | None = None
+
+
+def _share_cpus(workers: int) -> None:
+    """Pool initializer: give each of workers processes its share of CPUs."""
+    global _CPU_SHARE
+    _CPU_SHARE = max(1, len(os.sched_getaffinity(0)) // workers)
+
+
+def _threads(size: int) -> int:
+    """Threads for a layer whose array holds size elements."""
+    return _CPU_SHARE if size >= _PARALLEL_MIN else 1
+
+
+def _helpers() -> ThreadPoolExecutor:
+    """The process's _CPU_SHARE - 1 helper threads.
+
+    A forked child makes its own pool: the threads of one it inherits do
+    not exist in it, and its first submit would wait forever.
+    """
+    global _helper_pool
+    key = (os.getpid(), _CPU_SHARE - 1)
+    if _helper_pool is None or _helper_pool[0] != key:
+        if _helper_pool is not None and _helper_pool[0][0] == key[0]:
+            _helper_pool[1].shutdown(wait=False)
+        _helper_pool = key, ThreadPoolExecutor(key[1], "foldloc-block")
+    return _helper_pool[1]
+
+
+def _run_blocks(fn, n: int, size: int, step: int | None = None) -> None:
+    """Call fn(lo, hi) over range(n), in pieces of at most step indices.
+
+    The layer's array holds size elements; _threads(size) contiguous
+    blocks of pieces run at once, the first on the calling thread and the
+    others on helper threads. step None makes each block one piece. fn
+    must write disjoint outputs for disjoint index ranges, so the pieces
+    may run in any order, and must call no public function of the package,
+    so that every call of one stays on the caller's thread.
+    """
+    threads = _threads(size)
+    step = step or max(1, -(-n // threads))
+    pieces = -(-n // step)
+    k = max(1, min(threads, pieces))
+    edges = [min(n, step * (pieces * j // k)) for j in range(k + 1)]
+
+    def block(lo, hi):
+        for a in range(lo, hi, step):
+            fn(a, min(a + step, hi))
+
+    futures = [_helpers().submit(block, lo, hi)
+               for lo, hi in zip(edges[1:-1], edges[2:])]
+    try:
+        block(edges[0], edges[1])
+    finally:
+        wait(futures)
+    for f in futures:
+        f.result()
 
 
 @dataclass(frozen=True)
@@ -213,12 +292,12 @@ def occupied_bins(cfg: FrameConfig) -> np.ndarray:
 _QPSK = np.exp(1j * (np.pi / 4 + np.pi / 2 * np.arange(4)))   # 2-bit symbol -> point
 
 
-def _cell_symbols(cfg: FrameConfig, pci: Pci | int, data_mode: str, rng_seed,
-                  n_frames: int) -> np.ndarray:
-    """n frames of one cell as a symbol-major (n, 140, fft_size) grid.
+def _payload(cfg: FrameConfig, pci: Pci | int, data_mode: str, rng_seed,
+             n_frames: int) -> tuple[Pci, np.ndarray | None]:
+    """The cell's Pci and the 2-bit payload symbols of n frames.
 
-    The payload of all frames is one (n, band, 140) draw, which takes the
-    same bits from the generator as n draws of one (band, 140) frame.
+    The payload is one (n, band, 140) draw, which takes the same bits from
+    the generator as n draws of one (band, 140) frame; None for "none".
     """
     if isinstance(pci, int):
         pci = Pci(pci)
@@ -226,25 +305,40 @@ def _cell_symbols(cfg: FrameConfig, pci: Pci | int, data_mode: str, rng_seed,
         raise ValueError(f"unknown data_mode {data_mode!r}")
     if n_frames < 1:
         raise ValueError(f"n_frames must be at least 1, got {n_frames}")
+    if data_mode == "none":
+        return pci, None
     rng = rng_seed if isinstance(rng_seed, np.random.Generator) \
         else np.random.default_rng(rng_seed)
+    band = 12 * cfg.n_resource_blocks
+    return pci, rng.integers(0, 4, size=(n_frames, band, SYMBOLS_PER_FRAME))
 
+
+def _sync_columns(pci: Pci) -> list[tuple[int, np.ndarray]]:
+    """(symbol, central-62 sequence) of each sync symbol of a frame."""
+    pss = generate_pss(pci.sector)
+    return [(col, generate_sss(pci.group, pci.sector, subframe))
+            for col, subframe in zip(SSS_COLS, (0, 5))] + \
+        [(col, pss) for col in PSS_COLS]
+
+
+def _grid(cfg: FrameConfig, sync, bits: np.ndarray | None,
+          n_frames: int) -> np.ndarray:
+    """n frames of one cell as a symbol-major (n, 140, fft_size) grid.
+
+    sync is _sync_columns' list; bits is n frames of _payload's draw, or
+    None for data-free frames.
+    """
     grid = np.zeros((n_frames, SYMBOLS_PER_FRAME, cfg.fft_size),
                     dtype=np.complex128)
-    if data_mode == "random_qpsk":
+    if bits is not None:
         half = 6 * cfg.n_resource_blocks
-        bits = rng.integers(0, 4, size=(n_frames, 2 * half, SYMBOLS_PER_FRAME))
         qpsk = np.take(_QPSK, bits)
         # occupied_bins order: negative subcarriers first, then 1..half
         grid[:, :, -half:] = qpsk[:, :half].transpose(0, 2, 1)
         grid[:, :, 1:half + 1] = qpsk[:, half:].transpose(0, 2, 1)
-
     c62 = central_62_bins(cfg.fft_size)
-    pss = generate_pss(pci.sector)
-    for col, subframe in zip(SSS_COLS, (0, 5)):
-        grid[:, col, c62] = generate_sss(pci.group, pci.sector, subframe)
-    for col in PSS_COLS:
-        grid[:, col, c62] = pss
+    for col, seq in sync:
+        grid[:, col, c62] = seq
     return grid
 
 
@@ -258,7 +352,8 @@ def build_frame(cfg: FrameConfig, pci: Pci | int, data_mode: str = "none",
     QPSK symbols drawn from rng_seed (an int seed or a numpy Generator).
     Sync always overwrites the central 62 subcarriers of its four symbols.
     """
-    return _cell_symbols(cfg, pci, data_mode, rng_seed, 1)[0].T
+    pci, bits = _payload(cfg, pci, data_mode, rng_seed, 1)
+    return _grid(cfg, _sync_columns(pci), bits, 1)[0].T
 
 
 @lru_cache(maxsize=len(BANDWIDTH_TABLE))
@@ -285,12 +380,6 @@ def _cp_layout(cfg: FrameConfig) -> tuple[np.ndarray, np.ndarray]:
     return insert, strip
 
 
-def _add_cyclic_prefixes(bodies: np.ndarray, cfg: FrameConfig) -> np.ndarray:
-    """(n, 140, fft_size) time-domain symbols -> n framed 10 ms frames."""
-    insert, _ = _cp_layout(cfg)
-    return np.take(bodies.reshape(bodies.shape[0], -1), insert, axis=1).ravel()
-
-
 def ofdm_modulate(symbols: np.ndarray, cfg: FrameConfig) -> np.ndarray:
     """Unitary IDFT per symbol with cyclic prefixes.
 
@@ -302,8 +391,10 @@ def ofdm_modulate(symbols: np.ndarray, cfg: FrameConfig) -> np.ndarray:
             or shape[1] == 0 or shape[1] % SYMBOLS_PER_FRAME):
         raise ValueError(f"grid shape {shape} is not ({cfg.fft_size}, "
                          f"{SYMBOLS_PER_FRAME} * n)")
-    bodies = symbols.T.reshape(-1, SYMBOLS_PER_FRAME, cfg.fft_size)
-    return _add_cyclic_prefixes(np.fft.ifft(bodies, axis=-1, norm="ortho"), cfg)
+    bodies = np.fft.ifft(symbols.T.reshape(-1, SYMBOLS_PER_FRAME, cfg.fft_size),
+                         axis=-1, norm="ortho")
+    insert, _ = _cp_layout(cfg)
+    return np.take(bodies.reshape(bodies.shape[0], -1), insert, axis=1).ravel()
 
 
 def ofdm_demodulate(samples: np.ndarray, cfg: FrameConfig) -> np.ndarray:
@@ -327,11 +418,22 @@ def frame_samples(cfg: FrameConfig, pci: Pci | int, data_mode: str = "none",
 
     Equal, to rounding, to concatenating n_frames single-frame calls that
     share one Generator (build_frame followed by ofdm_modulate), but built
-    with one payload draw, one IFFT and one cyclic-prefix gather.
+    from one payload draw, frame by frame into one output array, on the
+    caller's share of the CPUs when the frames are large (_run_blocks).
     """
-    grid = _cell_symbols(cfg, pci, data_mode, rng_seed, n_frames)
-    np.fft.ifft(grid, axis=-1, norm="ortho", out=grid)
-    return _add_cyclic_prefixes(grid, cfg)
+    pci, bits = _payload(cfg, pci, data_mode, rng_seed, n_frames)
+    sync = _sync_columns(pci)
+    insert, _ = _cp_layout(cfg)
+    out = np.empty((n_frames, cfg.frame_len), dtype=np.complex128)
+
+    def frames(lo, hi):
+        grid = _grid(cfg, sync, None if bits is None else bits[lo:hi], hi - lo)
+        np.fft.ifft(grid, axis=-1, norm="ortho", out=grid)
+        np.take(grid.reshape(hi - lo, -1), insert, axis=1, out=out[lo:hi],
+                mode="wrap")
+
+    _run_blocks(frames, n_frames, out.size, 1)
+    return out.ravel()
 
 
 def sync_segment(cfg: FrameConfig, pcis, lo: int, hi: int) -> np.ndarray:

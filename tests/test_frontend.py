@@ -1,7 +1,11 @@
 """Receiver chain: path loss, squaring, filtering, superposition, overlap."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.signal import upfirdn
 
+from foldloc import frontend, lte
 from foldloc.frontend import (SPEED_OF_LIGHT, CellConfig, FrontEndConfig,
                               MultipathProfile, design_lowpass,
                               envelope_square, fold_baseband,
@@ -233,6 +237,48 @@ def test_lowpass_decimate_matches_full_rate_filter(dec, extra):
         got = lowpass_decimate(sq, fs, fe)
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def _whole_trace_fir(sq, taps, dec):
+    """The decimating FIR as one upfirdn call over the whole trace."""
+    center = (taps.size - 1) // 2
+    lead = -center % dec
+    first = (center + lead) // dec
+    y = upfirdn(np.concatenate([np.zeros(lead), taps]), sq, down=dec)
+    return y[..., first:first + -(-sq.shape[-1] // dec)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(dec=st.sampled_from([1, 2, 4, 8, 16]), n=st.integers(1, 6000),
+       rows=st.sampled_from([(), (2,)]), chunk=st.integers(1, 3000),
+       share=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_block_fir_equals_whole_trace_upfirdn(dec, n, rows, chunk, share, seed):
+    """However the outputs are cut into blocks and spread over threads,
+    each is upfirdn's own output for the whole trace, bit for bit."""
+    fe = FrontEndConfig(lpf_cutoff_hz=0.7e6)   # below Nyquist at dec 1 too
+    fs = dec * fe.adc_rate_hz
+    sq = np.random.default_rng(seed).standard_normal(rows + (n,)) ** 2
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(frontend, "_CHUNK", chunk)
+        mp.setattr(lte, "_PARALLEL_MIN", 0)
+        mp.setattr(lte, "_CPU_SHARE", share)
+        got = lowpass_decimate(sq, fs, fe)
+    assert np.array_equal(got, _whole_trace_fir(sq, design_lowpass(fs, fe), dec))
+
+
+def test_block_fir_equals_whole_trace_upfirdn_above_the_split_size():
+    fe = FrontEndConfig()
+    for dec in (4, 8, 16):
+        fs = dec * fe.adc_rate_hz
+        sq = np.random.default_rng(dec).standard_normal(lte._PARALLEL_MIN + 7) ** 2
+        assert np.array_equal(lowpass_decimate(sq, fs, fe),
+                              _whole_trace_fir(sq, design_lowpass(fs, fe), dec))
+
+
+def test_all_pass_returns_its_input():
+    fe = FrontEndConfig(lpf_cutoff_hz=1.0e6)
+    sq = np.arange(10.0)
+    assert lowpass_decimate(sq, fe.adc_rate_hz, fe) is sq
 
 
 def test_design_lowpass_cached_read_only():

@@ -2,8 +2,10 @@
 import csv
 import json
 import os
+import signal
 import subprocess
 import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -11,7 +13,7 @@ import pytest
 from scipy.signal import fftconvolve
 
 import foldloc
-from foldloc import harness, traceio
+from foldloc import harness, lte, traceio
 from foldloc.amplitude import estimate_subsample, fit_amplitude
 from foldloc.detect import (FRAME_LEN, PSS_TEMPLATE_LEN, TEMPLATE_LEN,
                             TEMPLATE_START, BankMismatchError, Detection,
@@ -187,20 +189,110 @@ def test_synth_matches_frame_by_frame_reference(make):
 
 
 def test_synth_does_not_depend_on_fft_threads(monkeypatch):
-    sc = _wideband_scenario((20.0, 15.0, 1.4))
-    monkeypatch.setattr(harness, "_FFT_THREADS", 1)
-    one = synth_fix_trace(sc, 0)
-    monkeypatch.setattr(harness, "_FFT_THREADS", 2)
-    assert np.array_equal(synth_fix_trace(sc, 0), one)
+    # a 5 MHz cell of 6 frames is just under the size at which a layer
+    # splits across threads, one of 7 frames just over it
+    frame = FrameConfig.from_bandwidth(5.0).frame_len
+    assert 6 * frame < lte._PARALLEL_MIN <= 7 * frame
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)   # more thread switches inside the blocks
+    try:
+        for sc in (_wideband_scenario((20.0, 15.0, 1.4)),
+                   _wideband_scenario((5.0, 3.0, 1.4), n_frames=6),
+                   _wideband_scenario((5.0, 3.0, 1.4), n_frames=7)):
+            runs = []
+            for share in (1, 2, 3):   # 3: more threads than two CPUs
+                monkeypatch.setattr(lte, "_CPU_SHARE", share)
+                runs.append(synth_fix_trace(sc, 0))
+            assert all(np.array_equal(r, runs[0]) for r in runs[1:])
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_pool_workers_share_the_cpus(monkeypatch):
-    monkeypatch.setattr(harness, "_FFT_THREADS", 0)
+    monkeypatch.setattr(lte, "_CPU_SHARE", 0)
     cpus = len(os.sched_getaffinity(0))
-    harness._share_cpus(1)
-    assert harness._FFT_THREADS == cpus
-    harness._share_cpus(cpus + 1)
-    assert harness._FFT_THREADS == 1
+    lte._share_cpus(1)
+    assert lte._CPU_SHARE == cpus
+    lte._share_cpus(cpus + 1)
+    assert lte._CPU_SHARE == 1
+
+
+def test_traced_layers_run_on_the_calling_thread(monkeypatch):
+    """Helper threads never enter a layer a tracer may wrap: every call of
+    one, through any foldloc binding of it, runs on the thread that
+    synthesizes the fix, so the spans of a tracer with one stack nest."""
+    calls = []
+
+    def recording(name, original):
+        def wrapper(*args, **kwargs):
+            calls.append((name, threading.get_ident()))
+            return original(*args, **kwargs)
+        return wrapper
+
+    for mod_name, attr in (("lte", "frame_samples"),
+                           ("frontend", "fold_baseband"),
+                           ("frontend", "lowpass_decimate")):
+        original = getattr(sys.modules[f"foldloc.{mod_name}"], attr)
+        wrapper = recording(attr, original)
+        for name, mod in list(sys.modules.items()):
+            if name == "foldloc" or name.startswith("foldloc."):
+                for key, value in list(vars(mod).items()):
+                    if value is original:
+                        monkeypatch.setattr(mod, key, wrapper)
+    helpers = []
+    monkeypatch.setattr(lte, "_helpers",
+                        lambda real=lte._helpers: helpers.append(1) or real())
+    monkeypatch.setattr(lte, "_CPU_SHARE", 2)
+    synth_fix_trace(_wideband_scenario(), 0)
+    assert helpers, "no layer split across threads"
+    assert {n for n, _ in calls} == {"frame_samples", "fold_baseband",
+                                     "lowpass_decimate"}
+    assert {t for _, t in calls} == {threading.get_ident()}
+
+
+_FORKED_POOL_SCRIPT = """
+import os
+from foldloc import harness, lte
+from foldloc.lte import FrameConfig, Pci
+from foldloc.frontend import CellConfig, FrontEndConfig
+from foldloc.scenario import Scenario
+
+cells = [CellConfig(pci=Pci(p), carrier_hz=f,
+                    frame_cfg=FrameConfig.from_bandwidth(bw),
+                    position=pos, tx_power_dbm=46.0)
+         for p, bw, f, pos in ((101, 20.0, 2.115e9, (800.0, 0.0)),
+                               (202, 5.0, 2.145e9, (0.0, 1000.0)),
+                               (303, 5.0, 2.175e9, (-884.0, -884.0)))]
+sc = Scenario(cells=cells, front_end=FrontEndConfig(),
+              trajectory=[(0.0, 10.0, -20.0), (1.0, 30.0, 5.0)],
+              rng_seed=3, n_frames_per_fix=2, solver="ratio")
+lte._CPU_SHARE = 2
+serial = harness.run_eval(sc).to_json()   # the parent's helper pool exists
+assert lte._helper_pool is not None
+# four CPUs, so each of two workers would run its large layers on two
+os.sched_getaffinity = lambda pid: set(range(4))
+print(harness.run_eval(sc, workers=2).to_json() == serial)
+"""
+
+
+def test_worker_processes_do_not_inherit_the_helper_pool():
+    """A forked run_eval worker makes its own helper threads: submitting
+    to the pool it inherits from its parent would wait forever."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.dirname(os.path.dirname(foldloc.__file__)),
+         os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.Popen([sys.executable, "-c", _FORKED_POOL_SCRIPT],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            text=True, env=env, start_new_session=True)
+    try:
+        out, err = proc.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("run_eval(workers=2) did not finish after the parent "
+                    "used its helper pool")
+    assert proc.returncode == 0, err
+    assert out.strip() == "True"
 
 
 # ------------------------------------------------------------- detection

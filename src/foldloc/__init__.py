@@ -6,8 +6,7 @@ enough structure to identify cells, recover timing to a fraction of a
 sample, and localize the receiver, all from a single diode-grade front end
 sampled below 2 MHz.
 """
-from .amplitude import (AmplitudeFit, SubsampleEstimate, estimate_subsample,
-                        fit_amplitude, iterative_separation)
+from .amplitude import SubsampleEstimate, estimate_subsample, fit_amplitude
 from .detect import (Detection, TemplateBank, build_bank, correlate_bank,
                      hierarchical_detect, refine, stack_frames,
                      suppress_false_positives)

@@ -2,8 +2,8 @@
 
 Folded sync components superpose additively in the detector output, so each
 detected cell's contribution can be measured by constrained least squares
-against its template and peeled off iteratively. Residual fractional delay
-appears as a linear phase ramp across the window's frequency bins.
+against its template. Residual fractional delay appears as a linear phase
+ramp across the window's frequency bins.
 """
 from __future__ import annotations
 
@@ -14,15 +14,6 @@ import numpy as np
 _EPS = 1e-30                  # energies and norms below this count as zero
 SUBSAMPLE_FLOOR = 0.05        # usable bins hold this share of the template peak
 SUBSAMPLE_PASSES = 3          # de-ramp passes of the phase-slope fit
-
-
-@dataclass
-class AmplitudeFit:
-    """Constrained LS amplitude for one detection window."""
-
-    amplitude: float
-    residual_energy: float
-    delay: int
 
 
 @dataclass
@@ -49,65 +40,18 @@ def _window(x: np.ndarray, d: int, wlen: int) -> np.ndarray:
     return x.take(range(d, d + wlen), mode="wrap")
 
 
-def fit_amplitude(x: np.ndarray, tpl: np.ndarray, d: int,
-                  a_max: float = np.inf) -> AmplitudeFit:
-    """Best scale of the template (a bank row) at delay d, clamped to [0, a_max].
+def fit_amplitude(x: np.ndarray, tpl: np.ndarray, d: int) -> float:
+    """Best scale of the template (a bank row) at delay d, clamped to >= 0.
 
     The objective mean((window - A*template)^2) is quadratic in A, so the
     minimizer is the clamped projection <window, template> / <template,
     template>. A mean-removed template makes the fit insensitive to the
     detector's DC pedestal.
     """
-    if a_max <= 0:
-        raise ValueError("a_max must be positive")
     tt = float(tpl @ tpl)
     if tt < _EPS:
         raise ValueError("zero-energy template")
-    w = _window(x, d, tpl.size)
-    a = float(np.clip((w @ tpl) / tt, 0.0, a_max))
-    resid = w - a * tpl
-    return AmplitudeFit(amplitude=a,
-                        residual_energy=float(resid @ resid) / tpl.size,
-                        delay=int(d))
-
-
-def iterative_separation(x: np.ndarray, detections, bank,
-                         a_max: float = np.inf,
-                         joint_refit: bool = False) -> list[AmplitudeFit]:
-    """Greedy fit-and-subtract across detections, strongest score first.
-
-    Each round fits the current residual, so earlier (stronger) cells do
-    not leak into later fits; total residual energy never increases. With
-    joint_refit a single unconstrained least-squares pass over all fitted
-    components replaces the greedy amplitudes (clamped to [0, a_max]) and
-    the shared final residual energy is reported on every fit.
-    """
-    dets = sorted(detections, key=lambda d: -d.score)
-    resid = np.asarray(x, dtype=np.float64).copy()
-    fits = []
-    for det in dets:
-        tpl = bank.samples[det.pci.value]
-        fit = fit_amplitude(resid, tpl, det.delay_samples, a_max)
-        idx = np.arange(det.delay_samples,
-                        det.delay_samples + tpl.size) % resid.size
-        resid[idx] -= fit.amplitude * tpl
-        fits.append(fit)
-
-    if joint_refit and fits:
-        cols = np.zeros((resid.size, len(fits)))
-        for j, (det, _) in enumerate(zip(dets, fits)):
-            tpl = bank.samples[det.pci.value]
-            idx = np.arange(det.delay_samples,
-                            det.delay_samples + tpl.size) % resid.size
-            cols[idx, j] = tpl
-        sol, *_ = np.linalg.lstsq(cols, np.asarray(x, dtype=np.float64),
-                                  rcond=None)
-        sol = np.clip(sol, 0.0, a_max)
-        final = np.asarray(x, dtype=np.float64) - cols @ sol
-        energy = float(final @ final) / resid.size
-        fits = [AmplitudeFit(float(a), energy, f.delay)
-                for a, f in zip(sol, fits)]
-    return fits
+    return float(max((_window(x, d, tpl.size) @ tpl) / tt, 0.0))
 
 
 def estimate_subsample(x: np.ndarray, tpl: np.ndarray, d: int) -> SubsampleEstimate:

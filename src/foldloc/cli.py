@@ -118,6 +118,7 @@ def _do_localize(args) -> int:
 
 def _do_track(args) -> int:
     graph = load_road_graph_csv(args.roads)
+    region = load_geofence_csv(args.geofence) if args.geofence else None
     fixes = []
     for _, row in read_csv_rows(args.trajectory, ("t", "x_est", "y_est")):
         if row["x_est"] == "":
@@ -133,10 +134,7 @@ def _do_track(args) -> int:
             w.writerow([fx.t, fx.position[0], fx.position[1],
                         fx.snapped[0], fx.snapped[1], int(fx.reseeded)])
     alert_path = args.out_prefix + ".alerts.csv"
-    events = []
-    if args.geofence:
-        region = load_geofence_csv(args.geofence)
-        events = geofence_events(snapped, region)
+    events = geofence_events(snapped, region) if region is not None else []
     with open(alert_path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["t", "event"])

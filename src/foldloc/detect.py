@@ -30,10 +30,10 @@ import numpy as np
 
 from . import amplitude
 from .amplitude import _EPS
-from .frontend import FrontEndConfig, design_lowpass, fold_baseband
+from .frontend import (DETECTOR_RATE_HZ, FrontEndConfig,  # noqa: F401
+                       design_lowpass, fold_baseband)
 from .lte import FrameConfig, Pci, sync_segment
 
-DETECTOR_RATE_HZ = 1.92e6
 FRAME_LEN = 19200             # 10 ms at the detector rate
 HALF_FRAME = 9600             # sync repeats every 5 ms
 TEMPLATE_START = 684          # window start within a slot-aligned frame
@@ -90,8 +90,6 @@ def build_bank(fe: FrontEndConfig) -> TemplateBank:
     `sync_segment` modulates those symbols in one IFFT and one
     fold_baseband call folds the (BANK_CHUNK, segment) array.
     """
-    if abs(fe.adc_rate_hz - DETECTOR_RATE_HZ) > 1e-6:
-        raise ValueError("template bank arithmetic requires a 1.92 MHz ADC rate")
     cfg = FrameConfig.from_bandwidth(1.4)    # sampled at the detector rate
     fs = cfg.sample_rate_hz
     # lowpass_decimate runs its FIR only below Nyquist; each output then
@@ -275,7 +273,7 @@ def refine(stacked: np.ndarray, bank: TemplateBank,
     for det in dets:
         p = det.pci.value
         det.amplitude = float(amplitude.fit_amplitude(
-            stacked, bank.samples[p], det.delay_samples).amplitude / bank.norms[p])
+            stacked, bank.samples[p], det.delay_samples) / bank.norms[p])
     kept = suppress_false_positives(dets)
     for det in kept:
         det.subsample_offset = amplitude.estimate_subsample(

@@ -3,8 +3,9 @@
 Models the path from tower antennas to detector-rate real samples: free-space
 amplitude, geometric and multipath delay, carrier upconversion and
 superposition across bands, the envelope detector's squaring, FIR low-pass
-filtering and decimation to the ADC rate. Nothing here adds noise: detector
-noise of `FrontEndConfig.noise_sigma` is added once per fix trace, by
+filtering and decimation to the one detector rate, DETECTOR_RATE_HZ =
+1.92 MHz. Nothing here adds noise: detector noise of
+`FrontEndConfig.noise_sigma` is added once per fix trace, by
 `harness.synth_fix_trace`.
 
 Two receive paths are provided. The real-RF path squares an explicitly
@@ -31,6 +32,7 @@ from scipy.signal import firwin, kaiserord, upfirdn
 from .lte import FrameConfig, Pci, _run_blocks, frame_samples
 
 SPEED_OF_LIGHT = 3.0e8
+DETECTOR_RATE_HZ = 1.92e6     # the detector's one sample rate
 SYNC_BAND_HZ = 1.08e6         # folded sync occupies DC..~1 MHz
 # elements of the temporaries one block of the square or the FIR makes, so
 # that helper threads keep little memory
@@ -39,11 +41,12 @@ _CHUNK = 1 << 14
 
 @dataclass(frozen=True)
 class FrontEndConfig:
-    """Detector-side filter, sampling, and noise parameters.
+    """Detector-side filter, sensitivity and noise parameters.
 
-    Note the deliberately aggressive default cutoff: folded sync content
-    lives below ~0.96 MHz, so sampling at 1.92 MHz with a 1.4 MHz filter
-    aliases only data-difference terms that the detector tolerates.
+    The detector samples at DETECTOR_RATE_HZ, which is no setting. Note the
+    deliberately aggressive default cutoff: folded sync content lives below
+    ~0.96 MHz, so sampling at 1.92 MHz with a 1.4 MHz filter aliases only
+    data-difference terms that the detector tolerates.
 
     noise_sigma takes no part in equality or hashing: front ends that
     differ only in noise share one filter and one template bank.
@@ -52,7 +55,6 @@ class FrontEndConfig:
     lpf_cutoff_hz: float = 1.4e6
     lpf_transition_hz: float = 0.4e6
     lpf_atten_db: float = 60.0
-    adc_rate_hz: float = 1.92e6
     noise_sigma: float = field(default=0.0, compare=False)
     sensitivity_floor_dbm: float = -70.0
 
@@ -61,10 +63,10 @@ class FrontEndConfig:
             raise ValueError(f"non-finite value in {self}")
         if self.noise_sigma < 0:
             raise ValueError("noise_sigma must be >= 0")
-        if self.lpf_cutoff_hz <= 0 or self.adc_rate_hz <= 0:
-            raise ValueError("cutoff and adc rate must be positive")
-        if self.lpf_cutoff_hz > self.adc_rate_hz:
-            raise ValueError("lpf cutoff above the ADC rate is unrealizable")
+        if self.lpf_cutoff_hz <= 0:
+            raise ValueError("cutoff must be positive")
+        if self.lpf_cutoff_hz > DETECTOR_RATE_HZ:
+            raise ValueError("lpf cutoff above the detector rate is unrealizable")
 
 
 @dataclass(frozen=True)
@@ -134,7 +136,7 @@ def design_lowpass(fs: float, cfg: FrontEndConfig) -> np.ndarray:
 
 
 def lowpass_decimate(sq: np.ndarray, fs_in: float, cfg: FrontEndConfig) -> np.ndarray:
-    """Low-pass and decimate to the ADC rate, along the last axis.
+    """Low-pass and decimate to DETECTOR_RATE_HZ, along the last axis.
 
     Output i is the FIR output centered on input sample i * dec: the
     odd-length linear-phase FIR's group delay is compensated, so template
@@ -144,11 +146,11 @@ def lowpass_decimate(sq: np.ndarray, fs_in: float, cfg: FrontEndConfig) -> np.nd
     With dec == 1 and the cutoff above the input's Nyquist band the filter
     is all-pass and sq itself is returned, not a copy.
     """
-    ratio = fs_in / cfg.adc_rate_hz
+    ratio = fs_in / DETECTOR_RATE_HZ
     dec = int(round(ratio))
     if abs(ratio - dec) > 1e-9 or dec < 1:
         raise ValueError(f"input rate {fs_in} not an integer multiple of "
-                         f"ADC rate {cfg.adc_rate_hz}")
+                         f"the detector rate {DETECTOR_RATE_HZ}")
     if cfg.lpf_cutoff_hz < fs_in / 2.0:
         return _fir_blocks(sq, design_lowpass(fs_in, cfg), dec)
     if dec == 1:

@@ -41,11 +41,11 @@ import numpy as np
 import scipy.fft
 
 from . import traceio
-from .detect import (DETECTOR_RATE_HZ, FRAME_LEN, THRESH_PSS, THRESH_SSS,
-                     BankMismatchError, Detection, build_bank,
-                     hierarchical_detect, refine, stack_frames)
-from .frontend import (SPEED_OF_LIGHT, FrontEndConfig, fold_baseband,
-                       path_amplitude, received_power_dbm)
+from .detect import (FRAME_LEN, THRESH_PSS, THRESH_SSS, BankMismatchError,
+                     Detection, build_bank, hierarchical_detect, refine,
+                     stack_frames)
+from .frontend import (DETECTOR_RATE_HZ, SPEED_OF_LIGHT, FrontEndConfig,
+                       fold_baseband, path_amplitude, received_power_dbm)
 from .lte import Pci, _run_blocks, _share_cpus, _threads, frame_samples
 from .locate import SOLVERS, TowerObservation, solve_tdoa
 from .scenario import Scenario, ScenarioError, read_csv_rows, scenario_cell_db, \
@@ -339,7 +339,7 @@ def cmd_synth(sc: Scenario, outdir: str) -> str:
         for i, (t, x, y) in enumerate(sc.trajectory):
             trace = synth_fix_trace(sc, i)
             path = os.path.join(outdir, f"trace_fix_{i:04d}.bin")
-            traceio.write_trace(path, trace, sc.front_end.adc_rate_hz)
+            traceio.write_trace(path, trace, DETECTOR_RATE_HZ)
             truth = ";".join(str(c.pci.value) for _, c in _heard_cells(sc, (x, y)))
             w.writerow([i, path, t, x, y, truth])
     return manifest
@@ -349,9 +349,9 @@ def cmd_detect(trace_path: str, fe: FrontEndConfig, out_csv: str,
                thresh_pss: float = THRESH_PSS, thresh_sss: float = THRESH_SSS,
                n_stack: int | None = None) -> list[Detection]:
     samples, rate = traceio.read_trace(trace_path)
-    if abs(rate - fe.adc_rate_hz) > 1e-6:
+    if abs(rate - DETECTOR_RATE_HZ) > 1e-6:
         raise BankMismatchError(
-            f"trace rate {rate:g} does not match front end {fe.adc_rate_hz:g}")
+            f"trace rate {rate:g} is not the detector rate {DETECTOR_RATE_HZ:g}")
     dets = detect_trace(samples, _bank_for(fe), thresh_pss, thresh_sss,
                         n_stack)
     write_detections_csv(out_csv, dets)

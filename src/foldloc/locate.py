@@ -13,8 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .detect import DETECTOR_RATE_HZ
-from .frontend import SPEED_OF_LIGHT
+from .frontend import DETECTOR_RATE_HZ, SPEED_OF_LIGHT
 
 _AMP_FLOOR = 1e-12
 DIVERGENCE_SCALES = 10.0      # farther from the tower centroid is diverged

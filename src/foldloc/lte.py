@@ -139,14 +139,6 @@ class Pci:
     def sector(self) -> int:
         return self.value % 3
 
-    @classmethod
-    def from_parts(cls, group: int, sector: int) -> "Pci":
-        if not 0 <= group <= 167:
-            raise ValueError(f"group {group} outside [0, 167]")
-        if sector not in (0, 1, 2):
-            raise ValueError(f"sector {sector} not in {{0,1,2}}")
-        return cls(3 * group + sector)
-
 
 @dataclass(frozen=True)
 class FrameConfig:

@@ -3,8 +3,7 @@
 Position fixes are projected onto road edge segments with a speed-feasibility
 chain: a candidate is kept only if some candidate of the previous fix lies
 within reach at the network's maximum speed. Geofence regions are simple
-polygons with enter/exit alerting, optionally gated by which PCIs were
-detected at a fix.
+polygons with enter/exit alerting.
 """
 from __future__ import annotations
 
@@ -12,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .scenario import read_csv_rows
+from .scenario import ScenarioError, read_csv_rows
 
 ROAD_COLUMNS = ("node_a_id", "node_b_id", "ax", "ay", "bx", "by", "max_speed_mps")
 
@@ -23,10 +22,10 @@ class RoadGraph:
 
     nodes: dict
     edges: list                      # (node_a, node_b, max_speed_mps)
-    _ax: np.ndarray = field(default=None, repr=False)
-    _ay: np.ndarray = field(default=None, repr=False)
-    _bx: np.ndarray = field(default=None, repr=False)
-    _by: np.ndarray = field(default=None, repr=False)
+    _ax: np.ndarray = field(init=False, repr=False)
+    _ay: np.ndarray = field(init=False, repr=False)
+    _bx: np.ndarray = field(init=False, repr=False)
+    _by: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if not self.edges:
@@ -141,7 +140,6 @@ def _segments_cross(p1, p2, p3, p4) -> bool:
 class GeofenceRegion:
     polygon: np.ndarray
     mode: str = "exit"
-    allowed_pcis: set | None = None
 
     def __post_init__(self):
         self.polygon = np.asarray(self.polygon, dtype=np.float64)
@@ -160,27 +158,19 @@ class GeofenceRegion:
                     raise ValueError("polygon is self-intersecting")
 
 
-def geofence_events(fixes: list[Fix], region: GeofenceRegion,
-                    detected_pcis: list[set] | None = None) -> list[tuple[float, str]]:
+def geofence_events(fixes: list[Fix],
+                    region: GeofenceRegion) -> list[tuple[float, str]]:
     """Alert timestamps where the tracked state transitions per region.mode.
 
-    A fix counts as outside either geometrically (snapped position when
-    available, else raw) or, when allowed_pcis is set, because its detected
-    PCI set shares nothing with the allowed set. Only transitions matching
-    region.mode emit events; the first fix sets the initial state silently.
+    A fix is inside when its snapped position (when available, else the
+    raw one) lies in the polygon. Only transitions matching region.mode
+    emit events; the first fix sets the initial state silently.
     """
-    if detected_pcis is not None and len(detected_pcis) != len(fixes):
-        raise ValueError("detected_pcis must align with fixes")
     events = []
     prev_inside = None
-    for i, fx in enumerate(fixes):
+    for fx in fixes:
         p = fx.snapped if fx.snapped is not None else fx.position
         inside = point_in_polygon(p, region.polygon)
-        if inside and region.allowed_pcis is not None and detected_pcis is not None:
-            seen = {getattr(p_, "value", p_) for p_ in detected_pcis[i]}
-            allowed = {getattr(p_, "value", p_) for p_ in region.allowed_pcis}
-            if not (seen & allowed):
-                inside = False
         if prev_inside is not None and inside != prev_inside:
             kind = "enter" if inside else "exit"
             if kind == region.mode:
@@ -189,17 +179,30 @@ def geofence_events(fixes: list[Fix], region: GeofenceRegion,
     return events
 
 
+def _finite(texts, where: str) -> list[float]:
+    """texts parsed as finite floats; anything else raises ScenarioError
+    prefixed with where, the path:line."""
+    try:
+        vals = [float(t) for t in texts]
+    except ValueError as e:
+        raise ScenarioError(f"{where}: {e}") from None
+    if not np.isfinite(vals).all():
+        raise ScenarioError(f"{where}: non-finite value in {list(texts)}")
+    return vals
+
+
 def load_road_graph_csv(path) -> RoadGraph:
     """Edge list with the ROAD_COLUMNS header, one edge per row."""
     nodes, edges = {}, []
     for ln, r in read_csv_rows(path, ROAD_COLUMNS):
         a, b = r["node_a_id"], r["node_b_id"]
-        for nid, xy in ((a, (float(r["ax"]), float(r["ay"]))),
-                        (b, (float(r["bx"]), float(r["by"])))):
+        ax, ay, bx, by, v = _finite([r[c] for c in ROAD_COLUMNS[2:]],
+                                    f"{path}:{ln}")
+        for nid, xy in ((a, (ax, ay)), (b, (bx, by))):
             if nid in nodes and nodes[nid] != xy:
-                raise ValueError(f"{path}:{ln}: node {nid} repositioned")
+                raise ScenarioError(f"{path}:{ln}: node {nid} repositioned")
             nodes[nid] = xy
-        edges.append((a, b, float(r["max_speed_mps"])))
+        edges.append((a, b, v))
     return RoadGraph(nodes=nodes, edges=edges)
 
 
@@ -208,11 +211,14 @@ def load_geofence_csv(path) -> GeofenceRegion:
     with open(path) as f:
         first = f.readline().strip().split(",")
         if len(first) != 2 or first[0] != "mode":
-            raise ValueError(f"{path}: first line must be 'mode,<enter|exit>'")
+            raise ScenarioError(f"{path}:1: first line must be 'mode,<enter|exit>'")
         mode = first[1]
         verts = []
-        for line in f:
+        for ln, line in enumerate(f, start=2):
             if line.strip():
-                x, y = line.strip().split(",")
-                verts.append((float(x), float(y)))
+                xy = line.strip().split(",")
+                if len(xy) != 2:
+                    raise ScenarioError(f"{path}:{ln}: expected 'x,y', got "
+                                        f"{line.strip()!r}")
+                verts.append(_finite(xy, f"{path}:{ln}"))
     return GeofenceRegion(polygon=np.array(verts), mode=mode)

@@ -67,11 +67,6 @@ def test_bank_matches_full_frame_reference(fe_cfg):
     assert np.array_equal(got.pss_unit, pss)
 
 
-def test_bank_requires_detector_rate():
-    with pytest.raises(ValueError):
-        build_bank(FrontEndConfig(adc_rate_hz=3.84e6, lpf_cutoff_hz=1.4e6))
-
-
 def test_folded_pss_halves_merge_for_conjugate_roots(bank):
     """Squaring erases the conjugacy between roots 29 and 34: the folded
     PSS symbol bodies (CP excluded; the CP shift breaks the symmetry)

@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 from scipy.signal import upfirdn
 
 from foldloc import frontend, lte
-from foldloc.frontend import (SPEED_OF_LIGHT, CellConfig, FrontEndConfig,
-                              MultipathProfile, design_lowpass,
-                              envelope_square, fold_baseband,
+from foldloc.frontend import (DETECTOR_RATE_HZ, SPEED_OF_LIGHT, CellConfig,
+                              FrontEndConfig, MultipathProfile,
+                              design_lowpass, envelope_square, fold_baseband,
                               folded_sync_overlap, lowpass_decimate,
                               path_amplitude, receive_rf, received_power_dbm,
                               superpose)
@@ -80,7 +80,7 @@ def test_two_tone_difference_survives_filter():
     t = np.arange(n) / fs
     x = np.sin(2 * np.pi * f1 * t) + np.sin(2 * np.pi * f2 * t)
     y = lowpass_decimate(envelope_square(x), fs, fe)
-    td = np.arange(y.size) / fe.adc_rate_hz
+    td = np.arange(y.size) / DETECTOR_RATE_HZ
     want = 1.0 + np.cos(2 * np.pi * (f1 - f2) * td)
     core = slice(200, y.size - 200)  # skip filter edge transients
     assert np.abs(y[core] - want[core]).max() < 0.01
@@ -109,7 +109,7 @@ def test_tone_above_cutoff_attenuated():
 def test_lowpass_rejects_fractional_decimation():
     fe = FrontEndConfig()
     with pytest.raises(ValueError):
-        lowpass_decimate(np.zeros(1000), 1.5 * fe.adc_rate_hz, fe)
+        lowpass_decimate(np.zeros(1000), 1.5 * DETECTOR_RATE_HZ, fe)
 
 
 def test_fold_homogeneity():
@@ -205,7 +205,7 @@ def test_overlap_adjacent_channels():
 
 def test_frontend_config_validation():
     with pytest.raises(ValueError):
-        FrontEndConfig(lpf_cutoff_hz=3e6, adc_rate_hz=1.92e6)
+        FrontEndConfig(lpf_cutoff_hz=3e6)
 
 
 def test_folded_spectrum_confined_preamble():
@@ -229,7 +229,7 @@ def test_lowpass_decimate_matches_full_rate_filter(dec, extra):
     than the filter."""
     from scipy.signal import fftconvolve
     fe = FrontEndConfig()
-    fs = dec * fe.adc_rate_hz
+    fs = dec * DETECTOR_RATE_HZ
     rng = np.random.default_rng(dec)
     for n in (257 * dec + extra, 37 * dec + 1 + extra, 3 * dec + 1 + extra):
         sq = rng.standard_normal(n) ** 2
@@ -256,7 +256,7 @@ def test_block_fir_equals_whole_trace_upfirdn(dec, n, rows, chunk, share, seed):
     """However the outputs are cut into blocks and spread over threads,
     each is upfirdn's own output for the whole trace, bit for bit."""
     fe = FrontEndConfig(lpf_cutoff_hz=0.7e6)   # below Nyquist at dec 1 too
-    fs = dec * fe.adc_rate_hz
+    fs = dec * DETECTOR_RATE_HZ
     sq = np.random.default_rng(seed).standard_normal(rows + (n,)) ** 2
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(frontend, "_CHUNK", chunk)
@@ -269,7 +269,7 @@ def test_block_fir_equals_whole_trace_upfirdn(dec, n, rows, chunk, share, seed):
 def test_block_fir_equals_whole_trace_upfirdn_above_the_split_size():
     fe = FrontEndConfig()
     for dec in (4, 8, 16):
-        fs = dec * fe.adc_rate_hz
+        fs = dec * DETECTOR_RATE_HZ
         sq = np.random.default_rng(dec).standard_normal(lte._PARALLEL_MIN + 7) ** 2
         assert np.array_equal(lowpass_decimate(sq, fs, fe),
                               _whole_trace_fir(sq, design_lowpass(fs, fe), dec))
@@ -278,7 +278,7 @@ def test_block_fir_equals_whole_trace_upfirdn_above_the_split_size():
 def test_all_pass_returns_its_input():
     fe = FrontEndConfig(lpf_cutoff_hz=1.0e6)
     sq = np.arange(10.0)
-    assert lowpass_decimate(sq, fe.adc_rate_hz, fe) is sq
+    assert lowpass_decimate(sq, DETECTOR_RATE_HZ, fe) is sq
 
 
 def test_design_lowpass_cached_read_only():

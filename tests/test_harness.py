@@ -6,7 +6,7 @@ import signal
 import subprocess
 import sys
 import threading
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -20,8 +20,8 @@ from foldloc.detect import (FRAME_LEN, PSS_TEMPLATE_LEN, TEMPLATE_LEN,
                             _stage1_candidates, _window_norms,
                             hierarchical_detect, stack_frames,
                             suppress_false_positives)
-from foldloc.frontend import (SPEED_OF_LIGHT, CellConfig, FrontEndConfig,
-                              design_lowpass, path_amplitude,
+from foldloc.frontend import (DETECTOR_RATE_HZ, SPEED_OF_LIGHT, CellConfig,
+                              FrontEndConfig, design_lowpass, path_amplitude,
                               received_power_dbm)
 from foldloc.harness import (cmd_localize, cmd_synth, compute_metrics,
                              detect_trace, run_eval, run_fix, run_urban_sim,
@@ -89,6 +89,35 @@ def test_noise_added_once_and_not_part_of_front_end_identity():
                           synth_fix_trace(quiet, 0) + noise)
 
 
+def test_every_front_end_setting_reaches_the_trace():
+    """No front-end setting is accepted and then ignored: changing any
+    one of them changes the trace of a one-frame fix of a 1.4 MHz and a
+    5 MHz cell (the 5 MHz cell runs the FIR)."""
+    rx = (900.0, 100.0)
+    cells = [_cell(11, 0.0, 0.0),
+             CellConfig(pci=Pci(22), carrier_hz=1.8e9,
+                        frame_cfg=FrameConfig.from_bandwidth(5.0),
+                        position=(3000.0, 0.0), tx_power_dbm=46.0)]
+    sc = Scenario(cells=cells, front_end=FrontEndConfig(), n_frames_per_fix=1,
+                  trajectory=[(0.0, *rx)])
+    powers = [received_power_dbm(c, rx) for c in cells]
+    assert min(powers) >= FrontEndConfig().sensitivity_floor_dbm
+    # a non-default valid value of every field; the floor drops one cell
+    changes = {"lpf_cutoff_hz": 1.2e6, "lpf_transition_hz": 0.3e6,
+               "lpf_atten_db": 50.0, "noise_sigma": 1e-9,
+               "sensitivity_floor_dbm": float(np.mean(powers))}
+    base = synth_fix_trace(sc, 0)
+    for f in fields(FrontEndConfig):
+        assert f.name in changes, f"no test value for {f.name}"
+        fe = replace(FrontEndConfig(), **{f.name: changes[f.name]})
+        assert getattr(fe, f.name) != f.default, f.name
+        changed = replace(sc, front_end=fe)
+        assert not np.array_equal(synth_fix_trace(changed, 0), base), f.name
+    floor = replace(sc, front_end=FrontEndConfig(
+        sensitivity_floor_dbm=changes["sensitivity_floor_dbm"]))
+    assert len(harness._heard_cells(floor, rx)) == 1
+
+
 def _seed_frame(cfg, pci, rng):
     """One frame as the loop-based reference synthesizes it: a per-element
     QPSK exp, a per-bin-major IFFT and a per-symbol cyclic-prefix loop."""
@@ -130,7 +159,7 @@ def _seed_synth_fix_trace(sc, fix_idx):
         a_rx = path_amplitude(d, cell.carrier_hz) * \
             10.0 ** ((cell.tx_power_dbm - 30.0) / 20.0)
         sq = 0.5 * np.abs(a_rx * bb) ** 2
-        dec = int(round(cfg.sample_rate_hz / fe.adc_rate_hz))
+        dec = int(round(cfg.sample_rate_hz / DETECTOR_RATE_HZ))
         if dec > 1:
             taps = design_lowpass(cfg.sample_rate_hz, fe)
             sq = fftconvolve(sq, taps, mode="same")[::dec]
@@ -352,7 +381,7 @@ def _seed_enrich(stacked, bank, dets):
     template over its norm) and sub-sample offset of every detection."""
     for d in dets:
         tpl = bank.samples[d.pci.value]
-        d.amplitude = fit_amplitude(stacked, tpl, d.delay_samples).amplitude \
+        d.amplitude = fit_amplitude(stacked, tpl, d.delay_samples) \
             / bank.norms[d.pci.value]
         d.subsample_offset = estimate_subsample(stacked, tpl, d.delay_samples).tau
     return dets
@@ -712,6 +741,32 @@ def test_cli_track_trajectory_without_x_est_exits_2(tmp_path, capsys):
     assert "x_est" in capsys.readouterr().err
 
 
+TRACK_FIXES = "t,x_est,y_est\n0,0,5\n1,20,5\n2,40,5\n"
+FENCE = "mode,exit\n-50,-50\n50,-50\n50,50\n-50,50\n"
+
+
+@pytest.mark.parametrize("roads, fence, where", [
+    (ROADS.replace(",30\n", ",nan\n"), None, "roads.csv:2: non-finite"),
+    (ROADS, FENCE.replace("\n50,50\n", "\nnan,50\n"), "fence.csv:4: non-finite"),
+    (ROADS, FENCE.replace("\n50,-50\n", "\n50,-50,7\n"), "fence.csv:3: expected"),
+], ids=["speed_nan", "vertex_nan", "vertex_three_fields"])
+def test_cli_track_bad_roads_or_geofence_exits_2(tmp_path, capsys, roads,
+                                                 fence, where):
+    """A road or geofence line that does not parse to finite numbers
+    exits 2 naming path:line, and nothing is written."""
+    from foldloc.cli import main
+    (tmp_path / "traj.csv").write_text(TRACK_FIXES)
+    (tmp_path / "roads.csv").write_text(roads)
+    args = ["track", str(tmp_path / "traj.csv"),
+            "--roads", str(tmp_path / "roads.csv"), "-o", str(tmp_path / "out")]
+    if fence is not None:
+        (tmp_path / "fence.csv").write_text(fence)
+        args += ["--geofence", str(tmp_path / "fence.csv")]
+    assert main(args) == 2
+    assert where in capsys.readouterr().err
+    assert not (tmp_path / "out.snapped.csv").exists()
+
+
 def test_cli_validation_error_exits_2(cli_workdir, tmp_path, capsys):
     from foldloc.cli import main
     bad = tmp_path / "bad.ini"
@@ -732,6 +787,8 @@ def test_cli_validation_error_exits_2(cli_workdir, tmp_path, capsys):
             ("seed = 5\n", "seed = 5\nthresh_sss = -inf\n", "thresh_sss"),
             ("[scenario]", "[frontend]\nnoise_sigma = nan\n\n[scenario]",
              "[frontend]: non-finite"),
+            ("[scenario]", "[frontend]\nadc_rate_hz = 1.92e6\n\n[scenario]",
+             "[frontend]: unknown key 'adc_rate_hz'"),
             ("[scenario]", "[DEFAULT]\ntx_power_dbm = 40\n\n[scenario]",
              "[DEFAULT]")):
         bad.write_text(SCENARIO_INI.replace(old, new))

@@ -1,8 +1,14 @@
 """Frame synthesis: sync sequences, grid layout, OFDM round trip."""
 import cmath
+import threading
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from foldloc import lte
 
 from foldloc.lte import (BANDWIDTH_TABLE, FrameConfig, Pci,
                          build_frame, central_62_bins, frame_samples,
@@ -13,7 +19,6 @@ from foldloc.lte import (BANDWIDTH_TABLE, FrameConfig, Pci,
 def test_pci_decomposition():
     p = Pci(503)
     assert p.group == 167 and p.sector == 2
-    assert Pci.from_parts(167, 2).value == 503
     for v in range(504):
         q = Pci(v)
         assert 3 * q.group + q.sector == v
@@ -263,3 +268,30 @@ def test_sync_segment_matches_data_free_frames(cfg14, span):
     assert got.shape == (len(pcis), hi - lo)
     for row, p in zip(got, pcis):
         assert np.array_equal(row, frame_samples(cfg14, p, "none")[lo:hi])
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(0, 200), step=st.one_of(st.none(), st.integers(1, 17)),
+       above=st.booleans(), share=st.integers(1, 3))
+def test_run_blocks_covers_every_index_once(n, step, above, share):
+    """However the range is cut and spread over threads, the pieces cover
+    it exactly once, none is longer than step, and the piece holding
+    index 0 runs on the calling thread."""
+    size = lte._PARALLEL_MIN if above else lte._PARALLEL_MIN - 1
+    calls, lock = [], threading.Lock()
+
+    def fn(lo, hi):
+        with lock:
+            calls.append((lo, hi, threading.get_ident()))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lte, "_CPU_SHARE", share)
+        lte._run_blocks(fn, n, size, step)
+    covered = Counter(i for lo, hi, _ in calls for i in range(lo, hi))
+    assert covered == Counter(range(n))
+    assert all(lo < hi for lo, hi, _ in calls)
+    if step is None:
+        assert len(calls) <= (share if above else 1)
+    else:
+        assert all(hi - lo <= step for lo, hi, _ in calls)
+    assert all(t == threading.get_ident() for lo, _, t in calls if lo == 0)

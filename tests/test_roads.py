@@ -226,26 +226,11 @@ def test_geofence_crossing_parity():
     assert all(kind == "exit" for _, kind in events)
 
 
-def test_geofence_pci_disjoint_counts_as_outside():
-    region = GeofenceRegion(polygon=_SQ, mode="exit", allowed_pcis={10, 11})
-    fixes = _walk([(50, 50), (55, 50), (60, 50)])
-    pcis = [{10}, {200, 300}, {11}]
-    events = geofence_events(fixes, region, detected_pcis=pcis)
-    assert events == [(1.0, "exit")]
-
-
 def test_geofence_snapped_position_preferred():
     region = GeofenceRegion(polygon=_SQ, mode="exit")
     fixes = [Fix(t=0.0, position=(50.0, 50.0)),
              Fix(t=1.0, position=(150.0, 50.0), snapped=(90.0, 50.0))]
     assert geofence_events(fixes, region) == []
-
-
-def test_geofence_misaligned_pcis_raise():
-    region = GeofenceRegion(polygon=_SQ, mode="exit", allowed_pcis={1})
-    with pytest.raises(ValueError):
-        geofence_events(_walk([(50, 50), (60, 50)]), region,
-                        detected_pcis=[{1}])
 
 
 def test_geofence_region_validation():

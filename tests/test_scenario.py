@@ -140,9 +140,11 @@ def test_nonincreasing_trajectory_rejected(tmp_path):
      r"\[scenario\]: unknown key 'rng_seed'"),
     ("seed = 7", "seed = 7\ncorrelation_mode = plain",
      r"\[scenario\]: unknown key 'correlation_mode'"),
+    ("noise_sigma = 0.001", "noise_sigma = 0.001\nadc_rate_hz = 1.92e6",
+     r"\[frontend\]: unknown key 'adc_rate_hz'"),
 ], ids=["tresh_sss", "tx_powr_dbm", "frontend_key", "trajectory_key", "scenaro",
         "cells_section", "mode_plain", "mode_phat", "rng_seed",
-        "correlation_mode"])
+        "correlation_mode", "adc_rate_hz"])
 def test_unknown_section_or_key_rejected(tmp_path, old, new, named):
     assert old in GOOD_INI
     with pytest.raises(ScenarioError, match=named):
@@ -173,7 +175,6 @@ solver = ratio
 lpf_cutoff_hz = 1.2e6
 lpf_transition_hz = 0.3e6
 lpf_atten_db = 50
-adc_rate_hz = 1.92e6
 noise_sigma = 0.01
 sensitivity_floor_dbm = -80
 
@@ -193,8 +194,7 @@ n_fixes = 2
     sc = load_scenario(_write(tmp_path, ini))
     assert (sc.rng_seed, sc.n_frames_per_fix, sc.thresh_pss, sc.thresh_sss,
             sc.solver) == (3, 2, 0.2, 0.4, "ratio")
-    assert sc.front_end == FrontEndConfig(1.2e6, 0.3e6, 50.0, 1.92e6, 0.01,
-                                          -80.0)
+    assert sc.front_end == FrontEndConfig(1.2e6, 0.3e6, 50.0, 0.01, -80.0)
     assert sc.front_end.noise_sigma == 0.01
     assert sc.cells == [CellConfig(Pci(7), 2.1e9, FrameConfig.from_bandwidth(5),
                                    (1.0, 2.0), 40.0, 0.001)]

@@ -11,13 +11,13 @@ import os
 import sys
 
 from .detect import THRESH_PSS, THRESH_SSS, BankMismatchError
-from .frontend import FrontEndConfig
 from .harness import cmd_detect, cmd_localize, cmd_synth, read_detections_csv, \
     run_eval
 from .locate import SOLVERS
-from .roads import Fix, geofence_events, load_geofence_csv, load_road_graph_csv, \
-    snap_trajectory
-from .scenario import ScenarioError, load_cell_db, load_scenario, read_csv_rows
+from .roads import Fix, _finite, geofence_events, load_geofence_csv, \
+    load_road_graph_csv, snap_trajectory
+from .scenario import ScenarioError, check_thresholds, load_cell_db, \
+    load_scenario, read_csv_rows
 from .traceio import TraceFormatError
 
 EXIT_OK = 0
@@ -64,7 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _do_detect(args) -> int:
-    fe = FrontEndConfig()
+    check_thresholds(args.thresh_pss, args.thresh_sss)
     outdir = args.outdir or os.path.dirname(os.path.abspath(args.input))
     if args.input.endswith(".csv"):
         rows = [r for _, r in read_csv_rows(args.input, (
@@ -80,7 +80,7 @@ def _do_detect(args) -> int:
             for row in rows:
                 out_csv = os.path.join(
                     outdir, f"detections_fix_{int(row['fix']):04d}.csv")
-                dets = cmd_detect(row["trace_path"], fe, out_csv, args.thresh_pss,
+                dets = cmd_detect(row["trace_path"], out_csv, args.thresh_pss,
                                   args.thresh_sss, args.stack)
                 w.writerow([row["fix"], row["t"], out_csv, row["x_true"],
                             row["y_true"], row["true_pcis"]])
@@ -91,7 +91,7 @@ def _do_detect(args) -> int:
         out_csv = os.path.join(
             outdir, os.path.basename(args.input).rsplit(".", 1)[0]
             + ".detections.csv")
-        dets = cmd_detect(args.input, fe, out_csv, args.thresh_pss,
+        dets = cmd_detect(args.input, out_csv, args.thresh_pss,
                           args.thresh_sss, args.stack)
         for d in dets:
             print(f"pci={d.pci.value} delay={d.delay_samples} "
@@ -120,11 +120,12 @@ def _do_track(args) -> int:
     graph = load_road_graph_csv(args.roads)
     region = load_geofence_csv(args.geofence) if args.geofence else None
     fixes = []
-    for _, row in read_csv_rows(args.trajectory, ("t", "x_est", "y_est")):
+    for ln, row in read_csv_rows(args.trajectory, ("t", "x_est", "y_est")):
         if row["x_est"] == "":
             continue
-        fixes.append(Fix(t=float(row["t"]),
-                         position=(float(row["x_est"]), float(row["y_est"]))))
+        t, x, y = _finite([row["t"], row["x_est"], row["y_est"]],
+                          f"{args.trajectory}:{ln}")
+        fixes.append(Fix(t=t, position=(x, y)))
     snapped = snap_trajectory(fixes, graph)
     snap_path = args.out_prefix + ".snapped.csv"
     with open(snap_path, "w", newline="") as f:

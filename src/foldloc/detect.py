@@ -10,9 +10,8 @@ The bank is three read-only arrays, one row per PCI: unit-norm windows,
 their original norms and the two PSS scan windows. A data-free frame is
 zero outside its four sync symbols, and the window holds two zero samples,
 then SSS and PSS of slot 0 with their cyclic prefixes. So `build_bank`
-modulates only those two symbols, many PCIs per transform, and folds a
-segment that reaches the FIR's half length past each window edge; only a
-reach above about 9,300 samples would take in the slot-10 pair too.
+modulates only those two symbols, many PCIs per transform, and folds
+exactly the window: at the detector rate the low-pass is all-pass.
 
 `correlate_bank` is the one kernel that scores templates at every lag,
 from one FFT of the trace: stage 1 runs it once on both PSS shapes, and a
@@ -30,8 +29,7 @@ import numpy as np
 
 from . import amplitude
 from .amplitude import _EPS
-from .frontend import (DETECTOR_RATE_HZ, FrontEndConfig,  # noqa: F401
-                       design_lowpass, fold_baseband)
+from .frontend import DETECTOR_RATE_HZ, fold_baseband  # noqa: F401
 from .lte import FrameConfig, Pci, sync_segment
 
 FRAME_LEN = 19200             # 10 ms at the detector rate
@@ -57,12 +55,12 @@ class Detection:
 
 
 class BankMismatchError(RuntimeError):
-    """Front-end config of a trace does not match the template bank."""
+    """A trace is not sampled at DETECTOR_RATE_HZ, the rate of the bank."""
 
 
 @dataclass(frozen=True)
 class TemplateBank:
-    """All 504 folded sync windows of one front end, as read-only arrays.
+    """All 504 folded sync windows of the detector, as read-only arrays.
 
     samples (504, 276): mean-removed, unit-norm windows, row = PCI.
     norms (504,): the L2 norm each window had before normalization, that
@@ -78,30 +76,21 @@ class TemplateBank:
     pss_unit: np.ndarray = field(repr=False)
 
 
-def build_bank(fe: FrontEndConfig) -> TemplateBank:
-    """Materialize all 504 folded sync templates through the ideal front end.
+def build_bank() -> TemplateBank:
+    """Materialize all 504 folded sync templates of the detector.
 
-    Each row equals the PCI's data-free 1.4 MHz frame folded through fe and
-    windowed at TEMPLATE_START, but only the input the window reads is
-    built: a segment reaching the FIR's half length either side of the
-    window, zero outside the sync symbols it holds. Without the FIR that
-    is SSS and PSS of slot 0 alone; the slot-10 pair enters only for a
-    reach above about 9,300 samples. Per block of BANK_CHUNK PCIs,
-    `sync_segment` modulates those symbols in one IFFT and one
-    fold_baseband call folds the (BANK_CHUNK, segment) array.
+    Each row equals the PCI's data-free 1.4 MHz frame folded to the
+    detector rate, where the low-pass is all-pass, and windowed at
+    TEMPLATE_START. Only the window is built: per block of BANK_CHUNK
+    PCIs, `sync_segment` modulates its SSS and PSS of slot 0 in one IFFT,
+    and one fold_baseband call folds the (BANK_CHUNK, TEMPLATE_LEN) array.
     """
     cfg = FrameConfig.from_bandwidth(1.4)    # sampled at the detector rate
-    fs = cfg.sample_rate_hz
-    # lowpass_decimate runs its FIR only below Nyquist; each output then
-    # reads `reach` input samples either side
-    reach = (design_lowpass(fs, fe).size - 1) // 2 \
-        if fe.lpf_cutoff_hz < fs / 2.0 else 0
-    lo = max(0, TEMPLATE_START - reach)
-    hi = min(cfg.frame_len, TEMPLATE_START + TEMPLATE_LEN + reach)
 
     def windows(pcis):
-        y = fold_baseband(sync_segment(cfg, pcis, lo, hi), fs, fe)
-        return y[:, TEMPLATE_START - lo:][:, :TEMPLATE_LEN]
+        return fold_baseband(sync_segment(cfg, pcis, TEMPLATE_START,
+                                          TEMPLATE_START + TEMPLATE_LEN),
+                             cfg.sample_rate_hz)
 
     samples = np.empty((504, TEMPLATE_LEN))
     norms = np.empty(504)

@@ -34,6 +34,13 @@ from .lte import FrameConfig, Pci, _run_blocks, frame_samples
 SPEED_OF_LIGHT = 3.0e8
 DETECTOR_RATE_HZ = 1.92e6     # the detector's one sample rate
 SYNC_BAND_HZ = 1.08e6         # folded sync occupies DC..~1 MHz
+# The detector's fixed Kaiser low-pass. The cutoff is deliberately
+# aggressive: folded sync lives below ~0.96 MHz, so sampling at 1.92 MHz
+# behind a 1.4 MHz filter aliases only data-difference terms the detector
+# tolerates. Above the detector's Nyquist frequency, it is all-pass at dec 1.
+LPF_CUTOFF_HZ = 1.4e6
+LPF_TRANSITION_HZ = 0.4e6
+LPF_ATTEN_DB = 60.0
 # elements of the temporaries one block of the square or the FIR makes, so
 # that helper threads keep little memory
 _CHUNK = 1 << 14
@@ -41,20 +48,12 @@ _CHUNK = 1 << 14
 
 @dataclass(frozen=True)
 class FrontEndConfig:
-    """Detector-side filter, sensitivity and noise parameters.
+    """Detector sensitivity and noise; its rate and low-pass are constants.
 
-    The detector samples at DETECTOR_RATE_HZ, which is no setting. Note the
-    deliberately aggressive default cutoff: folded sync content lives below
-    ~0.96 MHz, so sampling at 1.92 MHz with a 1.4 MHz filter aliases only
-    data-difference terms that the detector tolerates.
-
-    noise_sigma takes no part in equality or hashing: front ends that
-    differ only in noise share one filter and one template bank.
+    noise_sigma takes no part in equality or hashing, so one
+    `harness._bank_for` entry serves every noise level.
     """
 
-    lpf_cutoff_hz: float = 1.4e6
-    lpf_transition_hz: float = 0.4e6
-    lpf_atten_db: float = 60.0
     noise_sigma: float = field(default=0.0, compare=False)
     sensitivity_floor_dbm: float = -70.0
 
@@ -63,10 +62,6 @@ class FrontEndConfig:
             raise ValueError(f"non-finite value in {self}")
         if self.noise_sigma < 0:
             raise ValueError("noise_sigma must be >= 0")
-        if self.lpf_cutoff_hz <= 0:
-            raise ValueError("cutoff must be positive")
-        if self.lpf_cutoff_hz > DETECTOR_RATE_HZ:
-            raise ValueError("lpf cutoff above the detector rate is unrealizable")
 
 
 @dataclass(frozen=True)
@@ -123,19 +118,19 @@ def envelope_square(rf: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
-def design_lowpass(fs: float, cfg: FrontEndConfig) -> np.ndarray:
-    """Linear-phase Kaiser FIR taps for the detector low-pass at rate fs.
+def design_lowpass(fs: float) -> np.ndarray:
+    """Linear-phase Kaiser FIR taps of the detector low-pass at rate fs.
 
-    Cached per (fs, cfg); the shared array is read-only.
+    Cached per fs; the shared array is read-only.
     """
-    ntaps, beta = kaiserord(cfg.lpf_atten_db, cfg.lpf_transition_hz / (fs / 2.0))
+    ntaps, beta = kaiserord(LPF_ATTEN_DB, LPF_TRANSITION_HZ / (fs / 2.0))
     ntaps |= 1          # odd length, integer group delay
-    taps = firwin(ntaps, cfg.lpf_cutoff_hz / (fs / 2.0), window=("kaiser", beta))
+    taps = firwin(ntaps, LPF_CUTOFF_HZ / (fs / 2.0), window=("kaiser", beta))
     taps.setflags(write=False)
     return taps
 
 
-def lowpass_decimate(sq: np.ndarray, fs_in: float, cfg: FrontEndConfig) -> np.ndarray:
+def lowpass_decimate(sq: np.ndarray, fs_in: float) -> np.ndarray:
     """Low-pass and decimate to DETECTOR_RATE_HZ, along the last axis.
 
     Output i is the FIR output centered on input sample i * dec: the
@@ -143,19 +138,16 @@ def lowpass_decimate(sq: np.ndarray, fs_in: float, cfg: FrontEndConfig) -> np.nd
     positions are unbiased. This equals fftconvolve(sq, taps, "same")[::dec],
     but the polyphase filter computes only the outputs that are kept, by
     blocks of outputs on the caller's share of the CPUs (_fir_blocks).
-    With dec == 1 and the cutoff above the input's Nyquist band the filter
-    is all-pass and sq itself is returned, not a copy.
+    At dec 1 the filter is all-pass and sq itself is returned, not a copy.
     """
     ratio = fs_in / DETECTOR_RATE_HZ
     dec = int(round(ratio))
     if abs(ratio - dec) > 1e-9 or dec < 1:
         raise ValueError(f"input rate {fs_in} not an integer multiple of "
                          f"the detector rate {DETECTOR_RATE_HZ}")
-    if cfg.lpf_cutoff_hz < fs_in / 2.0:
-        return _fir_blocks(sq, design_lowpass(fs_in, cfg), dec)
     if dec == 1:
         return sq
-    raise ValueError("anti-alias cutoff at or above input Nyquist")
+    return _fir_blocks(sq, design_lowpass(fs_in), dec)
 
 
 def _fir_blocks(sq: np.ndarray, taps: np.ndarray, dec: int) -> np.ndarray:
@@ -185,7 +177,7 @@ def _fir_blocks(sq: np.ndarray, taps: np.ndarray, dec: int) -> np.ndarray:
     return y
 
 
-def fold_baseband(bb: np.ndarray, fs_in: float, cfg: FrontEndConfig) -> np.ndarray:
+def fold_baseband(bb: np.ndarray, fs_in: float) -> np.ndarray:
     """Fast path: detector output from complex baseband, |I+jQ|^2 / 2.
 
     Matches the real-RF square+filter pipeline for any single band (the
@@ -203,12 +195,12 @@ def fold_baseband(bb: np.ndarray, fs_in: float, cfg: FrontEndConfig) -> np.ndarr
         s *= 0.5
 
     _run_blocks(square, sq.size, sq.size, _CHUNK)
-    return lowpass_decimate(sq, fs_in, cfg)
+    return lowpass_decimate(sq, fs_in)
 
 
-def receive_rf(rf: np.ndarray, fs_in: float, cfg: FrontEndConfig) -> np.ndarray:
+def receive_rf(rf: np.ndarray, fs_in: float) -> np.ndarray:
     """Full detector chain on a real RF waveform."""
-    return lowpass_decimate(envelope_square(rf), fs_in, cfg)
+    return lowpass_decimate(envelope_square(rf), fs_in)
 
 
 def _upsampled_spectrum(bb: np.ndarray, n_out: int) -> np.ndarray:
@@ -278,7 +270,6 @@ def received_power_dbm(cell: CellConfig, rx_position) -> float:
 
 
 def folded_sync_overlap(c1: CellConfig, c2: CellConfig,
-                        fe: FrontEndConfig | None = None,
                         rng_seed: int = 0) -> float:
     """Percent of cross-term power landing in the folded sync band.
 
@@ -289,11 +280,10 @@ def folded_sync_overlap(c1: CellConfig, c2: CellConfig,
     simulation when the minimum difference frequency clears the filter
     cutoff plus the sync band.
     """
-    fe = fe or FrontEndConfig()
     b1 = c1.frame_cfg.bandwidth_mhz * 1e6
     b2 = c2.frame_cfg.bandwidth_mhz * 1e6
     spacing = abs(c1.carrier_hz - c2.carrier_hz)
-    if spacing - (b1 + b2) / 2.0 > fe.lpf_cutoff_hz + SYNC_BAND_HZ:
+    if spacing - (b1 + b2) / 2.0 > LPF_CUTOFF_HZ + SYNC_BAND_HZ:
         return 0.0
 
     def cross_inband(delta_f: float) -> float:
@@ -315,7 +305,7 @@ def folded_sync_overlap(c1: CellConfig, c2: CellConfig,
         cross = np.real(l1 * np.conj(l2) * np.exp(2j * np.pi * delta_f * tt))
         spec = np.abs(np.fft.rfft(cross)) ** 2
         freqs = np.fft.rfftfreq(n, 1.0 / fs)
-        band = freqs <= min(fe.lpf_cutoff_hz, SYNC_BAND_HZ)
+        band = freqs <= min(LPF_CUTOFF_HZ, SYNC_BAND_HZ)
         return float(spec[band].sum())
 
     ref = cross_inband(0.0)

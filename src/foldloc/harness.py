@@ -54,12 +54,9 @@ from .scenario import Scenario, ScenarioError, read_csv_rows, scenario_cell_db, 
 
 @lru_cache(maxsize=4)
 def _bank_for(fe: FrontEndConfig):
-    """Template bank of a front end, built once per process.
-
-    Front ends that differ only in noise_sigma share one entry; nothing is
-    kept on disk.
-    """
-    return build_bank(fe)
+    """The detector's template bank, built once per process; fe is only
+    the cache key, and noise no part of it. Nothing is kept on disk."""
+    return build_bank()
 
 
 def _twiddle(a: np.ndarray, sign: int, row: np.ndarray | None = None) -> None:
@@ -140,7 +137,7 @@ def synth_fix_trace(sc: Scenario, fix_idx: int) -> np.ndarray:
         a_rx = path_amplitude(d, cell.carrier_hz) * \
             10.0 ** ((cell.tx_power_dbm - 30.0) / 20.0)
         bb = _delay(bb, delay_s * cfg.sample_rate_hz, a_rx)
-        total += fold_baseband(bb, cfg.sample_rate_hz, sc.front_end)
+        total += fold_baseband(bb, cfg.sample_rate_hz)
 
     if sc.front_end.noise_sigma > 0:
         rng = substream(sc.rng_seed, "noise", fix_idx)
@@ -345,15 +342,15 @@ def cmd_synth(sc: Scenario, outdir: str) -> str:
     return manifest
 
 
-def cmd_detect(trace_path: str, fe: FrontEndConfig, out_csv: str,
-               thresh_pss: float = THRESH_PSS, thresh_sss: float = THRESH_SSS,
+def cmd_detect(trace_path: str, out_csv: str, thresh_pss: float = THRESH_PSS,
+               thresh_sss: float = THRESH_SSS,
                n_stack: int | None = None) -> list[Detection]:
     samples, rate = traceio.read_trace(trace_path)
     if abs(rate - DETECTOR_RATE_HZ) > 1e-6:
         raise BankMismatchError(
             f"trace rate {rate:g} is not the detector rate {DETECTOR_RATE_HZ:g}")
-    dets = detect_trace(samples, _bank_for(fe), thresh_pss, thresh_sss,
-                        n_stack)
+    dets = detect_trace(samples, _bank_for(FrontEndConfig()), thresh_pss,
+                        thresh_sss, n_stack)
     write_detections_csv(out_csv, dets)
     return dets
 

@@ -76,6 +76,14 @@ def read_csv_rows(path, columns):
             yield reader.line_num, row
 
 
+def check_thresholds(thresh_pss: float, thresh_sss: float) -> None:
+    """Raise ScenarioError unless both thresholds lie in [-1, 1): NCC
+    scores lie in [-1, 1], and a detection scores above its threshold."""
+    if not (-1.0 <= thresh_pss < 1.0 and -1.0 <= thresh_sss < 1.0):
+        raise ScenarioError("thresh_pss and thresh_sss must lie in [-1, 1), "
+                            f"got {thresh_pss!r} and {thresh_sss!r}")
+
+
 @dataclass
 class Scenario:
     cells: list[CellConfig]
@@ -101,8 +109,7 @@ class Scenario:
             raise ScenarioError("correlation_mode must be plain")
         if self.n_frames_per_fix < 1:
             raise ScenarioError("n_frames_per_fix must be >= 1")
-        if not np.isfinite([self.thresh_pss, self.thresh_sss]).all():
-            raise ScenarioError("thresh_pss and thresh_sss must be finite")
+        check_thresholds(self.thresh_pss, self.thresh_sss)
 
 
 def _typed(values, types: dict, where: str) -> dict:

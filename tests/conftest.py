@@ -12,8 +12,8 @@ def fe():
 
 
 @pytest.fixture(scope="session")
-def bank(fe):
-    return build_bank(fe)
+def bank():
+    return build_bank()
 
 
 @pytest.fixture(scope="session")
@@ -21,9 +21,8 @@ def cfg14():
     return FrameConfig.from_bandwidth(1.4)
 
 
-def fold_frame(pci, data_mode="none", rng=None, bandwidth=1.4,
-               fe_cfg=None):
+def fold_frame(pci, data_mode="none", rng=None, bandwidth=1.4):
     """One folded frame at the detector rate (no noise)."""
     cfg = FrameConfig.from_bandwidth(bandwidth)
     bb = frame_samples(cfg, Pci(pci), data_mode, rng)
-    return fold_baseband(bb, cfg.sample_rate_hz, fe_cfg or FrontEndConfig())
+    return fold_baseband(bb, cfg.sample_rate_hz)

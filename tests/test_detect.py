@@ -12,7 +12,6 @@ from foldloc.detect import (FRAME_LEN, HALF_FRAME, PSS_TEMPLATE_LEN,
                             build_bank, correlate_bank,
                             hierarchical_detect, refine, stack_frames,
                             suppress_false_positives)
-from foldloc.frontend import FrontEndConfig
 from foldloc.harness import _bank_for, read_detections_csv, write_detections_csv
 from foldloc.lte import Pci
 
@@ -33,35 +32,30 @@ def test_bank_shape_and_normalization(bank):
 
 
 def test_bank_deterministic_and_cached(fe):
-    a = build_bank(fe)
-    b = build_bank(fe)
+    a = build_bank()
+    b = build_bank()
     for name in ("samples", "norms", "pss_unit"):
         assert np.array_equal(getattr(a, name), getattr(b, name))
     # one bank per process and front end; noise is no part of its identity
     assert _bank_for(fe) is _bank_for(replace(fe, noise_sigma=0.5))
 
 
-@pytest.mark.parametrize("fe_cfg", [FrontEndConfig(),
-                                    FrontEndConfig(lpf_cutoff_hz=0.8e6)],
-                         ids=["no_fir", "fir"])
-def test_bank_matches_full_frame_reference(fe_cfg):
+def test_bank_matches_full_frame_reference():
     """Each row is, to the bit, the window of the PCI's whole data-free
-    frame folded through the front end, mean-removed and normalized; at
-    0.8 MHz the FIR runs and reads past the window edges."""
+    frame folded to the detector rate, mean-removed and normalized."""
     samples = np.empty((504, TEMPLATE_LEN))
     norms = np.empty(504)
     for p in range(504):
-        w = fold_frame(p, fe_cfg=fe_cfg)[TEMPLATE_START:
-                                         TEMPLATE_START + TEMPLATE_LEN]
+        w = fold_frame(p)[TEMPLATE_START:TEMPLATE_START + TEMPLATE_LEN]
         w0 = w - w.mean()
         norms[p] = np.linalg.norm(w0)
         samples[p] = w0 / norms[p]
-    pss = np.stack([fold_frame(p, fe_cfg=fe_cfg)[
+    pss = np.stack([fold_frame(p)[
         TEMPLATE_START + TEMPLATE_LEN - PSS_TEMPLATE_LEN:
         TEMPLATE_START + TEMPLATE_LEN] for p in (0, 1)])
     pss -= pss.mean(axis=1, keepdims=True)
     pss /= np.linalg.norm(pss, axis=1, keepdims=True)
-    got = build_bank(fe_cfg)
+    got = build_bank()
     assert np.array_equal(got.samples, samples)
     assert np.array_equal(got.norms, norms)
     assert np.array_equal(got.pss_unit, pss)

@@ -7,8 +7,7 @@ from scipy.signal import upfirdn
 
 from foldloc import frontend, lte
 from foldloc.frontend import (DETECTOR_RATE_HZ, SPEED_OF_LIGHT, CellConfig,
-                              FrontEndConfig, MultipathProfile,
-                              design_lowpass, envelope_square, fold_baseband,
+                              MultipathProfile, design_lowpass, envelope_square, fold_baseband,
                               folded_sync_overlap, lowpass_decimate,
                               path_amplitude, receive_rf, received_power_dbm,
                               superpose)
@@ -73,13 +72,12 @@ def test_two_tone_expansion():
 
 def test_two_tone_difference_survives_filter():
     # 700 kHz difference tone is in band, everything else above cutoff
-    fe = FrontEndConfig()
     fs = 7.68e6                      # decimate by 4
     f1, f2 = 3.0e6, 2.3e6
     n = int(fs * 0.01)
     t = np.arange(n) / fs
     x = np.sin(2 * np.pi * f1 * t) + np.sin(2 * np.pi * f2 * t)
-    y = lowpass_decimate(envelope_square(x), fs, fe)
+    y = lowpass_decimate(envelope_square(x), fs)
     td = np.arange(y.size) / DETECTOR_RATE_HZ
     want = 1.0 + np.cos(2 * np.pi * (f1 - f2) * td)
     core = slice(200, y.size - 200)  # skip filter edge transients
@@ -87,8 +85,7 @@ def test_two_tone_difference_survives_filter():
 
 
 def test_lowpass_dc_and_stopband():
-    fe = FrontEndConfig()
-    taps = design_lowpass(FS_RF, fe)
+    taps = design_lowpass(FS_RF)
     assert taps.size % 2 == 1
     w = np.abs(np.fft.rfft(taps, 1 << 20))
     f = np.fft.rfftfreq(1 << 20, 1.0 / FS_RF)
@@ -98,43 +95,39 @@ def test_lowpass_dc_and_stopband():
 
 
 def test_tone_above_cutoff_attenuated():
-    fe = FrontEndConfig()
     t = np.arange(int(FS_RF * 0.002)) / FS_RF
     tone = np.sin(2 * np.pi * 40e6 * t)
-    out = lowpass_decimate(tone, FS_RF, fe)
+    out = lowpass_decimate(tone, FS_RF)
     ratio = np.mean(out ** 2) / np.mean(tone ** 2)
     assert 10 * np.log10(ratio) < -60.0
 
 
 def test_lowpass_rejects_fractional_decimation():
-    fe = FrontEndConfig()
     with pytest.raises(ValueError):
-        lowpass_decimate(np.zeros(1000), 1.5 * DETECTOR_RATE_HZ, fe)
+        lowpass_decimate(np.zeros(1000), 1.5 * DETECTOR_RATE_HZ)
 
 
 def test_fold_homogeneity():
     cfg = FrameConfig.from_bandwidth(1.4)
     bb = frame_samples(cfg, Pci(12), "random_qpsk", np.random.default_rng(0))
-    y1 = fold_baseband(bb, cfg.sample_rate_hz, FrontEndConfig())
-    y3 = fold_baseband(3.0 * bb, cfg.sample_rate_hz, FrontEndConfig())
+    y1 = fold_baseband(bb, cfg.sample_rate_hz)
+    y3 = fold_baseband(3.0 * bb, cfg.sample_rate_hz)
     assert np.allclose(y3, 9.0 * y1, rtol=1e-12, atol=0.0)
 
 
 def test_fast_path_matches_rf_pipeline():
     """|I+jQ|^2 shortcut tracks the real-RF square+filter chain under 2% RMS."""
-    fe = FrontEndConfig()
     cfg = FrameConfig.from_bandwidth(1.4)
     cell = _cell(77, 20e6, pos=(0.0, 0.0))
     rf = superpose([(cell, MultipathProfile.los())], (100.0, 0.0),
                    0.01, FS_RF, rng_seed=3)
-    y_rf = receive_rf(rf, FS_RF, fe)
+    y_rf = receive_rf(rf, FS_RF)
 
     bb = frame_samples(cfg, Pci(77), "random_qpsk", np.random.default_rng([3, 0]))
     freqs = np.fft.fftfreq(bb.size, 1.0 / cfg.sample_rate_hz)
     delay = 100.0 / SPEED_OF_LIGHT
     bb = np.fft.ifft(np.fft.fft(bb) * np.exp(-2j * np.pi * freqs * delay))
-    y_bb = fold_baseband(path_amplitude(100.0, 20e6) * bb,
-                         cfg.sample_rate_hz, fe)
+    y_bb = fold_baseband(path_amplitude(100.0, 20e6) * bb, cfg.sample_rate_hz)
     err = np.sqrt(np.mean((y_rf - y_bb) ** 2) / np.mean(y_bb ** 2))
     assert err < 0.02
 
@@ -142,13 +135,12 @@ def test_fast_path_matches_rf_pipeline():
 def test_superpose_delay_shifts_detector_peak(bank):
     """Ten detector samples of geometric delay move the peak by ten."""
     from foldloc.detect import correlate_bank
-    fe = FrontEndConfig()
     cell = _cell(77, 20e6)
     los = MultipathProfile.los()
     lags = []
     for d in (0.1, 10 * 156.25):
         rf = superpose([(cell, los)], (d, 0.0), 0.01, FS_RF, rng_seed=3)
-        y = receive_rf(rf, FS_RF, fe)
+        y = receive_rf(rf, FS_RF)
         lags.append(int(np.argmax(correlate_bank(y, bank.samples[77][None])[0])))
     assert lags[1] - lags[0] == 10
 
@@ -203,18 +195,12 @@ def test_overlap_adjacent_channels():
     assert 40.0 < v7 < 70.0
 
 
-def test_frontend_config_validation():
-    with pytest.raises(ValueError):
-        FrontEndConfig(lpf_cutoff_hz=3e6)
-
-
 def test_folded_spectrum_confined_preamble():
     """Preamble-only folded frame keeps its energy under twice the sync
     half-bandwidth (62 bins -> 930 kHz after squaring); the only leakage
     above that is CP boundary discontinuities at the -40 dB level."""
     cfg = FrameConfig.from_bandwidth(1.4)
-    y = fold_baseband(frame_samples(cfg, Pci(17), "none"),
-                      cfg.sample_rate_hz, FrontEndConfig())
+    y = fold_baseband(frame_samples(cfg, Pci(17), "none"), cfg.sample_rate_hz)
     spec = np.abs(np.fft.rfft(y - y.mean())) ** 2
     f = np.fft.rfftfreq(y.size, 1.0 / 1.92e6)
     high = spec[f > 0.94e6].sum() / spec.sum()
@@ -228,13 +214,12 @@ def test_lowpass_decimate_matches_full_rate_filter(dec, extra):
     'same'-mode convolution at multiples of dec, also for inputs shorter
     than the filter."""
     from scipy.signal import fftconvolve
-    fe = FrontEndConfig()
     fs = dec * DETECTOR_RATE_HZ
     rng = np.random.default_rng(dec)
     for n in (257 * dec + extra, 37 * dec + 1 + extra, 3 * dec + 1 + extra):
         sq = rng.standard_normal(n) ** 2
-        want = fftconvolve(sq, design_lowpass(fs, fe), mode="same")[::dec]
-        got = lowpass_decimate(sq, fs, fe)
+        want = fftconvolve(sq, design_lowpass(fs), mode="same")[::dec]
+        got = lowpass_decimate(sq, fs)
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
@@ -249,42 +234,39 @@ def _whole_trace_fir(sq, taps, dec):
 
 
 @settings(max_examples=60, deadline=None)
-@given(dec=st.sampled_from([1, 2, 4, 8, 16]), n=st.integers(1, 6000),
+@given(dec=st.sampled_from([2, 4, 8, 16]), n=st.integers(1, 6000),
        rows=st.sampled_from([(), (2,)]), chunk=st.integers(1, 3000),
        share=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
 def test_block_fir_equals_whole_trace_upfirdn(dec, n, rows, chunk, share, seed):
     """However the outputs are cut into blocks and spread over threads,
-    each is upfirdn's own output for the whole trace, bit for bit."""
-    fe = FrontEndConfig(lpf_cutoff_hz=0.7e6)   # below Nyquist at dec 1 too
+    each is upfirdn's own output for the whole trace, bit for bit; at
+    dec 1 no FIR runs (test_all_pass_returns_its_input)."""
     fs = dec * DETECTOR_RATE_HZ
     sq = np.random.default_rng(seed).standard_normal(rows + (n,)) ** 2
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(frontend, "_CHUNK", chunk)
         mp.setattr(lte, "_PARALLEL_MIN", 0)
         mp.setattr(lte, "_CPU_SHARE", share)
-        got = lowpass_decimate(sq, fs, fe)
-    assert np.array_equal(got, _whole_trace_fir(sq, design_lowpass(fs, fe), dec))
+        got = lowpass_decimate(sq, fs)
+    assert np.array_equal(got, _whole_trace_fir(sq, design_lowpass(fs), dec))
 
 
 def test_block_fir_equals_whole_trace_upfirdn_above_the_split_size():
-    fe = FrontEndConfig()
     for dec in (4, 8, 16):
         fs = dec * DETECTOR_RATE_HZ
         sq = np.random.default_rng(dec).standard_normal(lte._PARALLEL_MIN + 7) ** 2
-        assert np.array_equal(lowpass_decimate(sq, fs, fe),
-                              _whole_trace_fir(sq, design_lowpass(fs, fe), dec))
+        assert np.array_equal(lowpass_decimate(sq, fs),
+                              _whole_trace_fir(sq, design_lowpass(fs), dec))
 
 
 def test_all_pass_returns_its_input():
-    fe = FrontEndConfig(lpf_cutoff_hz=1.0e6)
     sq = np.arange(10.0)
-    assert lowpass_decimate(sq, DETECTOR_RATE_HZ, fe) is sq
+    assert lowpass_decimate(sq, DETECTOR_RATE_HZ) is sq
 
 
 def test_design_lowpass_cached_read_only():
-    fe = FrontEndConfig()
-    taps = design_lowpass(FS_RF, fe)
-    assert design_lowpass(FS_RF, FrontEndConfig()) is taps
-    assert design_lowpass(FS_RF / 2, fe) is not taps
+    taps = design_lowpass(FS_RF)
+    assert design_lowpass(FS_RF) is taps
+    assert design_lowpass(FS_RF / 2) is not taps
     with pytest.raises(ValueError):
         taps[0] = 1.0

@@ -92,7 +92,7 @@ def test_noise_added_once_and_not_part_of_front_end_identity():
 def test_every_front_end_setting_reaches_the_trace():
     """No front-end setting is accepted and then ignored: changing any
     one of them changes the trace of a one-frame fix of a 1.4 MHz and a
-    5 MHz cell (the 5 MHz cell runs the FIR)."""
+    5 MHz cell."""
     rx = (900.0, 100.0)
     cells = [_cell(11, 0.0, 0.0),
              CellConfig(pci=Pci(22), carrier_hz=1.8e9,
@@ -103,8 +103,7 @@ def test_every_front_end_setting_reaches_the_trace():
     powers = [received_power_dbm(c, rx) for c in cells]
     assert min(powers) >= FrontEndConfig().sensitivity_floor_dbm
     # a non-default valid value of every field; the floor drops one cell
-    changes = {"lpf_cutoff_hz": 1.2e6, "lpf_transition_hz": 0.3e6,
-               "lpf_atten_db": 50.0, "noise_sigma": 1e-9,
+    changes = {"noise_sigma": 1e-9,
                "sensitivity_floor_dbm": float(np.mean(powers))}
     base = synth_fix_trace(sc, 0)
     for f in fields(FrontEndConfig):
@@ -161,7 +160,7 @@ def _seed_synth_fix_trace(sc, fix_idx):
         sq = 0.5 * np.abs(a_rx * bb) ** 2
         dec = int(round(cfg.sample_rate_hz / DETECTOR_RATE_HZ))
         if dec > 1:
-            taps = design_lowpass(cfg.sample_rate_hz, fe)
+            taps = design_lowpass(cfg.sample_rate_hz)
             sq = fftconvolve(sq, taps, mode="same")[::dec]
         total += sq
     return total
@@ -570,7 +569,7 @@ def test_cmd_detect_rejects_rate_mismatch(tmp_path, bank):
     p = tmp_path / "t.bin"
     traceio.write_trace(p, np.zeros(FRAME_LEN), 3.84e6)
     with pytest.raises(BankMismatchError):
-        cmd_detect(str(p), FrontEndConfig(), str(tmp_path / "d.csv"))
+        cmd_detect(str(p), str(tmp_path / "d.csv"))
 
 
 def test_cmd_localize_rows(tmp_path):
@@ -767,6 +766,73 @@ def test_cli_track_bad_roads_or_geofence_exits_2(tmp_path, capsys, roads,
     assert not (tmp_path / "out.snapped.csv").exists()
 
 
+@pytest.mark.parametrize("row, message", [
+    ("1,nan,5", "non-finite"), ("1,20,inf", "non-finite"),
+    ("1,20,abc", "could not convert"),
+], ids=["x_nan", "y_inf", "y_unparsable"])
+def test_cli_track_bad_trajectory_row_exits_2(tmp_path, capsys, row, message):
+    """A trajectory position that is not a finite number exits 2 naming
+    path:line, and nothing is written."""
+    from foldloc.cli import main
+    traj = tmp_path / "traj.csv"
+    traj.write_text(TRACK_FIXES.replace("1,20,5", row))
+    (tmp_path / "roads.csv").write_text(ROADS)
+    assert main(["track", str(traj), "--roads", str(tmp_path / "roads.csv"),
+                 "-o", str(tmp_path / "out")]) == 2
+    assert f"{traj}:3: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out.snapped.csv").exists()
+    assert not (tmp_path / "out.alerts.csv").exists()
+
+
+def test_cli_track_skips_unresolved_fixes(tmp_path):
+    from foldloc.cli import main
+    traj = tmp_path / "traj.csv"
+    traj.write_text(TRACK_FIXES.replace("1,20,5", "1,,"))
+    (tmp_path / "roads.csv").write_text(ROADS)
+    assert main(["track", str(traj), "--roads", str(tmp_path / "roads.csv"),
+                 "-o", str(tmp_path / "out")]) == 0
+    rows = list(csv.DictReader(open(tmp_path / "out.snapped.csv")))
+    assert [float(r["t"]) for r in rows] == [0.0, 2.0]
+    assert [r["reseeded"] for r in rows] == ["0", "0"]
+
+
+@pytest.mark.parametrize("value", ["1.0", "1.5", "nan", "-1.5"])
+@pytest.mark.parametrize("flag", ["--thresh-pss", "--thresh-sss"])
+def test_cli_detect_threshold_outside_score_range_exits_2(tmp_path, capsys,
+                                                          flag, value):
+    """The threshold check runs before any trace is read: a missing trace
+    would exit 3."""
+    from foldloc.cli import main
+    assert main(["detect", str(tmp_path / "missing.bin"), "-o", str(tmp_path),
+                 f"{flag}={value}"]) == 2
+    assert "thresh_pss and thresh_sss must lie in [-1, 1)" in \
+        capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_cli_eval_and_synth_detect_agree(cli_workdir, tmp_path):
+    """eval and synth -> detect run one receiver: the same PCIs and
+    delays, and scores equal up to the float32 of the trace files."""
+    from foldloc.cli import main
+    ini = str(cli_workdir / "sc.ini")
+    assert main(["eval", ini, "-o", str(tmp_path / "report.json")]) == 0
+    assert main(["synth", ini, "-o", str(tmp_path / "traces")]) == 0
+    assert main(["detect", str(tmp_path / "traces" / "manifest.csv"),
+                 "-o", str(tmp_path / "dets")]) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    manifest = list(csv.DictReader(
+        open(tmp_path / "dets" / "detections_manifest.csv")))
+    assert len(manifest) == len(report["fixes"]) == 2
+    for rec, row in zip(report["fixes"], manifest):
+        assert int(row["fix"]) == rec["fix"]
+        got = list(csv.DictReader(open(row["detections_path"])))
+        assert rec["detections"]
+        assert [(int(r["pci"]), int(r["delay_samples"])) for r in got] == \
+            [(d[0], d[1]) for d in rec["detections"]]
+        for r, d in zip(got, rec["detections"]):
+            assert abs(float(r["score"]) - d[4]) <= 1e-5
+
+
 def test_cli_validation_error_exits_2(cli_workdir, tmp_path, capsys):
     from foldloc.cli import main
     bad = tmp_path / "bad.ini"
@@ -785,10 +851,13 @@ def test_cli_validation_error_exits_2(cli_workdir, tmp_path, capsys):
             ("seed = 5\n", "seed = 5\nmode = phat\n", "'mode'"),
             ("seed = 5\n", "seed = 5\nthresh_pss = nan\n", "thresh_pss"),
             ("seed = 5\n", "seed = 5\nthresh_sss = -inf\n", "thresh_sss"),
+            ("seed = 5\n", "seed = 5\nthresh_sss = 1.0\n", "thresh_sss"),
             ("[scenario]", "[frontend]\nnoise_sigma = nan\n\n[scenario]",
              "[frontend]: non-finite"),
-            ("[scenario]", "[frontend]\nadc_rate_hz = 1.92e6\n\n[scenario]",
-             "[frontend]: unknown key 'adc_rate_hz'"),
+            *(("[scenario]", f"[frontend]\n{key} = 1e6\n\n[scenario]",
+               f"[frontend]: unknown key '{key}'")
+              for key in ("adc_rate_hz", "lpf_cutoff_hz", "lpf_transition_hz",
+                          "lpf_atten_db")),
             ("[scenario]", "[DEFAULT]\ntx_power_dbm = 40\n\n[scenario]",
              "[DEFAULT]")):
         bad.write_text(SCENARIO_INI.replace(old, new))

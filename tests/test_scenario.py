@@ -142,9 +142,16 @@ def test_nonincreasing_trajectory_rejected(tmp_path):
      r"\[scenario\]: unknown key 'correlation_mode'"),
     ("noise_sigma = 0.001", "noise_sigma = 0.001\nadc_rate_hz = 1.92e6",
      r"\[frontend\]: unknown key 'adc_rate_hz'"),
+    ("noise_sigma = 0.001", "noise_sigma = 0.001\nlpf_cutoff_hz = 1.4e6",
+     r"\[frontend\]: unknown key 'lpf_cutoff_hz'"),
+    ("noise_sigma = 0.001", "noise_sigma = 0.001\nlpf_transition_hz = 0.4e6",
+     r"\[frontend\]: unknown key 'lpf_transition_hz'"),
+    ("noise_sigma = 0.001", "noise_sigma = 0.001\nlpf_atten_db = 60",
+     r"\[frontend\]: unknown key 'lpf_atten_db'"),
 ], ids=["tresh_sss", "tx_powr_dbm", "frontend_key", "trajectory_key", "scenaro",
         "cells_section", "mode_plain", "mode_phat", "rng_seed",
-        "correlation_mode", "adc_rate_hz"])
+        "correlation_mode", "adc_rate_hz", "lpf_cutoff_hz", "lpf_transition_hz",
+        "lpf_atten_db"])
 def test_unknown_section_or_key_rejected(tmp_path, old, new, named):
     assert old in GOOD_INI
     with pytest.raises(ScenarioError, match=named):
@@ -172,9 +179,6 @@ thresh_sss = 0.4
 solver = ratio
 
 [frontend]
-lpf_cutoff_hz = 1.2e6
-lpf_transition_hz = 0.3e6
-lpf_atten_db = 50
 noise_sigma = 0.01
 sensitivity_floor_dbm = -80
 
@@ -194,7 +198,7 @@ n_fixes = 2
     sc = load_scenario(_write(tmp_path, ini))
     assert (sc.rng_seed, sc.n_frames_per_fix, sc.thresh_pss, sc.thresh_sss,
             sc.solver) == (3, 2, 0.2, 0.4, "ratio")
-    assert sc.front_end == FrontEndConfig(1.2e6, 0.3e6, 50.0, 0.01, -80.0)
+    assert sc.front_end == FrontEndConfig(0.01, -80.0)
     assert sc.front_end.noise_sigma == 0.01
     assert sc.cells == [CellConfig(Pci(7), 2.1e9, FrameConfig.from_bandwidth(5),
                                    (1.0, 2.0), 40.0, 0.001)]
@@ -213,16 +217,34 @@ def test_nonfinite_cell_value_names_section(tmp_path):
      "thresh_pss and thresh_sss"),
     ("noise_sigma = 0.001", "noise_sigma = nan",
      r"\[frontend\]: non-finite value in FrontEndConfig"),
-    ("noise_sigma = 0.001", "noise_sigma = 0.001\nlpf_atten_db = inf",
+    ("noise_sigma = 0.001", "noise_sigma = 0.001\nsensitivity_floor_dbm = inf",
      r"\[frontend\]: non-finite value in FrontEndConfig"),
     ("noise_sigma = 0.001", "noise_sigma = -0.001",
      r"\[frontend\]: noise_sigma must be >= 0"),
 ], ids=["thresh_pss_nan", "thresh_sss_-inf", "noise_sigma_nan",
-        "lpf_atten_db_inf", "noise_sigma_negative"])
+        "sensitivity_floor_dbm_inf", "noise_sigma_negative"])
 def test_nonfinite_setting_rejected(tmp_path, old, new, named):
     assert old in GOOD_INI
     with pytest.raises(ScenarioError, match=named):
         load_scenario(_write(tmp_path, GOOD_INI.replace(old, new, 1)))
+
+
+@pytest.mark.parametrize("value", ["1.0", "1.5", "nan", "-1.5"])
+@pytest.mark.parametrize("key", ["thresh_pss", "thresh_sss"])
+def test_threshold_outside_score_range_rejected(tmp_path, key, value):
+    """NCC scores lie in [-1, 1] and a detection must score above its
+    threshold, so a threshold outside [-1, 1) is refused, not run."""
+    ini = GOOD_INI.replace("thresh_pss = 0.25", f"{key} = {value}")
+    with pytest.raises(ScenarioError, match=r"thresh_pss and thresh_sss .*\[-1, 1\)"):
+        load_scenario(_write(tmp_path, ini))
+
+
+def test_threshold_range_ends(tmp_path):
+    for pss, sss in ((-1.0, -1.0), (0.999, 0.999)):
+        ini = GOOD_INI.replace("thresh_pss = 0.25",
+                               f"thresh_pss = {pss}\nthresh_sss = {sss}")
+        sc = load_scenario(_write(tmp_path, ini))
+        assert (sc.thresh_pss, sc.thresh_sss) == (pss, sss)
 
 
 def test_default_section_rejected_by_name(tmp_path):
@@ -230,12 +252,6 @@ def test_default_section_rejected_by_name(tmp_path):
     with pytest.raises(ScenarioError, match=r"\[DEFAULT\] section") as e:
         load_scenario(_write(tmp_path, ini))
     assert "[frontend]" not in str(e.value)
-
-
-def test_frontend_check_applies(tmp_path):
-    ini = GOOD_INI.replace("noise_sigma = 0.001", "lpf_cutoff_hz = 3e6")
-    with pytest.raises(ValueError, match="lpf cutoff"):
-        load_scenario(_write(tmp_path, ini))
 
 
 def test_ini_syntax_error_is_scenario_error(tmp_path):

@@ -58,7 +58,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pe = sub.add_parser("eval", help="run the full pipeline, emit a RunReport")
     pe.add_argument("scenario")
-    pe.add_argument("--workers", type=int, default=1)
     pe.add_argument("-o", "--out", required=True, help="report JSON path")
     return p
 
@@ -103,9 +102,9 @@ def _do_detect(args) -> int:
 def _do_localize(args) -> int:
     db = load_cell_db(args.cell_db)
     by_fix = []
-    for _, row in read_csv_rows(args.manifest, ("t", "detections_path")):
-        dets = read_detections_csv(row["detections_path"])
-        by_fix.append((float(row["t"]), dets))
+    for ln, row in read_csv_rows(args.manifest, ("t", "detections_path")):
+        t, = _finite([row["t"]], f"{args.manifest}:{ln}")
+        by_fix.append((t, read_detections_csv(row["detections_path"])))
     rows = cmd_localize(by_fix, db, args.method)
     with open(args.out, "w", newline="") as f:
         w = csv.writer(f)
@@ -158,7 +157,7 @@ def main(argv=None) -> int:
         if args.command == "track":
             return _do_track(args)
         if args.command == "eval":
-            report = run_eval(load_scenario(args.scenario), workers=args.workers)
+            report = run_eval(load_scenario(args.scenario))
             with open(args.out, "w") as f:
                 f.write(report.to_json())
             for k in sorted(report.metrics):

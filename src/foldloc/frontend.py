@@ -16,14 +16,14 @@ low-pass filter.
 
 `fold_baseband` takes the square into one array and `lowpass_decimate`
 runs the FIR by blocks of outputs, each over the input span it reads;
-both run their blocks on the calling thread's CPU share once the input
-holds lte._PARALLEL_MIN samples (see `lte._run_blocks`). The helper
+both run their blocks on every CPU of the process once the input holds
+lte._PARALLEL_MIN samples (see `lte._run_blocks`). The helper
 threads run only private code, so `lowpass_decimate` is always entered on
 the caller's thread.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -41,6 +41,9 @@ SYNC_BAND_HZ = 1.08e6         # folded sync occupies DC..~1 MHz
 LPF_CUTOFF_HZ = 1.4e6
 LPF_TRANSITION_HZ = 0.4e6
 LPF_ATTEN_DB = 60.0
+# a cell received below this power is neither synthesized nor counted as
+# truth: the detector cannot hear it
+SENSITIVITY_FLOOR_DBM = -70.0
 # elements of the temporaries one block of the square or the FIR makes, so
 # that helper threads keep little memory
 _CHUNK = 1 << 14
@@ -48,17 +51,16 @@ _CHUNK = 1 << 14
 
 @dataclass(frozen=True)
 class FrontEndConfig:
-    """Detector sensitivity and noise; its rate and low-pass are constants.
+    """Detector noise; its rate, low-pass and sensitivity are constants.
 
-    noise_sigma takes no part in equality or hashing, so one
-    `harness._bank_for` entry serves every noise level.
+    noise_sigma takes no part in equality or hashing, so every front end
+    is equal and `harness._bank_for` builds the bank once per process.
     """
 
     noise_sigma: float = field(default=0.0, compare=False)
-    sensitivity_floor_dbm: float = -70.0
 
     def __post_init__(self):
-        if not np.isfinite([getattr(self, f.name) for f in fields(self)]).all():
+        if not np.isfinite(self.noise_sigma):
             raise ValueError(f"non-finite value in {self}")
         if self.noise_sigma < 0:
             raise ValueError("noise_sigma must be >= 0")

@@ -6,23 +6,21 @@ outside the detector filter), detected with the hierarchical search,
 refined once with `detect.refine`, which gives each detection its received
 power and suppresses false positives by it, and localized from the
 surviving detections; localization needs no bank. The template bank is
-built once per process and front end (noise is no part of a front end's
-identity), with no disk cache. Every random draw comes from a named
-substream of the scenario seed, so reports are byte-identical across runs
-and worker counts.
+built once per process, with no disk cache. Every random draw comes from a
+named substream of the scenario seed, so reports are byte-identical across
+runs.
 
 Synthesis builds each cell's frames of a fix in one `frame_samples` call,
 then delays them exactly with `_delay`, a four-step DFT (Bailey 1990): its
 passes are batched scipy.fft transforms along the two axes of an
 (n1, FRAME_LEN) view of the trace, so no full-length transform runs and no
 N-sized scratch buffer is taken. Cells are synthesized one after another;
-within a cell, frame building, the delay and the fold each use the
-process's CPU share once the cell holds lte._PARALLEL_MIN = 2**19 samples
+within a cell, frame building, the delay and the fold each use every CPU
+the process may run on once the cell holds lte._PARALLEL_MIN = 2**19 samples
 (the transforms through scipy's own threads, the rest through
-`lte._run_blocks`), and one thread below that. `run_eval` with several
-workers gives each worker process an equal share of the CPUs, at least
-one, so the pool never oversubscribes them. Helper threads run only
-private code: every call of a public function stays on the thread that
+`lte._run_blocks`), and one thread below that. `run_eval` runs its fixes
+one after another in the calling process. Helper threads run only private
+code: every call of a public function stays on the thread that
 synthesizes the fix. The output does not depend on the thread count.
 `synth_fix_trace` is the only place that adds detector noise: white
 Gaussian noise of the front end's noise_sigma on the summed detector-rate
@@ -33,7 +31,6 @@ from __future__ import annotations
 import csv
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -44,9 +41,10 @@ from . import traceio
 from .detect import (FRAME_LEN, THRESH_PSS, THRESH_SSS, BankMismatchError,
                      Detection, build_bank, hierarchical_detect, refine,
                      stack_frames)
-from .frontend import (DETECTOR_RATE_HZ, SPEED_OF_LIGHT, FrontEndConfig,
-                       fold_baseband, path_amplitude, received_power_dbm)
-from .lte import Pci, _run_blocks, _share_cpus, _threads, frame_samples
+from .frontend import (DETECTOR_RATE_HZ, SENSITIVITY_FLOOR_DBM,
+                       SPEED_OF_LIGHT, FrontEndConfig, fold_baseband,
+                       path_amplitude, received_power_dbm)
+from .lte import Pci, _run_blocks, _threads, frame_samples
 from .locate import SOLVERS, TowerObservation, solve_tdoa
 from .scenario import Scenario, ScenarioError, read_csv_rows, scenario_cell_db, \
     substream
@@ -54,8 +52,9 @@ from .scenario import Scenario, ScenarioError, read_csv_rows, scenario_cell_db, 
 
 @lru_cache(maxsize=4)
 def _bank_for(fe: FrontEndConfig):
-    """The detector's template bank, built once per process; fe is only
-    the cache key, and noise no part of it. Nothing is kept on disk."""
+    """The detector's template bank, built once per process. No field of
+    fe takes part in its equality, so every front end shares one entry.
+    Nothing is kept on disk."""
     return build_bank()
 
 
@@ -109,11 +108,10 @@ def _delay(bb: np.ndarray, delay_samples: float, scale: float) -> np.ndarray:
 
 
 def _heard_cells(sc: Scenario, rx) -> list:
-    """(index, cell) of every cell received at rx at or above the front
-    end's sensitivity floor; the others are neither synthesized nor truth."""
-    floor = sc.front_end.sensitivity_floor_dbm
+    """(index, cell) of every cell received at rx at or above
+    SENSITIVITY_FLOOR_DBM; the others are neither synthesized nor truth."""
     return [(ci, c) for ci, c in enumerate(sc.cells)
-            if received_power_dbm(c, rx) >= floor]
+            if received_power_dbm(c, rx) >= SENSITIVITY_FLOOR_DBM]
 
 
 def synth_fix_trace(sc: Scenario, fix_idx: int) -> np.ndarray:
@@ -258,22 +256,11 @@ def compute_metrics(records: list[dict]) -> dict:
     return metrics
 
 
-def _run_fix_task(args):
-    sc, i = args
-    return run_fix(sc, i)
-
-
-def run_eval(sc: Scenario, workers: int = 1) -> RunReport:
-    """Full pipeline over the scenario trajectory; deterministic in workers."""
+def run_eval(sc: Scenario) -> RunReport:
+    """Full pipeline over the scenario trajectory: run_fix on each fix in
+    turn, in this process, then the metrics of the records."""
     n = len(sc.trajectory)
-    if workers <= 1:
-        records = [run_fix(sc, i) for i in range(n)]
-    else:
-        _bank_for(sc.front_end)   # warm before fork
-        with ProcessPoolExecutor(max_workers=workers, initializer=_share_cpus,
-                                 initargs=(workers,)) as ex:
-            records = list(ex.map(_run_fix_task, [(sc, i) for i in range(n)]))
-    records.sort(key=lambda r: r["fix"])
+    records = [run_fix(sc, i) for i in range(n)]
     summary = {
         "n_cells": len(sc.cells),
         "n_fixes": n,

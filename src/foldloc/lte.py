@@ -16,8 +16,8 @@ The large layers of synthesis split their work into blocks with
 `_run_blocks`: the frames of `frame_samples`, the twiddles and column
 factor of `harness._delay`, and the square and the FIR of
 `frontend.fold_baseband`. A layer whose array holds at least
-_PARALLEL_MIN = 2**19 elements runs its blocks on the process's CPU share
-(`_share_cpus`), the first on the calling thread and the others on helper
+_PARALLEL_MIN = 2**19 elements runs its blocks on every CPU the process
+may run on, the first on the calling thread and the others on helper
 threads; a smaller one runs them all on the calling thread, where a second
 thread would cost more than it saves. Block functions are private and
 call no public function of the package, so a tracer that wraps public
@@ -56,19 +56,13 @@ SSS_COLS = (5, 75)
 PSS_COLS = (6, 76)
 
 
-# threads of a large layer: every CPU this process may run on, or its share
-# of them in a run_eval worker (see _share_cpus)
+# threads of a large layer: every CPU this process may run on, counted once
+# at import
 _CPU_SHARE = len(os.sched_getaffinity(0))
 # a layer whose array holds fewer elements runs on the caller's thread
 # alone, where a second thread costs more than it saves
 _PARALLEL_MIN = 1 << 19
-_helper_pool: tuple[tuple[int, int], ThreadPoolExecutor] | None = None
-
-
-def _share_cpus(workers: int) -> None:
-    """Pool initializer: give each of workers processes its share of CPUs."""
-    global _CPU_SHARE
-    _CPU_SHARE = max(1, len(os.sched_getaffinity(0)) // workers)
+_helper_pool: tuple[int, ThreadPoolExecutor] | None = None
 
 
 def _threads(size: int) -> int:
@@ -77,17 +71,16 @@ def _threads(size: int) -> int:
 
 
 def _helpers() -> ThreadPoolExecutor:
-    """The process's _CPU_SHARE - 1 helper threads.
+    """The process's _CPU_SHARE - 1 helper threads, made on first use.
 
-    A forked child makes its own pool: the threads of one it inherits do
-    not exist in it, and its first submit would wait forever.
+    A forked child, such as a caller's own multiprocessing worker, makes
+    its own pool: the threads of one it inherits do not exist in it, and
+    its first submit would wait forever.
     """
     global _helper_pool
-    key = (os.getpid(), _CPU_SHARE - 1)
-    if _helper_pool is None or _helper_pool[0] != key:
-        if _helper_pool is not None and _helper_pool[0][0] == key[0]:
-            _helper_pool[1].shutdown(wait=False)
-        _helper_pool = key, ThreadPoolExecutor(key[1], "foldloc-block")
+    if _helper_pool is None or _helper_pool[0] != os.getpid():
+        _helper_pool = os.getpid(), ThreadPoolExecutor(_CPU_SHARE - 1,
+                                                       "foldloc-block")
     return _helper_pool[1]
 
 

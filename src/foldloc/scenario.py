@@ -37,7 +37,6 @@ _STREAM_TAGS = {
     "payload": 1,
     "noise": 2,
     "timing": 3,
-    "solver": 4,
     "scene": 5,
 }
 
@@ -45,8 +44,8 @@ _STREAM_TAGS = {
 def substream(seed: int, name: str, *indices: int) -> np.random.Generator:
     """Independent generator for (seed, stream name, indices).
 
-    Seeding by position rather than by execution order keeps parallel runs
-    deterministic for any worker count.
+    Seeding by position rather than by execution order keeps runs
+    deterministic whatever order their draws are made in.
     """
     return np.random.default_rng([int(seed), _STREAM_TAGS[name], *map(int, indices)])
 
@@ -101,6 +100,8 @@ class Scenario:
         times = [t for t, _, _ in self.trajectory]
         if not times:
             raise ScenarioError("trajectory is empty")
+        if not np.isfinite(self.trajectory).all():
+            raise ScenarioError("non-finite t, x or y in the trajectory")
         if any(b <= a for a, b in zip(times, times[1:])):
             raise ScenarioError("trajectory times must be strictly increasing")
         if self.solver not in SOLVERS:

@@ -36,7 +36,7 @@ def test_bank_deterministic_and_cached(fe):
     b = build_bank()
     for name in ("samples", "norms", "pss_unit"):
         assert np.array_equal(getattr(a, name), getattr(b, name))
-    # one bank per process and front end; noise is no part of its identity
+    # one bank per process; no front-end field is part of its identity
     assert _bank_for(fe) is _bank_for(replace(fe, noise_sigma=0.5))
 
 

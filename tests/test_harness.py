@@ -20,15 +20,17 @@ from foldloc.detect import (FRAME_LEN, PSS_TEMPLATE_LEN, TEMPLATE_LEN,
                             _stage1_candidates, _window_norms,
                             hierarchical_detect, stack_frames,
                             suppress_false_positives)
-from foldloc.frontend import (DETECTOR_RATE_HZ, SPEED_OF_LIGHT, CellConfig,
-                              FrontEndConfig, design_lowpass, path_amplitude,
+from foldloc.frontend import (DETECTOR_RATE_HZ, SENSITIVITY_FLOOR_DBM,
+                              SPEED_OF_LIGHT, CellConfig, FrontEndConfig,
+                              design_lowpass, path_amplitude,
                               received_power_dbm)
 from foldloc.harness import (cmd_localize, cmd_synth, compute_metrics,
                              detect_trace, run_eval, run_fix, run_urban_sim,
                              synth_fix_trace)
 from foldloc.lte import (FrameConfig, Pci, central_62_bins, generate_pss,
                          generate_sss, occupied_bins)
-from foldloc.scenario import CellDatabase, Scenario, scenario_cell_db, substream
+from foldloc.scenario import (CellDatabase, Scenario, load_scenario,
+                              scenario_cell_db, substream)
 
 FS = 1.92e6
 CFG = FrameConfig.from_bandwidth(1.4)
@@ -100,11 +102,9 @@ def test_every_front_end_setting_reaches_the_trace():
                         position=(3000.0, 0.0), tx_power_dbm=46.0)]
     sc = Scenario(cells=cells, front_end=FrontEndConfig(), n_frames_per_fix=1,
                   trajectory=[(0.0, *rx)])
-    powers = [received_power_dbm(c, rx) for c in cells]
-    assert min(powers) >= FrontEndConfig().sensitivity_floor_dbm
-    # a non-default valid value of every field; the floor drops one cell
-    changes = {"noise_sigma": 1e-9,
-               "sensitivity_floor_dbm": float(np.mean(powers))}
+    assert min(received_power_dbm(c, rx) for c in cells) >= SENSITIVITY_FLOOR_DBM
+    # a non-default valid value of every field
+    changes = {"noise_sigma": 1e-9}
     base = synth_fix_trace(sc, 0)
     for f in fields(FrontEndConfig):
         assert f.name in changes, f"no test value for {f.name}"
@@ -112,9 +112,29 @@ def test_every_front_end_setting_reaches_the_trace():
         assert getattr(fe, f.name) != f.default, f.name
         changed = replace(sc, front_end=fe)
         assert not np.array_equal(synth_fix_trace(changed, 0), base), f.name
-    floor = replace(sc, front_end=FrontEndConfig(
-        sensitivity_floor_dbm=changes["sensitivity_floor_dbm"]))
-    assert len(harness._heard_cells(floor, rx)) == 1
+
+
+def test_cell_below_the_sensitivity_floor_is_neither_synthesized_nor_truth():
+    """Geometry alone decides which cells are heard: a cell received below
+    SENSITIVITY_FLOOR_DBM adds nothing to the trace and is not a true PCI,
+    and the same cell moved within range is both."""
+    rx = (900.0, 100.0)
+    near = _cell(11, 0.0, 0.0)
+    far = _cell(22, 20e3, 0.0)
+    close = replace(far, position=(3000.0, 0.0))
+    assert received_power_dbm(near, rx) >= SENSITIVITY_FLOOR_DBM
+    assert received_power_dbm(far, rx) < SENSITIVITY_FLOOR_DBM
+    assert received_power_dbm(close, rx) >= SENSITIVITY_FLOOR_DBM
+    alone, with_far, with_close = (
+        Scenario(cells=cells, front_end=FrontEndConfig(), n_frames_per_fix=1,
+                 trajectory=[(0.0, *rx)])
+        for cells in ([near], [near, far], [near, close]))
+    assert np.array_equal(synth_fix_trace(with_far, 0),
+                          synth_fix_trace(alone, 0))
+    assert run_fix(with_far, 0)["true_pcis"] == [11]
+    assert not np.array_equal(synth_fix_trace(with_close, 0),
+                              synth_fix_trace(alone, 0))
+    assert run_fix(with_close, 0)["true_pcis"] == [11, 22]
 
 
 def _seed_frame(cfg, pci, rng):
@@ -142,10 +162,9 @@ def _seed_synth_fix_trace(sc, fix_idx):
     a full-rate 'same'-mode FIR decimated afterwards."""
     _, x, y = sc.trajectory[fix_idx]
     rx = np.array([x, y])
-    fe = sc.front_end
     total = np.zeros(sc.n_frames_per_fix * FRAME_LEN)
     for ci, cell in enumerate(sc.cells):
-        if received_power_dbm(cell, rx) < fe.sensitivity_floor_dbm:
+        if received_power_dbm(cell, rx) < SENSITIVITY_FLOOR_DBM:
             continue
         cfg = cell.frame_cfg
         rng = substream(sc.rng_seed, "payload", fix_idx, ci)
@@ -236,15 +255,6 @@ def test_synth_does_not_depend_on_fft_threads(monkeypatch):
         sys.setswitchinterval(interval)
 
 
-def test_pool_workers_share_the_cpus(monkeypatch):
-    monkeypatch.setattr(lte, "_CPU_SHARE", 0)
-    cpus = len(os.sched_getaffinity(0))
-    lte._share_cpus(1)
-    assert lte._CPU_SHARE == cpus
-    lte._share_cpus(cpus + 1)
-    assert lte._CPU_SHARE == 1
-
-
 def test_traced_layers_run_on_the_calling_thread(monkeypatch):
     """Helper threads never enter a layer a tracer may wrap: every call of
     one, through any foldloc binding of it, runs on the thread that
@@ -279,7 +289,7 @@ def test_traced_layers_run_on_the_calling_thread(monkeypatch):
 
 
 _FORKED_POOL_SCRIPT = """
-import os
+import multiprocessing
 from foldloc import harness, lte
 from foldloc.lte import FrameConfig, Pci
 from foldloc.frontend import CellConfig, FrontEndConfig
@@ -292,20 +302,30 @@ cells = [CellConfig(pci=Pci(p), carrier_hz=f,
                                (202, 5.0, 2.145e9, (0.0, 1000.0)),
                                (303, 5.0, 2.175e9, (-884.0, -884.0)))]
 sc = Scenario(cells=cells, front_end=FrontEndConfig(),
-              trajectory=[(0.0, 10.0, -20.0), (1.0, 30.0, 5.0)],
-              rng_seed=3, n_frames_per_fix=2, solver="ratio")
+              trajectory=[(0.0, 10.0, -20.0)], rng_seed=3, n_frames_per_fix=2)
 lte._CPU_SHARE = 2
-serial = harness.run_eval(sc).to_json()   # the parent's helper pool exists
+parent = harness.synth_fix_trace(sc, 0)   # the parent's helper pool exists
 assert lte._helper_pool is not None
-# four CPUs, so each of two workers would run its large layers on two
-os.sched_getaffinity = lambda pid: set(range(4))
-print(harness.run_eval(sc, workers=2).to_json() == serial)
+
+
+def child(conn):
+    conn.send_bytes(harness.synth_fix_trace(sc, 0).tobytes())
+
+
+recv, send = multiprocessing.Pipe(duplex=False)
+proc = multiprocessing.get_context("fork").Process(target=child, args=(send,))
+proc.start()
+send.close()   # a child that dies makes recv_bytes raise, not wait
+got = recv.recv_bytes()
+proc.join()
+print(proc.exitcode == 0 and got == parent.tobytes())
 """
 
 
 def test_worker_processes_do_not_inherit_the_helper_pool():
-    """A forked run_eval worker makes its own helper threads: submitting
-    to the pool it inherits from its parent would wait forever."""
+    """A forked child makes its own helper threads, and its trace equals
+    the parent's bit for bit: submitting to the pool it inherits from its
+    parent would wait forever."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [os.path.dirname(os.path.dirname(foldloc.__file__)),
          os.environ.get("PYTHONPATH", "")]))
@@ -317,8 +337,8 @@ def test_worker_processes_do_not_inherit_the_helper_pool():
     except subprocess.TimeoutExpired:
         os.killpg(proc.pid, signal.SIGKILL)
         proc.communicate()
-        pytest.fail("run_eval(workers=2) did not finish after the parent "
-                    "used its helper pool")
+        pytest.fail("a forked child's wideband fix did not finish after the "
+                    "parent used its helper pool")
     assert proc.returncode == 0, err
     assert out.strip() == "True"
 
@@ -515,11 +535,6 @@ def test_run_eval_repeat_is_byte_identical():
     assert run_eval(sc).to_json() == run_eval(sc).to_json()
 
 
-def test_run_eval_worker_pool_is_byte_identical():
-    sc = _single_cell_scenario()
-    assert run_eval(sc, workers=2).to_json() == run_eval(sc).to_json()
-
-
 def test_compute_metrics_counts():
     records = [
         {"detections": [[1, 0, 0, 0, 0], [2, 0, 0, 0, 0]],
@@ -674,6 +689,45 @@ def test_cli_eval(cli_workdir):
     assert report["metrics"]["recall"] == 1.0
 
 
+def test_cli_eval_writes_the_run_eval_report(cli_workdir, tmp_path):
+    from foldloc.cli import main
+    ini = str(cli_workdir / "sc.ini")
+    assert main(["eval", ini, "-o", str(tmp_path / "report.json")]) == 0
+    assert (tmp_path / "report.json").read_text() == \
+        run_eval(load_scenario(ini)).to_json()
+
+
+def test_cli_eval_has_no_workers_option(cli_workdir, tmp_path):
+    r = _run_cli(["eval", str(cli_workdir / "sc.ini"), "--workers", "2",
+                  "-o", str(tmp_path / "report.json")])
+    assert r.returncode == 2
+    assert "--workers" in r.stderr
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_bank_built_once_for_every_front_end(monkeypatch):
+    builds = []
+
+    def counting_build_bank():
+        builds.append(1)
+        return real_build_bank()
+
+    real_build_bank = harness.build_bank
+    monkeypatch.setattr(harness, "build_bank", counting_build_bank)
+    harness._bank_for.cache_clear()
+    try:
+        a = harness._bank_for(FrontEndConfig())
+        assert harness._bank_for(FrontEndConfig(noise_sigma=0.5)) is a
+        assert harness._bank_for.cache_info().misses == 1
+        assert len(builds) == 1
+        harness._bank_for.cache_clear()
+        assert harness._bank_for(FrontEndConfig()) is not a
+        assert harness._bank_for.cache_info().misses == 1
+        assert len(builds) == 2
+    finally:
+        harness._bank_for.cache_clear()
+
+
 def test_cli_detect_builds_bank_once_per_process(tmp_path, monkeypatch):
     from foldloc.cli import main
     sc = replace(_single_cell_scenario(),
@@ -703,6 +757,20 @@ def test_cli_localize_manifest_without_detections_path_exits_2(tmp_path, capsys)
                  "--cell-db", str(tmp_path / "cells.csv"),
                  "-o", str(tmp_path / "traj.csv")]) == 2
     assert "detections_path" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("t", ["nan", "abc"])
+def test_cli_localize_bad_manifest_time_exits_2(tmp_path, capsys, t):
+    from foldloc.cli import main
+    dets = tmp_path / "dets.csv"
+    dets.write_text(",".join(harness.DETECTION_COLUMNS) + "\n")
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text(f"t,detections_path\n0.0,{dets}\n{t},{dets}\n")
+    (tmp_path / "cells.csv").write_text(CELL_DB)
+    assert main(["localize", str(manifest), "--cell-db",
+                 str(tmp_path / "cells.csv"), "-o", str(tmp_path / "traj.csv")]) == 2
+    assert f"{manifest}:3" in capsys.readouterr().err
+    assert not (tmp_path / "traj.csv").exists()
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -857,7 +925,9 @@ def test_cli_validation_error_exits_2(cli_workdir, tmp_path, capsys):
             *(("[scenario]", f"[frontend]\n{key} = 1e6\n\n[scenario]",
                f"[frontend]: unknown key '{key}'")
               for key in ("adc_rate_hz", "lpf_cutoff_hz", "lpf_transition_hz",
-                          "lpf_atten_db")),
+                          "lpf_atten_db", "sensitivity_floor_dbm")),
+            ("points = 0,468.75,0; 1,500,0", "points = 0,nan,5; 1,100,200",
+             "non-finite t, x or y"),
             ("[scenario]", "[DEFAULT]\ntx_power_dbm = 40\n\n[scenario]",
              "[DEFAULT]")):
         bad.write_text(SCENARIO_INI.replace(old, new))

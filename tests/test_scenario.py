@@ -93,6 +93,16 @@ def test_error_on_bad_trajectory_point(tmp_path):
         load_scenario(_write(tmp_path, ini))
 
 
+@pytest.mark.parametrize("trajectory", [
+    "points = 0,nan,5; 1,100,200", "points = 0,1,2; inf,100,200",
+    "points = 0,1,-inf; 1,100,200", "static = nan 5", "static = 5 inf"])
+def test_error_on_nonfinite_trajectory(tmp_path, trajectory):
+    ini = GOOD_INI.replace("points = 0,500,100; 1,520,100; 2,540,100",
+                           trajectory)
+    with pytest.raises(ScenarioError, match="non-finite t, x or y"):
+        load_scenario(_write(tmp_path, ini))
+
+
 def test_error_on_missing_trajectory(tmp_path):
     ini = GOOD_INI.split("[trajectory]")[0]
     with pytest.raises(ScenarioError, match="trajectory"):
@@ -148,10 +158,12 @@ def test_nonincreasing_trajectory_rejected(tmp_path):
      r"\[frontend\]: unknown key 'lpf_transition_hz'"),
     ("noise_sigma = 0.001", "noise_sigma = 0.001\nlpf_atten_db = 60",
      r"\[frontend\]: unknown key 'lpf_atten_db'"),
+    ("noise_sigma = 0.001", "noise_sigma = 0.001\nsensitivity_floor_dbm = -70",
+     r"\[frontend\]: unknown key 'sensitivity_floor_dbm'"),
 ], ids=["tresh_sss", "tx_powr_dbm", "frontend_key", "trajectory_key", "scenaro",
         "cells_section", "mode_plain", "mode_phat", "rng_seed",
         "correlation_mode", "adc_rate_hz", "lpf_cutoff_hz", "lpf_transition_hz",
-        "lpf_atten_db"])
+        "lpf_atten_db", "sensitivity_floor_dbm"])
 def test_unknown_section_or_key_rejected(tmp_path, old, new, named):
     assert old in GOOD_INI
     with pytest.raises(ScenarioError, match=named):
@@ -180,7 +192,6 @@ solver = ratio
 
 [frontend]
 noise_sigma = 0.01
-sensitivity_floor_dbm = -80
 
 [cell.a]
 pci = 7
@@ -198,7 +209,6 @@ n_fixes = 2
     sc = load_scenario(_write(tmp_path, ini))
     assert (sc.rng_seed, sc.n_frames_per_fix, sc.thresh_pss, sc.thresh_sss,
             sc.solver) == (3, 2, 0.2, 0.4, "ratio")
-    assert sc.front_end == FrontEndConfig(0.01, -80.0)
     assert sc.front_end.noise_sigma == 0.01
     assert sc.cells == [CellConfig(Pci(7), 2.1e9, FrameConfig.from_bandwidth(5),
                                    (1.0, 2.0), 40.0, 0.001)]
@@ -217,8 +227,9 @@ def test_nonfinite_cell_value_names_section(tmp_path):
      "thresh_pss and thresh_sss"),
     ("noise_sigma = 0.001", "noise_sigma = nan",
      r"\[frontend\]: non-finite value in FrontEndConfig"),
+    # the floor is the constant frontend.SENSITIVITY_FLOOR_DBM, not a key
     ("noise_sigma = 0.001", "noise_sigma = 0.001\nsensitivity_floor_dbm = inf",
-     r"\[frontend\]: non-finite value in FrontEndConfig"),
+     r"\[frontend\]: unknown key 'sensitivity_floor_dbm'"),
     ("noise_sigma = 0.001", "noise_sigma = -0.001",
      r"\[frontend\]: noise_sigma must be >= 0"),
 ], ids=["thresh_pss_nan", "thresh_sss_-inf", "noise_sigma_nan",
@@ -278,6 +289,10 @@ def test_scenario_validation_direct(cfg14):
     with pytest.raises(ScenarioError, match="n_frames_per_fix"):
         Scenario(cells=[cell], front_end=FrontEndConfig(),
                  trajectory=[(0.0, 0.0, 0.0)], n_frames_per_fix=0)
+    for point in ((np.nan, 0.0, 0.0), (0.0, np.inf, 0.0), (0.0, 0.0, np.nan)):
+        with pytest.raises(ScenarioError, match="non-finite t, x or y"):
+            Scenario(cells=[cell], front_end=FrontEndConfig(),
+                     trajectory=[point])
 
 
 # ------------------------------------------------------------- substreams

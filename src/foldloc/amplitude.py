@@ -37,7 +37,7 @@ class SubsampleEstimate:
 
 
 def _window(x: np.ndarray, d: int, wlen: int) -> np.ndarray:
-    return x.take(range(d, d + wlen), mode="wrap")
+    return x.take(np.arange(d, d + wlen), mode="wrap")
 
 
 def fit_amplitude(x: np.ndarray, tpl: np.ndarray, d: int) -> float:

@@ -62,23 +62,43 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _fix_number(text: str, where: str) -> int:
+    """A manifest's fix index, a non-negative integer; anything else raises
+    ScenarioError prefixed with where, the path:line."""
+    try:
+        fix = int(text)
+    except ValueError:
+        fix = -1
+    if fix < 0:
+        raise ScenarioError(f"{where}: fix {text!r} is not a non-negative "
+                            "integer")
+    return fix
+
+
 def _do_detect(args) -> int:
     check_thresholds(args.thresh_pss, args.thresh_sss)
     outdir = args.outdir or os.path.dirname(os.path.abspath(args.input))
     if args.input.endswith(".csv"):
-        rows = [r for _, r in read_csv_rows(args.input, (
-            "fix", "trace_path", "t", "x_true", "y_true", "true_pcis"))]
+        rows = list(read_csv_rows(args.input, (
+            "fix", "trace_path", "t", "x_true", "y_true", "true_pcis")))
         if not rows:
             raise ScenarioError(f"{args.input}: manifest lists no traces")
+        fixes = []
+        for ln, row in rows:
+            where = f"{args.input}:{ln}"
+            fixes.append(_fix_number(row["fix"], where))
+            _finite([row["t"]], where)
+            if fixes[-1] in fixes[:-1]:
+                # both rows would write one detections file
+                raise ScenarioError(f"{where}: fix {fixes[-1]} listed twice")
         os.makedirs(outdir, exist_ok=True)
         det_manifest = os.path.join(outdir, "detections_manifest.csv")
         with open(det_manifest, "w", newline="") as f:
             w = csv.writer(f)
             w.writerow(["fix", "t", "detections_path", "x_true", "y_true",
                         "true_pcis"])
-            for row in rows:
-                out_csv = os.path.join(
-                    outdir, f"detections_fix_{int(row['fix']):04d}.csv")
+            for fix, (_, row) in zip(fixes, rows):
+                out_csv = os.path.join(outdir, f"detections_fix_{fix:04d}.csv")
                 dets = cmd_detect(row["trace_path"], out_csv, args.thresh_pss,
                                   args.thresh_sss, args.stack)
                 w.writerow([row["fix"], row["t"], out_csv, row["x_true"],

@@ -6,20 +6,24 @@ stacked trace identifies cells and their coarse sample delays. Squaring
 destroys the sign difference between Zadoff-Chu roots 29 and 34, so their
 folded waveforms coincide and stage-1 scanning needs only two PSS shapes.
 
-The bank is three read-only arrays, one row per PCI: unit-norm windows,
-their original norms and the two PSS scan windows. A data-free frame is
-zero outside its four sync symbols, and the window holds two zero samples,
-then SSS and PSS of slot 0 with their cyclic prefixes. So `build_bank`
-modulates only those two symbols, many PCIs per transform, and folds
-exactly the window: at the detector rate the low-pass is all-pass.
+The bank is four read-only arrays: per PCI a unit-norm window and its
+original norm, then the two PSS scan windows and their conjugate spectra
+at the frame length. A data-free frame is zero outside its four sync
+symbols, and the window holds two zero samples, then SSS and PSS of slot 0
+with their cyclic prefixes. So `build_bank` modulates only those two
+symbols, many PCIs per transform, and folds exactly the window: at the
+detector rate the low-pass is all-pass.
 
-`correlate_bank` is the one kernel that scores templates at every lag,
-from one FFT of the trace: stage 1 runs it once on both PSS shapes, and a
-single template is a one-row array. Stage 2 scores every candidate window
-against the whole bank with one matrix product. Detection returns scored
-(pci, delay) pairs; `refine`, the single enrichment step, gives them their
-received power, suppresses false positives by it and gives the survivors
-a sub-sample offset.
+`_ncc` is the one kernel that scores templates at every lag, from one FFT
+of the trace: `correlate_bank` feeds it the spectra of any templates (a
+single template is a one-row array), and stage 1 the bank's two PSS
+spectra, so a fix transforms no template. Stage 2 scores every candidate
+window against the whole bank with one matrix product, on the calling
+thread (`lte._blas_on_caller`): detection wakes no thread, and foldloc's
+only parallel work stays synthesis's blocked layers and scipy.fft workers.
+Detection returns scored (pci, delay) pairs; `refine`, the single
+enrichment step, gives them their received power, suppresses false
+positives by it and gives the survivors a sub-sample offset.
 """
 from __future__ import annotations
 
@@ -30,7 +34,7 @@ import numpy as np
 from . import amplitude
 from .amplitude import _EPS
 from .frontend import DETECTOR_RATE_HZ, fold_baseband  # noqa: F401
-from .lte import FrameConfig, Pci, sync_segment
+from .lte import FrameConfig, Pci, _blas_on_caller, sync_segment
 
 FRAME_LEN = 19200             # 10 ms at the detector rate
 HALF_FRAME = 9600             # sync repeats every 5 ms
@@ -69,11 +73,14 @@ class TemplateBank:
     the received amplitude squared, comparable across PCIs.
     pss_unit (2, 138): mean-removed, unit-norm PSS scan windows of sectors
     0 and 1, the only two folded PSS shapes.
+    pss_spec (2, 9601): conj(rfft(pss_unit, n=FRAME_LEN)), the spectra
+    stage 1 correlates a stacked frame with.
     """
 
     samples: np.ndarray = field(repr=False)
     norms: np.ndarray = field(repr=False)
     pss_unit: np.ndarray = field(repr=False)
+    pss_spec: np.ndarray = field(repr=False)
 
 
 def build_bank() -> TemplateBank:
@@ -108,9 +115,10 @@ def build_bank() -> TemplateBank:
     w = windows(np.arange(2))[:, -PSS_TEMPLATE_LEN:]
     w = w - w.mean(axis=1, keepdims=True)
     pss_unit = w / np.linalg.norm(w, axis=1, keepdims=True)
-    for a in (samples, norms, pss_unit):
+    pss_spec = np.conj(np.fft.rfft(pss_unit, n=FRAME_LEN, axis=1))
+    for a in (samples, norms, pss_unit, pss_spec):
         a.setflags(write=False)
-    return TemplateBank(samples, norms, pss_unit)
+    return TemplateBank(samples, norms, pss_unit, pss_spec)
 
 
 def stack_frames(trace: np.ndarray, n_frames: int) -> np.ndarray:
@@ -143,7 +151,7 @@ def _window_norms(x: np.ndarray, wlen: int) -> np.ndarray:
     s1 = c1[wlen:] - c1[:-wlen]
     s2 = c2[wlen:] - c2[:-wlen]
     var = s2 - s1 * s1 / wlen
-    flat = var <= x.size * np.finfo(np.float64).eps * float(x @ x)
+    flat = var <= x.size * np.finfo(np.float64).eps * c2[x.size]
     return np.where(flat, 0.0, np.sqrt(np.maximum(var, 0.0)))
 
 
@@ -151,23 +159,34 @@ def correlate_bank(stacked: np.ndarray, templates: np.ndarray) -> np.ndarray:
     """(k, n) normalized cross-correlation of k templates at every lag.
 
     Every circular lag of the stacked frame is scored against each row of
-    templates (k, L), zero-mean and unit-norm, from one FFT of the trace
-    and batches of BANK_CHUNK template spectra, dividing by the shared
-    window norms (Lewis's running-sum fast NCC; flat windows score 0).
-    Scores are clipped to [-1, 1]. A single template scores as
+    templates (k, L), zero-mean and unit-norm, transformed in batches of
+    BANK_CHUNK (see `_ncc`). A single template scores as
     correlate_bank(x, tpl[None])[0].
     """
     k, wlen = templates.shape
     n = stacked.size
     if n < wlen:
         raise ValueError("trace shorter than template")
+    return _ncc(stacked, wlen, k, lambda rows: np.conj(
+        np.fft.rfft(templates[rows], n=n, axis=1)))
+
+
+def _ncc(stacked: np.ndarray, wlen: int, k: int, conj_spec) -> np.ndarray:
+    """(k, n) scores of k templates of length wlen at every circular lag.
+
+    conj_spec(rows) gives the conjugate spectra, at the trace's length, of
+    the templates in rows, a slice of at most BANK_CHUNK. The trace is
+    transformed once and each lag divided by its window norm (Lewis's
+    running-sum fast NCC; flat windows score 0). Scores are clipped to
+    [-1, 1].
+    """
+    n = stacked.size
     spec_x = np.fft.rfft(stacked)
     denom = _window_norms(stacked, wlen)
     out = np.empty((k, n))
     for lo in range(0, k, BANK_CHUNK):
         rows = slice(lo, lo + BANK_CHUNK)
-        spec_t = np.fft.rfft(templates[rows], n=n, axis=1)
-        out[rows] = np.fft.irfft(spec_x * np.conj(spec_t), n=n, axis=1) / \
+        out[rows] = np.fft.irfft(spec_x * conj_spec(rows), n=n, axis=1) / \
             np.maximum(denom, _EPS)
     out[:, denom == 0.0] = 0.0
     return np.clip(out, -1.0, 1.0)
@@ -176,9 +195,17 @@ def correlate_bank(stacked: np.ndarray, templates: np.ndarray) -> np.ndarray:
 def _stage1_candidates(stacked: np.ndarray, bank: TemplateBank,
                        thresh_pss: float) -> list[int]:
     """Peak lags of the two folded PSS shapes, one per group of lags above
-    thresh_pss that lie at most STAGE1_GROUP_GAP apart."""
+    thresh_pss that lie at most STAGE1_GROUP_GAP apart.
+
+    The scores are correlate_bank(stacked, bank.pss_unit), from the bank's
+    PSS spectra, so stacked must be one frame of FRAME_LEN samples.
+    """
+    if stacked.size != FRAME_LEN:
+        raise ValueError(f"stacked frame of {stacked.size} samples, not "
+                         f"{FRAME_LEN}")
     cands = set()
-    for scores in correlate_bank(stacked, bank.pss_unit):
+    for scores in _ncc(stacked, PSS_TEMPLATE_LEN, 2,
+                       bank.pss_spec.__getitem__):
         above = np.flatnonzero(scores > thresh_pss)
         groups = np.split(above,
                           np.flatnonzero(np.diff(above) > STAGE1_GROUP_GAP) + 1)
@@ -191,12 +218,13 @@ def hierarchical_detect(stacked: np.ndarray, bank: TemplateBank,
                         thresh_sss: float = THRESH_SSS) -> list[Detection]:
     """Two-stage search: PSS scan for candidate lags, full bank only there.
 
-    Stage 1 scans all lags with the two folded PSS waveforms and keeps
-    grouped peaks above thresh_pss. Stage 2 scores all 504 full templates
-    at each candidate's implied window start (PSS peak minus the
-    PSS-template offset) within +-CANDIDATE_WINDOW lags, in one matrix
-    product, and keeps each PCI's best lag (the first, on ties) if it scores
-    above thresh_sss. Returns scored detections sorted by score descending;
+    stacked is one frame of FRAME_LEN samples. Stage 1 scans all its lags
+    with the two folded PSS waveforms and keeps grouped peaks above
+    thresh_pss. Stage 2 scores all 504 full templates at each candidate's
+    implied window start (PSS peak minus the PSS-template offset) within
+    +-CANDIDATE_WINDOW lags, in one matrix product on the calling thread,
+    and keeps each PCI's best lag (the first, on ties) if it scores above
+    thresh_sss. Returns scored detections sorted by score descending;
     `refine` fills in amplitude and sub-sample offset.
     """
     cands = _stage1_candidates(stacked, bank, thresh_pss)
@@ -209,7 +237,8 @@ def hierarchical_detect(stacked: np.ndarray, bank: TemplateBank,
     windows -= windows.mean(axis=1, keepdims=True)
     nrm = np.linalg.norm(windows, axis=1)
     flat = nrm < _EPS
-    scores = (windows / np.where(flat, 1.0, nrm)[:, None]) @ bank.samples.T
+    with _blas_on_caller():
+        scores = (windows / np.where(flat, 1.0, nrm)[:, None]) @ bank.samples.T
     scores[flat] = -np.inf
     best = np.argmax(scores, axis=0)
     top = scores[best, np.arange(504)]

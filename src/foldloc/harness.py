@@ -21,7 +21,10 @@ the process may run on once the cell holds lte._PARALLEL_MIN = 2**19 samples
 `lte._run_blocks`), and one thread below that. `run_eval` runs its fixes
 one after another in the calling process. Helper threads run only private
 code: every call of a public function stays on the thread that
-synthesizes the fix. The output does not depend on the thread count.
+synthesizes the fix. These blocks and scipy.fft's workers are the only
+parallel work; detection, BLAS included, runs on the calling thread
+(`lte._blas_on_caller`), so no BLAS worker left spinning holds a CPU from
+the next fix. The output does not depend on the thread count.
 `synth_fix_trace` is the only place that adds detector noise: white
 Gaussian noise of the front end's noise_sigma on the summed detector-rate
 trace, from the fix's own "noise" substream.

@@ -23,11 +23,21 @@ thread would cost more than it saves. Block functions are private and
 call no public function of the package, so a tracer that wraps public
 functions, and keeps one span stack for all threads, sees every call on
 the thread that made it. The output does not depend on the thread count.
+
+These blocks and scipy.fft's workers, both only at or above _PARALLEL_MIN,
+are foldloc's only parallel work. BLAS runs on the caller: numpy's OpenBLAS
+would share a large product with worker threads that keep spinning after
+it returns, so `_blas_on_caller` holds it to one thread around detection's
+stage-2 product, the one product large enough to wake them.
 """
 from __future__ import annotations
 
+import ctypes
+import glob
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor, wait
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -112,6 +122,61 @@ def _run_blocks(fn, n: int, size: int, step: int | None = None) -> None:
         wait(futures)
     for f in futures:
         f.result()
+
+
+@lru_cache(maxsize=1)
+def _numpy_openblas():
+    """(get, set) of the thread count of numpy's own OpenBLAS, or None.
+
+    The library is looked up among the files numpy ships, in numpy's own
+    directory or the numpy.libs beside it: another OpenBLAS in the process,
+    such as scipy's, exports the same unprefixed names but does not run
+    numpy's products.
+    """
+    root = os.path.dirname(np.__file__)
+    for path in sorted(glob.glob(os.path.join(root + ".libs", "*openblas*"))
+                       + glob.glob(os.path.join(root, ".libs", "*openblas*"))):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix in ("scipy_openblas_", "openblas_"):
+            for suffix in ("64_", ""):
+                get = getattr(lib, f"{prefix}get_num_threads{suffix}", None)
+                set_ = getattr(lib, f"{prefix}set_num_threads{suffix}", None)
+                if get is not None and set_ is not None:
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    set_.argtypes, set_.restype = [ctypes.c_int], None
+                    return get, set_
+    return None
+
+
+_blas_lock = threading.RLock()
+
+
+@contextmanager
+def _blas_on_caller():
+    """Run numpy's BLAS calls inside on the calling thread alone.
+
+    OpenBLAS's worker threads keep spinning for about 0.1 s after a product
+    they shared returns, holding a CPU that the next fix's synthesis splits
+    its layers across, for a fraction of a millisecond saved on a product
+    of detection's size. The previous count is restored on exit, so the
+    host's setting never changes; the lock keeps two threads from restoring
+    each other's count. Without numpy's OpenBLAS it does nothing.
+    """
+    blas = _numpy_openblas()
+    if blas is None:
+        yield
+        return
+    get, set_ = blas
+    with _blas_lock:
+        prev = get()
+        set_(1)
+        try:
+            yield
+        finally:
+            set_(prev)
 
 
 @dataclass(frozen=True)

@@ -27,14 +27,14 @@ def test_bank_shape_and_normalization(bank):
     assert bank.pss_unit.shape == (2, PSS_TEMPLATE_LEN)
     assert np.allclose(np.linalg.norm(bank.pss_unit, axis=1), 1.0)
     assert np.allclose(bank.pss_unit.mean(axis=1), 0.0, atol=1e-12)
-    for a in (bank.samples, bank.norms, bank.pss_unit):
+    for a in (bank.samples, bank.norms, bank.pss_unit, bank.pss_spec):
         assert not a.flags.writeable
 
 
 def test_bank_deterministic_and_cached(fe):
     a = build_bank()
     b = build_bank()
-    for name in ("samples", "norms", "pss_unit"):
+    for name in ("samples", "norms", "pss_unit", "pss_spec"):
         assert np.array_equal(getattr(a, name), getattr(b, name))
     # one bank per process; no front-end field is part of its identity
     assert _bank_for(fe) is _bank_for(replace(fe, noise_sigma=0.5))
@@ -59,6 +59,21 @@ def test_bank_matches_full_frame_reference():
     assert np.array_equal(got.samples, samples)
     assert np.array_equal(got.norms, norms)
     assert np.array_equal(got.pss_unit, pss)
+
+
+def test_bank_pss_spectra_are_the_scan_windows_transformed(bank):
+    """Stage 1 reads these spectra instead of transforming pss_unit on
+    every fix; they must be that transform to the bit."""
+    want = np.conj(np.fft.rfft(bank.pss_unit, n=FRAME_LEN, axis=1))
+    assert np.array_equal(bank.pss_spec, want)
+    with pytest.raises(ValueError, match="read-only"):
+        bank.pss_spec[0, 0] = 0.0
+
+
+@pytest.mark.parametrize("n", [FRAME_LEN - 1, 2 * FRAME_LEN])
+def test_stage1_rejects_stack_not_one_frame_long(bank, n):
+    with pytest.raises(ValueError, match=f"stacked frame of {n} samples"):
+        hierarchical_detect(np.ones(n), bank)
 
 
 def test_folded_pss_halves_merge_for_conjugate_roots(bank):

@@ -13,12 +13,12 @@ import pytest
 from scipy.signal import fftconvolve
 
 import foldloc
-from foldloc import harness, lte, traceio
+from foldloc import detect, harness, lte, traceio
 from foldloc.amplitude import estimate_subsample, fit_amplitude
 from foldloc.detect import (FRAME_LEN, PSS_TEMPLATE_LEN, TEMPLATE_LEN,
-                            TEMPLATE_START, BankMismatchError, Detection,
-                            _stage1_candidates, _window_norms,
-                            hierarchical_detect, stack_frames,
+                            TEMPLATE_START, THRESH_PSS, BankMismatchError,
+                            Detection, _stage1_candidates, _window_norms,
+                            correlate_bank, hierarchical_detect, stack_frames,
                             suppress_false_positives)
 from foldloc.frontend import (DETECTOR_RATE_HZ, SENSITIVITY_FLOOR_DBM,
                               SPEED_OF_LIGHT, CellConfig, FrontEndConfig,
@@ -346,6 +346,59 @@ def test_worker_processes_do_not_inherit_the_helper_pool():
 # ------------------------------------------------------------- detection
 
 
+_QUIET_DETECTION_SCRIPT = """
+import json, os, sys, threading, time
+import numpy as np
+from foldloc.detect import build_bank
+from foldloc.harness import detect_trace
+
+
+def ticks():
+    # utime + stime of every thread of this process, in clock ticks
+    out = {}
+    for tid in os.listdir("/proc/self/task"):
+        try:
+            with open(f"/proc/self/task/{tid}/stat") as f:
+                stat = f.read()
+        except FileNotFoundError:
+            continue
+        fields = stat[stat.rindex(")") + 2:].split()
+        out[tid] = int(fields[11]) + int(fields[12])
+    return out
+
+
+trace, bank = np.load(sys.argv[1]), build_bank()
+detect_trace(trace, bank)
+time.sleep(0.5)
+before = ticks()
+for _ in range(20):
+    detect_trace(trace, bank)
+time.sleep(0.3)
+me = str(threading.get_native_id())
+print(json.dumps({tid: t - before.get(tid, 0)
+                  for tid, t in ticks().items() if tid != me}))
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="no /proc to read thread CPU times from")
+@pytest.mark.skipif(lte._numpy_openblas() is None,
+                    reason="numpy has no OpenBLAS")
+def test_detection_wakes_no_other_thread(tmp_path):
+    """Twenty detections on an S5 trace leave every thread but the caller
+    idle: no BLAS worker spins on after a product, holding a CPU."""
+    path = tmp_path / "trace.npy"
+    np.save(path, synth_fix_trace(_s5_scenario((0,) * 5), 0))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.dirname(os.path.dirname(foldloc.__file__)),
+         os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", _QUIET_DETECTION_SCRIPT,
+                          str(path)], capture_output=True, text=True,
+                         env=env, timeout=60, check=True).stdout
+    gains = json.loads(out)
+    assert all(g <= 1 for g in gains.values()), gains
+
+
 def _seed_ncc(x, tpl):
     """Circular zero-mean NCC of one unit-norm zero-mean template, alone."""
     n = x.size
@@ -425,6 +478,28 @@ def test_stage1_matches_per_shape_reference(bank, origins):
             want = _seed_stage1(stacked, bank, thresh_pss)
             assert want
             assert _stage1_candidates(stacked, bank, thresh_pss) == want
+
+
+@pytest.mark.parametrize("origins", [(0, 1500, 3000, 4500, 6000), (0,) * 5],
+                         ids=["s5_offset", "s5_synchronized"])
+def test_stage1_scores_equal_correlate_bank(bank, origins, monkeypatch):
+    """Stage 1 scores from the bank's PSS spectra exactly what
+    correlate_bank scores from the PSS windows themselves."""
+    seen = []
+
+    def spy(*args):
+        seen.append(real_ncc(*args))
+        return seen[-1]
+
+    real_ncc = detect._ncc
+    monkeypatch.setattr(detect, "_ncc", spy)
+    sc = _s5_scenario(origins)
+    for i in range(len(sc.trajectory)):
+        stacked = stack_frames(synth_fix_trace(sc, i), sc.n_frames_per_fix)
+        seen.clear()
+        _stage1_candidates(stacked, bank, THRESH_PSS)
+        [scores] = seen
+        assert np.array_equal(scores, correlate_bank(stacked, bank.pss_unit))
 
 
 @pytest.mark.parametrize("origins", [(0, 1500, 3000, 4500, 6000), (0,) * 5],
@@ -996,6 +1071,29 @@ def test_cli_detect_bad_trace_rate_exits_3(tmp_path, capsys, rate):
     assert main(["detect", str(p), "-o", str(tmp_path)]) == 3
     assert "sample rate" in capsys.readouterr().err
     assert not (tmp_path / "t.detections.csv").exists()
+
+
+@pytest.mark.parametrize("column,value", [("fix", "abc"), ("fix", "-1"),
+                                          ("fix", "0"), ("t", "nan"),
+                                          ("t", "abc")])
+def test_cli_detect_bad_manifest_row_exits_2(tmp_path, capsys, column, value):
+    """Every manifest row is checked before any trace is read or any file
+    written: the first row's trace is missing, which would exit 3. A fix
+    listed twice would write both rows' detections to one file."""
+    from foldloc.cli import main
+    rows = [dict(fix=str(i), trace_path=str(tmp_path / f"missing_{i}.bin"),
+                 t=f"{i}.0", x_true="0", y_true="0", true_pcis="101")
+            for i in range(2)]
+    rows[1][column] = value
+    manifest = tmp_path / "manifest.csv"
+    with open(manifest, "w", newline="") as f:
+        w = csv.DictWriter(f, list(rows[0]))
+        w.writeheader()
+        w.writerows(rows)
+    outdir = tmp_path / "dets"
+    assert main(["detect", str(manifest), "-o", str(outdir)]) == 2
+    assert f"{manifest}:3" in capsys.readouterr().err
+    assert not outdir.exists()
 
 
 def test_cli_detect_stack_zero_exits_2(tmp_path, capsys):

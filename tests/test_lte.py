@@ -295,3 +295,20 @@ def test_run_blocks_covers_every_index_once(n, step, above, share):
     else:
         assert all(hi - lo <= step for lo, hi, _ in calls)
     assert all(t == threading.get_ident() for lo, _, t in calls if lo == 0)
+
+
+@pytest.mark.skipif(lte._numpy_openblas() is None,
+                    reason="numpy has no OpenBLAS")
+def test_blas_on_caller_restores_the_previous_thread_count():
+    """numpy's OpenBLAS runs one thread inside the context and the count
+    it had before after it, so the host's BLAS setting never changes."""
+    get, set_ = lte._numpy_openblas()
+    prev = get()
+    try:
+        for n in (2, prev):
+            set_(n)
+            with lte._blas_on_caller():
+                assert get() == 1
+            assert get() == n
+    finally:
+        set_(prev)

@@ -14,15 +14,19 @@ Synthesis builds each cell's frames of a fix in one `frame_samples` call,
 then delays them exactly with `_delay`, a four-step DFT (Bailey 1990): its
 passes are batched scipy.fft transforms along the two axes of an
 (n1, FRAME_LEN) view of the trace, so no full-length transform runs and no
-N-sized scratch buffer is taken. Cells are synthesized one after another;
-within a cell, frame building, the delay and the fold each use every CPU
-the process may run on once the cell holds lte._PARALLEL_MIN = 2**19 samples
+N-sized scratch buffer is taken. The calling thread builds the cells one
+after another and folds each into the total in cell order
+(`lte._overlap`). Once a cell holds lte._PARALLEL_MIN = 2**19 samples, its
+frame building, delay and fold each use every CPU the process may run on
 (the transforms through scipy's own threads, the rest through
-`lte._run_blocks`), and one thread below that. `run_eval` runs its fixes
-one after another in the calling process. Helper threads run only private
-code: every call of a public function stays on the thread that
-synthesizes the fix. These blocks and scipy.fft's workers are the only
-parallel work; detection, BLAS included, runs on the calling thread
+`lte._run_blocks`) before the next cell is built. When every cell is
+smaller, each runs on one thread, and the cells' delays overlap instead:
+helper threads delay cells while the caller builds and folds the others.
+`run_eval` runs its fixes one after another in the calling process.
+Helper threads run only private code: every call of a public function
+stays on the thread that synthesizes the fix. This overlap, these blocks
+and scipy.fft's workers are the only parallel work; detection, BLAS
+included, runs on the calling thread
 (`lte._blas_on_caller`), so no BLAS worker left spinning holds a CPU from
 the next fix. The output does not depend on the thread count.
 `synth_fix_trace` is the only place that adds detector noise: white
@@ -47,7 +51,7 @@ from .detect import (FRAME_LEN, THRESH_PSS, THRESH_SSS, BankMismatchError,
 from .frontend import (DETECTOR_RATE_HZ, SENSITIVITY_FLOOR_DBM,
                        SPEED_OF_LIGHT, FrontEndConfig, fold_baseband,
                        path_amplitude, received_power_dbm)
-from .lte import Pci, _run_blocks, _threads, frame_samples
+from .lte import Pci, _overlap, _run_blocks, _threads, frame_samples
 from .locate import SOLVERS, TowerObservation, solve_tdoa
 from .scenario import Scenario, ScenarioError, read_csv_rows, scenario_cell_db, \
     substream
@@ -122,27 +126,36 @@ def synth_fix_trace(sc: Scenario, fix_idx: int) -> np.ndarray:
 
     Each cell's n frames are one batched `frame_samples` call; its payload
     comes from substream(seed, "payload", fix, cell) as if drawn frame by
-    frame.
+    frame. Cells are built, and folded into the total, in cell order on the
+    calling thread; their delays may overlap (lte._overlap).
     """
     _, x, y = sc.trajectory[fix_idx]
     rx = np.array([x, y])
     n = sc.n_frames_per_fix
     total = np.zeros(n * FRAME_LEN)
+    heard = _heard_cells(sc, rx)
 
-    for ci, cell in _heard_cells(sc, rx):
-        cfg = cell.frame_cfg
-        rng = substream(sc.rng_seed, "payload", fix_idx, ci)
-        bb = frame_samples(cfg, cell.pci, "random_qpsk", rng, n_frames=n)
-        d = float(np.hypot(*(np.asarray(cell.position) - rx)))
-        delay_s = d / SPEED_OF_LIGHT + cell.frame_time_origin_s
-        a_rx = path_amplitude(d, cell.carrier_hz) * \
-            10.0 ** ((cell.tx_power_dbm - 30.0) / 20.0)
-        bb = _delay(bb, delay_s * cfg.sample_rate_hz, a_rx)
-        total += fold_baseband(bb, cfg.sample_rate_hz)
+    def built():
+        for ci, cell in heard:
+            cfg = cell.frame_cfg
+            d = float(np.hypot(*(np.asarray(cell.position) - rx)))
+            delay_s = d / SPEED_OF_LIGHT + cell.frame_time_origin_s
+            a_rx = path_amplitude(d, cell.carrier_hz) * \
+                10.0 ** ((cell.tx_power_dbm - 30.0) / 20.0)
+            rng = substream(sc.rng_seed, "payload", fix_idx, ci)
+            yield (frame_samples(cfg, cell.pci, "random_qpsk", rng, n_frames=n),
+                   delay_s * cfg.sample_rate_hz, a_rx)
+
+    def fold(k, bb):
+        np.add(total, fold_baseband(bb, heard[k][1].frame_cfg.sample_rate_hz),
+               out=total)
+
+    _overlap(_delay, built(), fold,
+             max((n * c.frame_cfg.frame_len for _, c in heard), default=0))
 
     if sc.front_end.noise_sigma > 0:
         rng = substream(sc.rng_seed, "noise", fix_idx)
-        total = total + rng.normal(0.0, sc.front_end.noise_sigma, total.size)
+        total += rng.normal(0.0, sc.front_end.noise_sigma, total.size)
     return total
 
 

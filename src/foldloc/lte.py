@@ -19,13 +19,18 @@ factor of `harness._delay`, and the square and the FIR of
 _PARALLEL_MIN = 2**19 elements runs its blocks on every CPU the process
 may run on, the first on the calling thread and the others on helper
 threads; a smaller one runs them all on the calling thread, where a second
-thread would cost more than it saves. Block functions are private and
-call no public function of the package, so a tracer that wraps public
-functions, and keeps one span stack for all threads, sees every call on
-the thread that made it. The output does not depend on the thread count.
+thread would cost more than it saves. Jobs too small to split overlap
+instead: `_overlap` works a sequence of them, such as the delays of a
+fix's cells below _PARALLEL_MIN, on the helper threads while the caller
+draws the next jobs and finishes the done ones in order. Block and work
+functions are private and call no public function of the package, so a
+tracer that wraps public functions, and keeps one span stack for all
+threads, sees every call on the thread that made it. The output does not
+depend on the thread count.
 
-These blocks and scipy.fft's workers, both only at or above _PARALLEL_MIN,
-are foldloc's only parallel work. BLAS runs on the caller: numpy's OpenBLAS
+These blocks and overlapped jobs, and scipy.fft's workers at or above
+_PARALLEL_MIN, are foldloc's only parallel work; with one CPU there is
+none. BLAS runs on the caller: numpy's OpenBLAS
 would share a large product with worker threads that keep spinning after
 it returns, so `_blas_on_caller` holds it to one thread around detection's
 stage-2 product, the one product large enough to wake them.
@@ -36,10 +41,12 @@ import ctypes
 import glob
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor, wait
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
+from queue import Empty, SimpleQueue
 
 import numpy as np
 
@@ -122,6 +129,73 @@ def _run_blocks(fn, n: int, size: int, step: int | None = None) -> None:
         wait(futures)
     for f in futures:
         f.result()
+
+
+def _overlap(work, jobs, finish, size: int) -> None:
+    """finish(k, work(*job)) for the k-th job of the iterable jobs, in order.
+
+    Jobs are drawn from jobs, and finish is called, on the calling thread
+    alone. The largest job's array holds size elements. When _threads(size)
+    is 1 and the process may use several CPUs, the works run on the
+    _CPU_SHARE - 1 helper threads, and on the caller whenever it waits: it
+    draws the next job while at most _CPU_SHARE drawn jobs are unfinished,
+    so at most _CPU_SHARE + 1 are held at once. Otherwise each job is
+    worked and finished on the caller before the next is drawn, and a work
+    may split itself across the CPUs (_run_blocks). work must call no
+    public function of the package; the outputs do not depend on the
+    thread count.
+    """
+    helpers = _CPU_SHARE - 1 if _threads(size) == 1 else 0
+    ahead = _CPU_SHARE if helpers else 0
+    todo = SimpleQueue()    # (future, job) not yet started; None ends a helper
+
+    def run(item):
+        out, job = item
+        try:
+            out.set_result(work(*job))
+        except BaseException as e:      # raised on the caller by out.result()
+            out.set_exception(e)
+
+    def serve():
+        for item in iter(todo.get, None):
+            run(item)
+            del item    # hold no job's arrays while waiting for the next
+
+    def result(out):
+        # work queued jobs on this thread until out's job is done or started
+        while not out.done():
+            try:
+                item = todo.get_nowait()
+            except Empty:
+                break
+            run(item)
+            del item
+        return out.result()
+
+    futures = [_helpers().submit(serve) for _ in range(helpers)]
+    unfinished = deque()    # futures of the drawn jobs not yet finished
+    finished = 0
+    try:
+        for job in jobs:
+            unfinished.append(Future())
+            todo.put((unfinished[-1], job))
+            del job
+            while unfinished and (len(unfinished) > ahead
+                                  or unfinished[0].done()):
+                finish(finished, result(unfinished.popleft()))
+                finished += 1
+        while unfinished:
+            finish(finished, result(unfinished.popleft()))
+            finished += 1
+    finally:
+        try:
+            while True:             # drop the jobs no thread started
+                todo.get_nowait()
+        except Empty:
+            pass
+        for _ in futures:
+            todo.put(None)
+        wait(futures)
 
 
 @lru_cache(maxsize=1)

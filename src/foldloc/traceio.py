@@ -13,7 +13,9 @@ Layout, all little-endian:
 Samples are real post-detector values. Writing then reading returns the
 float32-rounded samples bit-exactly. A reader rejects a file whose size is
 not exactly the header plus sample_count samples, a sample rate that is not
-finite and positive, and any non-finite sample.
+finite and positive, and any non-finite sample; a writer raises on the
+same faults, and on samples that are not one-dimensional, before it opens
+the file.
 """
 from __future__ import annotations
 
@@ -32,10 +34,35 @@ class TraceFormatError(ValueError):
     pass
 
 
+def _check_rate(path, rate: float) -> None:
+    if not (math.isfinite(rate) and rate > 0):
+        raise TraceFormatError(f"{path}: sample rate {rate!r} is not "
+                               f"finite and positive")
+
+
+def _check_samples(path, samples: np.ndarray) -> None:
+    if not np.isfinite(samples).all():
+        raise TraceFormatError(f"{path}: non-finite samples")
+
+
 def write_trace(path, samples: np.ndarray, sample_rate_hz: float) -> None:
-    data = np.ascontiguousarray(samples, dtype="<f4")
+    """Write samples at sample_rate_hz to path as float32.
+
+    Raises TraceFormatError naming path, and leaves no file, when the
+    samples are not 1-D, a sample is not finite once cast to float32, or
+    the rate is not finite and positive: read_trace would refuse the file.
+    """
+    samples = np.asarray(samples)
+    if samples.ndim != 1:
+        raise TraceFormatError(f"{path}: samples have shape {samples.shape}, "
+                               f"not one dimension")
+    with np.errstate(over="ignore"):     # an overflow is refused below
+        data = np.ascontiguousarray(samples, dtype="<f4")
+    _check_samples(path, data)
+    rate = float(sample_rate_hz)
+    _check_rate(path, rate)
     with open(path, "wb") as f:
-        f.write(_HEADER.pack(MAGIC, VERSION, 0, float(sample_rate_hz), data.size))
+        f.write(_HEADER.pack(MAGIC, VERSION, 0, rate, data.size))
         f.write(data.tobytes())
 
 
@@ -49,9 +76,7 @@ def read_trace(path) -> tuple[np.ndarray, float]:
             raise TraceFormatError(f"{path}: bad magic {magic!r}")
         if version != VERSION:
             raise TraceFormatError(f"{path}: unsupported version {version}")
-        if not (math.isfinite(rate) and rate > 0):
-            raise TraceFormatError(f"{path}: sample rate {rate!r} is not "
-                                   f"finite and positive")
+        _check_rate(path, rate)
         have = os.fstat(f.fileno()).st_size - _HEADER.size
         if have < 4 * count:
             raise TraceFormatError(f"{path}: expected {count} samples, file short")
@@ -62,6 +87,5 @@ def read_trace(path) -> tuple[np.ndarray, float]:
     if len(payload) != 4 * count:
         raise TraceFormatError(f"{path}: expected {count} samples, file short")
     samples = np.frombuffer(payload, dtype="<f4").astype(np.float64)
-    if not np.isfinite(samples).all():
-        raise TraceFormatError(f"{path}: non-finite samples")
+    _check_samples(path, samples)
     return samples, rate

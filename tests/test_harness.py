@@ -2,7 +2,9 @@
 import csv
 import json
 import os
+import pickle
 import signal
+import struct
 import subprocess
 import sys
 import threading
@@ -235,30 +237,101 @@ def test_synth_matches_frame_by_frame_reference(make):
         assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
 
 
-def test_synth_does_not_depend_on_fft_threads(monkeypatch):
+_THREAD_COUNTS_SCRIPT = """
+import pickle
+import sys
+import numpy as np
+from foldloc import lte
+from foldloc.harness import synth_fix_trace
+
+sys.setswitchinterval(1e-5)   # more thread switches inside the blocks
+for sc in pickle.load(sys.stdin.buffer):
+    runs = []
+    for share in (1, 2, 3):   # 3: more threads than two CPUs
+        lte._CPU_SHARE = share
+        runs.append(synth_fix_trace(sc, 0))
+    print(all(np.array_equal(r, runs[0]) for r in runs[1:]))
+"""
+
+
+def test_synth_does_not_depend_on_fft_threads():
+    """The trace is the same bits at every thread count: five small cells
+    whose delays overlap, cells just under and just over the size at which
+    a layer splits, and large cells mixed with a small one. It runs in a
+    child process, so a deadlock fails the test instead of hanging."""
     # a 5 MHz cell of 6 frames is just under the size at which a layer
     # splits across threads, one of 7 frames just over it
     frame = FrameConfig.from_bandwidth(5.0).frame_len
     assert 6 * frame < lte._PARALLEL_MIN <= 7 * frame
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)   # more thread switches inside the blocks
+    scenarios = [_s5_scenario((0, 1500, 3000, 4500, 6000)),
+                 _wideband_scenario((5.0, 3.0, 1.4), n_frames=6),
+                 _wideband_scenario((5.0, 3.0, 1.4), n_frames=7),
+                 _wideband_scenario((20.0, 15.0, 1.4))]
+    proc = subprocess.Popen([sys.executable, "-c", _THREAD_COUNTS_SCRIPT],
+                            stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env=_child_env(),
+                            start_new_session=True)
     try:
-        for sc in (_wideband_scenario((20.0, 15.0, 1.4)),
-                   _wideband_scenario((5.0, 3.0, 1.4), n_frames=6),
-                   _wideband_scenario((5.0, 3.0, 1.4), n_frames=7)):
-            runs = []
-            for share in (1, 2, 3):   # 3: more threads than two CPUs
-                monkeypatch.setattr(lte, "_CPU_SHARE", share)
-                runs.append(synth_fix_trace(sc, 0))
-            assert all(np.array_equal(r, runs[0]) for r in runs[1:])
-    finally:
-        sys.setswitchinterval(interval)
+        out, err = proc.communicate(pickle.dumps(scenarios), timeout=120)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("a fix at some thread count did not finish")
+    assert proc.returncode == 0, err.decode()
+    assert out.decode().split() == ["True"] * len(scenarios)
+
+
+def _child_env():
+    """The environment of a child that imports this process's foldloc."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.dirname(os.path.dirname(foldloc.__file__)),
+         os.environ.get("PYTHONPATH", "")]))
+
+
+_SIGNAL_LOADED_SCRIPT = """
+import sys
+from foldloc.frontend import CellConfig, FrontEndConfig
+from foldloc.harness import run_fix
+from foldloc.lte import FrameConfig, Pci
+from foldloc.scenario import Scenario
+
+
+def scenario(bandwidths):
+    cells = [CellConfig(pci=Pci(p), carrier_hz=700e6 + 20e6 * i,
+                        frame_cfg=FrameConfig.from_bandwidth(bw),
+                        position=pos, tx_power_dbm=46.0,
+                        frame_time_origin_s=1500 * i / 1.92e6)
+             for i, (p, bw, pos) in enumerate(zip(
+                 (10, 84, 150), bandwidths,
+                 ((0.0, 0.0), (6000.0, 0.0), (0.0, 6000.0))))]
+    return Scenario(cells=cells, front_end=FrontEndConfig(),
+                    trajectory=[(0.0, 2000.0, 2500.0)], rng_seed=3,
+                    n_frames_per_fix=2)
+
+
+run_fix(scenario((1.4, 1.4, 1.4)), 0)
+print("scipy.signal" in sys.modules)
+run_fix(scenario((20.0, 10.0, 5.0)), 0)
+print("scipy.signal" in sys.modules)
+"""
+
+
+def test_fix_of_detector_rate_cells_does_not_load_scipy_signal():
+    """scipy.signal, and the memory it takes, is loaded only by a fix that
+    runs the FIR: a fix of 1.4 MHz cells, at decimation factor 1, never
+    does, and a fix of wideband cells does."""
+    out = subprocess.run([sys.executable, "-c", _SIGNAL_LOADED_SCRIPT],
+                         capture_output=True, text=True, env=_child_env(),
+                         timeout=120, check=True).stdout
+    assert out.split() == ["False", "True"]
 
 
 def test_traced_layers_run_on_the_calling_thread(monkeypatch):
     """Helper threads never enter a layer a tracer may wrap: every call of
     one, through any foldloc binding of it, runs on the thread that
-    synthesizes the fix, so the spans of a tracer with one stack nest."""
+    synthesizes the fix, so the spans of a tracer with one stack nest. A
+    wideband fix splits its layers across threads; an S5 fix delays its
+    small cells on the helper thread while the caller builds and folds."""
     calls = []
 
     def recording(name, original):
@@ -281,11 +354,15 @@ def test_traced_layers_run_on_the_calling_thread(monkeypatch):
     monkeypatch.setattr(lte, "_helpers",
                         lambda real=lte._helpers: helpers.append(1) or real())
     monkeypatch.setattr(lte, "_CPU_SHARE", 2)
-    synth_fix_trace(_wideband_scenario(), 0)
-    assert helpers, "no layer split across threads"
-    assert {n for n, _ in calls} == {"frame_samples", "fold_baseband",
-                                     "lowpass_decimate"}
-    assert {t for _, t in calls} == {threading.get_ident()}
+    for sc, n_cells in ((_wideband_scenario(), 3),
+                        (_s5_scenario((0, 1500, 3000, 4500, 6000)), 5)):
+        calls.clear()
+        helpers.clear()
+        synth_fix_trace(sc, 0)
+        assert helpers, "no work ran on a helper thread"
+        assert sorted(n for n, _ in calls) == sorted(
+            ["frame_samples", "fold_baseband", "lowpass_decimate"] * n_cells)
+        assert {t for _, t in calls} == {threading.get_ident()}
 
 
 _FORKED_POOL_SCRIPT = """
@@ -326,12 +403,10 @@ def test_worker_processes_do_not_inherit_the_helper_pool():
     """A forked child makes its own helper threads, and its trace equals
     the parent's bit for bit: submitting to the pool it inherits from its
     parent would wait forever."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [os.path.dirname(os.path.dirname(foldloc.__file__)),
-         os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.Popen([sys.executable, "-c", _FORKED_POOL_SCRIPT],
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                            text=True, env=env, start_new_session=True)
+                            text=True, env=_child_env(),
+                            start_new_session=True)
     try:
         out, err = proc.communicate(timeout=60)
     except subprocess.TimeoutExpired:
@@ -389,12 +464,9 @@ def test_detection_wakes_no_other_thread(tmp_path):
     idle: no BLAS worker spins on after a product, holding a CPU."""
     path = tmp_path / "trace.npy"
     np.save(path, synth_fix_trace(_s5_scenario((0,) * 5), 0))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [os.path.dirname(os.path.dirname(foldloc.__file__)),
-         os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run([sys.executable, "-c", _QUIET_DETECTION_SCRIPT,
                           str(path)], capture_output=True, text=True,
-                         env=env, timeout=60, check=True).stdout
+                         env=_child_env(), timeout=60, check=True).stdout
     gains = json.loads(out)
     assert all(g <= 1 for g in gains.values()), gains
 
@@ -1020,6 +1092,18 @@ def test_cli_synth_nonfinite_cell_exits_2(tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
+def test_cli_synth_trace_beyond_float32_exits_3(tmp_path, capsys):
+    """A trace whose samples overflow float32 is a data error: no partial
+    trace file is left for detect to refuse later."""
+    from foldloc.cli import main
+    loud = tmp_path / "loud.ini"
+    loud.write_text(SCENARIO_INI.replace("tx_power_dbm = 46",
+                                         "tx_power_dbm = 1000"))
+    assert main(["synth", str(loud), "-o", str(tmp_path / "x")]) == 3
+    assert "non-finite samples" in capsys.readouterr().err
+    assert not list((tmp_path / "x").glob("*.bin"))
+
+
 @pytest.mark.parametrize("row", ["999,0,0,2.145e9,1.4,46",
                                  "101,0,0,2.145e9,7.0,46",
                                  "101,0,0,1000,1.4,46",
@@ -1067,7 +1151,10 @@ def test_cli_data_error_exits_3(tmp_path):
 def test_cli_detect_bad_trace_rate_exits_3(tmp_path, capsys, rate):
     from foldloc.cli import main
     p = tmp_path / "t.bin"
-    traceio.write_trace(p, np.zeros(2 * FRAME_LEN), rate)
+    traceio.write_trace(p, np.zeros(2 * FRAME_LEN), FS)
+    raw = bytearray(p.read_bytes())
+    raw[8:16] = struct.pack("<d", rate)     # write_trace itself refuses it
+    p.write_bytes(bytes(raw))
     assert main(["detect", str(p), "-o", str(tmp_path)]) == 3
     assert "sample rate" in capsys.readouterr().err
     assert not (tmp_path / "t.detections.csv").exists()

@@ -1,5 +1,6 @@
 """Frame synthesis: sync sequences, grid layout, OFDM round trip."""
 import cmath
+import sys
 import threading
 from collections import Counter
 
@@ -295,6 +296,91 @@ def test_run_blocks_covers_every_index_once(n, step, above, share):
     else:
         assert all(hi - lo <= step for lo, hi, _ in calls)
     assert all(t == threading.get_ident() for lo, _, t in calls if lo == 0)
+
+
+@pytest.mark.parametrize("share,above", [(1, False), (2, False), (3, False),
+                                         (2, True), (3, True)])
+@pytest.mark.parametrize("n", [0, 1, 2, 7])
+def test_overlap_finishes_every_job_in_order(share, above, n):
+    """Every job is worked once and finished in order on the thread that
+    calls _overlap, which also draws the jobs; at most share + 1 drawn jobs
+    are unfinished at once, and one at a time when the jobs are large
+    (their works split themselves) or the process has one CPU. Share 3 runs
+    more threads than two CPUs, with frequent thread switches, and the
+    call must return within the timeout."""
+    size = lte._PARALLEL_MIN if above else lte._PARALLEL_MIN - 1
+    drawn, finished, held, worked, errors = [], [], [], [], []
+    lock = threading.Lock()
+
+    def jobs():
+        for k in range(n):
+            drawn.append((k, threading.get_ident()))
+            held.append(len(drawn) - len(finished))
+            yield k, k * k
+
+    def work(k, v):
+        with lock:
+            worked.append(k)
+        return k, v + 1
+
+    def finish(k, out):
+        finished.append((k, out, threading.get_ident()))
+
+    def caller():
+        try:
+            lte._overlap(work, jobs(), finish, size)
+        except BaseException as e:
+            errors.append(e)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lte, "_CPU_SHARE", share)
+            if share == 1:   # ThreadPoolExecutor(0) raises
+                mp.setattr(lte, "_helpers",
+                           lambda: errors.append("helpers at one CPU"))
+            t = threading.Thread(target=caller, daemon=True)
+            t.start()
+            t.join(timeout=30)
+            assert not t.is_alive(), "_overlap did not return"
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors
+    assert sorted(worked) == list(range(n))
+    assert [k for k, _ in drawn] == list(range(n))
+    assert finished == [(k, (k, k * k + 1), t.ident) for k in range(n)]
+    assert all(tid == t.ident for _, tid in drawn)
+    assert max(held, default=0) <= (1 if above or share == 1 else share + 1)
+
+
+@pytest.mark.parametrize("where", ["work", "jobs", "finish"])
+def test_overlap_raises_and_frees_the_helper_threads(where):
+    """An error in a work, in drawing a job or in finishing one reaches the
+    caller, and no helper thread is left serving: a layer large enough to
+    split across every helper thread still runs afterwards."""
+    def jobs():
+        for k in range(6):
+            if where == "jobs" and k == 3:
+                raise KeyError(k)
+            yield (k,)
+
+    def work(k):
+        if where == "work" and k == 2:
+            raise KeyError(k)
+        return k
+
+    def finish(k, _out):
+        if where == "finish" and k == 1:
+            raise KeyError(k)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lte, "_CPU_SHARE", 2)
+        with pytest.raises(KeyError):
+            lte._overlap(work, jobs(), finish, 1)
+        seen = []
+        lte._run_blocks(lambda lo, hi: seen.append(lo), 2, lte._PARALLEL_MIN)
+    assert sorted(seen) == [0, 1]
 
 
 @pytest.mark.skipif(lte._numpy_openblas() is None,

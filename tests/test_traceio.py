@@ -1,5 +1,6 @@
 """Binary trace format: header fields, float32 payload, failure modes."""
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -97,13 +98,41 @@ def test_trailing_bytes_rejected(tmp_path):
         read_trace(p)
 
 
+def _set_sample(p, i, value):
+    raw = bytearray(p.read_bytes())
+    raw[24 + 4 * i:28 + 4 * i] = struct.pack("<f", value)
+    p.write_bytes(bytes(raw))
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_samples_rejected_with_exit_3(tmp_path, bad):
     from foldloc.cli import main
     p = tmp_path / "t.bin"
-    x = np.zeros(50)
-    x[17] = bad
-    write_trace(p, x, 1.92e6)
+    write_trace(p, np.zeros(50), 1.92e6)
+    _set_sample(p, 17, bad)          # write_trace itself refuses it
     with pytest.raises(TraceFormatError, match="non-finite"):
         read_trace(p)
     assert main(["detect", str(p), "-o", str(tmp_path)]) == 3
+
+
+@pytest.mark.parametrize("samples,rate,message", [
+    ([1.0, 1e39], 1.92e6, "non-finite"),          # inf once cast to float32
+    ([1.0, np.nan], 1.92e6, "non-finite"),
+    ([1.0, -np.inf], 1.92e6, "non-finite"),
+    ([1.0, 2.0], np.nan, "sample rate"),
+    ([1.0, 2.0], np.inf, "sample rate"),
+    ([1.0, 2.0], 0.0, "sample rate"),
+    ([1.0, 2.0], -1.92e6, "sample rate"),
+    (np.zeros((2, 3)), 1.92e6, "one dimension"),
+], ids=["overflow", "nan", "neg_inf", "rate_nan", "rate_inf", "rate_zero",
+        "rate_negative", "2d"])
+def test_write_refuses_what_read_refuses(tmp_path, samples, rate, message):
+    """write_trace raises before it opens the file, so no file its own
+    reader would refuse is left behind, and no warning stands in for it."""
+    p = tmp_path / "t.bin"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TraceFormatError, match=message) as e:
+            write_trace(p, np.asarray(samples), rate)
+    assert str(p) in str(e.value)
+    assert not p.exists()

@@ -11,8 +11,8 @@ import os
 import sys
 
 from .detect import THRESH_PSS, THRESH_SSS, BankMismatchError
-from .harness import cmd_detect, cmd_localize, cmd_synth, read_detections_csv, \
-    run_eval
+from .harness import _csv_replacing, cmd_detect, cmd_localize, cmd_synth, \
+    read_detections_csv, run_eval
 from .locate import SOLVERS
 from .roads import Fix, _finite, geofence_events, load_geofence_csv, \
     load_road_graph_csv, snap_trajectory
@@ -93,8 +93,7 @@ def _do_detect(args) -> int:
                 raise ScenarioError(f"{where}: fix {fixes[-1]} listed twice")
         os.makedirs(outdir, exist_ok=True)
         det_manifest = os.path.join(outdir, "detections_manifest.csv")
-        with open(det_manifest, "w", newline="") as f:
-            w = csv.writer(f)
+        with _csv_replacing(det_manifest) as w:
             w.writerow(["fix", "t", "detections_path", "x_true", "y_true",
                         "true_pcis"])
             for fix, (_, row) in zip(fixes, rows):
@@ -125,6 +124,8 @@ def _do_localize(args) -> int:
     for ln, row in read_csv_rows(args.manifest, ("t", "detections_path")):
         t, = _finite([row["t"]], f"{args.manifest}:{ln}")
         by_fix.append((t, read_detections_csv(row["detections_path"])))
+    if not by_fix:
+        raise ScenarioError(f"{args.manifest}: manifest lists no detections")
     rows = cmd_localize(by_fix, db, args.method)
     with open(args.out, "w", newline="") as f:
         w = csv.writer(f)

@@ -15,17 +15,15 @@ multi-band layouts whose pairwise difference frequencies all clear the
 low-pass filter.
 
 `fold_baseband` takes the square into one array and `lowpass_decimate`
-runs the FIR by blocks of outputs, each over the input span it reads;
-both run their blocks on every CPU of the process once the input holds
-lte._PARALLEL_MIN samples (see `lte._run_blocks`). The helper
-threads run only private code, so `lowpass_decimate` is always entered on
-the caller's thread.
-
-`scipy.signal` is imported only where the FIR is designed or run, not when
-this module loads: once `scipy.optimize` is loaded, importing it raises a
-process's resident memory from about 76 to 103 MB, and a process whose
-cells are all at the detector rate, such as one made only of 1.4 MHz
-cells, never filters (its decimation factor is 1).
+filters it with a polyphase decimator (Crochiere & Rabiner, *Multirate
+Digital Signal Processing*, 1983): the input, viewed as rows of dec
+samples, meets a (taps/dec + 1, dec) matrix of the taps in one matrix
+product per block of outputs, whose shifted rows add up to the block.
+Both run their blocks on every CPU of the process once the input holds
+lte._PARALLEL_MIN samples (see `lte._run_blocks`). numpy releases the GIL
+in the FIR's products and adds, and `lte._blas_on_caller` holds each
+product to the thread that calls it. The helper threads run only private
+code, so `lowpass_decimate` is always entered on the caller's thread.
 """
 from __future__ import annotations
 
@@ -33,8 +31,9 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
+from scipy.special import i0
 
-from .lte import FrameConfig, Pci, _run_blocks, frame_samples
+from .lte import FrameConfig, Pci, _blas_on_caller, _run_blocks, frame_samples
 
 SPEED_OF_LIGHT = 3.0e8
 DETECTOR_RATE_HZ = 1.92e6     # the detector's one sample rate
@@ -49,8 +48,10 @@ LPF_ATTEN_DB = 60.0
 # a cell received below this power is neither synthesized nor counted as
 # truth: the detector cannot hear it
 SENSITIVITY_FLOOR_DBM = -70.0
-# elements of the temporaries one block of the square or the FIR makes, so
-# that helper threads keep little memory
+# elements of the temporaries one block of the square makes, so that helper
+# threads keep little memory. A block of the FIR makes _CHUNK // 4 outputs
+# from a product of about 5 * _CHUNK elements (its polyphase matrix has about
+# 20 rows at every rate), large enough that its numpy calls cost little.
 _CHUNK = 1 << 14
 
 
@@ -128,13 +129,22 @@ def envelope_square(rf: np.ndarray) -> np.ndarray:
 def design_lowpass(fs: float) -> np.ndarray:
     """Linear-phase Kaiser FIR taps of the detector low-pass at rate fs.
 
-    Cached per fs; the shared array is read-only.
+    Kaiser's window method (Kaiser 1974): the length and beta come from
+    his empirical formulas for LPF_ATTEN_DB over LPF_TRANSITION_HZ, the
+    ideal low-pass's sinc is windowed and the taps are scaled to unit DC
+    gain, term for term as scipy.signal's firwin(kaiserord(...)) computes
+    them. Cached per fs; the shared array is read-only.
     """
-    from scipy.signal import firwin, kaiserord   # see the module docstring
-
-    ntaps, beta = kaiserord(LPF_ATTEN_DB, LPF_TRANSITION_HZ / (fs / 2.0))
+    width = LPF_TRANSITION_HZ / (fs / 2.0)
+    ntaps = int(np.ceil((LPF_ATTEN_DB - 7.95) / 2.285 / (np.pi * width) + 1))
     ntaps |= 1          # odd length, integer group delay
-    taps = firwin(ntaps, LPF_CUTOFF_HZ / (fs / 2.0), window=("kaiser", beta))
+    beta = 0.1102 * (LPF_ATTEN_DB - 8.7)     # Kaiser's beta above 50 dB
+    cutoff = LPF_CUTOFF_HZ / (fs / 2.0)
+    alpha = 0.5 * (ntaps - 1)
+    m = np.arange(ntaps, dtype=np.float64) - alpha
+    window = i0(beta * np.sqrt(1 - (m / alpha) ** 2.0)) / i0(beta)
+    taps = cutoff * np.sinc(cutoff * m) * window
+    taps /= np.sum(taps)
     taps.setflags(write=False)
     return taps
 
@@ -156,37 +166,74 @@ def lowpass_decimate(sq: np.ndarray, fs_in: float) -> np.ndarray:
                          f"the detector rate {DETECTOR_RATE_HZ}")
     if dec == 1:
         return sq
-    return _fir_blocks(sq, design_lowpass(fs_in), dec)
+    return _fir_blocks(sq, *_polyphase(fs_in, dec))
 
 
-def _fir_blocks(sq: np.ndarray, taps: np.ndarray, dec: int) -> np.ndarray:
-    """upfirdn's decimating FIR along the last axis, group delay removed.
+@lru_cache(maxsize=32)
+def _polyphase(fs: float, dec: int) -> tuple[np.ndarray, int]:
+    """(G, first): the detector low-pass at rate fs as a polyphase matrix.
 
-    Each block of outputs filters only the input span it reads, starting
-    on a multiple of dec, so its outputs are upfirdn's own outputs of the
-    whole trace, term for term and in the same order. upfirdn is imported
-    here, on the caller's thread, before any block runs.
+    With h the taps behind `lead` zeros, G[c, u] = h[dec*c - u] (zero
+    outside h), so the full convolution of h with x, at index dec*m, is
+    sum over c and u of G[c, u] * x[dec*(m - c) + u]. The leading zeros put
+    the center of output i, (ntaps - 1) / 2 + i * dec, on such an index:
+    dec * (first + i). Cached per rate; G is read-only.
     """
-    from scipy.signal import upfirdn
-
-    # full-convolution index of output i is (ntaps - 1) / 2 + i * dec;
-    # leading zero taps shift it onto the multiples of dec upfirdn keeps
+    taps = design_lowpass(fs)
     center = (taps.size - 1) // 2
     lead = -center % dec
-    first = (center + lead) // dec
-    h = np.concatenate([np.zeros(lead), taps])
+    k = -(-(lead + taps.size) // dec) + 1
+    padded = np.zeros(dec * (k + 1))      # padded[j + dec - 1] = h[j]
+    padded[dec - 1 + lead:dec - 1 + lead + taps.size] = taps
+    g = padded[dec * np.arange(k)[:, None] - np.arange(dec) + dec - 1]
+    g.setflags(write=False)
+    return g, (center + lead) // dec
+
+
+def _fir_blocks(sq: np.ndarray, g: np.ndarray, first: int) -> np.ndarray:
+    """The decimating FIR of polyphase matrix g, (K, dec), along the last
+    axis.
+
+    Row r of the input is its samples dec*r to dec*r + dec - 1. A block of
+    outputs lo:hi reads rows first+lo-K+1 to first+hi-1 of it as a view,
+    or as a zero-padded copy where they leave the input, and takes
+    Z = g @ rows.T; output lo + t is then the sum of Z[c, K-1-c+t] over
+    c = 0 .. K-1, added in that order. Each product has a whole number of
+    groups of 8 columns: numpy's OpenBLAS computes the remaining last
+    columns of a product with a narrower kernel that rounds differently.
+    So, at the decimations of the LTE bandwidths (2 to 16), every output
+    has the same bits wherever the blocks of _run_blocks cut the outputs
+    and whichever thread runs them. Leading axes are looped. The blocks run
+    inside one `_blas_on_caller`, so no product wakes a BLAS worker.
+    """
+    k, dec = g.shape
     n_in = sq.shape[-1]
-    y = np.empty(sq.shape[:-1] + (-(-n_in // dec),))
+    x = np.asarray(sq, dtype=np.float64).reshape(
+        np.prod(sq.shape[:-1], dtype=int), n_in)
+    y = np.empty(x.shape[:-1] + (-(-n_in // dec),))
+    n_rows = n_in // dec
+    views = x[:, :n_rows * dec].reshape(x.shape[0], n_rows, dec)
 
     def outputs(lo, hi):
-        s0 = max(0, (first + lo) * dec - h.size + 1) // dec * dec
-        s1 = min(n_in, (first + hi - 1) * dec + 1)
-        m0 = first + lo - s0 // dec
-        y[..., lo:hi] = upfirdn(h, sq[..., s0:s1], down=dec)[..., m0:m0 + hi - lo]
+        n = hi - lo
+        r0 = first + lo - k + 1
+        r1 = r0 + -(-(n + k - 1) // 8) * 8      # whole groups of 8 columns
+        for row, out in enumerate(y[:, lo:hi]):
+            if 0 <= r0 and r1 <= n_rows:
+                win = views[row, r0:r1]
+            else:
+                win = np.zeros((r1 - r0, dec))
+                s0, s1 = max(0, r0 * dec), min(n_in, r1 * dec)
+                if s0 < s1:
+                    win.reshape(-1)[s0 - r0 * dec:s1 - r0 * dec] = x[row, s0:s1]
+            z = g @ win.T
+            np.copyto(out, z[0, k - 1:k - 1 + n])
+            for c in range(1, k):
+                out += z[c, k - 1 - c:k - 1 - c + n]
 
-    rows = sq.size // n_in if n_in else 1
-    _run_blocks(outputs, y.shape[-1], sq.size, max(1, _CHUNK // max(1, rows)))
-    return y
+    with _blas_on_caller():
+        _run_blocks(outputs, y.shape[-1], sq.size, max(1, _CHUNK // 4))
+    return y.reshape(sq.shape[:-1] + y.shape[-1:])
 
 
 def fold_baseband(bb: np.ndarray, fs_in: float) -> np.ndarray:

@@ -25,10 +25,11 @@ helper threads delay cells while the caller builds and folds the others.
 `run_eval` runs its fixes one after another in the calling process.
 Helper threads run only private code: every call of a public function
 stays on the thread that synthesizes the fix. This overlap, these blocks
-and scipy.fft's workers are the only parallel work; detection, BLAS
-included, runs on the calling thread
-(`lte._blas_on_caller`), so no BLAS worker left spinning holds a CPU from
-the next fix. The output does not depend on the thread count.
+and scipy.fft's workers are the only parallel work; detection runs on the
+calling thread, and every BLAS product, detection's and the fold's FIR
+blocks', on the thread that calls it (`lte._blas_on_caller`), so no BLAS
+worker left spinning holds a CPU from the next fix. The output does not
+depend on the thread count.
 `synth_fix_trace` is the only place that adds detector noise: white
 Gaussian noise of the front end's noise_sigma on the summed detector-rate
 trace, from the fix's own "noise" substream.
@@ -38,6 +39,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -329,12 +331,29 @@ def run_urban_sim(towers, n_fixes: int = 500, timing_noise_samples: float = 0.1,
 # file plumbing for the CLI
 
 
+@contextmanager
+def _csv_replacing(path):
+    """A csv writer on path + ".tmp", moved onto path only when the block
+    returns; if it raises, the temporary file is removed, so a failed run
+    leaves no partial manifest at path."""
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "w", newline="") as f:
+            yield csv.writer(f)
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
 def cmd_synth(sc: Scenario, outdir: str) -> str:
-    """Write per-fix traces and a manifest; returns the manifest path."""
+    """Write per-fix traces and a manifest; returns the manifest path.
+
+    The manifest appears only once every trace is written."""
     os.makedirs(outdir, exist_ok=True)
     manifest = os.path.join(outdir, "manifest.csv")
-    with open(manifest, "w", newline="") as f:
-        w = csv.writer(f)
+    with _csv_replacing(manifest) as w:
         w.writerow(["fix", "trace_path", "t", "x_true", "y_true", "true_pcis"])
         for i, (t, x, y) in enumerate(sc.trajectory):
             trace = synth_fix_trace(sc, i)

@@ -30,10 +30,11 @@ depend on the thread count.
 
 These blocks and overlapped jobs, and scipy.fft's workers at or above
 _PARALLEL_MIN, are foldloc's only parallel work; with one CPU there is
-none. BLAS runs on the caller: numpy's OpenBLAS
-would share a large product with worker threads that keep spinning after
-it returns, so `_blas_on_caller` holds it to one thread around detection's
-stage-2 product, the one product large enough to wake them.
+none. No BLAS call wakes a thread: numpy's OpenBLAS would share a large
+product with worker threads that keep spinning after it returns, so
+`_blas_on_caller` holds each product to the thread that calls it, around
+detection's stage-2 product and around the blocks of the FIR, whose
+products run on the caller and the helper threads.
 """
 from __future__ import annotations
 
@@ -230,14 +231,17 @@ _blas_lock = threading.RLock()
 
 @contextmanager
 def _blas_on_caller():
-    """Run numpy's BLAS calls inside on the calling thread alone.
+    """Run each numpy BLAS call inside on the thread that makes it.
 
-    OpenBLAS's worker threads keep spinning for about 0.1 s after a product
-    they shared returns, holding a CPU that the next fix's synthesis splits
-    its layers across, for a fraction of a millisecond saved on a product
-    of detection's size. The previous count is restored on exit, so the
-    host's setting never changes; the lock keeps two threads from restoring
-    each other's count. Without numpy's OpenBLAS it does nothing.
+    The thread count is the process's, so it also holds the calls of the
+    helper threads that a `_run_blocks` inside starts. OpenBLAS's worker
+    threads keep spinning for about 0.1 s after a product they shared
+    returns, holding a CPU that the next fix's synthesis splits its layers
+    across, for a fraction of a millisecond saved on a product of
+    detection's or a FIR block's size. The previous count is restored on
+    exit, so the host's setting never changes; the lock keeps two threads
+    from restoring each other's count. Without numpy's OpenBLAS it does
+    nothing.
     """
     blas = _numpy_openblas()
     if blas is None:

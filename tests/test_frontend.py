@@ -233,14 +233,32 @@ def _whole_trace_fir(sq, taps, dec):
     return y[..., first:first + -(-sq.shape[-1] // dec)]
 
 
+def _one_piece_fir(sq, fs):
+    """lowpass_decimate with its outputs in one piece, on one thread."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(frontend, "_CHUNK", 1 << 40)
+        mp.setattr(lte, "_CPU_SHARE", 1)
+        return lowpass_decimate(sq, fs)
+
+
+def _assert_block_fir(got, sq, fs, dec):
+    """got has the one-piece output's bits, and is upfirdn's output for
+    the whole trace to within 1e-13 of its largest sample."""
+    assert np.array_equal(got, _one_piece_fir(sq, fs))
+    want = _whole_trace_fir(sq, design_lowpass(fs), dec)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
 @settings(max_examples=60, deadline=None)
 @given(dec=st.sampled_from([2, 4, 8, 16]), n=st.integers(1, 6000),
        rows=st.sampled_from([(), (2,)]), chunk=st.integers(1, 3000),
        share=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
 def test_block_fir_equals_whole_trace_upfirdn(dec, n, rows, chunk, share, seed):
     """However the outputs are cut into blocks and spread over threads,
-    each is upfirdn's own output for the whole trace, bit for bit; at
-    dec 1 no FIR runs (test_all_pass_returns_its_input)."""
+    each has the bits of the unsplit polyphase filter, and agrees with
+    upfirdn over the whole trace; at dec 1 no FIR runs
+    (test_all_pass_returns_its_input)."""
     fs = dec * DETECTOR_RATE_HZ
     sq = np.random.default_rng(seed).standard_normal(rows + (n,)) ** 2
     with pytest.MonkeyPatch.context() as mp:
@@ -248,20 +266,31 @@ def test_block_fir_equals_whole_trace_upfirdn(dec, n, rows, chunk, share, seed):
         mp.setattr(lte, "_PARALLEL_MIN", 0)
         mp.setattr(lte, "_CPU_SHARE", share)
         got = lowpass_decimate(sq, fs)
-    assert np.array_equal(got, _whole_trace_fir(sq, design_lowpass(fs), dec))
+    _assert_block_fir(got, sq, fs, dec)
 
 
 def test_block_fir_equals_whole_trace_upfirdn_above_the_split_size():
     for dec in (4, 8, 16):
         fs = dec * DETECTOR_RATE_HZ
         sq = np.random.default_rng(dec).standard_normal(lte._PARALLEL_MIN + 7) ** 2
-        assert np.array_equal(lowpass_decimate(sq, fs),
-                              _whole_trace_fir(sq, design_lowpass(fs), dec))
+        _assert_block_fir(lowpass_decimate(sq, fs), sq, fs, dec)
 
 
 def test_all_pass_returns_its_input():
     sq = np.arange(10.0)
     assert lowpass_decimate(sq, DETECTOR_RATE_HZ) is sq
+
+
+@pytest.mark.parametrize("fs", [3.84e6, 7.68e6, 15.36e6, 23.04e6, 30.72e6,
+                                153.6e6])
+def test_design_lowpass_equals_firwin(fs):
+    """The numpy Kaiser design has the bits of scipy.signal's."""
+    from scipy.signal import firwin, kaiserord
+    ntaps, beta = kaiserord(frontend.LPF_ATTEN_DB,
+                            frontend.LPF_TRANSITION_HZ / (fs / 2.0))
+    want = firwin(ntaps | 1, frontend.LPF_CUTOFF_HZ / (fs / 2.0),
+                  window=("kaiser", beta))
+    assert np.array_equal(design_lowpass(fs), want)
 
 
 def test_design_lowpass_cached_read_only():

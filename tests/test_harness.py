@@ -317,13 +317,13 @@ print("scipy.signal" in sys.modules)
 
 
 def test_fix_of_detector_rate_cells_does_not_load_scipy_signal():
-    """scipy.signal, and the memory it takes, is loaded only by a fix that
-    runs the FIR: a fix of 1.4 MHz cells, at decimation factor 1, never
-    does, and a fix of wideband cells does."""
+    """No fix loads scipy.signal, and the memory it takes: not a fix of
+    1.4 MHz cells, at decimation factor 1, and not a fix of wideband
+    cells, whose FIR is foldloc's own."""
     out = subprocess.run([sys.executable, "-c", _SIGNAL_LOADED_SCRIPT],
                          capture_output=True, text=True, env=_child_env(),
                          timeout=120, check=True).stdout
-    assert out.split() == ["False", "True"]
+    assert out.split() == ["False", "False"]
 
 
 def test_traced_layers_run_on_the_calling_thread(monkeypatch):
@@ -421,11 +421,8 @@ def test_worker_processes_do_not_inherit_the_helper_pool():
 # ------------------------------------------------------------- detection
 
 
-_QUIET_DETECTION_SCRIPT = """
-import json, os, sys, threading, time
-import numpy as np
-from foldloc.detect import build_bank
-from foldloc.harness import detect_trace
+_THREAD_TICKS = """
+import json, os, pickle, sys, threading, time
 
 
 def ticks():
@@ -442,6 +439,18 @@ def ticks():
     return out
 
 
+def idle_gains(before):
+    # each thread's ticks since before, but the caller's, printed as JSON
+    me = str(threading.get_native_id())
+    print(json.dumps({tid: t - before.get(tid, 0)
+                      for tid, t in ticks().items() if tid != me}))
+"""
+
+_QUIET_DETECTION_SCRIPT = _THREAD_TICKS + """
+import numpy as np
+from foldloc.detect import build_bank
+from foldloc.harness import detect_trace
+
 trace, bank = np.load(sys.argv[1]), build_bank()
 detect_trace(trace, bank)
 time.sleep(0.5)
@@ -449,9 +458,18 @@ before = ticks()
 for _ in range(20):
     detect_trace(trace, bank)
 time.sleep(0.3)
-me = str(threading.get_native_id())
-print(json.dumps({tid: t - before.get(tid, 0)
-                  for tid, t in ticks().items() if tid != me}))
+idle_gains(before)
+"""
+
+_QUIET_SYNTHESIS_SCRIPT = _THREAD_TICKS + """
+from foldloc.harness import synth_fix_trace
+
+sc = pickle.load(sys.stdin.buffer)
+for _ in range(4):
+    synth_fix_trace(sc, 0)
+before = ticks()
+time.sleep(0.3)
+idle_gains(before)
 """
 
 
@@ -467,6 +485,22 @@ def test_detection_wakes_no_other_thread(tmp_path):
     out = subprocess.run([sys.executable, "-c", _QUIET_DETECTION_SCRIPT,
                           str(path)], capture_output=True, text=True,
                          env=_child_env(), timeout=60, check=True).stdout
+    gains = json.loads(out)
+    assert all(g <= 1 for g in gains.values()), gains
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="no /proc to read thread CPU times from")
+@pytest.mark.skipif(lte._numpy_openblas() is None,
+                    reason="numpy has no OpenBLAS")
+def test_wideband_synthesis_wakes_no_blas_thread():
+    """Every thread is idle in the 0.3 s after four wideband fixes, whose
+    FIR runs a matrix product per block on the caller's share of the
+    CPUs: no BLAS worker spins on after a product, holding a CPU."""
+    out = subprocess.run([sys.executable, "-c", _QUIET_SYNTHESIS_SCRIPT],
+                         input=pickle.dumps(_wideband_scenario()),
+                         capture_output=True, env=_child_env(), timeout=120,
+                         check=True).stdout
     gains = json.loads(out)
     assert all(g <= 1 for g in gains.values()), gains
 
@@ -1102,6 +1136,51 @@ def test_cli_synth_trace_beyond_float32_exits_3(tmp_path, capsys):
     assert main(["synth", str(loud), "-o", str(tmp_path / "x")]) == 3
     assert "non-finite samples" in capsys.readouterr().err
     assert not list((tmp_path / "x").glob("*.bin"))
+
+
+def test_cli_synth_failing_later_fix_leaves_no_manifest(tmp_path, capsys):
+    """Fix 0's trace is written and fix 1's overflows float32: synth exits
+    3 and leaves no manifest listing fix 0 alone for detect to run on."""
+    from foldloc.cli import main
+    loud = tmp_path / "loud.ini"
+    loud.write_text(SCENARIO_INI.replace("tx_power_dbm = 46",
+                                         "tx_power_dbm = 495")
+                    .replace("1,500,0", "1,100,0"))
+    outdir = tmp_path / "x"
+    assert main(["synth", str(loud), "-o", str(outdir)]) == 3
+    assert "non-finite samples" in capsys.readouterr().err
+    assert [p.name for p in outdir.iterdir()] == ["trace_fix_0000.bin"]
+
+
+def test_cli_detect_failing_later_trace_leaves_no_manifest(tmp_path, capsys):
+    """The second trace of the manifest is missing: detect exits 3 and
+    leaves no detections manifest listing fix 0 alone for localize."""
+    from foldloc.cli import main
+    manifest = cmd_synth(_single_cell_scenario(), str(tmp_path / "traces"))
+    rows = list(csv.DictReader(open(manifest)))
+    rows.append(dict(rows[0], fix="1",
+                     trace_path=str(tmp_path / "missing.bin")))
+    with open(manifest, "w", newline="") as f:
+        w = csv.DictWriter(f, list(rows[0]))
+        w.writeheader()
+        w.writerows(rows)
+    outdir = tmp_path / "dets"
+    assert main(["detect", manifest, "-o", str(outdir)]) == 3
+    assert "missing.bin" in capsys.readouterr().err
+    assert [p.name for p in outdir.iterdir()] == ["detections_fix_0000.csv"]
+
+
+def test_cli_localize_empty_manifest_exits_2(tmp_path, capsys):
+    from foldloc.cli import main
+    db = tmp_path / "cells.csv"
+    db.write_text(CELL_DB)
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text("fix,t,detections_path\n")
+    assert main(["localize", str(manifest), "--cell-db", str(db),
+                 "-o", str(tmp_path / "traj.csv")]) == 2
+    assert f"{manifest}: manifest lists no detections" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "traj.csv").exists()
 
 
 @pytest.mark.parametrize("row", ["999,0,0,2.145e9,1.4,46",

@@ -7,17 +7,15 @@ sample, and localize the receiver, all from a single diode-grade front end
 sampled below 2 MHz.
 """
 from .amplitude import SubsampleEstimate, estimate_subsample, fit_amplitude
-from .detect import (Detection, TemplateBank, build_bank, correlate_bank,
-                     hierarchical_detect, refine, stack_frames,
-                     suppress_false_positives)
+from .detect import (Detection, TemplateBank, build_bank, hierarchical_detect,
+                     refine, stack_frames, suppress_false_positives)
 from .frontend import (CellConfig, FrontEndConfig, fold_baseband,
                        lowpass_decimate, path_amplitude)
 from .harness import RunReport, run_eval, run_fix, run_urban_sim
 from .locate import (InsufficientAnchorsError, PositionEstimate,
                      TowerObservation, sample_to_distance, solve_tdoa,
                      trilaterate_ratio)
-from .lte import (FrameConfig, Pci, build_frame, frame_samples, generate_pss,
-                  generate_sss, ofdm_demodulate, ofdm_modulate)
+from .lte import FrameConfig, Pci, frame_samples, generate_pss, generate_sss
 from .roads import (Fix, GeofenceRegion, RoadGraph, geofence_events,
                     point_in_polygon, snap_trajectory)
 from .scenario import CellDatabase, Scenario, ScenarioError, load_cell_db, \

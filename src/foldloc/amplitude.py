@@ -20,14 +20,14 @@ SUBSAMPLE_PASSES = 3          # de-ramp passes of the phase-slope fit
 class SubsampleEstimate:
     """Fractional-sample delay from the phase slope across template bins.
 
-    phase_slope is radians per frequency bin; tau is the equivalent delay
-    in fractional samples. confidence is the weighted phase coherence of
-    the final fit (1 = perfectly linear phase). n_bins counts the usable
-    bins; fewer than 8 flags the estimate as low confidence.
+    tau is the delay in fractional samples, -slope * L / (2 pi) for a
+    slope in radians per bin over a window of L samples. confidence is
+    the weighted phase coherence of the final fit (1 = perfectly linear
+    phase). n_bins counts the usable bins; fewer than 8 flags the estimate
+    as low confidence.
     """
 
     tau: float
-    phase_slope: float
     confidence: float
     n_bins: int
 
@@ -75,7 +75,7 @@ def estimate_subsample(x: np.ndarray, tpl: np.ndarray, d: int) -> SubsampleEstim
     n_bins = k.size
 
     if n_bins == 0:
-        return SubsampleEstimate(0.0, 0.0, 0.0, 0)
+        return SubsampleEstimate(0.0, 0.0, 0)
 
     g = spec_x[usable] * np.conj(spec_t[usable])
     wts = mag[usable] ** 2
@@ -88,5 +88,4 @@ def estimate_subsample(x: np.ndarray, tpl: np.ndarray, d: int) -> SubsampleEstim
 
     tau = -slope * tpl.size / (2.0 * np.pi)
     tau = float(np.clip(tau, -0.999999, 0.999999))
-    return SubsampleEstimate(tau=tau, phase_slope=slope,
-                             confidence=coherence, n_bins=int(n_bins))
+    return SubsampleEstimate(tau=tau, confidence=coherence, n_bins=int(n_bins))

@@ -143,8 +143,11 @@ def _do_track(args) -> int:
     for ln, row in read_csv_rows(args.trajectory, ("t", "x_est", "y_est")):
         if row["x_est"] == "":
             continue
-        t, x, y = _finite([row["t"], row["x_est"], row["y_est"]],
-                          f"{args.trajectory}:{ln}")
+        where = f"{args.trajectory}:{ln}"
+        t, x, y = _finite([row["t"], row["x_est"], row["y_est"]], where)
+        if fixes and t <= fixes[-1].t:     # snapping needs time to pass
+            raise ScenarioError(f"{where}: t = {t:g} is not after the "
+                                f"previous fix's {fixes[-1].t:g}")
         fixes.append(Fix(t=t, position=(x, y)))
     snapped = snap_trajectory(fixes, graph)
     snap_path = args.out_prefix + ".snapped.csv"

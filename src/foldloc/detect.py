@@ -14,13 +14,11 @@ with their cyclic prefixes. So `build_bank` modulates only those two
 symbols, many PCIs per transform, and folds exactly the window: at the
 detector rate the low-pass is all-pass.
 
-`_ncc` is the one kernel that scores templates at every lag, from one FFT
-of the trace: `correlate_bank` feeds it the spectra of any templates (a
-single template is a one-row array), and stage 1 the bank's two PSS
-spectra, so a fix transforms no template. Stage 2 scores every candidate
-window against the whole bank with one matrix product, on the calling
-thread (`lte._blas_on_caller`): detection wakes no thread, and foldloc's
-only parallel work stays synthesis's blocked layers and scipy.fft workers.
+Stage 1 scores the bank's two PSS shapes at every lag with `_ncc`, from
+one FFT of the trace and the bank's PSS spectra, so a fix transforms no
+template. Stage 2 scores every candidate window against the whole bank
+with one matrix product. Both run on the calling thread, as `lte`'s
+threading policy says.
 Detection returns scored (pci, delay) pairs; `refine`, the single
 enrichment step, gives them their received power, suppresses false
 positives by it and gives the survivors a sub-sample offset.
@@ -44,7 +42,7 @@ PSS_TEMPLATE_LEN = 138        # trailing CP + PSS portion of the window
 CANDIDATE_WINDOW = 3          # stage-2 lags searched either side of a PSS peak
 STAGE1_GROUP_GAP = 8          # PSS lags this close above threshold are one peak
 DELAY_CLUSTER_RADIUS = 5      # delays this close (mod half frame) are one cluster
-BANK_CHUNK = 72               # templates per batch in correlate_bank and build_bank
+BANK_CHUNK = 72               # PCIs per block in build_bank
 THRESH_PSS = 0.3              # default stage-1 score threshold
 THRESH_SSS = 0.5              # default stage-2 score threshold
 
@@ -155,39 +153,18 @@ def _window_norms(x: np.ndarray, wlen: int) -> np.ndarray:
     return np.where(flat, 0.0, np.sqrt(np.maximum(var, 0.0)))
 
 
-def correlate_bank(stacked: np.ndarray, templates: np.ndarray) -> np.ndarray:
-    """(k, n) normalized cross-correlation of k templates at every lag.
+def _ncc(stacked: np.ndarray, wlen: int, spec: np.ndarray) -> np.ndarray:
+    """(k, n) scores at every circular lag of the k templates of length wlen
+    whose conjugate spectra, at the trace's length, are spec (k, n//2 + 1).
 
-    Every circular lag of the stacked frame is scored against each row of
-    templates (k, L), zero-mean and unit-norm, transformed in batches of
-    BANK_CHUNK (see `_ncc`). A single template scores as
-    correlate_bank(x, tpl[None])[0].
-    """
-    k, wlen = templates.shape
-    n = stacked.size
-    if n < wlen:
-        raise ValueError("trace shorter than template")
-    return _ncc(stacked, wlen, k, lambda rows: np.conj(
-        np.fft.rfft(templates[rows], n=n, axis=1)))
-
-
-def _ncc(stacked: np.ndarray, wlen: int, k: int, conj_spec) -> np.ndarray:
-    """(k, n) scores of k templates of length wlen at every circular lag.
-
-    conj_spec(rows) gives the conjugate spectra, at the trace's length, of
-    the templates in rows, a slice of at most BANK_CHUNK. The trace is
-    transformed once and each lag divided by its window norm (Lewis's
-    running-sum fast NCC; flat windows score 0). Scores are clipped to
-    [-1, 1].
+    The trace is transformed once and each lag divided by its window norm
+    (Lewis's running-sum fast NCC; flat windows score 0). Scores are
+    clipped to [-1, 1].
     """
     n = stacked.size
-    spec_x = np.fft.rfft(stacked)
     denom = _window_norms(stacked, wlen)
-    out = np.empty((k, n))
-    for lo in range(0, k, BANK_CHUNK):
-        rows = slice(lo, lo + BANK_CHUNK)
-        out[rows] = np.fft.irfft(spec_x * conj_spec(rows), n=n, axis=1) / \
-            np.maximum(denom, _EPS)
+    out = np.fft.irfft(np.fft.rfft(stacked) * spec, n=n, axis=1) / \
+        np.maximum(denom, _EPS)
     out[:, denom == 0.0] = 0.0
     return np.clip(out, -1.0, 1.0)
 
@@ -197,15 +174,14 @@ def _stage1_candidates(stacked: np.ndarray, bank: TemplateBank,
     """Peak lags of the two folded PSS shapes, one per group of lags above
     thresh_pss that lie at most STAGE1_GROUP_GAP apart.
 
-    The scores are correlate_bank(stacked, bank.pss_unit), from the bank's
-    PSS spectra, so stacked must be one frame of FRAME_LEN samples.
+    The scores are `_ncc`'s from the bank's PSS spectra, so stacked must
+    be one frame of FRAME_LEN samples.
     """
     if stacked.size != FRAME_LEN:
         raise ValueError(f"stacked frame of {stacked.size} samples, not "
                          f"{FRAME_LEN}")
     cands = set()
-    for scores in _ncc(stacked, PSS_TEMPLATE_LEN, 2,
-                       bank.pss_spec.__getitem__):
+    for scores in _ncc(stacked, PSS_TEMPLATE_LEN, bank.pss_spec):
         above = np.flatnonzero(scores > thresh_pss)
         groups = np.split(above,
                           np.flatnonzero(np.diff(above) > STAGE1_GROUP_GAP) + 1)

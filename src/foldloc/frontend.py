@@ -1,29 +1,22 @@
 """Propagation and square-law receiver front end.
 
-Models the path from tower antennas to detector-rate real samples: free-space
-amplitude, geometric and multipath delay, carrier upconversion and
-superposition across bands, the envelope detector's squaring, FIR low-pass
-filtering and decimation to the one detector rate, DETECTOR_RATE_HZ =
-1.92 MHz. Nothing here adds noise: detector noise of
-`FrontEndConfig.noise_sigma` is added once per fix trace, by
-`harness.synth_fix_trace`.
-
-Two receive paths are provided. The real-RF path squares an explicitly
-upconverted waveform and captures cross-band intermodulation. The complex
-baseband fast path uses |I+jQ|^2/2, exact for a single band and for
-multi-band layouts whose pairwise difference frequencies all clear the
-low-pass filter.
+Models the path from tower antennas to detector-rate real samples:
+free-space amplitude, the envelope detector's squaring of each cell's
+complex baseband, |I+jQ|^2/2, FIR low-pass filtering and decimation to the
+one detector rate, DETECTOR_RATE_HZ = 1.92 MHz. The square is exact for a
+single band and for bands whose pairwise difference frequencies all clear
+the low-pass filter; the tests check it against a real-RF oracle that
+upconverts, sums and squares (`tests/oracles.py`). Nothing here adds
+noise: detector noise of `FrontEndConfig.noise_sigma` is added once per
+fix trace, by `harness.synth_fix_trace`.
 
 `fold_baseband` takes the square into one array and `lowpass_decimate`
 filters it with a polyphase decimator (Crochiere & Rabiner, *Multirate
 Digital Signal Processing*, 1983): the input, viewed as rows of dec
 samples, meets a (taps/dec + 1, dec) matrix of the taps in one matrix
-product per block of outputs, whose shifted rows add up to the block.
-Both run their blocks on every CPU of the process once the input holds
-lte._PARALLEL_MIN samples (see `lte._run_blocks`). numpy releases the GIL
-in the FIR's products and adds, and `lte._blas_on_caller` holds each
-product to the thread that calls it. The helper threads run only private
-code, so `lowpass_decimate` is always entered on the caller's thread.
+product per block of outputs, whose shifted rows add up to the block. How
+their blocks use the CPUs and BLAS is the threading policy in `lte`'s
+docstring.
 """
 from __future__ import annotations
 
@@ -33,11 +26,10 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import i0
 
-from .lte import FrameConfig, Pci, _blas_on_caller, _run_blocks, frame_samples
+from .lte import FrameConfig, Pci, _blas_on_caller, _run_blocks
 
 SPEED_OF_LIGHT = 3.0e8
 DETECTOR_RATE_HZ = 1.92e6     # the detector's one sample rate
-SYNC_BAND_HZ = 1.08e6         # folded sync occupies DC..~1 MHz
 # The detector's fixed Kaiser low-pass. The cutoff is deliberately
 # aggressive: folded sync lives below ~0.96 MHz, so sampling at 1.92 MHz
 # behind a 1.4 MHz filter aliases only data-difference terms the detector
@@ -73,23 +65,6 @@ class FrontEndConfig:
 
 
 @dataclass(frozen=True)
-class MultipathProfile:
-    """Sparse tap list (amplitude, phase radians, delay seconds)."""
-
-    taps: tuple[tuple[float, float, float], ...] = ((1.0, 0.0, 0.0),)
-
-    def __post_init__(self):
-        if len(self.taps) == 0:
-            raise ValueError("at least one tap (the LOS tap) required")
-        if any(t[2] < 0 for t in self.taps):
-            raise ValueError("negative tap delay")
-
-    @classmethod
-    def los(cls) -> "MultipathProfile":
-        return cls()
-
-
-@dataclass(frozen=True)
 class CellConfig:
     """One transmitting cell: identity, carrier, geometry, power."""
 
@@ -115,14 +90,6 @@ def path_amplitude(d: float, f: float) -> float:
     if f <= 0:
         raise ValueError("carrier frequency must be positive")
     return SPEED_OF_LIGHT / (4.0 * np.pi * d * f)
-
-
-def envelope_square(rf: np.ndarray) -> np.ndarray:
-    """Ideal square-law detector: element-wise square of a real waveform."""
-    rf = np.asarray(rf)
-    if np.iscomplexobj(rf):
-        raise TypeError("envelope_square expects a real RF waveform")
-    return rf * rf
 
 
 @lru_cache(maxsize=32)
@@ -257,117 +224,7 @@ def fold_baseband(bb: np.ndarray, fs_in: float) -> np.ndarray:
     return lowpass_decimate(sq, fs_in)
 
 
-def receive_rf(rf: np.ndarray, fs_in: float) -> np.ndarray:
-    """Full detector chain on a real RF waveform."""
-    return lowpass_decimate(envelope_square(rf), fs_in)
-
-
-def _upsampled_spectrum(bb: np.ndarray, n_out: int) -> np.ndarray:
-    """Zero-padded FFT embed: complex baseband resampled to n_out samples."""
-    n_in = bb.size
-    spec = np.fft.fft(bb)
-    out = np.zeros(n_out, dtype=np.complex128)
-    half = n_in // 2
-    out[:half] = spec[:half]
-    out[-(n_in - half):] = spec[half:]
-    return out * (n_out / n_in)
-
-
-def superpose(cells, rx_position, duration_s: float,
-              oversample_rate_hz: float = 153.6e6, rng_seed: int = 0) -> np.ndarray:
-    """Sum upconverted, delayed, attenuated cell signals at the receiver.
-
-    cells is a list of (CellConfig, MultipathProfile). Each cell's frame
-    stream (preamble plus random QPSK payload) is delayed by time of flight
-    plus its frame origin, shaped by its multipath taps via a frequency
-    response, scaled by tx power and free-space amplitude, upconverted, and
-    summed into one real RF buffer at the oversample rate.
-
-    Per-cell payload randomness derives from (rng_seed, cell index) so the
-    output is deterministic and independent of iteration order.
-    """
-    if oversample_rate_hz <= 0:
-        raise ValueError("oversample rate must be positive")
-    for cell, _ in cells:
-        need = 2.0 * (cell.carrier_hz + cell.frame_cfg.bandwidth_mhz * 1e6 / 2.0)
-        if oversample_rate_hz < need:
-            raise ValueError(
-                f"oversample rate {oversample_rate_hz:.3g} below Nyquist "
-                f"{need:.3g} for carrier {cell.carrier_hz:.3g}")
-
-    n_out = int(round(duration_s * oversample_rate_hz))
-    t = np.arange(n_out) / oversample_rate_hz
-    total = np.zeros(n_out, dtype=np.float64)
-    rx = np.asarray(rx_position, dtype=np.float64)
-
-    for idx, (cell, mp) in enumerate(cells):
-        cfg = cell.frame_cfg
-        n_frames = int(np.ceil(duration_s / 0.01))
-        rng = np.random.default_rng([rng_seed, idx])
-        bb = frame_samples(cfg, cell.pci, "random_qpsk", rng, n_frames)
-        bb = bb[:int(round(duration_s * cfg.sample_rate_hz))]
-
-        d = float(np.hypot(*(np.asarray(cell.position) - rx)))
-        gain = path_amplitude(d, cell.carrier_hz) * \
-            10.0 ** ((cell.tx_power_dbm - 30.0) / 20.0)
-        delay = d / SPEED_OF_LIGHT + cell.frame_time_origin_s
-
-        spec = _upsampled_spectrum(bb, n_out)
-        freqs = np.fft.fftfreq(n_out, 1.0 / oversample_rate_hz)
-        h = np.zeros(n_out, dtype=np.complex128)
-        for amp, phase, tau in mp.taps:
-            h += amp * np.exp(1j * phase) * np.exp(-2j * np.pi * freqs * (delay + tau))
-        lam = np.fft.ifft(spec * h)
-        total += gain * np.real(lam * np.exp(2j * np.pi * cell.carrier_hz * t))
-    return total
-
-
 def received_power_dbm(cell: CellConfig, rx_position) -> float:
     """Mean received power in dBm under the free-space 1/d amplitude law."""
     d = float(np.hypot(*(np.asarray(cell.position) - np.asarray(rx_position))))
     return cell.tx_power_dbm + 20.0 * np.log10(path_amplitude(d, cell.carrier_hz))
-
-
-def folded_sync_overlap(c1: CellConfig, c2: CellConfig,
-                        rng_seed: int = 0) -> float:
-    """Percent of cross-term power landing in the folded sync band.
-
-    After squaring, the pair's cross term occupies difference frequencies
-    around |f1 - f2|. This computes, numerically, the fraction of that
-    cross-term power the low-pass filter admits into [0, 1.08 MHz],
-    normalized so co-located carriers score 100. Returns 0 without
-    simulation when the minimum difference frequency clears the filter
-    cutoff plus the sync band.
-    """
-    b1 = c1.frame_cfg.bandwidth_mhz * 1e6
-    b2 = c2.frame_cfg.bandwidth_mhz * 1e6
-    spacing = abs(c1.carrier_hz - c2.carrier_hz)
-    if spacing - (b1 + b2) / 2.0 > LPF_CUTOFF_HZ + SYNC_BAND_HZ:
-        return 0.0
-
-    def cross_inband(delta_f: float) -> float:
-        # cross term of the squared sum, analyzed at baseband:
-        # 2*r1*r2 -> Re{lam1 * conj(lam2) * e^{j 2 pi delta_f t}} plus a
-        # sum-frequency image the filter always removes
-        fs = 4.0 * (delta_f + b1 + b2)
-        fs = max(fs, 8.0 * SYNC_BAND_HZ)
-        n = int(round(fs * 0.01))
-        lam1 = _upsampled_spectrum(
-            frame_samples(c1.frame_cfg, c1.pci, "random_qpsk",
-                          np.random.default_rng([rng_seed, 1])), n)
-        lam2 = _upsampled_spectrum(
-            frame_samples(c2.frame_cfg, c2.pci, "random_qpsk",
-                          np.random.default_rng([rng_seed, 2])), n)
-        l1 = np.fft.ifft(lam1)
-        l2 = np.fft.ifft(lam2)
-        tt = np.arange(n) / fs
-        cross = np.real(l1 * np.conj(l2) * np.exp(2j * np.pi * delta_f * tt))
-        spec = np.abs(np.fft.rfft(cross)) ** 2
-        freqs = np.fft.rfftfreq(n, 1.0 / fs)
-        band = freqs <= min(LPF_CUTOFF_HZ, SYNC_BAND_HZ)
-        return float(spec[band].sum())
-
-    ref = cross_inband(0.0)
-    if ref <= 0:
-        return 0.0
-    return 100.0 * min(1.0, cross_inband(spacing) / ref)

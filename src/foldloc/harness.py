@@ -16,20 +16,9 @@ passes are batched scipy.fft transforms along the two axes of an
 (n1, FRAME_LEN) view of the trace, so no full-length transform runs and no
 N-sized scratch buffer is taken. The calling thread builds the cells one
 after another and folds each into the total in cell order
-(`lte._overlap`). Once a cell holds lte._PARALLEL_MIN = 2**19 samples, its
-frame building, delay and fold each use every CPU the process may run on
-(the transforms through scipy's own threads, the rest through
-`lte._run_blocks`) before the next cell is built. When every cell is
-smaller, each runs on one thread, and the cells' delays overlap instead:
-helper threads delay cells while the caller builds and folds the others.
-`run_eval` runs its fixes one after another in the calling process.
-Helper threads run only private code: every call of a public function
-stays on the thread that synthesizes the fix. This overlap, these blocks
-and scipy.fft's workers are the only parallel work; detection runs on the
-calling thread, and every BLAS product, detection's and the fold's FIR
-blocks', on the thread that calls it (`lte._blas_on_caller`), so no BLAS
-worker left spinning holds a CPU from the next fix. The output does not
-depend on the thread count.
+(`lte._overlap`); how a cell's layers, and the delays of small cells, use
+the CPUs is the threading policy in `lte`'s docstring. `run_eval` runs
+its fixes one after another in the calling process.
 `synth_fix_trace` is the only place that adds detector noise: white
 Gaussian noise of the front end's noise_sigma on the summed detector-rate
 trace, from the fix's own "noise" substream.
@@ -145,7 +134,7 @@ def synth_fix_trace(sc: Scenario, fix_idx: int) -> np.ndarray:
             a_rx = path_amplitude(d, cell.carrier_hz) * \
                 10.0 ** ((cell.tx_power_dbm - 30.0) / 20.0)
             rng = substream(sc.rng_seed, "payload", fix_idx, ci)
-            yield (frame_samples(cfg, cell.pci, "random_qpsk", rng, n_frames=n),
+            yield (frame_samples(cfg, cell.pci, rng, n_frames=n),
                    delay_s * cfg.sample_rate_hz, a_rx)
 
     def fold(k, bb):

@@ -1,8 +1,8 @@
 """LTE downlink frame synthesis.
 
 Builds standards-shaped FDD downlink frames: primary/secondary synchronization
-sequences on the central 62 subcarriers, optional random QPSK payload across
-the occupied band, and cyclic-prefixed OFDM modulation. Only what the
+sequences on the central 62 subcarriers, random QPSK payload across the
+occupied band, and cyclic-prefixed OFDM modulation. Only what the
 square-law receiver chain needs is modeled; no PBCH, CRS, or coding chains.
 
 `frame_samples` draws the payload of all n frames of a cell at once,
@@ -12,29 +12,31 @@ it, cyclic prefixes inserted by one precomputed index per FFT size, into
 one preallocated output. `sync_segment` builds a span of many PCIs'
 data-free frames from the sync symbols inside it alone.
 
-The large layers of synthesis split their work into blocks with
-`_run_blocks`: the frames of `frame_samples`, the twiddles and column
-factor of `harness._delay`, and the square and the FIR of
-`frontend.fold_baseband`. A layer whose array holds at least
+Threading, for the whole package: the large layers of synthesis split
+their work into blocks with `_run_blocks`: the frames of `frame_samples`,
+the twiddles and column factor of `harness._delay`, and the square and the
+FIR of `frontend.fold_baseband`. A layer whose array holds at least
 _PARALLEL_MIN = 2**19 elements runs its blocks on every CPU the process
 may run on, the first on the calling thread and the others on helper
 threads; a smaller one runs them all on the calling thread, where a second
-thread would cost more than it saves. Jobs too small to split overlap
-instead: `_overlap` works a sequence of them, such as the delays of a
-fix's cells below _PARALLEL_MIN, on the helper threads while the caller
-draws the next jobs and finishes the done ones in order. Block and work
-functions are private and call no public function of the package, so a
-tracer that wraps public functions, and keeps one span stack for all
+thread would cost more than it saves. The numpy calls inside the blocks
+release the GIL, so the blocks do run at once. Jobs too small to split
+overlap instead: `_overlap` works a sequence of them, such as the delays
+of a fix's cells below _PARALLEL_MIN, on the helper threads while the
+caller draws the next jobs and finishes the done ones in order. Block and
+work functions are private and call no public function of the package, so
+a tracer that wraps public functions, and keeps one span stack for all
 threads, sees every call on the thread that made it. The output does not
 depend on the thread count.
 
 These blocks and overlapped jobs, and scipy.fft's workers at or above
 _PARALLEL_MIN, are foldloc's only parallel work; with one CPU there is
-none. No BLAS call wakes a thread: numpy's OpenBLAS would share a large
-product with worker threads that keep spinning after it returns, so
-`_blas_on_caller` holds each product to the thread that calls it, around
-detection's stage-2 product and around the blocks of the FIR, whose
-products run on the caller and the helper threads.
+none. Detection runs on the calling thread. No BLAS call wakes a thread:
+numpy's OpenBLAS would share a large product with worker threads that
+keep spinning after it returns, so `_blas_on_caller` holds each product to
+the thread that calls it, around detection's stage-2 product and around
+the blocks of the FIR, whose products run on the caller and the helper
+threads.
 """
 from __future__ import annotations
 
@@ -409,36 +411,7 @@ def central_62_bins(fft_size: int) -> np.ndarray:
     return np.concatenate([neg, pos])
 
 
-def occupied_bins(cfg: FrameConfig) -> np.ndarray:
-    """FFT-bin indices of the n_rb*12 occupied subcarriers (DC null)."""
-    half = 6 * cfg.n_resource_blocks
-    neg = np.arange(cfg.fft_size - half, cfg.fft_size)
-    pos = np.arange(1, half + 1)
-    return np.concatenate([neg, pos])
-
-
 _QPSK = np.exp(1j * (np.pi / 4 + np.pi / 2 * np.arange(4)))   # 2-bit symbol -> point
-
-
-def _payload(cfg: FrameConfig, pci: Pci | int, data_mode: str, rng_seed,
-             n_frames: int) -> tuple[Pci, np.ndarray | None]:
-    """The cell's Pci and the 2-bit payload symbols of n frames.
-
-    The payload is one (n, band, 140) draw, which takes the same bits from
-    the generator as n draws of one (band, 140) frame; None for "none".
-    """
-    if isinstance(pci, int):
-        pci = Pci(pci)
-    if data_mode not in ("none", "random_qpsk"):
-        raise ValueError(f"unknown data_mode {data_mode!r}")
-    if n_frames < 1:
-        raise ValueError(f"n_frames must be at least 1, got {n_frames}")
-    if data_mode == "none":
-        return pci, None
-    rng = rng_seed if isinstance(rng_seed, np.random.Generator) \
-        else np.random.default_rng(rng_seed)
-    band = 12 * cfg.n_resource_blocks
-    return pci, rng.integers(0, 4, size=(n_frames, band, SYMBOLS_PER_FRAME))
 
 
 def _sync_columns(pci: Pci) -> list[tuple[int, np.ndarray]]:
@@ -449,48 +422,28 @@ def _sync_columns(pci: Pci) -> list[tuple[int, np.ndarray]]:
         [(col, pss) for col in PSS_COLS]
 
 
-def _grid(cfg: FrameConfig, sync, bits: np.ndarray | None,
-          n_frames: int) -> np.ndarray:
-    """n frames of one cell as a symbol-major (n, 140, fft_size) grid.
-
-    sync is _sync_columns' list; bits is n frames of _payload's draw, or
-    None for data-free frames.
-    """
-    grid = np.zeros((n_frames, SYMBOLS_PER_FRAME, cfg.fft_size),
+def _grid(cfg: FrameConfig, sync, bits: np.ndarray) -> np.ndarray:
+    """The frames of bits, (n, band, 140) 2-bit payload symbols, as a
+    symbol-major (n, 140, fft_size) grid; sync is _sync_columns' list."""
+    grid = np.zeros((bits.shape[0], SYMBOLS_PER_FRAME, cfg.fft_size),
                     dtype=np.complex128)
-    if bits is not None:
-        half = 6 * cfg.n_resource_blocks
-        qpsk = np.take(_QPSK, bits)
-        # occupied_bins order: negative subcarriers first, then 1..half
-        grid[:, :, -half:] = qpsk[:, :half].transpose(0, 2, 1)
-        grid[:, :, 1:half + 1] = qpsk[:, half:].transpose(0, 2, 1)
+    half = 6 * cfg.n_resource_blocks
+    qpsk = np.take(_QPSK, bits)
+    # the band's negative subcarriers first, then 1..half
+    grid[:, :, -half:] = qpsk[:, :half].transpose(0, 2, 1)
+    grid[:, :, 1:half + 1] = qpsk[:, half:].transpose(0, 2, 1)
     c62 = central_62_bins(cfg.fft_size)
     for col, seq in sync:
         grid[:, col, c62] = seq
     return grid
 
 
-def build_frame(cfg: FrameConfig, pci: Pci | int, data_mode: str = "none",
-                rng_seed=0) -> np.ndarray:
-    """One frame's resource grid for a single cell, (fft_size, 140) complex.
-
-    Rows are FFT bins (row 0 = DC, upper rows are negative frequencies),
-    columns are OFDM symbols. data_mode "none" leaves every non-sync element
-    zero; "random_qpsk" fills the occupied band with independent unit-power
-    QPSK symbols drawn from rng_seed (an int seed or a numpy Generator).
-    Sync always overwrites the central 62 subcarriers of its four symbols.
-    """
-    pci, bits = _payload(cfg, pci, data_mode, rng_seed, 1)
-    return _grid(cfg, _sync_columns(pci), bits, 1)[0].T
-
-
 @lru_cache(maxsize=len(BANDWIDTH_TABLE))
-def _cp_layout(cfg: FrameConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Gather indices between one frame and its 140 symbol bodies.
+def _cp_layout(cfg: FrameConfig) -> np.ndarray:
+    """Gather indices from one frame's 140 symbol bodies to the frame.
 
     With bodies the (140, fft_size) time-domain symbols of a frame,
-    bodies.ravel()[insert] is the frame with cyclic prefixes, and
-    frame[strip] is bodies.ravel() again. Both arrays are read-only.
+    bodies.ravel()[insert] is the frame with cyclic prefixes. Read-only.
     """
     fft = cfg.fft_size
     cps = np.array([cfg.cp_len(s % SYMBOLS_PER_SLOT)
@@ -501,61 +454,31 @@ def _cp_layout(cfg: FrameConfig) -> tuple[np.ndarray, np.ndarray]:
     # start, so the cyclic prefix sits at negative offsets
     offset = np.arange(sym.size) - starts[sym] - cps[sym]
     insert = sym * fft + offset % fft
-    strip = ((starts + cps)[:, None] + np.arange(fft)).ravel()
     assert insert.size == cfg.frame_len
     insert.setflags(write=False)
-    strip.setflags(write=False)
-    return insert, strip
+    return insert
 
 
-def ofdm_modulate(symbols: np.ndarray, cfg: FrameConfig) -> np.ndarray:
-    """Unitary IDFT per symbol with cyclic prefixes.
-
-    symbols is an (fft_size, 140 * n) grid laid out as build_frame's, n
-    frames side by side; returns the n frames end to end.
-    """
-    shape = symbols.shape
-    if (len(shape) != 2 or shape[0] != cfg.fft_size
-            or shape[1] == 0 or shape[1] % SYMBOLS_PER_FRAME):
-        raise ValueError(f"grid shape {shape} is not ({cfg.fft_size}, "
-                         f"{SYMBOLS_PER_FRAME} * n)")
-    bodies = np.fft.ifft(symbols.T.reshape(-1, SYMBOLS_PER_FRAME, cfg.fft_size),
-                         axis=-1, norm="ortho")
-    insert, _ = _cp_layout(cfg)
-    return np.take(bodies.reshape(bodies.shape[0], -1), insert, axis=1).ravel()
-
-
-def ofdm_demodulate(samples: np.ndarray, cfg: FrameConfig) -> np.ndarray:
-    """Strip cyclic prefixes and apply the unitary DFT; inverse of modulate.
-
-    samples must hold whole frames; n frames give an (fft_size, 140 * n) grid.
-    """
-    samples = np.asarray(samples)
-    if samples.ndim != 1 or samples.size == 0 or samples.size % cfg.frame_len:
-        raise ValueError(f"{samples.size} samples are not whole "
-                         f"{cfg.frame_len}-sample frames")
-    _, strip = _cp_layout(cfg)
-    bodies = np.take(samples.reshape(-1, cfg.frame_len), strip, axis=1)
-    spec = np.fft.fft(bodies.reshape(-1, cfg.fft_size), axis=-1, norm="ortho")
-    return spec.T
-
-
-def frame_samples(cfg: FrameConfig, pci: Pci | int, data_mode: str = "none",
-                  rng_seed=0, n_frames: int = 1) -> np.ndarray:
+def frame_samples(cfg: FrameConfig, pci: Pci, rng: np.random.Generator,
+                  n_frames: int = 1) -> np.ndarray:
     """n_frames consecutive 10 ms frames of one cell, modulated end to end.
 
-    Equal, to rounding, to concatenating n_frames single-frame calls that
-    share one Generator (build_frame followed by ofdm_modulate), but built
-    from one payload draw, frame by frame into one output array, on the
+    The occupied band carries random QPSK from one (n, band, 140) draw of
+    rng, which takes the same bits as n draws of one frame each. Equal, to
+    rounding, to concatenating n_frames single-frame calls that share one
+    Generator, but built frame by frame into one output array, on the
     caller's share of the CPUs when the frames are large (_run_blocks).
     """
-    pci, bits = _payload(cfg, pci, data_mode, rng_seed, n_frames)
+    if n_frames < 1:
+        raise ValueError(f"n_frames must be at least 1, got {n_frames}")
+    bits = rng.integers(0, 4, size=(n_frames, 12 * cfg.n_resource_blocks,
+                                    SYMBOLS_PER_FRAME))
     sync = _sync_columns(pci)
-    insert, _ = _cp_layout(cfg)
+    insert = _cp_layout(cfg)
     out = np.empty((n_frames, cfg.frame_len), dtype=np.complex128)
 
     def frames(lo, hi):
-        grid = _grid(cfg, sync, None if bits is None else bits[lo:hi], hi - lo)
+        grid = _grid(cfg, sync, bits[lo:hi])
         np.fft.ifft(grid, axis=-1, norm="ortho", out=grid)
         np.take(grid.reshape(hi - lo, -1), insert, axis=1, out=out[lo:hi],
                 mode="wrap")
@@ -567,12 +490,14 @@ def frame_samples(cfg: FrameConfig, pci: Pci | int, data_mode: str = "none",
 def sync_segment(cfg: FrameConfig, pcis, lo: int, hi: int) -> np.ndarray:
     """Samples lo:hi of the data-free frame of each PCI, (len(pcis), hi - lo).
 
-    Row k equals frame_samples(cfg, pcis[k], "none")[lo:hi], but only the
-    sync symbols inside the span are modulated, all PCIs in one IFFT:
-    every other symbol of a data-free frame is zero.
+    Row k equals, to the bit, samples lo:hi of the PCI's whole data-free
+    frame as the tests' per-symbol oracle builds it (`tests/oracles.py`,
+    build_frame then ofdm_modulate), but only the sync symbols inside the
+    span are modulated, all PCIs in one IFFT: every other symbol of a
+    data-free frame is zero.
     """
     pcis = np.asarray(pcis)
-    sym, pos = np.divmod(_cp_layout(cfg)[0][lo:hi], cfg.fft_size)
+    sym, pos = np.divmod(_cp_layout(cfg)[lo:hi], cfg.fft_size)
     # the span's sync symbols, then one zero symbol for all the others
     cols = [c for c in SSS_COLS + PSS_COLS if c in sym]
     bodies = np.zeros((pcis.size, len(cols) + 1, cfg.fft_size),

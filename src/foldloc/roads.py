@@ -14,6 +14,15 @@ import numpy as np
 from .scenario import ScenarioError, read_csv_rows
 
 ROAD_COLUMNS = ("node_a_id", "node_b_id", "ax", "ay", "bx", "by", "max_speed_mps")
+MODES = ("enter", "exit")       # a geofence alerts on one of these
+
+
+def _check_edge(nodes: dict, a, b, v: float) -> None:
+    """Raise ValueError unless edge (a, b) joins two of nodes at v > 0."""
+    if a not in nodes or b not in nodes:
+        raise ValueError(f"edge ({a},{b}) references unknown node")
+    if v <= 0:
+        raise ValueError(f"edge ({a},{b}) max_speed {v} <= 0")
 
 
 @dataclass
@@ -30,11 +39,8 @@ class RoadGraph:
     def __post_init__(self):
         if not self.edges:
             raise ValueError("empty road graph")
-        for a, b, v in self.edges:
-            if a not in self.nodes or b not in self.nodes:
-                raise ValueError(f"edge ({a},{b}) references unknown node")
-            if v <= 0:
-                raise ValueError(f"edge ({a},{b}) max_speed {v} <= 0")
+        for edge in self.edges:
+            _check_edge(self.nodes, *edge)
         pa = np.array([self.nodes[a] for a, _, _ in self.edges], dtype=np.float64)
         pb = np.array([self.nodes[b] for _, b, _ in self.edges], dtype=np.float64)
         self._ax, self._ay = pa[:, 0], pa[:, 1]
@@ -146,7 +152,7 @@ class GeofenceRegion:
         if self.polygon.ndim != 2 or self.polygon.shape[0] < 3 \
                 or self.polygon.shape[1] != 2:
             raise ValueError("polygon needs >= 3 (x, y) vertices")
-        if self.mode not in ("enter", "exit"):
+        if self.mode not in MODES:
             raise ValueError(f"mode must be enter or exit, got {self.mode!r}")
         n = len(self.polygon)
         for i in range(n):
@@ -192,7 +198,8 @@ def _finite(texts, where: str) -> list[float]:
 
 
 def load_road_graph_csv(path) -> RoadGraph:
-    """Edge list with the ROAD_COLUMNS header, one edge per row."""
+    """Edge list with the ROAD_COLUMNS header, one edge per row; errors
+    name path, and path:line for a row."""
     nodes, edges = {}, []
     for ln, r in read_csv_rows(path, ROAD_COLUMNS):
         a, b = r["node_a_id"], r["node_b_id"]
@@ -202,15 +209,23 @@ def load_road_graph_csv(path) -> RoadGraph:
             if nid in nodes and nodes[nid] != xy:
                 raise ScenarioError(f"{path}:{ln}: node {nid} repositioned")
             nodes[nid] = xy
+        try:
+            _check_edge(nodes, a, b, v)
+        except ValueError as e:
+            raise ScenarioError(f"{path}:{ln}: {e}") from None
         edges.append((a, b, v))
-    return RoadGraph(nodes=nodes, edges=edges)
+    try:
+        return RoadGraph(nodes=nodes, edges=edges)
+    except ValueError as e:
+        raise ScenarioError(f"{path}: {e}") from None
 
 
 def load_geofence_csv(path) -> GeofenceRegion:
-    """First line 'mode,<enter|exit>', then one 'x,y' vertex per line."""
+    """First line 'mode,<enter|exit>', then one 'x,y' vertex per line;
+    errors name path, and path:line for a line."""
     with open(path) as f:
         first = f.readline().strip().split(",")
-        if len(first) != 2 or first[0] != "mode":
+        if len(first) != 2 or first[0] != "mode" or first[1] not in MODES:
             raise ScenarioError(f"{path}:1: first line must be 'mode,<enter|exit>'")
         mode = first[1]
         verts = []
@@ -221,4 +236,7 @@ def load_geofence_csv(path) -> GeofenceRegion:
                     raise ScenarioError(f"{path}:{ln}: expected 'x,y', got "
                                         f"{line.strip()!r}")
                 verts.append(_finite(xy, f"{path}:{ln}"))
-    return GeofenceRegion(polygon=np.array(verts), mode=mode)
+    try:
+        return GeofenceRegion(polygon=np.array(verts), mode=mode)
+    except ValueError as e:
+        raise ScenarioError(f"{path}: {e}") from None

@@ -1,9 +1,9 @@
-import numpy as np
 import pytest
 
 from foldloc.detect import build_bank
 from foldloc.frontend import FrontEndConfig, fold_baseband
-from foldloc.lte import FrameConfig, Pci, frame_samples
+from foldloc.lte import FrameConfig, Pci
+from oracles import build_frame, ofdm_modulate
 
 
 @pytest.fixture(scope="session")
@@ -21,8 +21,9 @@ def cfg14():
     return FrameConfig.from_bandwidth(1.4)
 
 
-def fold_frame(pci, data_mode="none", rng=None, bandwidth=1.4):
-    """One folded frame at the detector rate (no noise)."""
-    cfg = FrameConfig.from_bandwidth(bandwidth)
-    bb = frame_samples(cfg, Pci(pci), data_mode, rng)
+def fold_frame(pci):
+    """The PCI's data-free 1.4 MHz frame, built by the per-symbol oracle and
+    folded to the detector rate (no noise)."""
+    cfg = FrameConfig.from_bandwidth(1.4)
+    bb = ofdm_modulate(build_frame(cfg, Pci(pci)), cfg)
     return fold_baseband(bb, cfg.sample_rate_hz)

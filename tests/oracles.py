@@ -1,0 +1,226 @@
+"""References the tests compare foldloc against; the pipeline calls none.
+
+An LTE frame built one symbol at a time, with its OFDM inverse; the real-RF
+receive path, whose explicit upconversion and square also capture the
+cross-band intermodulation that the fast path's |I+jQ|^2/2 leaves out; and
+an exhaustive scan of templates at every lag through foldloc's NCC kernel.
+"""
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from foldloc import detect
+from foldloc.frontend import (LPF_CUTOFF_HZ, SPEED_OF_LIGHT, CellConfig,
+                              lowpass_decimate, path_amplitude)
+from foldloc.lte import (SYMBOLS_PER_FRAME, SYMBOLS_PER_SLOT, FrameConfig,
+                         Pci, central_62_bins, frame_samples, generate_pss,
+                         generate_sss)
+
+SYNC_BAND_HZ = 1.08e6         # folded sync occupies DC..~1 MHz
+
+
+def build_frame(cfg: FrameConfig, pci: Pci,
+                rng: np.random.Generator | None = None) -> np.ndarray:
+    """One frame's resource grid for a single cell, (fft_size, 140) complex.
+
+    Rows are FFT bins (row 0 = DC, upper rows are negative frequencies),
+    columns are OFDM symbols. Without rng every non-sync element is zero;
+    with it the occupied band, 12 * n_rb subcarriers around a null DC,
+    holds unit-power QPSK symbols from one (band, 140) draw, the bits
+    `lte.frame_samples` takes per frame. Sync always overwrites the
+    central 62 subcarriers of its four symbols.
+    """
+    grid = np.zeros((cfg.fft_size, SYMBOLS_PER_FRAME), dtype=np.complex128)
+    if rng is not None:
+        half = 6 * cfg.n_resource_blocks
+        band = np.r_[cfg.fft_size - half:cfg.fft_size, 1:half + 1]
+        bits = rng.integers(0, 4, size=(band.size, SYMBOLS_PER_FRAME))
+        grid[band, :] = np.exp(1j * (np.pi / 4 + np.pi / 2 * bits))
+    c62 = central_62_bins(cfg.fft_size)
+    for col, subframe in zip((5, 75), (0, 5)):
+        grid[c62, col] = generate_sss(pci.group, pci.sector, subframe)
+    for col in (6, 76):
+        grid[c62, col] = generate_pss(pci.sector)
+    return grid
+
+
+def ofdm_modulate(symbols: np.ndarray, cfg: FrameConfig) -> np.ndarray:
+    """Unitary IDFT per symbol with cyclic prefixes, one symbol at a time.
+
+    symbols is an (fft_size, 140 * n) grid laid out as build_frame's, n
+    frames side by side; returns the n frames end to end.
+    """
+    shape = symbols.shape
+    if (len(shape) != 2 or shape[0] != cfg.fft_size
+            or shape[1] == 0 or shape[1] % SYMBOLS_PER_FRAME):
+        raise ValueError(f"grid shape {shape} is not ({cfg.fft_size}, "
+                         f"{SYMBOLS_PER_FRAME} * n)")
+    body = np.fft.ifft(symbols, axis=0, norm="ortho")
+    pieces = []
+    for s in range(shape[1]):
+        cp = cfg.cp_len(s % SYMBOLS_PER_SLOT)
+        pieces += [body[-cp:, s], body[:, s]]
+    return np.concatenate(pieces)
+
+
+def ofdm_demodulate(samples: np.ndarray, cfg: FrameConfig) -> np.ndarray:
+    """Strip cyclic prefixes and apply the unitary DFT; inverse of modulate.
+
+    samples must hold whole frames; n frames give an (fft_size, 140 * n) grid.
+    """
+    samples = np.asarray(samples)
+    if samples.ndim != 1 or samples.size == 0 or samples.size % cfg.frame_len:
+        raise ValueError(f"{samples.size} samples are not whole "
+                         f"{cfg.frame_len}-sample frames")
+    bodies, pos = [], 0
+    for s in range(samples.size // cfg.frame_len * SYMBOLS_PER_FRAME):
+        pos += cfg.cp_len(s % SYMBOLS_PER_SLOT)
+        bodies.append(samples[pos:pos + cfg.fft_size])
+        pos += cfg.fft_size
+    return np.fft.fft(np.stack(bodies), axis=-1, norm="ortho").T
+
+
+@dataclass(frozen=True)
+class MultipathProfile:
+    """Sparse tap list (amplitude, phase radians, delay seconds); the
+    default is the line-of-sight tap alone."""
+
+    taps: tuple[tuple[float, float, float], ...] = ((1.0, 0.0, 0.0),)
+
+    def __post_init__(self):
+        if len(self.taps) == 0:
+            raise ValueError("at least one tap (the LOS tap) required")
+        if any(t[2] < 0 for t in self.taps):
+            raise ValueError("negative tap delay")
+
+
+def envelope_square(rf: np.ndarray) -> np.ndarray:
+    """Ideal square-law detector: element-wise square of a real waveform."""
+    rf = np.asarray(rf)
+    if np.iscomplexobj(rf):
+        raise TypeError("envelope_square expects a real RF waveform")
+    return rf * rf
+
+
+def receive_rf(rf: np.ndarray, fs_in: float) -> np.ndarray:
+    """Full detector chain on a real RF waveform."""
+    return lowpass_decimate(envelope_square(rf), fs_in)
+
+
+def _upsampled_spectrum(bb: np.ndarray, n_out: int) -> np.ndarray:
+    """Zero-padded FFT embed: complex baseband resampled to n_out samples."""
+    n_in = bb.size
+    spec = np.fft.fft(bb)
+    out = np.zeros(n_out, dtype=np.complex128)
+    half = n_in // 2
+    out[:half] = spec[:half]
+    out[-(n_in - half):] = spec[half:]
+    return out * (n_out / n_in)
+
+
+def superpose(cells, rx_position, duration_s: float,
+              oversample_rate_hz: float = 153.6e6, rng_seed: int = 0) -> np.ndarray:
+    """Sum upconverted, delayed, attenuated cell signals at the receiver.
+
+    cells is a list of (CellConfig, MultipathProfile). Each cell's frame
+    stream (preamble plus random QPSK payload) is delayed by time of flight
+    plus its frame origin, shaped by its multipath taps via a frequency
+    response, scaled by tx power and free-space amplitude, upconverted, and
+    summed into one real RF buffer at the oversample rate.
+
+    Per-cell payload randomness derives from (rng_seed, cell index) so the
+    output is deterministic and independent of iteration order.
+    """
+    if oversample_rate_hz <= 0:
+        raise ValueError("oversample rate must be positive")
+    for cell, _ in cells:
+        need = 2.0 * (cell.carrier_hz + cell.frame_cfg.bandwidth_mhz * 1e6 / 2.0)
+        if oversample_rate_hz < need:
+            raise ValueError(
+                f"oversample rate {oversample_rate_hz:.3g} below Nyquist "
+                f"{need:.3g} for carrier {cell.carrier_hz:.3g}")
+
+    n_out = int(round(duration_s * oversample_rate_hz))
+    t = np.arange(n_out) / oversample_rate_hz
+    total = np.zeros(n_out, dtype=np.float64)
+    rx = np.asarray(rx_position, dtype=np.float64)
+
+    for idx, (cell, mp) in enumerate(cells):
+        cfg = cell.frame_cfg
+        n_frames = int(np.ceil(duration_s / 0.01))
+        rng = np.random.default_rng([rng_seed, idx])
+        bb = frame_samples(cfg, cell.pci, rng, n_frames)
+        bb = bb[:int(round(duration_s * cfg.sample_rate_hz))]
+
+        d = float(np.hypot(*(np.asarray(cell.position) - rx)))
+        gain = path_amplitude(d, cell.carrier_hz) * \
+            10.0 ** ((cell.tx_power_dbm - 30.0) / 20.0)
+        delay = d / SPEED_OF_LIGHT + cell.frame_time_origin_s
+
+        spec = _upsampled_spectrum(bb, n_out)
+        freqs = np.fft.fftfreq(n_out, 1.0 / oversample_rate_hz)
+        h = np.zeros(n_out, dtype=np.complex128)
+        for amp, phase, tau in mp.taps:
+            h += amp * np.exp(1j * phase) * np.exp(-2j * np.pi * freqs * (delay + tau))
+        lam = np.fft.ifft(spec * h)
+        total += gain * np.real(lam * np.exp(2j * np.pi * cell.carrier_hz * t))
+    return total
+
+
+def folded_sync_overlap(c1: CellConfig, c2: CellConfig,
+                        rng_seed: int = 0) -> float:
+    """Percent of cross-term power landing in the folded sync band.
+
+    After squaring, the pair's cross term occupies difference frequencies
+    around |f1 - f2|. This computes, numerically, the fraction of that
+    cross-term power the low-pass filter admits into [0, 1.08 MHz],
+    normalized so co-located carriers score 100. Returns 0 without
+    simulation when the minimum difference frequency clears the filter
+    cutoff plus the sync band.
+    """
+    b1 = c1.frame_cfg.bandwidth_mhz * 1e6
+    b2 = c2.frame_cfg.bandwidth_mhz * 1e6
+    spacing = abs(c1.carrier_hz - c2.carrier_hz)
+    if spacing - (b1 + b2) / 2.0 > LPF_CUTOFF_HZ + SYNC_BAND_HZ:
+        return 0.0
+
+    def cross_inband(delta_f: float) -> float:
+        # cross term of the squared sum, analyzed at baseband:
+        # 2*r1*r2 -> Re{lam1 * conj(lam2) * e^{j 2 pi delta_f t}} plus a
+        # sum-frequency image the filter always removes
+        fs = 4.0 * (delta_f + b1 + b2)
+        fs = max(fs, 8.0 * SYNC_BAND_HZ)
+        n = int(round(fs * 0.01))
+        l1, l2 = (np.fft.ifft(_upsampled_spectrum(frame_samples(
+            c.frame_cfg, c.pci, np.random.default_rng([rng_seed, k])), n))
+            for k, c in ((1, c1), (2, c2)))
+        tt = np.arange(n) / fs
+        cross = np.real(l1 * np.conj(l2) * np.exp(2j * np.pi * delta_f * tt))
+        spec = np.abs(np.fft.rfft(cross)) ** 2
+        freqs = np.fft.rfftfreq(n, 1.0 / fs)
+        band = freqs <= min(LPF_CUTOFF_HZ, SYNC_BAND_HZ)
+        return float(spec[band].sum())
+
+    ref = cross_inband(0.0)
+    if ref <= 0:
+        return 0.0
+    return 100.0 * min(1.0, cross_inband(spacing) / ref)
+
+
+def correlate_bank(stacked: np.ndarray, templates: np.ndarray) -> np.ndarray:
+    """(k, n) normalized cross-correlation of k templates at every lag.
+
+    Every circular lag of the stacked frame is scored against each row of
+    templates (k, L), zero-mean and unit-norm, by `detect._ncc`, the kernel
+    stage 1 runs, BANK_CHUNK templates per call. A single template scores
+    as correlate_bank(x, tpl[None])[0].
+    """
+    n = stacked.size
+    if n < templates.shape[1]:
+        raise ValueError("trace shorter than template")
+    return np.concatenate([
+        detect._ncc(stacked, templates.shape[1], np.conj(
+            np.fft.rfft(templates[lo:lo + detect.BANK_CHUNK], n=n, axis=1)))
+        for lo in range(0, len(templates), detect.BANK_CHUNK)])

@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 from conftest import fold_frame
 from foldloc.detect import (FRAME_LEN, HALF_FRAME, PSS_TEMPLATE_LEN,
                             TEMPLATE_LEN, TEMPLATE_START, Detection,
-                            build_bank, correlate_bank,
-                            hierarchical_detect, refine, stack_frames,
-                            suppress_false_positives)
+                            build_bank, hierarchical_detect, refine,
+                            stack_frames, suppress_false_positives)
 from foldloc.harness import _bank_for, read_detections_csv, write_detections_csv
 from foldloc.lte import Pci
+from oracles import correlate_bank
 
 
 def test_bank_shape_and_normalization(bank):

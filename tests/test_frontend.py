@@ -6,12 +6,13 @@ from hypothesis import strategies as st
 from scipy.signal import upfirdn
 
 from foldloc import frontend, lte
+from conftest import fold_frame
 from foldloc.frontend import (DETECTOR_RATE_HZ, SPEED_OF_LIGHT, CellConfig,
-                              MultipathProfile, design_lowpass, envelope_square, fold_baseband,
-                              folded_sync_overlap, lowpass_decimate,
-                              path_amplitude, receive_rf, received_power_dbm,
-                              superpose)
+                              design_lowpass, fold_baseband, lowpass_decimate,
+                              path_amplitude, received_power_dbm)
 from foldloc.lte import FrameConfig, Pci, frame_samples
+from oracles import (MultipathProfile, correlate_bank, envelope_square,
+                     folded_sync_overlap, receive_rf, superpose)
 
 FS_RF = 153.6e6          # 80x the detector rate, integer decimation
 
@@ -109,7 +110,7 @@ def test_lowpass_rejects_fractional_decimation():
 
 def test_fold_homogeneity():
     cfg = FrameConfig.from_bandwidth(1.4)
-    bb = frame_samples(cfg, Pci(12), "random_qpsk", np.random.default_rng(0))
+    bb = frame_samples(cfg, Pci(12), np.random.default_rng(0))
     y1 = fold_baseband(bb, cfg.sample_rate_hz)
     y3 = fold_baseband(3.0 * bb, cfg.sample_rate_hz)
     assert np.allclose(y3, 9.0 * y1, rtol=1e-12, atol=0.0)
@@ -119,11 +120,11 @@ def test_fast_path_matches_rf_pipeline():
     """|I+jQ|^2 shortcut tracks the real-RF square+filter chain under 2% RMS."""
     cfg = FrameConfig.from_bandwidth(1.4)
     cell = _cell(77, 20e6, pos=(0.0, 0.0))
-    rf = superpose([(cell, MultipathProfile.los())], (100.0, 0.0),
+    rf = superpose([(cell, MultipathProfile())], (100.0, 0.0),
                    0.01, FS_RF, rng_seed=3)
     y_rf = receive_rf(rf, FS_RF)
 
-    bb = frame_samples(cfg, Pci(77), "random_qpsk", np.random.default_rng([3, 0]))
+    bb = frame_samples(cfg, Pci(77), np.random.default_rng([3, 0]))
     freqs = np.fft.fftfreq(bb.size, 1.0 / cfg.sample_rate_hz)
     delay = 100.0 / SPEED_OF_LIGHT
     bb = np.fft.ifft(np.fft.fft(bb) * np.exp(-2j * np.pi * freqs * delay))
@@ -134,9 +135,8 @@ def test_fast_path_matches_rf_pipeline():
 
 def test_superpose_delay_shifts_detector_peak(bank):
     """Ten detector samples of geometric delay move the peak by ten."""
-    from foldloc.detect import correlate_bank
     cell = _cell(77, 20e6)
-    los = MultipathProfile.los()
+    los = MultipathProfile()
     lags = []
     for d in (0.1, 10 * 156.25):
         rf = superpose([(cell, los)], (d, 0.0), 0.01, FS_RF, rng_seed=3)
@@ -164,7 +164,7 @@ def test_superpose_empty_and_nyquist_guard():
                           np.zeros(int(0.001 * FS_RF)))
     cell = _cell(0, 100e6)       # needs > 200 MHz sampling
     with pytest.raises(ValueError):
-        superpose([(cell, MultipathProfile.los())], (10.0, 0.0), 0.001, FS_RF)
+        superpose([(cell, MultipathProfile())], (10.0, 0.0), 0.001, FS_RF)
 
 
 def test_multipath_requires_los_tap():
@@ -199,8 +199,7 @@ def test_folded_spectrum_confined_preamble():
     """Preamble-only folded frame keeps its energy under twice the sync
     half-bandwidth (62 bins -> 930 kHz after squaring); the only leakage
     above that is CP boundary discontinuities at the -40 dB level."""
-    cfg = FrameConfig.from_bandwidth(1.4)
-    y = fold_baseband(frame_samples(cfg, Pci(17), "none"), cfg.sample_rate_hz)
+    y = fold_frame(17)
     spec = np.abs(np.fft.rfft(y - y.mean())) ** 2
     f = np.fft.rfftfreq(y.size, 1.0 / 1.92e6)
     high = spec[f > 0.94e6].sum() / spec.sum()

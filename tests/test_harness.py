@@ -19,9 +19,8 @@ from foldloc import detect, harness, lte, traceio
 from foldloc.amplitude import estimate_subsample, fit_amplitude
 from foldloc.detect import (FRAME_LEN, PSS_TEMPLATE_LEN, TEMPLATE_LEN,
                             TEMPLATE_START, THRESH_PSS, BankMismatchError,
-                            Detection, _stage1_candidates, _window_norms,
-                            correlate_bank, hierarchical_detect, stack_frames,
-                            suppress_false_positives)
+                            Detection, _stage1_candidates, hierarchical_detect,
+                            stack_frames, suppress_false_positives)
 from foldloc.frontend import (DETECTOR_RATE_HZ, SENSITIVITY_FLOOR_DBM,
                               SPEED_OF_LIGHT, CellConfig, FrontEndConfig,
                               design_lowpass, path_amplitude,
@@ -29,10 +28,9 @@ from foldloc.frontend import (DETECTOR_RATE_HZ, SENSITIVITY_FLOOR_DBM,
 from foldloc.harness import (cmd_localize, cmd_synth, compute_metrics,
                              detect_trace, run_eval, run_fix, run_urban_sim,
                              synth_fix_trace)
-from foldloc.lte import (FrameConfig, Pci, central_62_bins, generate_pss,
-                         generate_sss, occupied_bins)
-from foldloc.scenario import (CellDatabase, Scenario, load_scenario,
-                              scenario_cell_db, substream)
+from foldloc.lte import FrameConfig, Pci
+from foldloc.scenario import CellDatabase, Scenario, load_scenario, substream
+from oracles import build_frame, correlate_bank, ofdm_modulate
 
 FS = 1.92e6
 CFG = FrameConfig.from_bandwidth(1.4)
@@ -139,29 +137,9 @@ def test_cell_below_the_sensitivity_floor_is_neither_synthesized_nor_truth():
     assert run_fix(with_close, 0)["true_pcis"] == [11, 22]
 
 
-def _seed_frame(cfg, pci, rng):
-    """One frame as the loop-based reference synthesizes it: a per-element
-    QPSK exp, a per-bin-major IFFT and a per-symbol cyclic-prefix loop."""
-    grid = np.zeros((cfg.fft_size, 140), dtype=np.complex128)
-    band = occupied_bins(cfg)
-    bits = rng.integers(0, 4, size=(band.size, 140))
-    grid[band, :] = np.exp(1j * (np.pi / 4 + np.pi / 2 * bits))
-    c62 = central_62_bins(cfg.fft_size)
-    for col, subframe in zip((5, 75), (0, 5)):
-        grid[c62, col] = generate_sss(pci.group, pci.sector, subframe)
-    for col in (6, 76):
-        grid[c62, col] = generate_pss(pci.sector)
-    body = np.fft.ifft(grid, axis=0, norm="ortho")
-    pieces = []
-    for s in range(140):
-        cp = cfg.cp_len(s % 7)
-        pieces += [body[-cp:, s], body[:, s]]
-    return np.concatenate(pieces)
-
-
 def _seed_synth_fix_trace(sc, fix_idx):
-    """Reference trace: frame-by-frame synthesis, an fftfreq phase ramp and
-    a full-rate 'same'-mode FIR decimated afterwards."""
+    """Reference trace: the per-symbol oracle's frames, an fftfreq phase
+    ramp and a full-rate 'same'-mode FIR decimated afterwards."""
     _, x, y = sc.trajectory[fix_idx]
     rx = np.array([x, y])
     total = np.zeros(sc.n_frames_per_fix * FRAME_LEN)
@@ -170,8 +148,8 @@ def _seed_synth_fix_trace(sc, fix_idx):
             continue
         cfg = cell.frame_cfg
         rng = substream(sc.rng_seed, "payload", fix_idx, ci)
-        bb = np.concatenate([_seed_frame(cfg, cell.pci, rng)
-                             for _ in range(sc.n_frames_per_fix)])
+        bb = ofdm_modulate(np.hstack([build_frame(cfg, cell.pci, rng)
+                                      for _ in range(sc.n_frames_per_fix)]), cfg)
         d = float(np.hypot(*(np.asarray(cell.position) - rx)))
         delay_s = d / SPEED_OF_LIGHT + cell.frame_time_origin_s
         freqs = np.fft.fftfreq(bb.size, 1.0 / cfg.sample_rate_hz)
@@ -505,20 +483,12 @@ def test_wideband_synthesis_wakes_no_blas_thread():
     assert all(g <= 1 for g in gains.values()), gains
 
 
-def _seed_ncc(x, tpl):
-    """Circular zero-mean NCC of one unit-norm zero-mean template, alone."""
-    n = x.size
-    num = np.fft.irfft(np.fft.rfft(x) * np.conj(np.fft.rfft(tpl, n=n)), n=n)
-    denom = _window_norms(x, tpl.size)
-    return np.where(denom > 0.0, num / np.maximum(denom, 1e-30), 0.0)
-
-
 def _seed_stage1(stacked, bank, thresh_pss, group_gap=8):
-    """Reference stage 1: one NCC per PSS shape; lags above thresh_pss at
-    most group_gap apart form a run, and each run keeps its best lag."""
+    """Reference stage 1: the exhaustive scan of each PSS shape; lags above
+    thresh_pss at most group_gap apart form a run, and each run keeps its
+    best lag."""
     cands = []
-    for pss in bank.pss_unit:
-        scores = _seed_ncc(stacked, pss)
+    for scores in correlate_bank(stacked, bank.pss_unit):
         above = np.flatnonzero(scores > thresh_pss)
         if above.size == 0:
             continue
@@ -997,11 +967,21 @@ FENCE = "mode,exit\n-50,-50\n50,-50\n50,50\n-50,50\n"
     (ROADS.replace(",30\n", ",nan\n"), None, "roads.csv:2: non-finite"),
     (ROADS, FENCE.replace("\n50,50\n", "\nnan,50\n"), "fence.csv:4: non-finite"),
     (ROADS, FENCE.replace("\n50,-50\n", "\n50,-50,7\n"), "fence.csv:3: expected"),
-], ids=["speed_nan", "vertex_nan", "vertex_three_fields"])
+    (ROADS.split("\n")[0] + "\n", None, "roads.csv: empty road graph"),
+    (ROADS.replace(",30\n", ",-3\n"), None,
+     "roads.csv:2: edge (a,b) max_speed -3.0 <= 0"),
+    (ROADS, "mode,exit\n0,0\n1,0\n", "fence.csv: polygon needs >= 3"),
+    (ROADS, "mode,exit\n0,0\n1,1\n1,0\n0,1\n",
+     "fence.csv: polygon is self-intersecting"),
+    (ROADS, FENCE.replace("exit", "leave"), "fence.csv:1: first line"),
+], ids=["speed_nan", "vertex_nan", "vertex_three_fields", "roads_header_only",
+        "speed_negative", "fence_two_vertices", "fence_self_intersecting",
+        "fence_mode_unknown"])
 def test_cli_track_bad_roads_or_geofence_exits_2(tmp_path, capsys, roads,
                                                  fence, where):
-    """A road or geofence line that does not parse to finite numbers
-    exits 2 naming path:line, and nothing is written."""
+    """A road or geofence file that does not parse to finite numbers, or
+    that the road graph or geofence rejects, exits 2 naming its path, and
+    path:line where one line is at fault; nothing is written."""
     from foldloc.cli import main
     (tmp_path / "traj.csv").write_text(TRACK_FIXES)
     (tmp_path / "roads.csv").write_text(roads)
@@ -1017,11 +997,13 @@ def test_cli_track_bad_roads_or_geofence_exits_2(tmp_path, capsys, roads,
 
 @pytest.mark.parametrize("row, message", [
     ("1,nan,5", "non-finite"), ("1,20,inf", "non-finite"),
-    ("1,20,abc", "could not convert"),
-], ids=["x_nan", "y_inf", "y_unparsable"])
+    ("1,20,abc", "could not convert"), ("0,20,5", "t = 0 is not after"),
+    ("-1,20,5", "t = -1 is not after"),
+], ids=["x_nan", "y_inf", "y_unparsable", "t_repeated", "t_step_back"])
 def test_cli_track_bad_trajectory_row_exits_2(tmp_path, capsys, row, message):
-    """A trajectory position that is not a finite number exits 2 naming
-    path:line, and nothing is written."""
+    """A trajectory position that is not a finite number, or a t no later
+    than the previous fix's, exits 2 naming path:line, and nothing is
+    written."""
     from foldloc.cli import main
     traj = tmp_path / "traj.csv"
     traj.write_text(TRACK_FIXES.replace("1,20,5", row))

@@ -8,7 +8,7 @@ single band and for bands whose pairwise difference frequencies all clear
 the low-pass filter; the tests check it against a real-RF oracle that
 upconverts, sums and squares (`tests/oracles.py`). Nothing here adds
 noise: detector noise of `FrontEndConfig.noise_sigma` is added once per
-fix trace, by `harness.synth_fix_trace`.
+fix, by `harness`' synthesis.
 
 `fold_baseband` takes the square into one array and `lowpass_decimate`
 filters it with a polyphase decimator (Crochiere & Rabiner, *Multirate

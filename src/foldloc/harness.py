@@ -11,17 +11,25 @@ named substream of the scenario seed, so reports are byte-identical across
 runs.
 
 Synthesis builds each cell's frames of a fix in one `frame_samples` call,
-then delays them exactly with `_delay`, a four-step DFT (Bailey 1990): its
-passes are batched scipy.fft transforms along the two axes of an
-(n1, FRAME_LEN) view of the trace, so no full-length transform runs and no
-N-sized scratch buffer is taken. The calling thread builds the cells one
-after another and folds each into the total in cell order
-(`lte._overlap`); how a cell's layers, and the delays of small cells, use
-the CPUs is the threading policy in `lte`'s docstring. `run_eval` runs
-its fixes one after another in the calling process.
-`synth_fix_trace` is the only place that adds detector noise: white
-Gaussian noise of the front end's noise_sigma on the summed detector-rate
-trace, from the fix's own "noise" substream.
+then delays them exactly with a four-step DFT (Bailey 1990),
+`_delayed_rows`: its passes are batched scipy.fft transforms along the two
+axes of an (n1, FRAME_LEN) view of the trace, so no full-length transform
+runs and no N-sized scratch buffer is taken. One of two finishes follows.
+The trace finish, `_delay`, ends the inverse transform along the frame
+axis, and `fold_baseband` squares and filters the whole trace:
+`synth_fix_trace` uses it for the full traces `cmd_synth` writes. The
+stacked finish, `_delay_stacked`, takes the square summed over the fix's
+frames straight from the row spectra, by Parseval's theorem along the
+frame axis, so the FIR filters one frame-folded square and no full-rate
+square is made: `synth_fix_stack` uses it for the one stacked frame that
+`run_fix` detects on. The calling thread builds the cells one after
+another and folds each into the total in cell order (`lte._overlap`);
+how a cell's layers, and the delays of small cells, use the CPUs is the
+threading policy in `lte`'s docstring. `run_eval` runs its fixes one
+after another in the calling process.
+`_synth` is the only place that adds detector noise: white Gaussian noise
+of the front end's noise_sigma on the summed detector-rate trace, from the
+fix's own "noise" substream; the stacked frame adds the same draw, stacked.
 """
 from __future__ import annotations
 
@@ -40,8 +48,9 @@ from .detect import (FRAME_LEN, THRESH_PSS, THRESH_SSS, BankMismatchError,
                      Detection, build_bank, hierarchical_detect, refine,
                      stack_frames)
 from .frontend import (DETECTOR_RATE_HZ, SENSITIVITY_FLOOR_DBM,
-                       SPEED_OF_LIGHT, FrontEndConfig, fold_baseband,
-                       path_amplitude, received_power_dbm)
+                       SPEED_OF_LIGHT, FrontEndConfig, design_lowpass,
+                       fold_baseband, lowpass_decimate, path_amplitude,
+                       received_power_dbm)
 from .lte import Pci, _overlap, _run_blocks, _threads, frame_samples
 from .locate import SOLVERS, TowerObservation, solve_tdoa
 from .scenario import Scenario, ScenarioError, read_csv_rows, scenario_cell_db, \
@@ -56,9 +65,10 @@ def _bank_for(fe: FrontEndConfig):
     return build_bank()
 
 
-def _twiddle(a: np.ndarray, sign: int, row: np.ndarray | None = None) -> None:
-    """a[k1, b] *= row[k1, 0] * exp(sign*2j*pi*k1*b/N) in place, N = a.size,
-    with row 1 when None.
+def _twiddle(a: np.ndarray, sign: int, row: np.ndarray | None = None,
+             k: np.ndarray | None = None) -> None:
+    """a[j, b] *= row[j, 0] * exp(sign*2j*pi*k[j]*b/N) in place, N = a.size,
+    with row 1 when None and k[j] = j when None.
 
     With b = 160*q + r (FRAME_LEN = 120*160) the factor is the product of
     an (n1, 120) and an (n1, 160) table, so no N-sized table is made. Row
@@ -66,7 +76,8 @@ def _twiddle(a: np.ndarray, sign: int, row: np.ndarray | None = None) -> None:
     """
     def rows(lo, hi):
         v = a[lo:hi].reshape(hi - lo, FRAME_LEN // 160, 160)
-        step = sign * 2j * np.pi / a.size * np.arange(lo, hi)[:, None]
+        kj = np.arange(lo, hi) if k is None else k[lo:hi]
+        step = sign * 2j * np.pi / a.size * kj[:, None]
         q = np.exp(step * 160 * np.arange(FRAME_LEN // 160))
         v *= (q if row is None else row[lo:hi] * q)[:, :, None]
         v *= np.exp(step * np.arange(160))[:, None, :]
@@ -74,18 +85,21 @@ def _twiddle(a: np.ndarray, sign: int, row: np.ndarray | None = None) -> None:
     _run_blocks(rows, a.shape[0], a.size)
 
 
-def _delay(bb: np.ndarray, delay_samples: float, scale: float) -> np.ndarray:
-    """scale * ifft(fft(bb) * exp(-2j*pi*fftfreq(N)*delay_samples)): bb
-    delayed exactly, circularly and band-limited; bb may be overwritten.
+def _delayed_rows(bb: np.ndarray, delay_samples: float,
+                  scale: float) -> np.ndarray:
+    """The part of the delay both finishes share: Z, (n1, FRAME_LEN), such
+    that the delayed trace y of `_delay` is, at m = FRAME_LEN*j + b,
+    y[m] = sum over k of Z[k, b] * exp(2j*pi*k*m/N) / n1. bb may be
+    overwritten.
 
     bb, N samples in whole 10 ms frames, is viewed as an (n1, FRAME_LEN)
     array. n1-point transforms along axis 0, a twiddle and FRAME_LEN-point
     transforms along axis 1 leave bin k1 + n1*k2 at [k1, k2], so the ramp
     is a row factor (with scale) times a column factor; k2 >= FRAME_LEN/2
-    holds the negative frequencies, as in fftfreq. The inverse runs the
-    same steps backwards. The transforms use scipy's own threads, the
-    twiddles and the column factor row blocks (_run_blocks); below
-    lte._PARALLEL_MIN samples everything runs on one thread.
+    holds the negative frequencies, as in fftfreq. FRAME_LEN-point inverse
+    transforms along axis 1 then give Z. The transforms use scipy's own
+    threads, the twiddle and the column factor row blocks (_run_blocks);
+    below lte._PARALLEL_MIN samples everything runs on one thread.
     """
     n1 = bb.size // FRAME_LEN
     threads = _threads(bb.size)
@@ -100,9 +114,79 @@ def _delay(bb: np.ndarray, delay_samples: float, scale: float) -> np.ndarray:
         a[lo:hi] *= ramp
 
     _run_blocks(columns, n1, a.size)
-    a = scipy.fft.ifft(a, axis=1, overwrite_x=True, workers=threads)
+    return scipy.fft.ifft(a, axis=1, overwrite_x=True, workers=threads)
+
+
+def _delay(bb: np.ndarray, delay_samples: float, scale: float) -> np.ndarray:
+    """scale * ifft(fft(bb) * exp(-2j*pi*fftfreq(N)*delay_samples)): bb
+    delayed exactly, circularly and band-limited; bb may be overwritten.
+
+    The trace finish: the conjugate twiddle and n1-point inverse
+    transforms along axis 0 of `_delayed_rows`' Z.
+    """
+    a = _delayed_rows(bb, delay_samples, scale)
     _twiddle(a, 1)
-    return scipy.fft.ifft(a, axis=0, overwrite_x=True, workers=threads).ravel()
+    return scipy.fft.ifft(a, axis=0, overwrite_x=True,
+                          workers=_threads(bb.size)).ravel()
+
+
+def _delay_stacked(bb: np.ndarray, delay_samples: float, scale: float,
+                   n: int, reach: int) -> np.ndarray:
+    """The square |y|**2 / 2 of y = _delay(bb, delay_samples, scale),
+    summed over its n frames and divided by n, as the detector low-pass
+    of a whole trace sees it: the frame-folded square of q*FRAME_LEN
+    samples, q = n1/n, extended by reach samples each side. bb may be
+    overwritten.
+
+    The stacked finish. Frame f of y holds rows q*f .. q*f + q - 1 of the
+    (n1, FRAME_LEN) view, so with k = n*kb + ka the sum over f is
+    Parseval's over the n-point transform along ka: the twiddle's ka half
+    has unit modulus and drops out, the kb half is the (q, FRAME_LEN)
+    table exp(2j*pi*kb*b/(q*FRAME_LEN)), and a q-point unnormalized
+    inverse along kb leaves the energy to sum over ka, scaled by
+    1/(2*n*n*q*q). At q = 1 that is the sum of |Z|**2/(2*n*n) alone. The
+    low-pass zero-pads the trace, so the extension is the folded square
+    taken periodically, less the square of the trace's last reach samples
+    before it and of its first reach samples after it; those 2*reach
+    samples of y come from Z directly. The twiddle runs row blocks and
+    the energy column blocks (_run_blocks), the inverse scipy's own
+    threads.
+    """
+    z = _delayed_rows(bb, delay_samples, scale)
+    n1 = z.shape[0]
+    q = n1 // n
+    p = np.arange(-reach, reach)
+    ends = (z[:, p % FRAME_LEN] *
+            np.exp(2j * np.pi / z.size * np.outer(np.arange(n1), p))).sum(axis=0)
+    ends = (ends.real * ends.real + ends.imag * ends.imag) / (2 * n1 * n1 * n)
+    if q > 1:
+        _twiddle(z, 1, k=np.arange(n1) // n * n)
+        z = scipy.fft.ifft(z.reshape(q, n, FRAME_LEN), axis=0, norm="forward",
+                           overwrite_x=True, workers=_threads(z.size))
+    parts = z.view(np.float64).reshape(q, n, 2 * FRAME_LEN)   # re, im, ...
+    out = np.empty(q * FRAME_LEN + 2 * reach)
+    folded = out[reach:reach + q * FRAME_LEN]
+    rows = folded.reshape(q, FRAME_LEN)
+
+    def energy(lo, hi):
+        x = parts[:, :, 2 * lo:2 * hi]
+        e = np.einsum("ijk,ijk->ik", x, x)      # summed over ka in order
+        np.add(e[:, 0::2], e[:, 1::2], out=rows[:, lo:hi])
+        rows[:, lo:hi] /= 2 * n * n * q * q
+
+    _run_blocks(energy, FRAME_LEN, z.size)
+    out[:reach] = folded[folded.size - reach:] - ends[:reach]
+    out[reach + folded.size:] = folded[:reach] - ends[reach:]
+    return out
+
+
+def _fir_reach(fs: float) -> int:
+    """Input samples the detector low-pass at rate fs reaches either side
+    of an output, rounded up to whole outputs; 0 where it is all-pass."""
+    dec = int(round(fs / DETECTOR_RATE_HZ))
+    if dec == 1:
+        return 0
+    return -(-(design_lowpass(fs).size // 2) // dec) * dec
 
 
 def _heard_cells(sc: Scenario, rx) -> list:
@@ -112,18 +196,12 @@ def _heard_cells(sc: Scenario, rx) -> list:
             if received_power_dbm(c, rx) >= SENSITIVITY_FLOOR_DBM]
 
 
-def synth_fix_trace(sc: Scenario, fix_idx: int) -> np.ndarray:
-    """Detector-rate trace for one fix: delayed, scaled, folded cells + noise.
-
-    Each cell's n frames are one batched `frame_samples` call; its payload
-    comes from substream(seed, "payload", fix, cell) as if drawn frame by
-    frame. Cells are built, and folded into the total, in cell order on the
-    calling thread; their delays may overlap (lte._overlap).
-    """
+def _synth(sc: Scenario, fix_idx: int, stacked: bool) -> np.ndarray:
+    """synth_fix_trace's trace, or with stacked its frame stack."""
     _, x, y = sc.trajectory[fix_idx]
     rx = np.array([x, y])
     n = sc.n_frames_per_fix
-    total = np.zeros(n * FRAME_LEN)
+    total = np.zeros(FRAME_LEN if stacked else n * FRAME_LEN)
     heard = _heard_cells(sc, rx)
 
     def built():
@@ -134,20 +212,51 @@ def synth_fix_trace(sc: Scenario, fix_idx: int) -> np.ndarray:
             a_rx = path_amplitude(d, cell.carrier_hz) * \
                 10.0 ** ((cell.tx_power_dbm - 30.0) / 20.0)
             rng = substream(sc.rng_seed, "payload", fix_idx, ci)
-            yield (frame_samples(cfg, cell.pci, rng, n_frames=n),
+            job = (frame_samples(cfg, cell.pci, rng, n_frames=n),
                    delay_s * cfg.sample_rate_hz, a_rx)
+            yield job + (n, _fir_reach(cfg.sample_rate_hz)) if stacked else job
 
-    def fold(k, bb):
-        np.add(total, fold_baseband(bb, heard[k][1].frame_cfg.sample_rate_hz),
-               out=total)
+    def fold(k, out):
+        fs = heard[k][1].frame_cfg.sample_rate_hz
+        if stacked:     # the outputs centered on the folded square
+            out = lowpass_decimate(out, fs)
+            first = (out.size - FRAME_LEN) // 2
+            out = out[first:first + FRAME_LEN]
+        else:
+            out = fold_baseband(out, fs)
+        np.add(total, out, out=total)
 
-    _overlap(_delay, built(), fold,
+    _overlap(_delay_stacked if stacked else _delay, built(), fold,
              max((n * c.frame_cfg.frame_len for _, c in heard), default=0))
 
     if sc.front_end.noise_sigma > 0:
         rng = substream(sc.rng_seed, "noise", fix_idx)
-        total += rng.normal(0.0, sc.front_end.noise_sigma, total.size)
+        noise = rng.normal(0.0, sc.front_end.noise_sigma, n * FRAME_LEN)
+        total += stack_frames(noise, n) if stacked else noise
     return total
+
+
+def synth_fix_trace(sc: Scenario, fix_idx: int) -> np.ndarray:
+    """Detector-rate trace for one fix: delayed, scaled, folded cells + noise.
+
+    Each cell's n frames are one batched `frame_samples` call; its payload
+    comes from substream(seed, "payload", fix, cell) as if drawn frame by
+    frame. Cells are built, and folded into the total, in cell order on the
+    calling thread; their delays may overlap (lte._overlap).
+    """
+    return _synth(sc, fix_idx, stacked=False)
+
+
+def synth_fix_stack(sc: Scenario, fix_idx: int) -> np.ndarray:
+    """stack_frames(synth_fix_trace(sc, fix_idx), n), to rounding, for the
+    fix's n frames: the one stacked frame that detection reads.
+
+    Each cell is built as in synth_fix_trace but finished stacked
+    (`_delay_stacked`): no frame-axis inverse transform, no full-rate
+    square, and the FIR runs over one frame-folded square instead of n
+    frames. Noise is the same full-length draw, stacked.
+    """
+    return _synth(sc, fix_idx, stacked=True)
 
 
 def detect_trace(trace: np.ndarray, bank, thresh_pss: float = THRESH_PSS,
@@ -155,7 +264,9 @@ def detect_trace(trace: np.ndarray, bank, thresh_pss: float = THRESH_PSS,
                  mode: str = "plain") -> list[Detection]:
     """Stack, detect with the hierarchical search, then refine one trace.
 
-    n_stack None stacks every whole frame of the trace. mode has the one
+    n_stack None stacks every whole frame of the trace. A trace that is
+    already one stacked frame of FRAME_LEN samples, as `synth_fix_stack`
+    returns, takes n_stack=1, which leaves it as it is. mode has the one
     value "plain" and raises otherwise; it stays only because the
     benchmark's workloads pass Scenario.correlation_mode positionally.
     """
@@ -194,9 +305,8 @@ def run_fix(sc: Scenario, fix_idx: int) -> dict:
     """Synthesize, detect, and localize one fix; returns a JSON-able record."""
     t, x, y = sc.trajectory[fix_idx]
     rx = np.array([x, y])
-    trace = synth_fix_trace(sc, fix_idx)
-    dets = detect_trace(trace, _bank_for(sc.front_end), sc.thresh_pss,
-                        sc.thresh_sss, sc.n_frames_per_fix)
+    dets = detect_trace(synth_fix_stack(sc, fix_idx), _bank_for(sc.front_end),
+                        sc.thresh_pss, sc.thresh_sss, 1)
     truth = sorted(c.pci.value for _, c in _heard_cells(sc, rx))
 
     obs, skipped = _observations(dets, scenario_cell_db(sc))

@@ -14,8 +14,9 @@ data-free frames from the sync symbols inside it alone.
 
 Threading, for the whole package: the large layers of synthesis split
 their work into blocks with `_run_blocks`: the frames of `frame_samples`,
-the twiddles and column factor of `harness._delay`, and the square and the
-FIR of `frontend.fold_baseband`. A layer whose array holds at least
+the twiddles and column factor of the delay in `harness` and the energy of
+its stacked finish, and the square and the FIR of
+`frontend.fold_baseband`. A layer whose array holds at least
 _PARALLEL_MIN = 2**19 elements runs its blocks on every CPU the process
 may run on, the first on the calling thread and the others on helper
 threads; a smaller one runs them all on the calling thread, where a second
@@ -23,7 +24,11 @@ thread would cost more than it saves. The numpy calls inside the blocks
 release the GIL, so the blocks do run at once. Jobs too small to split
 overlap instead: `_overlap` works a sequence of them, such as the delays
 of a fix's cells below _PARALLEL_MIN, on the helper threads while the
-caller draws the next jobs and finishes the done ones in order. Block and
+caller draws the next jobs and finishes the done ones in order. For a
+fix's trace a helper returns the cell's delayed samples, which the caller
+folds; for its stacked frame, the cell's frame-folded square, which at
+1.4 MHz is the cell's FRAME_LEN samples of the stacked frame and at wider
+bandwidths is what the caller's FIR reads. Block and
 work functions are private and call no public function of the package, so
 a tracer that wraps public functions, and keeps one span stack for all
 threads, sees every call on the thread that made it. The output does not

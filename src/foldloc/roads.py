@@ -90,7 +90,8 @@ def snap_trajectory(fixes: list[Fix], graph: RoadGraph, k: int = 5) -> list[Fix]
     from at least one candidate of the previous fix within
     (t_i - t_{i-1}) * max network speed. An emptied filter re-seeds from
     the unconstrained k-nearest (flagged on the fix). The snapped point is
-    the nearest surviving candidate.
+    the nearest surviving candidate. A fix whose t is not after the
+    previous fix's raises ValueError: its reach would be negative.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -98,7 +99,10 @@ def snap_trajectory(fixes: list[Fix], graph: RoadGraph, k: int = 5) -> list[Fix]
     out = []
     prev_pts: list[tuple[float, float]] = []
     prev_t = None
-    for fx in fixes:
+    for i, fx in enumerate(fixes):
+        if prev_t is not None and not fx.t > prev_t:
+            raise ValueError(f"fix {i}: t = {fx.t:g} is not after the "
+                             f"previous fix's {prev_t:g}")
         cands = graph.nearest_candidates(fx.position, k)
         reseeded = False
         if prev_pts:

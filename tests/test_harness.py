@@ -27,7 +27,7 @@ from foldloc.frontend import (DETECTOR_RATE_HZ, SENSITIVITY_FLOOR_DBM,
                               received_power_dbm)
 from foldloc.harness import (cmd_localize, cmd_synth, compute_metrics,
                              detect_trace, run_eval, run_fix, run_urban_sim,
-                             synth_fix_trace)
+                             synth_fix_stack, synth_fix_trace)
 from foldloc.lte import FrameConfig, Pci
 from foldloc.scenario import CellDatabase, Scenario, load_scenario, substream
 from oracles import build_frame, correlate_bank, ofdm_modulate
@@ -193,19 +193,33 @@ def _wideband_scenario(bandwidths=(20.0, 10.0, 5.0), n_frames=2):
                     n_frames_per_fix=n_frames, solver="ratio")
 
 
+def _wrapping_wideband_scenario():
+    """The wideband scenario with the 20 MHz cell's frame origin 8 samples
+    short of two frames: with its 5 samples of travel, its delay is about
+    3 samples short of the trace, so its frame starts at the last samples
+    of the trace and wraps to the first."""
+    sc = _wideband_scenario()
+    first = replace(sc.cells[0], frame_time_origin_s=0.02 - 8 / FS)
+    return replace(sc, cells=[first, *sc.cells[1:]])
+
+
 # the delay views a cell's n frames as (n * fft_size / 128, FRAME_LEN): one
 # row per frame at 1.4 MHz, and 12 per frame at 15 MHz (FFT size 1536)
-@pytest.mark.parametrize("make", [
-    lambda: _s5_scenario((0, 1500, 3000, 4500, 6000)),
-    lambda: _s5_scenario((0,) * 5),
-    _wideband_scenario,
-    lambda: replace(_s5_scenario((0, 1500, 3000, 4500, 6000)),
-                    n_frames_per_fix=1),
-    lambda: _wideband_scenario(n_frames=1),
-    lambda: _wideband_scenario(n_frames=3),
-    lambda: _wideband_scenario((15.0, 3.0, 1.4)),
-], ids=["s5_offset", "s5_synchronized", "wideband_20_10_5", "s5_offset_1_frame",
-        "wideband_1_frame", "wideband_3_frames", "wideband_15_3_1.4"])
+_SYNTH_SCENARIOS = [
+    pytest.param(lambda: _s5_scenario((0, 1500, 3000, 4500, 6000)),
+                 id="s5_offset"),
+    pytest.param(lambda: _s5_scenario((0,) * 5), id="s5_synchronized"),
+    pytest.param(_wideband_scenario, id="wideband_20_10_5"),
+    pytest.param(lambda: replace(_s5_scenario((0, 1500, 3000, 4500, 6000)),
+                                 n_frames_per_fix=1), id="s5_offset_1_frame"),
+    pytest.param(lambda: _wideband_scenario(n_frames=1), id="wideband_1_frame"),
+    pytest.param(lambda: _wideband_scenario(n_frames=3), id="wideband_3_frames"),
+    pytest.param(lambda: _wideband_scenario((15.0, 3.0, 1.4)),
+                 id="wideband_15_3_1.4"),
+]
+
+
+@pytest.mark.parametrize("make", _SYNTH_SCENARIOS)
 def test_synth_matches_frame_by_frame_reference(make):
     sc = make()
     for i in range(len(sc.trajectory)):
@@ -215,28 +229,52 @@ def test_synth_matches_frame_by_frame_reference(make):
         assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
 
 
+@pytest.mark.parametrize("make", _SYNTH_SCENARIOS + [
+    pytest.param(lambda: replace(_wideband_scenario(),
+                                 front_end=FrontEndConfig(noise_sigma=1e-9)),
+                 id="wideband_noisy"),
+    pytest.param(_wrapping_wideband_scenario, id="wideband_wrapping"),
+])
+def test_synth_stack_matches_stacked_reference(make):
+    """The stacked frame equals the frame-by-frame reference trace, plus
+    the fix's noise draw, stacked over the fix's frames."""
+    sc = make()
+    n = sc.n_frames_per_fix
+    for i in range(len(sc.trajectory)):
+        trace = _seed_synth_fix_trace(sc, i)
+        if sc.front_end.noise_sigma > 0:
+            trace += substream(sc.rng_seed, "noise", i).normal(
+                0.0, sc.front_end.noise_sigma, trace.size)
+        want = stack_frames(trace, n)
+        got = synth_fix_stack(sc, i)
+        assert got.shape == (FRAME_LEN,)
+        assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
+
+
 _THREAD_COUNTS_SCRIPT = """
 import pickle
 import sys
 import numpy as np
 from foldloc import lte
-from foldloc.harness import synth_fix_trace
+from foldloc.harness import synth_fix_stack, synth_fix_trace
 
 sys.setswitchinterval(1e-5)   # more thread switches inside the blocks
 for sc in pickle.load(sys.stdin.buffer):
-    runs = []
-    for share in (1, 2, 3):   # 3: more threads than two CPUs
-        lte._CPU_SHARE = share
-        runs.append(synth_fix_trace(sc, 0))
-    print(all(np.array_equal(r, runs[0]) for r in runs[1:]))
+    for synth in (synth_fix_trace, synth_fix_stack):
+        runs = []
+        for share in (1, 2, 3):   # 3: more threads than two CPUs
+            lte._CPU_SHARE = share
+            runs.append(synth(sc, 0))
+        print(all(np.array_equal(r, runs[0]) for r in runs[1:]))
 """
 
 
 def test_synth_does_not_depend_on_fft_threads():
-    """The trace is the same bits at every thread count: five small cells
-    whose delays overlap, cells just under and just over the size at which
-    a layer splits, and large cells mixed with a small one. It runs in a
-    child process, so a deadlock fails the test instead of hanging."""
+    """The trace and the stacked frame are the same bits at every thread
+    count: five small cells whose delays overlap, cells just under and
+    just over the size at which a layer splits, and large cells mixed
+    with a small one. It runs in a child process, so a deadlock fails the
+    test instead of hanging."""
     # a 5 MHz cell of 6 frames is just under the size at which a layer
     # splits across threads, one of 7 frames just over it
     frame = FrameConfig.from_bandwidth(5.0).frame_len
@@ -256,7 +294,7 @@ def test_synth_does_not_depend_on_fft_threads():
         proc.communicate()
         pytest.fail("a fix at some thread count did not finish")
     assert proc.returncode == 0, err.decode()
-    assert out.decode().split() == ["True"] * len(scenarios)
+    assert out.decode().split() == ["True"] * 2 * len(scenarios)
 
 
 def _child_env():
@@ -309,7 +347,9 @@ def test_traced_layers_run_on_the_calling_thread(monkeypatch):
     one, through any foldloc binding of it, runs on the thread that
     synthesizes the fix, so the spans of a tracer with one stack nest. A
     wideband fix splits its layers across threads; an S5 fix delays its
-    small cells on the helper thread while the caller builds and folds."""
+    small cells on the helper thread while the caller builds and folds.
+    run_fix, which synthesizes the stacked frame, filters each cell once
+    and folds none at the full rate."""
     calls = []
 
     def recording(name, original):
@@ -334,13 +374,16 @@ def test_traced_layers_run_on_the_calling_thread(monkeypatch):
     monkeypatch.setattr(lte, "_CPU_SHARE", 2)
     for sc, n_cells in ((_wideband_scenario(), 3),
                         (_s5_scenario((0, 1500, 3000, 4500, 6000)), 5)):
-        calls.clear()
-        helpers.clear()
-        synth_fix_trace(sc, 0)
-        assert helpers, "no work ran on a helper thread"
-        assert sorted(n for n, _ in calls) == sorted(
-            ["frame_samples", "fold_baseband", "lowpass_decimate"] * n_cells)
-        assert {t for _, t in calls} == {threading.get_ident()}
+        harness._bank_for(sc.front_end)     # built before the calls count
+        for run, layers in ((synth_fix_trace, ["frame_samples", "fold_baseband",
+                                               "lowpass_decimate"]),
+                            (run_fix, ["frame_samples", "lowpass_decimate"])):
+            calls.clear()
+            helpers.clear()
+            run(sc, 0)
+            assert helpers, f"no work of {run.__name__} ran on a helper thread"
+            assert sorted(n for n, _ in calls) == sorted(layers * n_cells)
+            assert {t for _, t in calls} == {threading.get_ident()}
 
 
 _FORKED_POOL_SCRIPT = """
@@ -634,6 +677,39 @@ def test_run_fix_record_roundtrips_through_json():
     assert back["detections"][0][0] == 101
     assert back["estimate"] is None   # one tower cannot localize
     assert back["n_towers"] == 1
+
+
+@pytest.mark.parametrize("sc", [
+    _s5_scenario((0, 1500, 3000, 4500, 6000)), _s5_scenario((0,) * 5),
+    # at the default thresholds no wideband fix detects anything
+    replace(_wideband_scenario(), thresh_pss=0.15, thresh_sss=0.25),
+], ids=["s5_offset", "s5_synchronized", "wideband"])
+def test_run_fix_detects_as_the_full_trace_does(bank, sc, monkeypatch):
+    """run_fix's detections, from its stacked frame, are those of the full
+    trace: the same PCIs at the same delays, in the same order, with
+    offsets, amplitudes and scores equal to within 1e-9."""
+    seen = []
+
+    def detecting(*args, **kwargs):
+        seen.append(detect_trace(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(harness, "detect_trace", detecting)
+    for i in range(len(sc.trajectory)):
+        want = detect_trace(synth_fix_trace(sc, i), bank, sc.thresh_pss,
+                            sc.thresh_sss, sc.n_frames_per_fix)
+        seen.clear()
+        record = run_fix(sc, i)
+        got, = seen
+        assert want
+        assert [(d.pci, d.delay_samples) for d in got] == \
+            [(d.pci, d.delay_samples) for d in want]
+        assert [d[:2] for d in record["detections"]] == \
+            [[d.pci.value, d.delay_samples] for d in want]
+        for g, w in zip(got, want):
+            assert abs(g.subsample_offset - w.subsample_offset) <= 1e-9
+            assert abs(g.amplitude - w.amplitude) <= 1e-9 * w.amplitude
+            assert abs(g.score - w.score) <= 1e-9
 
 
 def test_run_fix_records_amplitude_to_nine_significant_digits(bank):

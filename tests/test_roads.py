@@ -116,6 +116,18 @@ def test_snap_rejects_bad_k():
         snap_trajectory([Fix(t=0.0, position=(0.0, 0.0))], _straight_road(), k=0)
 
 
+@pytest.mark.parametrize("times, message", [
+    ((5.0, 4.0, 4.0), "fix 1: t = 4 is not after the previous fix's 5"),
+    ((5.0, 6.0, 6.0), "fix 2: t = 6 is not after the previous fix's 6"),
+], ids=["step_back", "repeated"])
+def test_snap_rejects_fixes_out_of_time_order(times, message):
+    """A fix no later than the previous one raises instead of re-seeding
+    every later fix from a negative reach."""
+    fixes = [Fix(t=t, position=(100.0 * i, 5.0)) for i, t in enumerate(times)]
+    with pytest.raises(ValueError, match=message):
+        snap_trajectory(fixes, _straight_road())
+
+
 # ------------------------------------------------------------ graph checks
 
 

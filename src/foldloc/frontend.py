@@ -14,9 +14,11 @@ fix, by `harness`' synthesis.
 filters it with a polyphase decimator (Crochiere & Rabiner, *Multirate
 Digital Signal Processing*, 1983): the input, viewed as rows of dec
 samples, meets a (taps/dec + 1, dec) matrix of the taps in one matrix
-product per block of outputs, whose shifted rows add up to the block. How
-their blocks use the CPUs and BLAS is the threading policy in `lte`'s
-docstring.
+product per block of outputs, whose shifted rows add up to the block.
+`detect.build_bank` folds its templates with `fold_baseband`; `harness`'
+synthesis takes each cell's square in its delay and filters it with
+`lowpass_decimate`. How the FIR's blocks use the CPUs and BLAS is the
+threading policy in `lte`'s docstring.
 """
 from __future__ import annotations
 
@@ -40,10 +42,10 @@ LPF_ATTEN_DB = 60.0
 # a cell received below this power is neither synthesized nor counted as
 # truth: the detector cannot hear it
 SENSITIVITY_FLOOR_DBM = -70.0
-# elements of the temporaries one block of the square makes, so that helper
-# threads keep little memory. A block of the FIR makes _CHUNK // 4 outputs
-# from a product of about 5 * _CHUNK elements (its polyphase matrix has about
-# 20 rows at every rate), large enough that its numpy calls cost little.
+# a block of the FIR makes _CHUNK // 4 outputs from a product of about
+# 5 * _CHUNK elements (its polyphase matrix has about 20 rows at every rate):
+# large enough that its numpy calls cost little, small enough that helper
+# threads keep little memory
 _CHUNK = 1 << 14
 
 
@@ -208,19 +210,12 @@ def fold_baseband(bb: np.ndarray, fs_in: float) -> np.ndarray:
 
     Matches the real-RF square+filter pipeline for any single band (the
     2*f_c image is what the filter removes), up to filter leakage. The
-    square is taken into one array by blocks on the caller's share of the
-    CPUs, then filtered by lowpass_decimate on the calling thread.
+    square is taken into one array, then filtered by lowpass_decimate.
     """
-    sq = np.empty(bb.shape)
-    flat_bb, flat_sq = bb.reshape(-1), sq.reshape(-1)
-
-    def square(lo, hi):
-        x, s = flat_bb[lo:hi], flat_sq[lo:hi]
-        np.multiply(x.real, x.real, out=s)
-        s += x.imag * x.imag
-        s *= 0.5
-
-    _run_blocks(square, sq.size, sq.size, _CHUNK)
+    sq = np.empty(bb.shape)     # C order, whatever bb's layout
+    np.multiply(bb.real, bb.real, out=sq)
+    sq += bb.imag * bb.imag
+    sq *= 0.5
     return lowpass_decimate(sq, fs_in)
 
 

@@ -14,19 +14,18 @@ Synthesis builds each cell's frames of a fix in one `frame_samples` call,
 then delays them exactly with a four-step DFT (Bailey 1990),
 `_delayed_rows`: its passes are batched scipy.fft transforms along the two
 axes of an (n1, FRAME_LEN) view of the trace, so no full-length transform
-runs and no N-sized scratch buffer is taken. One of two finishes follows.
-The trace finish, `_delay`, ends the inverse transform along the frame
-axis, and `fold_baseband` squares and filters the whole trace:
-`synth_fix_trace` uses it for the full traces `cmd_synth` writes. The
-stacked finish, `_delay_stacked`, takes the square summed over the fix's
-frames straight from the row spectra, by Parseval's theorem along the
-frame axis, so the FIR filters one frame-folded square and no full-rate
-square is made: `synth_fix_stack` uses it for the one stacked frame that
-`run_fix` detects on. The calling thread builds the cells one after
-another and folds each into the total in cell order (`lte._overlap`);
-how a cell's layers, and the delays of small cells, use the CPUs is the
-threading policy in `lte`'s docstring. `run_eval` runs its fixes one
-after another in the calling process.
+runs and no N-sized scratch buffer is taken. One finish, `_delay_stacked`,
+takes the square of the delayed cell, averaged over the frames that fold
+into each output frame, straight from the row spectra by Parseval's
+theorem, and `lowpass_decimate` filters it: at one frame per output frame
+that is the full trace `synth_fix_trace` returns for `cmd_synth`, and at
+the fix's n frames the one stacked frame `synth_fix_stack` returns for
+`run_fix` to detect on, whose FIR filters one frame-folded square. The
+calling thread builds the cells one after another and folds each into
+the total in cell order (`lte._overlap`); how a cell's layers, and the
+delays of small cells, use the CPUs is the threading policy in `lte`'s
+docstring. `run_eval` runs its fixes one after another in the calling
+process.
 `_synth` is the only place that adds detector noise: white Gaussian noise
 of the front end's noise_sigma on the summed detector-rate trace, from the
 fix's own "noise" substream; the stacked frame adds the same draw, stacked.
@@ -49,8 +48,7 @@ from .detect import (FRAME_LEN, THRESH_PSS, THRESH_SSS, BankMismatchError,
                      stack_frames)
 from .frontend import (DETECTOR_RATE_HZ, SENSITIVITY_FLOOR_DBM,
                        SPEED_OF_LIGHT, FrontEndConfig, design_lowpass,
-                       fold_baseband, lowpass_decimate, path_amplitude,
-                       received_power_dbm)
+                       lowpass_decimate, path_amplitude, received_power_dbm)
 from .lte import Pci, _overlap, _run_blocks, _threads, frame_samples
 from .locate import SOLVERS, TowerObservation, solve_tdoa
 from .scenario import Scenario, ScenarioError, read_csv_rows, scenario_cell_db, \
@@ -87,8 +85,9 @@ def _twiddle(a: np.ndarray, sign: int, row: np.ndarray | None = None,
 
 def _delayed_rows(bb: np.ndarray, delay_samples: float,
                   scale: float) -> np.ndarray:
-    """The part of the delay both finishes share: Z, (n1, FRAME_LEN), such
-    that the delayed trace y of `_delay` is, at m = FRAME_LEN*j + b,
+    """Z, (n1, FRAME_LEN), of y = scale * ifft(fft(bb) *
+    exp(-2j*pi*fftfreq(N)*delay_samples)), bb delayed exactly, circularly
+    and band-limited: at m = FRAME_LEN*j + b,
     y[m] = sum over k of Z[k, b] * exp(2j*pi*k*m/N) / n1. bb may be
     overwritten.
 
@@ -117,40 +116,27 @@ def _delayed_rows(bb: np.ndarray, delay_samples: float,
     return scipy.fft.ifft(a, axis=1, overwrite_x=True, workers=threads)
 
 
-def _delay(bb: np.ndarray, delay_samples: float, scale: float) -> np.ndarray:
-    """scale * ifft(fft(bb) * exp(-2j*pi*fftfreq(N)*delay_samples)): bb
-    delayed exactly, circularly and band-limited; bb may be overwritten.
-
-    The trace finish: the conjugate twiddle and n1-point inverse
-    transforms along axis 0 of `_delayed_rows`' Z.
-    """
-    a = _delayed_rows(bb, delay_samples, scale)
-    _twiddle(a, 1)
-    return scipy.fft.ifft(a, axis=0, overwrite_x=True,
-                          workers=_threads(bb.size)).ravel()
-
-
 def _delay_stacked(bb: np.ndarray, delay_samples: float, scale: float,
                    n: int, reach: int) -> np.ndarray:
-    """The square |y|**2 / 2 of y = _delay(bb, delay_samples, scale),
-    summed over its n frames and divided by n, as the detector low-pass
-    of a whole trace sees it: the frame-folded square of q*FRAME_LEN
-    samples, q = n1/n, extended by reach samples each side. bb may be
-    overwritten.
+    """The square |y|**2 / 2 of `_delayed_rows`' delayed trace y, summed
+    over its n equal parts and divided by n, as the detector low-pass of
+    the whole trace sees it: q*FRAME_LEN samples, q = n1/n, extended by
+    reach samples each side. n is 1 for the trace itself and the frame
+    count for its stacked frame. bb may be overwritten.
 
-    The stacked finish. Frame f of y holds rows q*f .. q*f + q - 1 of the
-    (n1, FRAME_LEN) view, so with k = n*kb + ka the sum over f is
-    Parseval's over the n-point transform along ka: the twiddle's ka half
-    has unit modulus and drops out, the kb half is the (q, FRAME_LEN)
-    table exp(2j*pi*kb*b/(q*FRAME_LEN)), and a q-point unnormalized
-    inverse along kb leaves the energy to sum over ka, scaled by
-    1/(2*n*n*q*q). At q = 1 that is the sum of |Z|**2/(2*n*n) alone. The
-    low-pass zero-pads the trace, so the extension is the folded square
-    taken periodically, less the square of the trace's last reach samples
-    before it and of its first reach samples after it; those 2*reach
-    samples of y come from Z directly. The twiddle runs row blocks and
-    the energy column blocks (_run_blocks), the inverse scipy's own
-    threads.
+    Part f of y holds rows q*f .. q*f + q - 1 of the (n1, FRAME_LEN) view,
+    so with k = n*kb + ka the sum over f is Parseval's over the n-point
+    transform along ka: the twiddle's ka half has unit modulus and drops
+    out, the kb half is the (q, FRAME_LEN) table
+    exp(2j*pi*kb*b/(q*FRAME_LEN)), and a q-point unnormalized inverse
+    along kb leaves the energy to sum over ka, scaled by 1/(2*n*n*q*q).
+    At n = 1 that is y's own n1-point inverse; at q = 1 it is the sum of
+    |Z|**2/(2*n*n) alone. The low-pass zero-pads the trace, so the
+    extension is the folded square taken periodically, less the square
+    of the trace's last reach samples before it and of its first reach
+    samples after it; those 2*reach samples of y come from Z directly.
+    The twiddle runs row blocks and the energy one output row a piece
+    (_run_blocks), the inverse scipy's own threads.
     """
     z = _delayed_rows(bb, delay_samples, scale)
     n1 = z.shape[0]
@@ -169,12 +155,12 @@ def _delay_stacked(bb: np.ndarray, delay_samples: float, scale: float,
     rows = folded.reshape(q, FRAME_LEN)
 
     def energy(lo, hi):
-        x = parts[:, :, 2 * lo:2 * hi]
+        x = parts[lo:hi]
         e = np.einsum("ijk,ijk->ik", x, x)      # summed over ka in order
-        np.add(e[:, 0::2], e[:, 1::2], out=rows[:, lo:hi])
-        rows[:, lo:hi] /= 2 * n * n * q * q
+        np.add(e[:, 0::2], e[:, 1::2], out=rows[lo:hi])
+        rows[lo:hi] /= 2 * n * n * q * q
 
-    _run_blocks(energy, FRAME_LEN, z.size)
+    _run_blocks(energy, q, z.size, 1)
     out[:reach] = folded[folded.size - reach:] - ends[:reach]
     out[reach + folded.size:] = folded[:reach] - ends[reach:]
     return out
@@ -196,12 +182,13 @@ def _heard_cells(sc: Scenario, rx) -> list:
             if received_power_dbm(c, rx) >= SENSITIVITY_FLOOR_DBM]
 
 
-def _synth(sc: Scenario, fix_idx: int, stacked: bool) -> np.ndarray:
-    """synth_fix_trace's trace, or with stacked its frame stack."""
+def _synth(sc: Scenario, fix_idx: int, per: int) -> np.ndarray:
+    """The fix's trace with per frames averaged into each output frame:
+    the trace itself at per = 1, its stacked frame at per = n."""
     _, x, y = sc.trajectory[fix_idx]
     rx = np.array([x, y])
     n = sc.n_frames_per_fix
-    total = np.zeros(FRAME_LEN if stacked else n * FRAME_LEN)
+    total = np.zeros(n // per * FRAME_LEN)
     heard = _heard_cells(sc, rx)
 
     def built():
@@ -212,27 +199,22 @@ def _synth(sc: Scenario, fix_idx: int, stacked: bool) -> np.ndarray:
             a_rx = path_amplitude(d, cell.carrier_hz) * \
                 10.0 ** ((cell.tx_power_dbm - 30.0) / 20.0)
             rng = substream(sc.rng_seed, "payload", fix_idx, ci)
-            job = (frame_samples(cfg, cell.pci, rng, n_frames=n),
-                   delay_s * cfg.sample_rate_hz, a_rx)
-            yield job + (n, _fir_reach(cfg.sample_rate_hz)) if stacked else job
+            yield (frame_samples(cfg, cell.pci, rng, n_frames=n),
+                   delay_s * cfg.sample_rate_hz, a_rx, per,
+                   _fir_reach(cfg.sample_rate_hz))
 
-    def fold(k, out):
-        fs = heard[k][1].frame_cfg.sample_rate_hz
-        if stacked:     # the outputs centered on the folded square
-            out = lowpass_decimate(out, fs)
-            first = (out.size - FRAME_LEN) // 2
-            out = out[first:first + FRAME_LEN]
-        else:
-            out = fold_baseband(out, fs)
-        np.add(total, out, out=total)
+    def fold(k, out):   # the outputs centered on the folded square
+        out = lowpass_decimate(out, heard[k][1].frame_cfg.sample_rate_hz)
+        first = (out.size - total.size) // 2
+        np.add(total, out[first:first + total.size], out=total)
 
-    _overlap(_delay_stacked if stacked else _delay, built(), fold,
+    _overlap(_delay_stacked, built(), fold,
              max((n * c.frame_cfg.frame_len for _, c in heard), default=0))
 
     if sc.front_end.noise_sigma > 0:
         rng = substream(sc.rng_seed, "noise", fix_idx)
         noise = rng.normal(0.0, sc.front_end.noise_sigma, n * FRAME_LEN)
-        total += stack_frames(noise, n) if stacked else noise
+        total += noise.reshape(per, total.size).mean(axis=0)
     return total
 
 
@@ -241,22 +223,24 @@ def synth_fix_trace(sc: Scenario, fix_idx: int) -> np.ndarray:
 
     Each cell's n frames are one batched `frame_samples` call; its payload
     comes from substream(seed, "payload", fix, cell) as if drawn frame by
-    frame. Cells are built, and folded into the total, in cell order on the
-    calling thread; their delays may overlap (lte._overlap).
+    frame. Each is finished by `_delay_stacked` at one frame per output
+    frame, its square extended as the low-pass's zero padding needs, and
+    filtered. Cells are built, and folded into the total, in cell order on
+    the calling thread; their delays may overlap (lte._overlap).
     """
-    return _synth(sc, fix_idx, stacked=False)
+    return _synth(sc, fix_idx, 1)
 
 
 def synth_fix_stack(sc: Scenario, fix_idx: int) -> np.ndarray:
     """stack_frames(synth_fix_trace(sc, fix_idx), n), to rounding, for the
     fix's n frames: the one stacked frame that detection reads.
 
-    Each cell is built as in synth_fix_trace but finished stacked
-    (`_delay_stacked`): no frame-axis inverse transform, no full-rate
-    square, and the FIR runs over one frame-folded square instead of n
-    frames. Noise is the same full-length draw, stacked.
+    Each cell is built as in synth_fix_trace but finished at n frames per
+    output frame: no frame-axis inverse transform, and the FIR runs over
+    one frame-folded square instead of n frames. Noise is the same
+    full-length draw, stacked.
     """
-    return _synth(sc, fix_idx, stacked=True)
+    return _synth(sc, fix_idx, sc.n_frames_per_fix)
 
 
 def detect_trace(trace: np.ndarray, bank, thresh_pss: float = THRESH_PSS,

@@ -14,9 +14,8 @@ data-free frames from the sync symbols inside it alone.
 
 Threading, for the whole package: the large layers of synthesis split
 their work into blocks with `_run_blocks`: the frames of `frame_samples`,
-the twiddles and column factor of the delay in `harness` and the energy of
-its stacked finish, and the square and the FIR of
-`frontend.fold_baseband`. A layer whose array holds at least
+the twiddles, column factor and energy of the delay in `harness`, and the
+FIR of `frontend.lowpass_decimate`. A layer whose array holds at least
 _PARALLEL_MIN = 2**19 elements runs its blocks on every CPU the process
 may run on, the first on the calling thread and the others on helper
 threads; a smaller one runs them all on the calling thread, where a second
@@ -24,15 +23,13 @@ thread would cost more than it saves. The numpy calls inside the blocks
 release the GIL, so the blocks do run at once. Jobs too small to split
 overlap instead: `_overlap` works a sequence of them, such as the delays
 of a fix's cells below _PARALLEL_MIN, on the helper threads while the
-caller draws the next jobs and finishes the done ones in order. For a
-fix's trace a helper returns the cell's delayed samples, which the caller
-folds; for its stacked frame, the cell's frame-folded square, which at
-1.4 MHz is the cell's FRAME_LEN samples of the stacked frame and at wider
-bandwidths is what the caller's FIR reads. Block and
-work functions are private and call no public function of the package, so
-a tracer that wraps public functions, and keeps one span stack for all
-threads, sees every call on the thread that made it. The output does not
-depend on the thread count.
+caller draws the next jobs and finishes the done ones in order. A helper
+returns a cell's square, folded over the frames averaged into each output
+frame, which the caller filters; at 1.4 MHz it is already the cell's
+share of the output. Block and work functions are private and call no
+public function of the package, so a tracer that wraps public functions,
+and keeps one span stack for all threads, sees every call on the thread
+that made it. The output does not depend on the thread count.
 
 These blocks and overlapped jobs, and scipy.fft's workers at or above
 _PARALLEL_MIN, are foldloc's only parallel work; with one CPU there is
@@ -468,8 +465,9 @@ def frame_samples(cfg: FrameConfig, pci: Pci, rng: np.random.Generator,
                   n_frames: int = 1) -> np.ndarray:
     """n_frames consecutive 10 ms frames of one cell, modulated end to end.
 
-    The occupied band carries random QPSK from one (n, band, 140) draw of
-    rng, which takes the same bits as n draws of one frame each. Equal, to
+    The occupied band carries random QPSK from one (n, band, 140) int32
+    draw of rng, which takes the same values, and leaves rng in the same
+    state, as n int64 draws of one frame each. Equal, to
     rounding, to concatenating n_frames single-frame calls that share one
     Generator, but built frame by frame into one output array, on the
     caller's share of the CPUs when the frames are large (_run_blocks).
@@ -477,7 +475,7 @@ def frame_samples(cfg: FrameConfig, pci: Pci, rng: np.random.Generator,
     if n_frames < 1:
         raise ValueError(f"n_frames must be at least 1, got {n_frames}")
     bits = rng.integers(0, 4, size=(n_frames, 12 * cfg.n_resource_blocks,
-                                    SYMBOLS_PER_FRAME))
+                                    SYMBOLS_PER_FRAME), dtype=np.int32)
     sync = _sync_columns(pci)
     insert = _cp_layout(cfg)
     out = np.empty((n_frames, cfg.frame_len), dtype=np.complex128)

@@ -110,6 +110,8 @@ class Scenario:
             raise ScenarioError("correlation_mode must be plain")
         if self.n_frames_per_fix < 1:
             raise ScenarioError("n_frames_per_fix must be >= 1")
+        if self.rng_seed < 0:       # substream seeds take no negative value
+            raise ScenarioError(f"seed must be >= 0, got {self.rng_seed}")
         check_thresholds(self.thresh_pss, self.thresh_sss)
 
 

@@ -216,36 +216,42 @@ _SYNTH_SCENARIOS = [
     pytest.param(lambda: _wideband_scenario(n_frames=3), id="wideband_3_frames"),
     pytest.param(lambda: _wideband_scenario((15.0, 3.0, 1.4)),
                  id="wideband_15_3_1.4"),
+    pytest.param(lambda: replace(_wideband_scenario(),
+                                 front_end=FrontEndConfig(noise_sigma=1e-9)),
+                 id="wideband_noisy"),
+    pytest.param(_wrapping_wideband_scenario, id="wideband_wrapping"),
 ]
+
+
+def _noisy_reference(sc, fix_idx):
+    """The frame-by-frame reference trace plus the fix's noise draw."""
+    trace = _seed_synth_fix_trace(sc, fix_idx)
+    if sc.front_end.noise_sigma > 0:
+        trace += substream(sc.rng_seed, "noise", fix_idx).normal(
+            0.0, sc.front_end.noise_sigma, trace.size)
+    return trace
 
 
 @pytest.mark.parametrize("make", _SYNTH_SCENARIOS)
 def test_synth_matches_frame_by_frame_reference(make):
+    """The trace equals the frame-by-frame reference trace, plus the
+    fix's noise draw, also where a cell's delay wraps the trace end."""
     sc = make()
     for i in range(len(sc.trajectory)):
-        want = _seed_synth_fix_trace(sc, i)
+        want = _noisy_reference(sc, i)
         got = synth_fix_trace(sc, i)
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
 
 
-@pytest.mark.parametrize("make", _SYNTH_SCENARIOS + [
-    pytest.param(lambda: replace(_wideband_scenario(),
-                                 front_end=FrontEndConfig(noise_sigma=1e-9)),
-                 id="wideband_noisy"),
-    pytest.param(_wrapping_wideband_scenario, id="wideband_wrapping"),
-])
+@pytest.mark.parametrize("make", _SYNTH_SCENARIOS)
 def test_synth_stack_matches_stacked_reference(make):
     """The stacked frame equals the frame-by-frame reference trace, plus
     the fix's noise draw, stacked over the fix's frames."""
     sc = make()
     n = sc.n_frames_per_fix
     for i in range(len(sc.trajectory)):
-        trace = _seed_synth_fix_trace(sc, i)
-        if sc.front_end.noise_sigma > 0:
-            trace += substream(sc.rng_seed, "noise", i).normal(
-                0.0, sc.front_end.noise_sigma, trace.size)
-        want = stack_frames(trace, n)
+        want = stack_frames(_noisy_reference(sc, i), n)
         got = synth_fix_stack(sc, i)
         assert got.shape == (FRAME_LEN,)
         assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
@@ -348,8 +354,8 @@ def test_traced_layers_run_on_the_calling_thread(monkeypatch):
     synthesizes the fix, so the spans of a tracer with one stack nest. A
     wideband fix splits its layers across threads; an S5 fix delays its
     small cells on the helper thread while the caller builds and folds.
-    run_fix, which synthesizes the stacked frame, filters each cell once
-    and folds none at the full rate."""
+    The trace and run_fix's stacked frame each filter every cell once and
+    fold none at the full rate."""
     calls = []
 
     def recording(name, original):
@@ -375,14 +381,13 @@ def test_traced_layers_run_on_the_calling_thread(monkeypatch):
     for sc, n_cells in ((_wideband_scenario(), 3),
                         (_s5_scenario((0, 1500, 3000, 4500, 6000)), 5)):
         harness._bank_for(sc.front_end)     # built before the calls count
-        for run, layers in ((synth_fix_trace, ["frame_samples", "fold_baseband",
-                                               "lowpass_decimate"]),
-                            (run_fix, ["frame_samples", "lowpass_decimate"])):
+        for run in (synth_fix_trace, run_fix):
             calls.clear()
             helpers.clear()
             run(sc, 0)
             assert helpers, f"no work of {run.__name__} ran on a helper thread"
-            assert sorted(n for n, _ in calls) == sorted(layers * n_cells)
+            assert sorted(n for n, _ in calls) == \
+                sorted(["frame_samples", "lowpass_decimate"] * n_cells)
             assert {t for _, t in calls} == {threading.get_ident()}
 
 
@@ -974,6 +979,15 @@ def test_cli_detect_builds_bank_once_per_process(tmp_path, monkeypatch):
     finally:
         harness._bank_for.cache_clear()
     assert len(builds) == 1
+
+
+def test_cli_synth_negative_seed_exits_2_without_output(tmp_path, capsys):
+    from foldloc.cli import main
+    ini = tmp_path / "sc.ini"
+    ini.write_text(SCENARIO_INI.replace("seed = 5", "seed = -1"))
+    assert main(["synth", str(ini), "-o", str(tmp_path / "traces")]) == 2
+    assert "seed" in capsys.readouterr().err
+    assert not (tmp_path / "traces").exists()
 
 
 def test_cli_localize_manifest_without_detections_path_exits_2(tmp_path, capsys):

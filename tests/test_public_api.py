@@ -1,7 +1,9 @@
 """Every name foldloc exports is read in src/ or benchmarks/, outside its own
 definition and the package's import of it; what only tests call belongs in
-tests/oracles.py. The sources are parsed, not imported."""
+tests/oracles.py. Every private module-level name of the package is read in
+src/ outside its own definition. The sources are parsed, not imported."""
 import ast
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
@@ -22,3 +24,36 @@ READ = {node.id if isinstance(node, ast.Name) else node.attr
 @pytest.mark.parametrize("name", EXPORTS)
 def test_export_is_read_outside_tests(name):
     assert name in READ, f"foldloc.{name} has no reader in src/ or benchmarks/"
+
+
+def _defined(node):
+    """Names a module-level statement defines as a function, class or
+    assigned constant."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        return [t.id for t in node.targets if isinstance(t, ast.Name)]
+    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        return [node.target.id]
+    return []
+
+
+TREES = [ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))]
+# (name, defining statement) of every private, not dunder, module-level name
+PRIVATE = sorted(((name, node) for tree in TREES for node in tree.body
+                  for name in _defined(node)
+                  if name.startswith("_") and not name.endswith("__")),
+                 key=lambda d: d[0])
+# name -> the nodes of src/ that read it, as a bare name or an attribute
+LOADS = defaultdict(list)
+for node in (node for tree in TREES for node in ast.walk(tree)):
+    if isinstance(node, (ast.Name, ast.Attribute)) \
+            and isinstance(node.ctx, ast.Load):
+        LOADS[node.id if isinstance(node, ast.Name) else node.attr].append(node)
+
+
+@pytest.mark.parametrize("name,definition", PRIVATE, ids=[n for n, _ in PRIVATE])
+def test_private_name_is_read_in_src(name, definition):
+    inside = set(map(id, ast.walk(definition)))
+    assert any(id(node) not in inside for node in LOADS[name]), \
+        f"{name} has no reader in src/ outside its definition"

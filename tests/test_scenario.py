@@ -271,6 +271,12 @@ def test_ini_syntax_error_is_scenario_error(tmp_path):
         load_scenario(_write(tmp_path, ini))
 
 
+def test_negative_seed_rejected_by_name(tmp_path):
+    ini = GOOD_INI.replace("seed = 7", "seed = -1")
+    with pytest.raises(ScenarioError, match="seed"):
+        load_scenario(_write(tmp_path, ini))
+
+
 def test_n_fixes_without_static_rejected(tmp_path):
     ini = GOOD_INI + "n_fixes = 3\n"
     with pytest.raises(ScenarioError, match="n_fixes"):

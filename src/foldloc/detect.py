@@ -31,7 +31,8 @@ import numpy as np
 
 from . import amplitude
 from .amplitude import _EPS
-from .frontend import DETECTOR_RATE_HZ, fold_baseband  # noqa: F401
+# DETECTOR_RATE_HZ is re-exported for benchmarks/workloads.py
+from .frontend import DETECTOR_RATE_HZ, fold_baseband
 from .lte import FrameConfig, Pci, _blas_on_caller, sync_segment
 
 FRAME_LEN = 19200             # 10 ms at the detector rate

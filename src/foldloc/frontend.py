@@ -128,18 +128,30 @@ def lowpass_decimate(sq: np.ndarray, fs_in: float) -> np.ndarray:
     blocks of outputs on the caller's share of the CPUs (_fir_blocks).
     At dec 1 the filter is all-pass and sq itself is returned, not a copy.
     """
-    ratio = fs_in / DETECTOR_RATE_HZ
+    if _decimation(fs_in) == 1:
+        return sq
+    return _fir_blocks(sq, *_polyphase(fs_in))
+
+
+def _decimation(fs: float) -> int:
+    """The integer ratio of fs to DETECTOR_RATE_HZ; ValueError otherwise."""
+    ratio = fs / DETECTOR_RATE_HZ
     dec = int(round(ratio))
     if abs(ratio - dec) > 1e-9 or dec < 1:
-        raise ValueError(f"input rate {fs_in} not an integer multiple of "
+        raise ValueError(f"input rate {fs} not an integer multiple of "
                          f"the detector rate {DETECTOR_RATE_HZ}")
-    if dec == 1:
-        return sq
-    return _fir_blocks(sq, *_polyphase(fs_in, dec))
+    return dec
+
+
+def _fir_reach(fs: float) -> int:
+    """Input samples the detector low-pass at rate fs reaches either side
+    of an output, rounded up to whole outputs; 0 where it is all-pass."""
+    dec = _decimation(fs)
+    return 0 if dec == 1 else _polyphase(fs)[1] * dec
 
 
 @lru_cache(maxsize=32)
-def _polyphase(fs: float, dec: int) -> tuple[np.ndarray, int]:
+def _polyphase(fs: float) -> tuple[np.ndarray, int]:
     """(G, first): the detector low-pass at rate fs as a polyphase matrix.
 
     With h the taps behind `lead` zeros, G[c, u] = h[dec*c - u] (zero
@@ -148,6 +160,7 @@ def _polyphase(fs: float, dec: int) -> tuple[np.ndarray, int]:
     the center of output i, (ntaps - 1) / 2 + i * dec, on such an index:
     dec * (first + i). Cached per rate; G is read-only.
     """
+    dec = _decimation(fs)
     taps = design_lowpass(fs)
     center = (taps.size - 1) // 2
     lead = -center % dec

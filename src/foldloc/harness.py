@@ -47,7 +47,7 @@ from .detect import (FRAME_LEN, THRESH_PSS, THRESH_SSS, BankMismatchError,
                      Detection, build_bank, hierarchical_detect, refine,
                      stack_frames)
 from .frontend import (DETECTOR_RATE_HZ, SENSITIVITY_FLOOR_DBM,
-                       SPEED_OF_LIGHT, FrontEndConfig, design_lowpass,
+                       SPEED_OF_LIGHT, FrontEndConfig, _fir_reach,
                        lowpass_decimate, path_amplitude, received_power_dbm)
 from .lte import Pci, _overlap, _run_blocks, _threads, frame_samples
 from .locate import SOLVERS, TowerObservation, solve_tdoa
@@ -166,15 +166,6 @@ def _delay_stacked(bb: np.ndarray, delay_samples: float, scale: float,
     return out
 
 
-def _fir_reach(fs: float) -> int:
-    """Input samples the detector low-pass at rate fs reaches either side
-    of an output, rounded up to whole outputs; 0 where it is all-pass."""
-    dec = int(round(fs / DETECTOR_RATE_HZ))
-    if dec == 1:
-        return 0
-    return -(-(design_lowpass(fs).size // 2) // dec) * dec
-
-
 def _heard_cells(sc: Scenario, rx) -> list:
     """(index, cell) of every cell received at rx at or above
     SENSITIVITY_FLOOR_DBM; the others are neither synthesized nor truth."""
@@ -208,8 +199,8 @@ def _synth(sc: Scenario, fix_idx: int, per: int) -> np.ndarray:
         first = (out.size - total.size) // 2
         np.add(total, out[first:first + total.size], out=total)
 
-    _overlap(_delay_stacked, built(), fold,
-             max((n * c.frame_cfg.frame_len for _, c in heard), default=0))
+    largest = max((n * c.frame_cfg.frame_len for _, c in heard), default=0)
+    _overlap(_delay_stacked, built(), fold, _threads(largest) == 1)
 
     if sc.front_end.noise_sigma > 0:
         rng = substream(sc.rng_seed, "noise", fix_idx)
@@ -507,5 +498,6 @@ def cmd_localize(detections_by_fix, db, method: str = "tdoa"):
         est = SOLVERS[method](obs)
         rows.append((t, f"{est.position[0]:.6f}", f"{est.position[1]:.6f}",
                      f"{est.objective_value:.6e}", len(obs)))
-        prev = est.position
+        if est.converged:
+            prev = est.position
     return rows

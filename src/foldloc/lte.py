@@ -12,33 +12,31 @@ it, cyclic prefixes inserted by one precomputed index per FFT size, into
 one preallocated output. `sync_segment` builds a span of many PCIs'
 data-free frames from the sync symbols inside it alone.
 
-Threading, for the whole package: the large layers of synthesis split
-their work into blocks with `_run_blocks`: the frames of `frame_samples`,
-the twiddles, column factor and energy of the delay in `harness`, and the
-FIR of `frontend.lowpass_decimate`. A layer whose array holds at least
-_PARALLEL_MIN = 2**19 elements runs its blocks on every CPU the process
-may run on, the first on the calling thread and the others on helper
-threads; a smaller one runs them all on the calling thread, where a second
-thread would cost more than it saves. The numpy calls inside the blocks
-release the GIL, so the blocks do run at once. Jobs too small to split
-overlap instead: `_overlap` works a sequence of them, such as the delays
-of a fix's cells below _PARALLEL_MIN, on the helper threads while the
-caller draws the next jobs and finishes the done ones in order. A helper
-returns a cell's square, folded over the frames averaged into each output
-frame, which the caller filters; at 1.4 MHz it is already the cell's
-share of the output. Block and work functions are private and call no
-public function of the package, so a tracer that wraps public functions,
-and keeps one span stack for all threads, sees every call on the thread
-that made it. The output does not depend on the thread count.
+Threading, for the whole package: one scheduler, `_overlap`, runs all
+parallel work. The caller draws jobs into one queue and finishes them in
+order; the helper threads work the queue, and so does the caller while it
+waits, so a busy or descheduled helper holds back only a job it started.
+A helper that has not started by the end is cancelled. Each caller sets
+its own size rule: a layer of at least _PARALLEL_MIN = 2**19 elements may
+use every CPU the process may run on; below that a second thread costs
+more than it saves. `_run_blocks` cuts a large layer into pieces that are
+`_overlap` jobs: the frames of `frame_samples`, the twiddles, column
+factor and energy of the delay in `harness`, and the FIR of
+`frontend.lowpass_decimate`. `harness._synth` overlaps the delays of a
+fix's cells when all are below _PARALLEL_MIN: a helper returns a cell's
+square, folded over the frames averaged into each output frame, which the
+caller filters. The numpy calls in the jobs release the GIL, so the jobs
+do run at once. Job functions are private and call no public function of
+the package, so a tracer that wraps public functions, and keeps one span
+stack for all threads, sees every call on the thread that made it. The
+output does not depend on the thread count.
 
-These blocks and overlapped jobs, and scipy.fft's workers at or above
-_PARALLEL_MIN, are foldloc's only parallel work; with one CPU there is
-none. Detection runs on the calling thread. No BLAS call wakes a thread:
-numpy's OpenBLAS would share a large product with worker threads that
-keep spinning after it returns, so `_blas_on_caller` holds each product to
-the thread that calls it, around detection's stage-2 product and around
-the blocks of the FIR, whose products run on the caller and the helper
-threads.
+These jobs, and scipy.fft's workers at or above _PARALLEL_MIN, are
+foldloc's only parallel work; with one CPU there is none. Detection runs
+on the calling thread. No BLAS call wakes a thread: numpy's OpenBLAS
+would share a large product with worker threads that keep spinning after
+it returns, so `_blas_on_caller` holds each product to the thread that
+calls it, around detection's stage-2 product and around the FIR's pieces.
 """
 from __future__ import annotations
 
@@ -96,8 +94,8 @@ def _helpers() -> ThreadPoolExecutor:
     """The process's _CPU_SHARE - 1 helper threads, made on first use.
 
     A forked child, such as a caller's own multiprocessing worker, makes
-    its own pool: the threads of one it inherits do not exist in it, and
-    its first submit would wait forever.
+    its own pool: the threads of one it inherits do not exist in it, so
+    nothing submitted to that one would ever run.
     """
     global _helper_pool
     if _helper_pool is None or _helper_pool[0] != os.getpid():
@@ -107,50 +105,39 @@ def _helpers() -> ThreadPoolExecutor:
 
 
 def _run_blocks(fn, n: int, size: int, step: int | None = None) -> None:
-    """Call fn(lo, hi) over range(n), in pieces of at most step indices.
+    """Call fn(lo, hi) over range(n), in pieces (lo, min(lo + step, n)).
 
-    The layer's array holds size elements; _threads(size) contiguous
-    blocks of pieces run at once, the first on the calling thread and the
-    others on helper threads. step None makes each block one piece. fn
-    must write disjoint outputs for disjoint index ranges, so the pieces
-    may run in any order, and must call no public function of the package,
-    so that every call of one stays on the caller's thread.
+    The layer's array holds size elements; step None cuts _threads(size)
+    pieces. Below _PARALLEL_MIN the caller runs them in order; at or above
+    it they are the jobs of one `_overlap`. fn must write disjoint outputs
+    for disjoint index ranges, so the pieces may run in any order on any
+    thread, and must call no public function of the package.
     """
     threads = _threads(size)
     step = step or max(1, -(-n // threads))
-    pieces = -(-n // step)
-    k = max(1, min(threads, pieces))
-    edges = [min(n, step * (pieces * j // k)) for j in range(k + 1)]
-
-    def block(lo, hi):
-        for a in range(lo, hi, step):
-            fn(a, min(a + step, hi))
-
-    futures = [_helpers().submit(block, lo, hi)
-               for lo, hi in zip(edges[1:-1], edges[2:])]
-    try:
-        block(edges[0], edges[1])
-    finally:
-        wait(futures)
-    for f in futures:
-        f.result()
+    pieces = ((lo, min(lo + step, n)) for lo in range(0, n, step))
+    if threads == 1:
+        for lo, hi in pieces:
+            fn(lo, hi)
+    else:
+        _overlap(fn, pieces, lambda k, out: None, True)
 
 
-def _overlap(work, jobs, finish, size: int) -> None:
+def _overlap(work, jobs, finish, parallel: bool) -> None:
     """finish(k, work(*job)) for the k-th job of the iterable jobs, in order.
 
-    Jobs are drawn from jobs, and finish is called, on the calling thread
-    alone. The largest job's array holds size elements. When _threads(size)
-    is 1 and the process may use several CPUs, the works run on the
-    _CPU_SHARE - 1 helper threads, and on the caller whenever it waits: it
-    draws the next job while at most _CPU_SHARE drawn jobs are unfinished,
-    so at most _CPU_SHARE + 1 are held at once. Otherwise each job is
-    worked and finished on the caller before the next is drawn, and a work
-    may split itself across the CPUs (_run_blocks). work must call no
-    public function of the package; the outputs do not depend on the
-    thread count.
+    Jobs are drawn from jobs into one queue, and finished, on the calling
+    thread alone. When parallel and the process may use several CPUs, the
+    _CPU_SHARE - 1 helper threads work the queue, and so does the caller
+    whenever it waits: it draws the next job while at most _CPU_SHARE
+    drawn jobs are unfinished, so at most _CPU_SHARE + 1 are held at once.
+    A helper that has not started by the end is cancelled, not waited for.
+    Otherwise each job is worked and finished on the caller before the
+    next is drawn, and a work may split itself across the CPUs
+    (_run_blocks). work must call no public function of the package; the
+    outputs do not depend on the thread count.
     """
-    helpers = _CPU_SHARE - 1 if _threads(size) == 1 else 0
+    helpers = _CPU_SHARE - 1 if parallel else 0
     ahead = _CPU_SHARE if helpers else 0
     todo = SimpleQueue()    # (future, job) not yet started; None ends a helper
 
@@ -177,7 +164,7 @@ def _overlap(work, jobs, finish, size: int) -> None:
             del item
         return out.result()
 
-    futures = [_helpers().submit(serve) for _ in range(helpers)]
+    serves = [_helpers().submit(serve) for _ in range(helpers)]
     unfinished = deque()    # futures of the drawn jobs not yet finished
     finished = 0
     try:
@@ -198,9 +185,11 @@ def _overlap(work, jobs, finish, size: int) -> None:
                 todo.get_nowait()
         except Empty:
             pass
-        for _ in futures:
+        # wait() counts a cancelled serve done only once a thread dequeues it
+        started = [f for f in serves if not f.cancel()]
+        for _ in started:
             todo.put(None)
-        wait(futures)
+        wait(started)
 
 
 @lru_cache(maxsize=1)
@@ -238,7 +227,7 @@ def _blas_on_caller():
     """Run each numpy BLAS call inside on the thread that makes it.
 
     The thread count is the process's, so it also holds the calls of the
-    helper threads that a `_run_blocks` inside starts. OpenBLAS's worker
+    helper threads that work a `_run_blocks` inside. OpenBLAS's worker
     threads keep spinning for about 0.1 s after a product they shared
     returns, holding a CPU that the next fix's synthesis splits its layers
     across, for a fraction of a millisecond saved on a product of

@@ -28,6 +28,7 @@ from foldloc.frontend import (DETECTOR_RATE_HZ, SENSITIVITY_FLOOR_DBM,
 from foldloc.harness import (cmd_localize, cmd_synth, compute_metrics,
                              detect_trace, run_eval, run_fix, run_urban_sim,
                              synth_fix_stack, synth_fix_trace)
+from foldloc.locate import PositionEstimate
 from foldloc.lte import FrameConfig, Pci
 from foldloc.scenario import CellDatabase, Scenario, load_scenario, substream
 from oracles import build_frame, correlate_bank, ofdm_modulate
@@ -838,6 +839,27 @@ def test_cmd_localize_rows(tmp_path):
     assert abs(float(xs) - truth[0]) < 1.0
     assert abs(float(ys) - truth[1]) < 1.0
     assert rows[1][1] == "" and rows[1][4] == 2
+
+
+def test_cmd_localize_takes_its_prior_only_from_a_converged_fix(monkeypatch):
+    """A diverged estimate resolves no repeated PCI of the next fix: PCI 10
+    sits at (0, 0) and at (9000, 0), and a first fix that diverges to
+    (1e7, 0) leaves the second one without a prior, so its PCI 10 is
+    skipped."""
+    towers = [(10, 0.0, 0.0), (10, 9000.0, 0.0), (11, 2000.0, 0.0),
+              (12, 1000.0, 1732.0), (13, 0.0, 2000.0)]
+    db = CellDatabase([CellConfig(Pci(p), 2.145e9 + 2e7 * i, CFG, (x, y), 46.0)
+                       for i, (p, x, y) in enumerate(towers)])
+    monkeypatch.setitem(harness.SOLVERS, "tdoa", lambda obs: PositionEstimate(
+        (1e7, 0.0), 1.0, 10, converged=False))
+
+    def dets(pcis):
+        return [Detection(Pci(p), 100 + p, 0.9, 1.0, 0.0) for p in pcis]
+
+    rows = cmd_localize([(0.0, dets((11, 12, 13))), (1.0, dets((10, 11, 12)))],
+                        db, "tdoa")
+    assert rows[0][1:3] == (f"{1e7:.6f}", f"{0.0:.6f}")
+    assert rows[1] == (1.0, "", "", "", 2)
 
 
 # ------------------------------------------------------------------- CLI

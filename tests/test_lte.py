@@ -2,7 +2,10 @@
 import cmath
 import sys
 import threading
+import time
+import weakref
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -277,8 +280,7 @@ def test_sync_segment_matches_data_free_frames(cfg14, span):
        above=st.booleans(), share=st.integers(1, 3))
 def test_run_blocks_covers_every_index_once(n, step, above, share):
     """However the range is cut and spread over threads, the pieces cover
-    it exactly once, none is longer than step, and the piece holding
-    index 0 runs on the calling thread."""
+    it exactly once and none is longer than step."""
     size = lte._PARALLEL_MIN if above else lte._PARALLEL_MIN - 1
     calls, lock = [], threading.Lock()
 
@@ -296,7 +298,6 @@ def test_run_blocks_covers_every_index_once(n, step, above, share):
         assert len(calls) <= (share if above else 1)
     else:
         assert all(hi - lo <= step for lo, hi, _ in calls)
-    assert all(t == threading.get_ident() for lo, _, t in calls if lo == 0)
 
 
 @pytest.mark.parametrize("share,above", [(1, False), (2, False), (3, False),
@@ -309,7 +310,6 @@ def test_overlap_finishes_every_job_in_order(share, above, n):
     (their works split themselves) or the process has one CPU. Share 3 runs
     more threads than two CPUs, with frequent thread switches, and the
     call must return within the timeout."""
-    size = lte._PARALLEL_MIN if above else lte._PARALLEL_MIN - 1
     drawn, finished, held, worked, errors = [], [], [], [], []
     lock = threading.Lock()
 
@@ -329,7 +329,7 @@ def test_overlap_finishes_every_job_in_order(share, above, n):
 
     def caller():
         try:
-            lte._overlap(work, jobs(), finish, size)
+            lte._overlap(work, jobs(), finish, not above)
         except BaseException as e:
             errors.append(e)
 
@@ -378,10 +378,81 @@ def test_overlap_raises_and_frees_the_helper_threads(where):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lte, "_CPU_SHARE", 2)
         with pytest.raises(KeyError):
-            lte._overlap(work, jobs(), finish, 1)
+            lte._overlap(work, jobs(), finish, True)
         seen = []
         lte._run_blocks(lambda lo, hi: seen.append(lo), 2, lte._PARALLEL_MIN)
     assert sorted(seen) == [0, 1]
+
+
+@pytest.mark.parametrize("case", ["run_blocks", "overlap"])
+def test_a_stalled_helper_holds_nothing_back(case):
+    """A helper thread that never starts holds back no piece of a large
+    layer and no overlapped job: the caller works them all and returns."""
+    release = threading.Event()
+    pool = ThreadPoolExecutor(1)
+    pool.submit(release.wait)       # the pool's one thread stalls
+    ran, errors = [], []
+
+    def caller():
+        try:
+            if case == "run_blocks":
+                lte._run_blocks(lambda lo, hi: ran.append(threading.get_ident()),
+                                6, lte._PARALLEL_MIN, 1)
+            else:
+                lte._overlap(lambda k: ran.append(threading.get_ident()),
+                             ((k,) for k in range(6)),
+                             lambda k, out: None, True)
+        except BaseException as e:
+            errors.append(e)
+
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lte, "_CPU_SHARE", 2)
+            mp.setattr(lte, "_helpers", lambda: pool)
+            t = threading.Thread(target=caller, daemon=True)
+            t.start()
+            t.join(timeout=10)
+            assert not t.is_alive(), f"{case} waited for the stalled helper"
+    finally:
+        release.set()
+        pool.shutdown()
+    assert not errors
+    assert ran == [t.ident] * 6
+
+
+@pytest.mark.parametrize("share,parallel", [(1, True), (2, False),
+                                            (2, True), (3, True)])
+def test_overlap_holds_no_finished_job(share, parallel):
+    """No job's array, nor its work's output, is held after the job is
+    finished: each time a job is drawn, at most share earlier jobs are
+    alive when helper threads work the jobs, the ones not yet finished,
+    and none when each job is finished before the next is drawn."""
+    arrays, outputs, alive = [], {}, []
+
+    def job(k):     # built outside jobs(), whose frame would hold it
+        arrays.append(weakref.ref(a := np.full(64, float(k))))
+        return k, a
+
+    def jobs():
+        for k in range(12):
+            alive.append(sum(
+                a() is not None or (j in outputs and outputs[j]() is not None)
+                for j, a in enumerate(arrays)))
+            yield job(k)
+
+    def work(k, a):
+        time.sleep(1e-3)    # releases the GIL, as numpy's large calls do
+        outputs[k] = weakref.ref(out := a + 1.0)
+        return out
+
+    def finish(k, out):
+        assert out[0] == k + 1.0
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lte, "_CPU_SHARE", share)
+        lte._overlap(work, jobs(), finish, parallel)
+    assert len(alive) == 12
+    assert max(alive) <= (share if parallel and share > 1 else 0)
 
 
 @pytest.mark.skipif(lte._numpy_openblas() is None,

@@ -232,7 +232,11 @@ def fold_baseband(bb: np.ndarray, fs_in: float) -> np.ndarray:
     return lowpass_decimate(sq, fs_in)
 
 
-def received_power_dbm(cell: CellConfig, rx_position) -> float:
-    """Mean received power in dBm under the free-space 1/d amplitude law."""
-    d = float(np.hypot(*(np.asarray(cell.position) - np.asarray(rx_position))))
-    return cell.tx_power_dbm + 20.0 * np.log10(path_amplitude(d, cell.carrier_hz))
+def arrival(cell: CellConfig, rx) -> tuple[float, float, float]:
+    """(delay_s, amplitude, power_dbm) of cell at rx, free-space 1/d law:
+    travel time plus frame origin, received amplitude, mean power."""
+    d = float(np.hypot(*(np.asarray(cell.position) - np.asarray(rx))))
+    gain = path_amplitude(d, cell.carrier_hz)
+    return (d / SPEED_OF_LIGHT + cell.frame_time_origin_s,
+            gain * 10.0 ** ((cell.tx_power_dbm - 30.0) / 20.0),
+            cell.tx_power_dbm + 20.0 * np.log10(gain))

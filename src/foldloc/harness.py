@@ -29,13 +29,13 @@ process.
 `_synth` is the only place that adds detector noise: white Gaussian noise
 of the front end's noise_sigma on the summed detector-rate trace, from the
 fix's own "noise" substream; the stacked frame adds the same draw, stacked.
+`cmd_synth` and `cmd_localize` serve the CLI and the benchmark alike.
 """
 from __future__ import annotations
 
-import csv
 import json
 import os
-from contextlib import contextmanager, suppress
+from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -43,16 +43,14 @@ import numpy as np
 import scipy.fft
 
 from . import traceio
-from .detect import (FRAME_LEN, THRESH_PSS, THRESH_SSS, BankMismatchError,
-                     Detection, build_bank, hierarchical_detect, refine,
-                     stack_frames)
+from .detect import (FRAME_LEN, THRESH_PSS, THRESH_SSS, Detection,
+                     build_bank, hierarchical_detect, refine, stack_frames)
 from .frontend import (DETECTOR_RATE_HZ, SENSITIVITY_FLOOR_DBM,
-                       SPEED_OF_LIGHT, FrontEndConfig, _fir_reach,
-                       lowpass_decimate, path_amplitude, received_power_dbm)
-from .lte import Pci, _overlap, _run_blocks, _threads, frame_samples
+                       SPEED_OF_LIGHT, FrontEndConfig, _fir_reach, arrival,
+                       lowpass_decimate)
+from .lte import _overlap, _run_blocks, _threads, frame_samples
 from .locate import SOLVERS, TowerObservation, solve_tdoa
-from .scenario import Scenario, ScenarioError, read_csv_rows, scenario_cell_db, \
-    substream
+from .scenario import Scenario, scenario_cell_db, substream, write_csv_rows
 
 
 @lru_cache(maxsize=4)
@@ -167,10 +165,10 @@ def _delay_stacked(bb: np.ndarray, delay_samples: float, scale: float,
 
 
 def _heard_cells(sc: Scenario, rx) -> list:
-    """(index, cell) of every cell received at rx at or above
+    """(index, cell, arrival(cell, rx)) of each cell heard at rx, at or above
     SENSITIVITY_FLOOR_DBM; the others are neither synthesized nor truth."""
-    return [(ci, c) for ci, c in enumerate(sc.cells)
-            if received_power_dbm(c, rx) >= SENSITIVITY_FLOOR_DBM]
+    return [(ci, c, a) for ci, c in enumerate(sc.cells)
+            if (a := arrival(c, rx))[2] >= SENSITIVITY_FLOOR_DBM]
 
 
 def _synth(sc: Scenario, fix_idx: int, per: int) -> np.ndarray:
@@ -183,12 +181,8 @@ def _synth(sc: Scenario, fix_idx: int, per: int) -> np.ndarray:
     heard = _heard_cells(sc, rx)
 
     def built():
-        for ci, cell in heard:
+        for ci, cell, (delay_s, a_rx, _) in heard:
             cfg = cell.frame_cfg
-            d = float(np.hypot(*(np.asarray(cell.position) - rx)))
-            delay_s = d / SPEED_OF_LIGHT + cell.frame_time_origin_s
-            a_rx = path_amplitude(d, cell.carrier_hz) * \
-                10.0 ** ((cell.tx_power_dbm - 30.0) / 20.0)
             rng = substream(sc.rng_seed, "payload", fix_idx, ci)
             yield (frame_samples(cfg, cell.pci, rng, n_frames=n),
                    delay_s * cfg.sample_rate_hz, a_rx, per,
@@ -199,7 +193,7 @@ def _synth(sc: Scenario, fix_idx: int, per: int) -> np.ndarray:
         first = (out.size - total.size) // 2
         np.add(total, out[first:first + total.size], out=total)
 
-    largest = max((n * c.frame_cfg.frame_len for _, c in heard), default=0)
+    largest = max((n * c.frame_cfg.frame_len for _, c, _ in heard), default=0)
     _overlap(_delay_stacked, built(), fold, _threads(largest) == 1)
 
     if sc.front_end.noise_sigma > 0:
@@ -282,7 +276,7 @@ def run_fix(sc: Scenario, fix_idx: int) -> dict:
     rx = np.array([x, y])
     dets = detect_trace(synth_fix_stack(sc, fix_idx), _bank_for(sc.front_end),
                         sc.thresh_pss, sc.thresh_sss, 1)
-    truth = sorted(c.pci.value for _, c in _heard_cells(sc, rx))
+    truth = sorted(c.pci.value for _, c, _ in _heard_cells(sc, rx))
 
     obs, skipped = _observations(dets, scenario_cell_db(sc))
     record = {
@@ -402,91 +396,37 @@ def run_urban_sim(towers, n_fixes: int = 500, timing_noise_samples: float = 0.1,
     }
 
 
-# file plumbing for the CLI
-
-
-@contextmanager
-def _csv_replacing(path):
-    """A csv writer on path + ".tmp", moved onto path only when the block
-    returns; if it raises, the temporary file is removed, so a failed run
-    leaves no partial manifest at path."""
-    tmp = path + ".tmp"
-    try:
-        with open(tmp, "w", newline="") as f:
-            yield csv.writer(f)
-        os.replace(tmp, path)
-    except BaseException:
-        with suppress(FileNotFoundError):
-            os.unlink(tmp)
-        raise
+MANIFEST_COLUMNS = ("fix", "trace_path", "t", "x_true", "y_true", "true_pcis")
+TRAJECTORY_COLUMNS = ("t", "x_est", "y_est", "objective", "n_towers")
 
 
 def cmd_synth(sc: Scenario, outdir: str) -> str:
-    """Write per-fix traces and a manifest; returns the manifest path.
-
-    The manifest appears only once every trace is written."""
+    """Write per-fix traces and a manifest listing their absolute paths;
+    returns its path. An old manifest is removed before the first trace,
+    and the new one written once every trace is, so a failed run leaves
+    none."""
     os.makedirs(outdir, exist_ok=True)
     manifest = os.path.join(outdir, "manifest.csv")
-    with _csv_replacing(manifest) as w:
-        w.writerow(["fix", "trace_path", "t", "x_true", "y_true", "true_pcis"])
-        for i, (t, x, y) in enumerate(sc.trajectory):
-            trace = synth_fix_trace(sc, i)
-            path = os.path.join(outdir, f"trace_fix_{i:04d}.bin")
-            traceio.write_trace(path, trace, DETECTOR_RATE_HZ)
-            truth = ";".join(str(c.pci.value) for _, c in _heard_cells(sc, (x, y)))
-            w.writerow([i, path, t, x, y, truth])
+    with suppress(FileNotFoundError):
+        os.unlink(manifest)
+    rows = []
+    for i, (t, x, y) in enumerate(sc.trajectory):
+        path = os.path.abspath(os.path.join(outdir, f"trace_fix_{i:04d}.bin"))
+        traceio.write_trace(path, synth_fix_trace(sc, i), DETECTOR_RATE_HZ)
+        truth = ";".join(str(c.pci.value) for _, c, _ in _heard_cells(sc, (x, y)))
+        rows.append([i, path, t, x, y, truth])
+    write_csv_rows(manifest, MANIFEST_COLUMNS, rows)
     return manifest
 
 
-def cmd_detect(trace_path: str, out_csv: str, thresh_pss: float = THRESH_PSS,
-               thresh_sss: float = THRESH_SSS,
-               n_stack: int | None = None) -> list[Detection]:
-    samples, rate = traceio.read_trace(trace_path)
-    if abs(rate - DETECTOR_RATE_HZ) > 1e-6:
-        raise BankMismatchError(
-            f"trace rate {rate:g} is not the detector rate {DETECTOR_RATE_HZ:g}")
-    dets = detect_trace(samples, _bank_for(FrontEndConfig()), thresh_pss,
-                        thresh_sss, n_stack)
-    write_detections_csv(out_csv, dets)
-    return dets
-
-
-DETECTION_COLUMNS = ("pci", "delay_samples", "subsample_offset", "amplitude",
-                     "score")
-
-
-def write_detections_csv(path, detections: list[Detection]) -> None:
-    with open(path, "w") as f:
-        f.write(",".join(DETECTION_COLUMNS) + "\n")
-        for d in detections:
-            f.write(f"{d.pci.value},{d.delay_samples},{d.subsample_offset:.6f},"
-                    f"{d.amplitude:.6g},{d.score:.6f}\n")
-
-
-def read_detections_csv(path) -> list[Detection]:
-    """Detections of one CSV; a malformed or non-finite value raises
-    ScenarioError naming path:line."""
-    out = []
-    for ln, r in read_csv_rows(path, DETECTION_COLUMNS):
-        try:
-            tau, amp, score = (float(r[c]) for c in DETECTION_COLUMNS[2:])
-            if not np.isfinite([tau, amp, score]).all():
-                raise ValueError("non-finite subsample_offset, amplitude or score")
-            out.append(Detection(Pci(int(r["pci"])), int(r["delay_samples"]),
-                                 score, amp, tau))
-        except ValueError as e:
-            raise ScenarioError(f"{path}:{ln}: {e}") from None
-    return out
-
-
 def cmd_localize(detections_by_fix, db, method: str = "tdoa"):
-    """Solve one position per fix from detection lists; yields CSV rows.
+    """Solve one position per fix from detection lists; returns CSV rows.
 
     Detection delays count detector samples at DETECTOR_RATE_HZ, and
     amplitudes are received powers, already divided by the template norm
-    in `refine`, so no bank is needed. Rows are (t, x_est, y_est,
-    objective, n_towers); unresolvable fixes (under three matched towers)
-    yield empty estimate fields.
+    in `refine`, so no bank is needed. Rows hold TRAJECTORY_COLUMNS;
+    unresolvable fixes (under three matched towers) yield empty estimate
+    fields.
     """
     rows = []
     prev = None

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .scenario import ScenarioError, read_csv_rows
+from .scenario import ScenarioError, _finite, read_csv_rows
 
 ROAD_COLUMNS = ("node_a_id", "node_b_id", "ax", "ay", "bx", "by", "max_speed_mps")
 MODES = ("enter", "exit")       # a geofence alerts on one of these
@@ -187,18 +187,6 @@ def geofence_events(fixes: list[Fix],
                 events.append((fx.t, kind))
         prev_inside = inside
     return events
-
-
-def _finite(texts, where: str) -> list[float]:
-    """texts parsed as finite floats; anything else raises ScenarioError
-    prefixed with where, the path:line."""
-    try:
-        vals = [float(t) for t in texts]
-    except ValueError as e:
-        raise ScenarioError(f"{where}: {e}") from None
-    if not np.isfinite(vals).all():
-        raise ScenarioError(f"{where}: non-finite value in {list(texts)}")
-    return vals
 
 
 def load_road_graph_csv(path) -> RoadGraph:

@@ -14,16 +14,20 @@ keeps the default of the dataclass field it sets.
   t = 0, 1, ..., or `points = t,x,y; t,x,y; ...`.
 
 The cell database is a CSV with the columns CELL_DB_COLUMNS and no others,
-each row read by `parse_cell`. All randomness in a run flows from the
-scenario seed through named substreams, so results are reproducible and
-independent of execution order.
+each row read by `parse_cell`. `read_csv_rows` reads every CSV table and
+`write_csv_rows` writes every one the CLI makes, whole or not at all. All
+randomness in a run flows from the scenario seed through named
+substreams, so results are reproducible and independent of execution order.
 """
 from __future__ import annotations
 
 import configparser
 import csv
+import os
 from collections import Counter
+from contextlib import suppress
 from dataclasses import MISSING, dataclass, fields
+from itertools import chain
 
 import numpy as np
 
@@ -73,6 +77,33 @@ def read_csv_rows(path, columns):
                 raise ScenarioError(f"{path}:{reader.line_num}: expected "
                                     f"{len(reader.fieldnames)} fields")
             yield reader.line_num, row
+
+
+def write_csv_rows(path, columns, rows) -> None:
+    """A CSV of the header columns and then rows at path, whole or not at
+    all: it is written to path + ".tmp", which replaces path once complete;
+    on any error the temporary file is removed and path left as it was."""
+    tmp = os.fspath(path) + ".tmp"
+    try:
+        with open(tmp, "w", newline="") as f:
+            csv.writer(f).writerows(chain([columns], rows))
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
+def _finite(texts, where: str) -> list[float]:
+    """texts parsed as finite floats; anything else raises ScenarioError
+    prefixed with where, the path:line."""
+    try:
+        vals = [float(t) for t in texts]
+    except ValueError as e:
+        raise ScenarioError(f"{where}: {e}") from None
+    if not np.isfinite(vals).all():
+        raise ScenarioError(f"{where}: non-finite value in {list(texts)}")
+    return vals
 
 
 def check_thresholds(thresh_pss: float, thresh_sss: float) -> None:

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import fold_frame
@@ -11,7 +11,8 @@ from foldloc.detect import (FRAME_LEN, HALF_FRAME, PSS_TEMPLATE_LEN,
                             TEMPLATE_LEN, TEMPLATE_START, Detection,
                             build_bank, hierarchical_detect, refine,
                             stack_frames, suppress_false_positives)
-from foldloc.harness import _bank_for, read_detections_csv, write_detections_csv
+from foldloc.cli import read_detections_csv, write_detections_csv
+from foldloc.harness import _bank_for
 from foldloc.lte import Pci
 from oracles import correlate_bank
 
@@ -279,6 +280,24 @@ def test_suppression_wraps_around_period():
     dets = [_det(10, HALF_FRAME - 2, 0.9, 1.0), _det(11, 2, 0.8, 0.3)]
     kept = suppress_false_positives(dets)
     assert [d.pci.value for d in kept] == [10]
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(st.builds(
+    Detection, st.builds(Pci, st.integers(0, 503)), st.integers(0, 10**9),
+    st.floats(-1.0, 1.0), st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(-1e6, 1e6))))
+def test_detections_csv_round_trip_to_printed_precision(tmp_path, dets):
+    """Every field comes back as its printed value: the PCI and delay
+    exactly, the sub-sample offset and score to 6 decimals, the amplitude
+    to 6 significant digits."""
+    p = tmp_path / "d.csv"
+    write_detections_csv(p, dets)
+    assert read_detections_csv(p) == [
+        Detection(d.pci, d.delay_samples, float(f"{d.score:.6f}"),
+                  float(f"{d.amplitude:.6g}"),
+                  float(f"{d.subsample_offset:.6f}")) for d in dets]
 
 
 def test_detections_csv_round_trip(tmp_path):

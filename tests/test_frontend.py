@@ -6,10 +6,10 @@ from hypothesis import strategies as st
 from scipy.signal import upfirdn
 
 from foldloc import frontend, lte
-from conftest import fold_frame
+from conftest import cpu_share, fold_frame
 from foldloc.frontend import (DETECTOR_RATE_HZ, SPEED_OF_LIGHT, CellConfig,
                               design_lowpass, fold_baseband, lowpass_decimate,
-                              path_amplitude, received_power_dbm)
+                              arrival, path_amplitude)
 from foldloc.lte import FrameConfig, Pci, frame_samples
 from oracles import (MultipathProfile, correlate_bank, envelope_square,
                      folded_sync_overlap, receive_rf, superpose)
@@ -40,10 +40,14 @@ def test_path_amplitude_rejects_nonpositive_distance():
 
 
 def test_received_power_formula():
-    cell = _cell(0, 751e6, dbm=46.0)
-    got = received_power_dbm(cell, (1000.0, 0.0))
+    """arrival gives the travel time plus the frame origin, the free-space
+    amplitude scaled by the transmit power, and that power in dBm."""
+    cell = _cell(0, 751e6, dbm=46.0, origin=1e-3)
+    delay_s, amp, got = arrival(cell, (1000.0, 0.0))
     want = 46.0 + 20 * np.log10(path_amplitude(1000.0, 751e6))
     assert abs(got - want) < 1e-9
+    assert delay_s == 1000.0 / SPEED_OF_LIGHT + 1e-3
+    assert abs(30.0 + 20 * np.log10(amp) - got) < 1e-9
 
 
 def test_envelope_square_basics():
@@ -234,9 +238,8 @@ def _whole_trace_fir(sq, taps, dec):
 
 def _one_piece_fir(sq, fs):
     """lowpass_decimate with its outputs in one piece, on one thread."""
-    with pytest.MonkeyPatch.context() as mp:
+    with cpu_share(1) as mp:
         mp.setattr(frontend, "_CHUNK", 1 << 40)
-        mp.setattr(lte, "_CPU_SHARE", 1)
         return lowpass_decimate(sq, fs)
 
 
@@ -260,10 +263,9 @@ def test_block_fir_equals_whole_trace_upfirdn(dec, n, rows, chunk, share, seed):
     (test_all_pass_returns_its_input)."""
     fs = dec * DETECTOR_RATE_HZ
     sq = np.random.default_rng(seed).standard_normal(rows + (n,)) ** 2
-    with pytest.MonkeyPatch.context() as mp:
+    with cpu_share(share) as mp:
         mp.setattr(frontend, "_CHUNK", chunk)
         mp.setattr(lte, "_PARALLEL_MIN", 0)
-        mp.setattr(lte, "_CPU_SHARE", share)
         got = lowpass_decimate(sq, fs)
     _assert_block_fir(got, sq, fs, dec)
 

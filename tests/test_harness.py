@@ -15,22 +15,22 @@ import pytest
 from scipy.signal import fftconvolve
 
 import foldloc
-from foldloc import detect, harness, lte, traceio
+from foldloc import cli, detect, harness, lte, traceio
 from foldloc.amplitude import estimate_subsample, fit_amplitude
 from foldloc.detect import (FRAME_LEN, PSS_TEMPLATE_LEN, TEMPLATE_LEN,
-                            TEMPLATE_START, THRESH_PSS, BankMismatchError,
-                            Detection, _stage1_candidates, hierarchical_detect,
+                            TEMPLATE_START, THRESH_PSS, Detection,
+                            _stage1_candidates, hierarchical_detect,
                             stack_frames, suppress_false_positives)
 from foldloc.frontend import (DETECTOR_RATE_HZ, SENSITIVITY_FLOOR_DBM,
                               SPEED_OF_LIGHT, CellConfig, FrontEndConfig,
-                              design_lowpass, path_amplitude,
-                              received_power_dbm)
+                              arrival, design_lowpass, path_amplitude)
 from foldloc.harness import (cmd_localize, cmd_synth, compute_metrics,
                              detect_trace, run_eval, run_fix, run_urban_sim,
                              synth_fix_stack, synth_fix_trace)
 from foldloc.locate import PositionEstimate
 from foldloc.lte import FrameConfig, Pci
 from foldloc.scenario import CellDatabase, Scenario, load_scenario, substream
+from conftest import cpu_share
 from oracles import build_frame, correlate_bank, ofdm_modulate
 
 FS = 1.92e6
@@ -103,7 +103,7 @@ def test_every_front_end_setting_reaches_the_trace():
                         position=(3000.0, 0.0), tx_power_dbm=46.0)]
     sc = Scenario(cells=cells, front_end=FrontEndConfig(), n_frames_per_fix=1,
                   trajectory=[(0.0, *rx)])
-    assert min(received_power_dbm(c, rx) for c in cells) >= SENSITIVITY_FLOOR_DBM
+    assert min(arrival(c, rx)[2] for c in cells) >= SENSITIVITY_FLOOR_DBM
     # a non-default valid value of every field
     changes = {"noise_sigma": 1e-9}
     base = synth_fix_trace(sc, 0)
@@ -123,9 +123,9 @@ def test_cell_below_the_sensitivity_floor_is_neither_synthesized_nor_truth():
     near = _cell(11, 0.0, 0.0)
     far = _cell(22, 20e3, 0.0)
     close = replace(far, position=(3000.0, 0.0))
-    assert received_power_dbm(near, rx) >= SENSITIVITY_FLOOR_DBM
-    assert received_power_dbm(far, rx) < SENSITIVITY_FLOOR_DBM
-    assert received_power_dbm(close, rx) >= SENSITIVITY_FLOOR_DBM
+    assert arrival(near, rx)[2] >= SENSITIVITY_FLOOR_DBM
+    assert arrival(far, rx)[2] < SENSITIVITY_FLOOR_DBM
+    assert arrival(close, rx)[2] >= SENSITIVITY_FLOOR_DBM
     alone, with_far, with_close = (
         Scenario(cells=cells, front_end=FrontEndConfig(), n_frames_per_fix=1,
                  trajectory=[(0.0, *rx)])
@@ -145,7 +145,7 @@ def _seed_synth_fix_trace(sc, fix_idx):
     rx = np.array([x, y])
     total = np.zeros(sc.n_frames_per_fix * FRAME_LEN)
     for ci, cell in enumerate(sc.cells):
-        if received_power_dbm(cell, rx) < SENSITIVITY_FLOOR_DBM:
+        if arrival(cell, rx)[2] < SENSITIVITY_FLOOR_DBM:
             continue
         cfg = cell.frame_cfg
         rng = substream(sc.rng_seed, "payload", fix_idx, ci)
@@ -270,7 +270,9 @@ for sc in pickle.load(sys.stdin.buffer):
     for synth in (synth_fix_trace, synth_fix_stack):
         runs = []
         for share in (1, 2, 3):   # 3: more threads than two CPUs
-            lte._CPU_SHARE = share
+            # and a pool of share - 1 helpers, not the one an earlier
+            # share built
+            lte._CPU_SHARE, lte._helper_pool = share, None
             runs.append(synth(sc, 0))
         print(all(np.array_equal(r, runs[0]) for r in runs[1:]))
 """
@@ -378,14 +380,14 @@ def test_traced_layers_run_on_the_calling_thread(monkeypatch):
     helpers = []
     monkeypatch.setattr(lte, "_helpers",
                         lambda real=lte._helpers: helpers.append(1) or real())
-    monkeypatch.setattr(lte, "_CPU_SHARE", 2)
     for sc, n_cells in ((_wideband_scenario(), 3),
                         (_s5_scenario((0, 1500, 3000, 4500, 6000)), 5)):
         harness._bank_for(sc.front_end)     # built before the calls count
         for run in (synth_fix_trace, run_fix):
             calls.clear()
             helpers.clear()
-            run(sc, 0)
+            with cpu_share(2):
+                run(sc, 0)
             assert helpers, f"no work of {run.__name__} ran on a helper thread"
             assert sorted(n for n, _ in calls) == \
                 sorted(["frame_samples", "lowpass_decimate"] * n_cells)
@@ -812,12 +814,14 @@ def test_cmd_synth_writes_manifest_and_traces(tmp_path):
     assert rows[0]["true_pcis"] == "101"
 
 
-def test_cmd_detect_rejects_rate_mismatch(tmp_path, bank):
-    from foldloc.harness import cmd_detect
+def test_cmd_detect_rejects_rate_mismatch(tmp_path, capsys):
+    """A trace at another rate than the detector's exits 2 and writes no
+    detections."""
     p = tmp_path / "t.bin"
     traceio.write_trace(p, np.zeros(FRAME_LEN), 3.84e6)
-    with pytest.raises(BankMismatchError):
-        cmd_detect(str(p), str(tmp_path / "d.csv"))
+    assert cli.main(["detect", str(p), "-o", str(tmp_path)]) == 2
+    assert "is not the detector rate" in capsys.readouterr().err
+    assert not (tmp_path / "t.detections.csv").exists()
 
 
 def test_cmd_localize_rows(tmp_path):
@@ -1026,7 +1030,7 @@ def test_cli_localize_manifest_without_detections_path_exits_2(tmp_path, capsys)
 def test_cli_localize_bad_manifest_time_exits_2(tmp_path, capsys, t):
     from foldloc.cli import main
     dets = tmp_path / "dets.csv"
-    dets.write_text(",".join(harness.DETECTION_COLUMNS) + "\n")
+    dets.write_text(",".join(cli.DETECTION_COLUMNS) + "\n")
     manifest = tmp_path / "manifest.csv"
     manifest.write_text(f"t,detections_path\n0.0,{dets}\n{t},{dets}\n")
     (tmp_path / "cells.csv").write_text(CELL_DB)
@@ -1262,6 +1266,67 @@ def test_cli_detect_failing_later_trace_leaves_no_manifest(tmp_path, capsys):
     assert main(["detect", manifest, "-o", str(outdir)]) == 3
     assert "missing.bin" in capsys.readouterr().err
     assert [p.name for p in outdir.iterdir()] == ["detections_fix_0000.csv"]
+
+
+def test_cli_synth_failed_rerun_leaves_no_stale_manifest(tmp_path, capsys):
+    """A good synth run, then one into the same outdir whose fix 1
+    overflows float32: the second run exits 3 and leaves no manifest, not
+    the first run's, which would list its new fix 0 beside the old fix 1
+    and the old truth."""
+    from foldloc.cli import main
+    good, loud = tmp_path / "good.ini", tmp_path / "loud.ini"
+    good.write_text(SCENARIO_INI)
+    loud.write_text(SCENARIO_INI.replace("tx_power_dbm = 46",
+                                         "tx_power_dbm = 495")
+                    .replace("1,500,0", "1,100,0"))
+    outdir = tmp_path / "out"
+    assert main(["synth", str(good), "-o", str(outdir)]) == 0
+    assert (outdir / "manifest.csv").exists()
+    assert main(["synth", str(loud), "-o", str(outdir)]) == 3
+    assert "non-finite samples" in capsys.readouterr().err
+    assert not (outdir / "manifest.csv").exists()
+    assert not list(outdir.glob("*.tmp"))
+
+
+def test_cli_detect_failed_rerun_leaves_no_stale_manifest(tmp_path, capsys):
+    """A good detect run, then one into the same outdir whose second trace
+    is missing: the second run exits 3 and leaves no detections manifest,
+    not the first run's."""
+    from foldloc.cli import main
+    sc = replace(_single_cell_scenario(),
+                 trajectory=[(0.0, 468.75, 0.0), (1.0, 500.0, 0.0)])
+    manifest = cmd_synth(sc, str(tmp_path / "traces"))
+    outdir = tmp_path / "dets"
+    assert main(["detect", manifest, "-o", str(outdir)]) == 0
+    assert (outdir / "detections_manifest.csv").exists()
+    os.remove(list(csv.DictReader(open(manifest)))[1]["trace_path"])
+    assert main(["detect", manifest, "-o", str(outdir)]) == 3
+    assert "trace_fix_0001.bin" in capsys.readouterr().err
+    assert not (outdir / "detections_manifest.csv").exists()
+    assert not list(outdir.glob("*.tmp"))
+
+
+def test_cli_chain_runs_from_another_directory(tmp_path, monkeypatch):
+    """synth into a relative outdir lists absolute trace paths, and detect
+    into a relative outdir absolute detections paths: detect and localize
+    run from other working directories than the one that wrote each
+    manifest."""
+    from foldloc.cli import main
+    (tmp_path / "sc.ini").write_text(SCENARIO_INI)
+    (tmp_path / "cells.csv").write_text(CELL_DB)
+    (tmp_path / "sub").mkdir()
+    monkeypatch.chdir(tmp_path)
+    assert main(["synth", "sc.ini", "-o", "out"]) == 0
+    monkeypatch.chdir(tmp_path / "sub")
+    assert main(["detect", os.path.join("..", "out", "manifest.csv"),
+                 "-o", "dets"]) == 0
+    monkeypatch.chdir(tmp_path)
+    det_manifest = os.path.join("sub", "dets", "detections_manifest.csv")
+    for row in csv.DictReader(open(det_manifest)):
+        assert os.path.isabs(row["detections_path"])
+    assert main(["localize", det_manifest, "--cell-db", "cells.csv",
+                 "-o", "traj.csv"]) == 0
+    assert len(list(csv.DictReader(open("traj.csv")))) == 2
 
 
 def test_cli_localize_empty_manifest_exits_2(tmp_path, capsys):

@@ -17,6 +17,7 @@ from foldloc import lte
 from foldloc.lte import (BANDWIDTH_TABLE, FrameConfig, Pci, central_62_bins,
                          frame_samples, generate_pss, generate_sss,
                          sss_shift_pair, sync_segment)
+from conftest import cpu_share
 from oracles import build_frame, ofdm_demodulate, ofdm_modulate
 
 
@@ -288,8 +289,7 @@ def test_run_blocks_covers_every_index_once(n, step, above, share):
         with lock:
             calls.append((lo, hi, threading.get_ident()))
 
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(lte, "_CPU_SHARE", share)
+    with cpu_share(share):
         lte._run_blocks(fn, n, size, step)
     covered = Counter(i for lo, hi, _ in calls for i in range(lo, hi))
     assert covered == Counter(range(n))
@@ -336,8 +336,7 @@ def test_overlap_finishes_every_job_in_order(share, above, n):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(lte, "_CPU_SHARE", share)
+        with cpu_share(share) as mp:
             if share == 1:   # ThreadPoolExecutor(0) raises
                 mp.setattr(lte, "_helpers",
                            lambda: errors.append("helpers at one CPU"))
@@ -345,6 +344,11 @@ def test_overlap_finishes_every_job_in_order(share, above, n):
             t.start()
             t.join(timeout=30)
             assert not t.is_alive(), "_overlap did not return"
+            pool = lte._helper_pool
+            if share > 1 and not above:     # the helpers it ran with
+                assert pool[1]._max_workers == share - 1
+            else:
+                assert pool is None
     finally:
         sys.setswitchinterval(interval)
     assert not errors
@@ -375,8 +379,7 @@ def test_overlap_raises_and_frees_the_helper_threads(where):
         if where == "finish" and k == 1:
             raise KeyError(k)
 
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(lte, "_CPU_SHARE", 2)
+    with cpu_share(2):
         with pytest.raises(KeyError):
             lte._overlap(work, jobs(), finish, True)
         seen = []
@@ -406,8 +409,7 @@ def test_a_stalled_helper_holds_nothing_back(case):
             errors.append(e)
 
     try:
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(lte, "_CPU_SHARE", 2)
+        with cpu_share(2) as mp:
             mp.setattr(lte, "_helpers", lambda: pool)
             t = threading.Thread(target=caller, daemon=True)
             t.start()
@@ -448,8 +450,7 @@ def test_overlap_holds_no_finished_job(share, parallel):
     def finish(k, out):
         assert out[0] == k + 1.0
 
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(lte, "_CPU_SHARE", share)
+    with cpu_share(share):
         lte._overlap(work, jobs(), finish, parallel)
     assert len(alive) == 12
     assert max(alive) <= (share if parallel and share > 1 else 0)

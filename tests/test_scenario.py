@@ -1,14 +1,15 @@
-"""Scenario INI loading, seed substreams, cell database resolution."""
+"""Scenario INI loading, seed substreams, cell database resolution, CSV
+tables."""
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from foldloc.frontend import CellConfig, FrontEndConfig
 from foldloc.lte import BANDWIDTH_TABLE, FrameConfig, Pci
 from foldloc.scenario import (CellDatabase, Scenario, ScenarioError,
-                              load_cell_db, load_scenario, scenario_cell_db,
-                              substream)
+                              load_cell_db, load_scenario, read_csv_rows,
+                              scenario_cell_db, substream, write_csv_rows)
 
 GOOD_INI = """\
 [scenario]
@@ -474,3 +475,45 @@ def test_scenario_cell_db_matches_cells(tmp_path):
     c = db.cells[0]
     assert (*c.position, c.carrier_hz) == (0.0, 0.0, 2.145e9)
     assert db.cells == sc.cells
+
+
+# a header whose names need quoting, as the rows' text may
+TABLE_COLUMNS = ("text", "a,b", 'say "x"', "number")
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(rows=st.lists(st.tuples(
+    st.text(), st.text(alphabet=',"\r\n ab'), st.text(),
+    st.one_of(st.integers(), st.floats(allow_nan=False)))))
+def test_csv_rows_round_trip(tmp_path, rows):
+    """Text with commas, quotes and line breaks comes back as written, and
+    a number as its str, which parses back to it."""
+    path = tmp_path / "t.csv"
+    write_csv_rows(path, TABLE_COLUMNS, rows)
+    back = list(read_csv_rows(path, TABLE_COLUMNS))
+    assert [r for _, r in back] == [dict(zip(TABLE_COLUMNS, (*r[:3], str(r[3]))))
+                                    for r in rows]
+    assert [type(r[3])(b["number"]) for (_, b), r in zip(back, rows)] == \
+        [r[3] for r in rows]
+    assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
+
+
+@pytest.mark.parametrize("existing", [None, "a,b\r\n1,2\r\n"])
+def test_csv_rows_failing_part_way_leave_path_as_it_was(tmp_path, existing):
+    """Rows that raise part-way: the error reaches the caller, no temporary
+    file is left, and path keeps what it held, or stays absent."""
+    path = tmp_path / "t.csv"
+    if existing is not None:
+        path.write_bytes(existing.encode())
+
+    def rows():
+        yield (1, 2)
+        raise KeyError("row 2")
+
+    with pytest.raises(KeyError):
+        write_csv_rows(path, ("a", "b"), rows())
+    assert [p.name for p in tmp_path.iterdir()] == \
+        ([] if existing is None else ["t.csv"])
+    if existing is not None:
+        assert path.read_bytes() == existing.encode()

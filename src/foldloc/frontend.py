@@ -17,8 +17,8 @@ samples, meets a (taps/dec + 1, dec) matrix of the taps in one matrix
 product per block of outputs, whose shifted rows add up to the block.
 `detect.build_bank` folds its templates with `fold_baseband`; `harness`'
 synthesis takes each cell's square in its delay and filters it with
-`lowpass_decimate`. How the FIR's blocks use the CPUs and BLAS is the
-threading policy in `lte`'s docstring.
+`lowpass_decimate`. The FIR runs on the thread that calls it, and holds
+its products to that thread (`lte._blas_on_caller`).
 """
 from __future__ import annotations
 
@@ -28,7 +28,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import i0
 
-from .lte import FrameConfig, Pci, _blas_on_caller, _run_blocks
+from .lte import FrameConfig, Pci, _blas_on_caller
 
 SPEED_OF_LIGHT = 3.0e8
 DETECTOR_RATE_HZ = 1.92e6     # the detector's one sample rate
@@ -44,8 +44,8 @@ LPF_ATTEN_DB = 60.0
 SENSITIVITY_FLOOR_DBM = -70.0
 # a block of the FIR makes _CHUNK // 4 outputs from a product of about
 # 5 * _CHUNK elements (its polyphase matrix has about 20 rows at every rate):
-# large enough that its numpy calls cost little, small enough that helper
-# threads keep little memory
+# large enough that its numpy calls cost little, small enough that its
+# product's temporary stays small
 _CHUNK = 1 << 14
 
 
@@ -125,7 +125,7 @@ def lowpass_decimate(sq: np.ndarray, fs_in: float) -> np.ndarray:
     odd-length linear-phase FIR's group delay is compensated, so template
     positions are unbiased. This equals fftconvolve(sq, taps, "same")[::dec],
     but the polyphase filter computes only the outputs that are kept, by
-    blocks of outputs on the caller's share of the CPUs (_fir_blocks).
+    blocks of outputs (_fir_blocks).
     At dec 1 the filter is all-pass and sq itself is returned, not a copy.
     """
     if _decimation(fs_in) == 1:
@@ -177,16 +177,16 @@ def _fir_blocks(sq: np.ndarray, g: np.ndarray, first: int) -> np.ndarray:
     axis.
 
     Row r of the input is its samples dec*r to dec*r + dec - 1. A block of
-    outputs lo:hi reads rows first+lo-K+1 to first+hi-1 of it as a view,
-    or as a zero-padded copy where they leave the input, and takes
+    _CHUNK // 4 outputs lo:hi reads rows first+lo-K+1 to first+hi-1 of it
+    as a view, or as a zero-padded copy where they leave the input, and takes
     Z = g @ rows.T; output lo + t is then the sum of Z[c, K-1-c+t] over
     c = 0 .. K-1, added in that order. Each product has a whole number of
     groups of 8 columns: numpy's OpenBLAS computes the remaining last
     columns of a product with a narrower kernel that rounds differently.
     So, at the decimations of the LTE bandwidths (2 to 16), every output
-    has the same bits wherever the blocks of _run_blocks cut the outputs
-    and whichever thread runs them. Leading axes are looped. The blocks run
-    inside one `_blas_on_caller`, so no product wakes a BLAS worker.
+    has the same bits wherever the blocks cut the outputs. Leading axes
+    are looped. The blocks run inside one `_blas_on_caller`, so no
+    product wakes a BLAS worker.
     """
     k, dec = g.shape
     n_in = sq.shape[-1]
@@ -195,26 +195,24 @@ def _fir_blocks(sq: np.ndarray, g: np.ndarray, first: int) -> np.ndarray:
     y = np.empty(x.shape[:-1] + (-(-n_in // dec),))
     n_rows = n_in // dec
     views = x[:, :n_rows * dec].reshape(x.shape[0], n_rows, dec)
-
-    def outputs(lo, hi):
-        n = hi - lo
-        r0 = first + lo - k + 1
-        r1 = r0 + -(-(n + k - 1) // 8) * 8      # whole groups of 8 columns
-        for row, out in enumerate(y[:, lo:hi]):
-            if 0 <= r0 and r1 <= n_rows:
-                win = views[row, r0:r1]
-            else:
-                win = np.zeros((r1 - r0, dec))
-                s0, s1 = max(0, r0 * dec), min(n_in, r1 * dec)
-                if s0 < s1:
-                    win.reshape(-1)[s0 - r0 * dec:s1 - r0 * dec] = x[row, s0:s1]
-            z = g @ win.T
-            np.copyto(out, z[0, k - 1:k - 1 + n])
-            for c in range(1, k):
-                out += z[c, k - 1 - c:k - 1 - c + n]
-
+    step = max(1, _CHUNK // 4)
     with _blas_on_caller():
-        _run_blocks(outputs, y.shape[-1], sq.size, max(1, _CHUNK // 4))
+        for lo in range(0, y.shape[-1], step):
+            n = min(step, y.shape[-1] - lo)
+            r0 = first + lo - k + 1
+            r1 = r0 + -(-(n + k - 1) // 8) * 8      # whole groups of 8 columns
+            s0, s1 = max(0, r0 * dec), min(n_in, r1 * dec)
+            for row, out in enumerate(y[:, lo:lo + n]):
+                if 0 <= r0 and r1 <= n_rows:
+                    win = views[row, r0:r1]
+                else:
+                    win = np.zeros((r1 - r0, dec))
+                    if s0 < s1:
+                        win.reshape(-1)[s0 - r0 * dec:s1 - r0 * dec] = x[row, s0:s1]
+                z = g @ win.T
+                np.copyto(out, z[0, k - 1:k - 1 + n])
+                for c in range(1, k):
+                    out += z[c, k - 1 - c:k - 1 - c + n]
     return y.reshape(sq.shape[:-1] + y.shape[-1:])
 
 

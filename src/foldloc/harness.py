@@ -22,10 +22,9 @@ that is the full trace `synth_fix_trace` returns for `cmd_synth`, and at
 the fix's n frames the one stacked frame `synth_fix_stack` returns for
 `run_fix` to detect on, whose FIR filters one frame-folded square. The
 calling thread builds the cells one after another and folds each into
-the total in cell order (`lte._overlap`); how a cell's layers, and the
-delays of small cells, use the CPUs is the threading policy in `lte`'s
-docstring. `run_eval` runs its fixes one after another in the calling
-process.
+the total in cell order, while helper threads delay the cells
+(`lte._overlap`, the threading policy in `lte`'s docstring). `run_eval`
+runs its fixes one after another in the calling process.
 `_synth` is the only place that adds detector noise: white Gaussian noise
 of the front end's noise_sigma on the summed detector-rate trace, from the
 fix's own "noise" substream; the stacked frame adds the same draw, stacked.
@@ -48,7 +47,7 @@ from .detect import (FRAME_LEN, THRESH_PSS, THRESH_SSS, Detection,
 from .frontend import (DETECTOR_RATE_HZ, SENSITIVITY_FLOOR_DBM,
                        SPEED_OF_LIGHT, FrontEndConfig, _fir_reach, arrival,
                        lowpass_decimate)
-from .lte import _overlap, _run_blocks, _threads, frame_samples
+from .lte import _overlap, frame_samples
 from .locate import SOLVERS, TowerObservation, solve_tdoa
 from .scenario import Scenario, scenario_cell_db, substream, write_csv_rows
 
@@ -67,18 +66,14 @@ def _twiddle(a: np.ndarray, sign: int, row: np.ndarray | None = None,
     with row 1 when None and k[j] = j when None.
 
     With b = 160*q + r (FRAME_LEN = 120*160) the factor is the product of
-    an (n1, 120) and an (n1, 160) table, so no N-sized table is made. Row
-    blocks run on the caller's share of the CPUs (_run_blocks).
+    an (n1, 120) and an (n1, 160) table, so no N-sized table is made.
     """
-    def rows(lo, hi):
-        v = a[lo:hi].reshape(hi - lo, FRAME_LEN // 160, 160)
-        kj = np.arange(lo, hi) if k is None else k[lo:hi]
-        step = sign * 2j * np.pi / a.size * kj[:, None]
-        q = np.exp(step * 160 * np.arange(FRAME_LEN // 160))
-        v *= (q if row is None else row[lo:hi] * q)[:, :, None]
-        v *= np.exp(step * np.arange(160))[:, None, :]
-
-    _run_blocks(rows, a.shape[0], a.size)
+    v = a.reshape(a.shape[0], FRAME_LEN // 160, 160)
+    kj = np.arange(a.shape[0]) if k is None else k
+    step = sign * 2j * np.pi / a.size * kj[:, None]
+    q = np.exp(step * 160 * np.arange(FRAME_LEN // 160))
+    v *= (q if row is None else row * q)[:, :, None]
+    v *= np.exp(step * np.arange(160))[:, None, :]
 
 
 def _delayed_rows(bb: np.ndarray, delay_samples: float,
@@ -94,24 +89,15 @@ def _delayed_rows(bb: np.ndarray, delay_samples: float,
     transforms along axis 1 leave bin k1 + n1*k2 at [k1, k2], so the ramp
     is a row factor (with scale) times a column factor; k2 >= FRAME_LEN/2
     holds the negative frequencies, as in fftfreq. FRAME_LEN-point inverse
-    transforms along axis 1 then give Z. The transforms use scipy's own
-    threads, the twiddle and the column factor row blocks (_run_blocks);
-    below lte._PARALLEL_MIN samples everything runs on one thread.
+    transforms along axis 1 then give Z.
     """
     n1 = bb.size // FRAME_LEN
-    threads = _threads(bb.size)
     step = -2j * np.pi * delay_samples / bb.size
-    a = scipy.fft.fft(bb.reshape(n1, FRAME_LEN), axis=0, overwrite_x=True,
-                      workers=threads)
+    a = scipy.fft.fft(bb.reshape(n1, FRAME_LEN), axis=0, overwrite_x=True)
     _twiddle(a, -1, scale * np.exp(step * np.arange(n1))[:, None])
-    a = scipy.fft.fft(a, axis=1, overwrite_x=True, workers=threads)
-    ramp = np.exp(step * n1 * scipy.fft.fftfreq(FRAME_LEN, 1.0 / FRAME_LEN))
-
-    def columns(lo, hi):
-        a[lo:hi] *= ramp
-
-    _run_blocks(columns, n1, a.size)
-    return scipy.fft.ifft(a, axis=1, overwrite_x=True, workers=threads)
+    a = scipy.fft.fft(a, axis=1, overwrite_x=True)
+    a *= np.exp(step * n1 * scipy.fft.fftfreq(FRAME_LEN, 1.0 / FRAME_LEN))
+    return scipy.fft.ifft(a, axis=1, overwrite_x=True)
 
 
 def _delay_stacked(bb: np.ndarray, delay_samples: float, scale: float,
@@ -133,8 +119,8 @@ def _delay_stacked(bb: np.ndarray, delay_samples: float, scale: float,
     extension is the folded square taken periodically, less the square
     of the trace's last reach samples before it and of its first reach
     samples after it; those 2*reach samples of y come from Z directly.
-    The twiddle runs row blocks and the energy one output row a piece
-    (_run_blocks), the inverse scipy's own threads.
+    The energy is summed one output row at a time, so no temporary spans
+    every row.
     """
     z = _delayed_rows(bb, delay_samples, scale)
     n1 = z.shape[0]
@@ -146,19 +132,16 @@ def _delay_stacked(bb: np.ndarray, delay_samples: float, scale: float,
     if q > 1:
         _twiddle(z, 1, k=np.arange(n1) // n * n)
         z = scipy.fft.ifft(z.reshape(q, n, FRAME_LEN), axis=0, norm="forward",
-                           overwrite_x=True, workers=_threads(z.size))
+                           overwrite_x=True)
     parts = z.view(np.float64).reshape(q, n, 2 * FRAME_LEN)   # re, im, ...
     out = np.empty(q * FRAME_LEN + 2 * reach)
     folded = out[reach:reach + q * FRAME_LEN]
     rows = folded.reshape(q, FRAME_LEN)
-
-    def energy(lo, hi):
-        x = parts[lo:hi]
+    for i in range(q):
+        x = parts[i:i + 1]
         e = np.einsum("ijk,ijk->ik", x, x)      # summed over ka in order
-        np.add(e[:, 0::2], e[:, 1::2], out=rows[lo:hi])
-        rows[lo:hi] /= 2 * n * n * q * q
-
-    _run_blocks(energy, q, z.size, 1)
+        np.add(e[:, 0::2], e[:, 1::2], out=rows[i:i + 1])
+    rows /= 2 * n * n * q * q
     out[:reach] = folded[folded.size - reach:] - ends[:reach]
     out[reach + folded.size:] = folded[:reach] - ends[reach:]
     return out
@@ -193,8 +176,7 @@ def _synth(sc: Scenario, fix_idx: int, per: int) -> np.ndarray:
         first = (out.size - total.size) // 2
         np.add(total, out[first:first + total.size], out=total)
 
-    largest = max((n * c.frame_cfg.frame_len for _, c, _ in heard), default=0)
-    _overlap(_delay_stacked, built(), fold, _threads(largest) == 1)
+    _overlap(_delay_stacked, built(), fold)
 
     if sc.front_end.noise_sigma > 0:
         rng = substream(sc.rng_seed, "noise", fix_idx)
@@ -211,7 +193,7 @@ def synth_fix_trace(sc: Scenario, fix_idx: int) -> np.ndarray:
     frame. Each is finished by `_delay_stacked` at one frame per output
     frame, its square extended as the low-pass's zero padding needs, and
     filtered. Cells are built, and folded into the total, in cell order on
-    the calling thread; their delays may overlap (lte._overlap).
+    the calling thread; their delays overlap (lte._overlap).
     """
     return _synth(sc, fix_idx, 1)
 

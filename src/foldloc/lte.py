@@ -12,31 +12,25 @@ it, cyclic prefixes inserted by one precomputed index per FFT size, into
 one preallocated output. `sync_segment` builds a span of many PCIs'
 data-free frames from the sync symbols inside it alone.
 
-Threading, for the whole package: one scheduler, `_overlap`, runs all
-parallel work. The caller draws jobs into one queue and finishes them in
-order; the helper threads work the queue, and so does the caller while it
-waits, so a busy or descheduled helper holds back only a job it started.
-A helper that has not started by the end is cancelled. Each caller sets
-its own size rule: a layer of at least _PARALLEL_MIN = 2**19 elements may
-use every CPU the process may run on; below that a second thread costs
-more than it saves. `_run_blocks` cuts a large layer into pieces that are
-`_overlap` jobs: the frames of `frame_samples`, the twiddles, column
-factor and energy of the delay in `harness`, and the FIR of
-`frontend.lowpass_decimate`. `harness._synth` overlaps the delays of a
-fix's cells when all are below _PARALLEL_MIN: a helper returns a cell's
-square, folded over the frames averaged into each output frame, which the
-caller filters. The numpy calls in the jobs release the GIL, so the jobs
-do run at once. Job functions are private and call no public function of
-the package, so a tracer that wraps public functions, and keeps one span
-stack for all threads, sees every call on the thread that made it. The
-output does not depend on the thread count.
+Threading, for the whole package: foldloc's one parallel work is the
+delay of a fix's cells. `harness._synth` hands them to `_overlap`, which
+draws the jobs into one queue and finishes them in order on the calling
+thread; the helper threads work the queue, and so does the caller while
+it waits, so a busy or descheduled helper holds back only a job it
+started. A helper that has not started by the end is cancelled. A helper
+returns a cell's square, folded over the frames averaged into each output
+frame, which the caller filters. The numpy calls in the jobs release the
+GIL, so the jobs do run at once. Job functions are private and call no
+public function of the package, so a tracer that wraps public functions,
+and keeps one span stack for all threads, sees every call on the thread
+that made it. The output does not depend on the thread count.
 
-These jobs, and scipy.fft's workers at or above _PARALLEL_MIN, are
-foldloc's only parallel work; with one CPU there is none. Detection runs
-on the calling thread. No BLAS call wakes a thread: numpy's OpenBLAS
-would share a large product with worker threads that keep spinning after
-it returns, so `_blas_on_caller` holds each product to the thread that
-calls it, around detection's stage-2 product and around the FIR's pieces.
+No layer splits itself across threads, and with one CPU there is no
+parallel work at all. Detection runs on the calling thread. No BLAS call
+wakes a thread: numpy's OpenBLAS would share a large product with worker
+threads that keep spinning after it returns, so `_blas_on_caller` holds
+each product to the thread that calls it, around detection's stage-2
+product and around the FIR's blocks.
 """
 from __future__ import annotations
 
@@ -76,18 +70,11 @@ SSS_COLS = (5, 75)
 PSS_COLS = (6, 76)
 
 
-# threads of a large layer: every CPU this process may run on, counted once
-# at import
-_CPU_SHARE = len(os.sched_getaffinity(0))
-# a layer whose array holds fewer elements runs on the caller's thread
-# alone, where a second thread costs more than it saves
-_PARALLEL_MIN = 1 << 19
+# the caller and its helper threads: every CPU this process may run on,
+# counted once at import, or every CPU where the platform cannot say which
+_CPU_SHARE = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+              else os.cpu_count() or 1)
 _helper_pool: tuple[int, ThreadPoolExecutor] | None = None
-
-
-def _threads(size: int) -> int:
-    """Threads for a layer whose array holds size elements."""
-    return _CPU_SHARE if size >= _PARALLEL_MIN else 1
 
 
 def _helpers() -> ThreadPoolExecutor:
@@ -100,44 +87,24 @@ def _helpers() -> ThreadPoolExecutor:
     global _helper_pool
     if _helper_pool is None or _helper_pool[0] != os.getpid():
         _helper_pool = os.getpid(), ThreadPoolExecutor(_CPU_SHARE - 1,
-                                                       "foldloc-block")
+                                                       "foldloc-helper")
     return _helper_pool[1]
 
 
-def _run_blocks(fn, n: int, size: int, step: int | None = None) -> None:
-    """Call fn(lo, hi) over range(n), in pieces (lo, min(lo + step, n)).
-
-    The layer's array holds size elements; step None cuts _threads(size)
-    pieces. Below _PARALLEL_MIN the caller runs them in order; at or above
-    it they are the jobs of one `_overlap`. fn must write disjoint outputs
-    for disjoint index ranges, so the pieces may run in any order on any
-    thread, and must call no public function of the package.
-    """
-    threads = _threads(size)
-    step = step or max(1, -(-n // threads))
-    pieces = ((lo, min(lo + step, n)) for lo in range(0, n, step))
-    if threads == 1:
-        for lo, hi in pieces:
-            fn(lo, hi)
-    else:
-        _overlap(fn, pieces, lambda k, out: None, True)
-
-
-def _overlap(work, jobs, finish, parallel: bool) -> None:
+def _overlap(work, jobs, finish) -> None:
     """finish(k, work(*job)) for the k-th job of the iterable jobs, in order.
 
     Jobs are drawn from jobs into one queue, and finished, on the calling
-    thread alone. When parallel and the process may use several CPUs, the
+    thread alone. When the process may use several CPUs, the
     _CPU_SHARE - 1 helper threads work the queue, and so does the caller
     whenever it waits: it draws the next job while at most _CPU_SHARE
     drawn jobs are unfinished, so at most _CPU_SHARE + 1 are held at once.
     A helper that has not started by the end is cancelled, not waited for.
-    Otherwise each job is worked and finished on the caller before the
-    next is drawn, and a work may split itself across the CPUs
-    (_run_blocks). work must call no public function of the package; the
+    With one CPU each job is worked and finished on the caller before the
+    next is drawn. work must call no public function of the package; the
     outputs do not depend on the thread count.
     """
-    helpers = _CPU_SHARE - 1 if parallel else 0
+    helpers = _CPU_SHARE - 1
     ahead = _CPU_SHARE if helpers else 0
     todo = SimpleQueue()    # (future, job) not yet started; None ends a helper
 
@@ -226,15 +193,14 @@ _blas_lock = threading.RLock()
 def _blas_on_caller():
     """Run each numpy BLAS call inside on the thread that makes it.
 
-    The thread count is the process's, so it also holds the calls of the
-    helper threads that work a `_run_blocks` inside. OpenBLAS's worker
-    threads keep spinning for about 0.1 s after a product they shared
-    returns, holding a CPU that the next fix's synthesis splits its layers
-    across, for a fraction of a millisecond saved on a product of
-    detection's or a FIR block's size. The previous count is restored on
-    exit, so the host's setting never changes; the lock keeps two threads
-    from restoring each other's count. Without numpy's OpenBLAS it does
-    nothing.
+    OpenBLAS's worker threads keep spinning for about 0.1 s after a
+    product they shared returns, holding a CPU that the next fix's
+    synthesis overlaps its cells' delays on, for a fraction of a
+    millisecond saved on a product of detection's or a FIR block's size.
+    The thread count is the process's; the previous count is restored on
+    exit, so the host's setting never changes, and the lock keeps two
+    threads from restoring each other's count. Without numpy's OpenBLAS
+    it does nothing.
     """
     blas = _numpy_openblas()
     if blas is None:
@@ -458,8 +424,7 @@ def frame_samples(cfg: FrameConfig, pci: Pci, rng: np.random.Generator,
     draw of rng, which takes the same values, and leaves rng in the same
     state, as n int64 draws of one frame each. Equal, to
     rounding, to concatenating n_frames single-frame calls that share one
-    Generator, but built frame by frame into one output array, on the
-    caller's share of the CPUs when the frames are large (_run_blocks).
+    Generator, but built frame by frame into one output array.
     """
     if n_frames < 1:
         raise ValueError(f"n_frames must be at least 1, got {n_frames}")
@@ -468,14 +433,10 @@ def frame_samples(cfg: FrameConfig, pci: Pci, rng: np.random.Generator,
     sync = _sync_columns(pci)
     insert = _cp_layout(cfg)
     out = np.empty((n_frames, cfg.frame_len), dtype=np.complex128)
-
-    def frames(lo, hi):
-        grid = _grid(cfg, sync, bits[lo:hi])
+    for f, frame in enumerate(out):
+        grid = _grid(cfg, sync, bits[f:f + 1])
         np.fft.ifft(grid, axis=-1, norm="ortho", out=grid)
-        np.take(grid.reshape(hi - lo, -1), insert, axis=1, out=out[lo:hi],
-                mode="wrap")
-
-    _run_blocks(frames, n_frames, out.size, 1)
+        np.take(grid.ravel(), insert, out=frame, mode="wrap")
     return out.ravel()
 
 

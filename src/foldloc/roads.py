@@ -7,6 +7,7 @@ polygons with enter/exit alerting.
 """
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -213,21 +214,22 @@ def load_road_graph_csv(path) -> RoadGraph:
 
 
 def load_geofence_csv(path) -> GeofenceRegion:
-    """First line 'mode,<enter|exit>', then one 'x,y' vertex per line;
-    errors name path, and path:line for a line."""
-    with open(path) as f:
-        first = f.readline().strip().split(",")
+    """First row 'mode,<enter|exit>', then one 'x,y' vertex per row, read
+    as CSV, so a field may be quoted; whitespace-only lines are skipped.
+    Errors name path, and path:line for a row."""
+    with open(path, newline="") as f:
+        reader = csv.reader(f)
+        first = [v.strip() for v in next(reader, [])]
         if len(first) != 2 or first[0] != "mode" or first[1] not in MODES:
             raise ScenarioError(f"{path}:1: first line must be 'mode,<enter|exit>'")
         mode = first[1]
         verts = []
-        for ln, line in enumerate(f, start=2):
-            if line.strip():
-                xy = line.strip().split(",")
+        for xy in reader:
+            if len(xy) > 1 or "".join(xy).strip():     # not a blank line
                 if len(xy) != 2:
-                    raise ScenarioError(f"{path}:{ln}: expected 'x,y', got "
-                                        f"{line.strip()!r}")
-                verts.append(_finite(xy, f"{path}:{ln}"))
+                    raise ScenarioError(f"{path}:{reader.line_num}: expected "
+                                        f"'x,y', got {','.join(xy)!r}")
+                verts.append(_finite(xy, f"{path}:{reader.line_num}"))
     try:
         return GeofenceRegion(polygon=np.array(verts), mode=mode)
     except ValueError as e:

@@ -1,7 +1,9 @@
+import os
 from contextlib import contextmanager
 
 import pytest
 
+import foldloc
 from foldloc import lte
 from foldloc.detect import build_bank
 from foldloc.frontend import FrontEndConfig, fold_baseband
@@ -47,3 +49,11 @@ def cpu_share(share):
         finally:
             if lte._helper_pool is not None:
                 lte._helper_pool[1].shutdown()
+
+
+def child_env():
+    """The environment of a child process that imports this process's
+    foldloc, installed or not."""
+    src = os.path.dirname(os.path.dirname(foldloc.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))

@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.signal import upfirdn
 
-from foldloc import frontend, lte
-from conftest import cpu_share, fold_frame
+from foldloc import frontend
+from conftest import fold_frame
 from foldloc.frontend import (DETECTOR_RATE_HZ, SPEED_OF_LIGHT, CellConfig,
                               design_lowpass, fold_baseband, lowpass_decimate,
                               arrival, path_amplitude)
@@ -237,8 +237,8 @@ def _whole_trace_fir(sq, taps, dec):
 
 
 def _one_piece_fir(sq, fs):
-    """lowpass_decimate with its outputs in one piece, on one thread."""
-    with cpu_share(1) as mp:
+    """lowpass_decimate with its outputs in one piece."""
+    with pytest.MonkeyPatch.context() as mp:
         mp.setattr(frontend, "_CHUNK", 1 << 40)
         return lowpass_decimate(sq, fs)
 
@@ -255,25 +255,25 @@ def _assert_block_fir(got, sq, fs, dec):
 @settings(max_examples=60, deadline=None)
 @given(dec=st.sampled_from([2, 4, 8, 16]), n=st.integers(1, 6000),
        rows=st.sampled_from([(), (2,)]), chunk=st.integers(1, 3000),
-       share=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
-def test_block_fir_equals_whole_trace_upfirdn(dec, n, rows, chunk, share, seed):
-    """However the outputs are cut into blocks and spread over threads,
-    each has the bits of the unsplit polyphase filter, and agrees with
-    upfirdn over the whole trace; at dec 1 no FIR runs
-    (test_all_pass_returns_its_input)."""
+       seed=st.integers(0, 2**32 - 1))
+def test_block_fir_equals_whole_trace_upfirdn(dec, n, rows, chunk, seed):
+    """However the outputs are cut into blocks, each has the bits of the
+    unsplit polyphase filter, and agrees with upfirdn over the whole
+    trace; at dec 1 no FIR runs (test_all_pass_returns_its_input)."""
     fs = dec * DETECTOR_RATE_HZ
     sq = np.random.default_rng(seed).standard_normal(rows + (n,)) ** 2
-    with cpu_share(share) as mp:
+    with pytest.MonkeyPatch.context() as mp:
         mp.setattr(frontend, "_CHUNK", chunk)
-        mp.setattr(lte, "_PARALLEL_MIN", 0)
         got = lowpass_decimate(sq, fs)
     _assert_block_fir(got, sq, fs, dec)
 
 
-def test_block_fir_equals_whole_trace_upfirdn_above_the_split_size():
+def test_block_fir_equals_whole_trace_upfirdn_on_a_long_input():
+    """The same on 2**19 + 7 samples: many blocks of the real _CHUNK and
+    a short last one."""
     for dec in (4, 8, 16):
         fs = dec * DETECTOR_RATE_HZ
-        sq = np.random.default_rng(dec).standard_normal(lte._PARALLEL_MIN + 7) ** 2
+        sq = np.random.default_rng(dec).standard_normal((1 << 19) + 7) ** 2
         _assert_block_fir(lowpass_decimate(sq, fs), sq, fs, dec)
 
 

@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 from scipy.signal import fftconvolve
 
-import foldloc
 from foldloc import cli, detect, harness, lte, traceio
 from foldloc.amplitude import estimate_subsample, fit_amplitude
 from foldloc.detect import (FRAME_LEN, PSS_TEMPLATE_LEN, TEMPLATE_LEN,
@@ -30,7 +29,7 @@ from foldloc.harness import (cmd_localize, cmd_synth, compute_metrics,
 from foldloc.locate import PositionEstimate
 from foldloc.lte import FrameConfig, Pci
 from foldloc.scenario import CellDatabase, Scenario, load_scenario, substream
-from conftest import cpu_share
+from conftest import child_env, cpu_share
 from oracles import build_frame, correlate_bank, ofdm_modulate
 
 FS = 1.92e6
@@ -265,7 +264,7 @@ import numpy as np
 from foldloc import lte
 from foldloc.harness import synth_fix_stack, synth_fix_trace
 
-sys.setswitchinterval(1e-5)   # more thread switches inside the blocks
+sys.setswitchinterval(1e-5)   # more thread switches inside the jobs
 for sc in pickle.load(sys.stdin.buffer):
     for synth in (synth_fix_trace, synth_fix_stack):
         runs = []
@@ -278,39 +277,28 @@ for sc in pickle.load(sys.stdin.buffer):
 """
 
 
-def test_synth_does_not_depend_on_fft_threads():
-    """The trace and the stacked frame are the same bits at every thread
-    count: five small cells whose delays overlap, cells just under and
-    just over the size at which a layer splits, and large cells mixed
-    with a small one. It runs in a child process, so a deadlock fails the
-    test instead of hanging."""
-    # a 5 MHz cell of 6 frames is just under the size at which a layer
-    # splits across threads, one of 7 frames just over it
-    frame = FrameConfig.from_bandwidth(5.0).frame_len
-    assert 6 * frame < lte._PARALLEL_MIN <= 7 * frame
+def test_synth_does_not_depend_on_the_cpu_share():
+    """The trace and the stacked frame are the same bits at every CPU
+    share: five small cells whose delays overlap, wideband cells mixed
+    with a small one, and a lone 20 MHz cell with nothing to overlap. It
+    runs in a child process, so a deadlock fails the test instead of
+    hanging."""
     scenarios = [_s5_scenario((0, 1500, 3000, 4500, 6000)),
-                 _wideband_scenario((5.0, 3.0, 1.4), n_frames=6),
-                 _wideband_scenario((5.0, 3.0, 1.4), n_frames=7),
-                 _wideband_scenario((20.0, 15.0, 1.4))]
+                 _wideband_scenario(),
+                 _wideband_scenario((20.0, 15.0, 1.4)),
+                 _wideband_scenario((20.0,))]
     proc = subprocess.Popen([sys.executable, "-c", _THREAD_COUNTS_SCRIPT],
                             stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-                            stderr=subprocess.PIPE, env=_child_env(),
+                            stderr=subprocess.PIPE, env=child_env(),
                             start_new_session=True)
     try:
         out, err = proc.communicate(pickle.dumps(scenarios), timeout=120)
     except subprocess.TimeoutExpired:
         os.killpg(proc.pid, signal.SIGKILL)
         proc.communicate()
-        pytest.fail("a fix at some thread count did not finish")
+        pytest.fail("a fix at some CPU share did not finish")
     assert proc.returncode == 0, err.decode()
     assert out.decode().split() == ["True"] * 2 * len(scenarios)
-
-
-def _child_env():
-    """The environment of a child that imports this process's foldloc."""
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [os.path.dirname(os.path.dirname(foldloc.__file__)),
-         os.environ.get("PYTHONPATH", "")]))
 
 
 _SIGNAL_LOADED_SCRIPT = """
@@ -346,7 +334,7 @@ def test_fix_of_detector_rate_cells_does_not_load_scipy_signal():
     1.4 MHz cells, at decimation factor 1, and not a fix of wideband
     cells, whose FIR is foldloc's own."""
     out = subprocess.run([sys.executable, "-c", _SIGNAL_LOADED_SCRIPT],
-                         capture_output=True, text=True, env=_child_env(),
+                         capture_output=True, text=True, env=child_env(),
                          timeout=120, check=True).stdout
     assert out.split() == ["False", "False"]
 
@@ -355,8 +343,8 @@ def test_traced_layers_run_on_the_calling_thread(monkeypatch):
     """Helper threads never enter a layer a tracer may wrap: every call of
     one, through any foldloc binding of it, runs on the thread that
     synthesizes the fix, so the spans of a tracer with one stack nest. A
-    wideband fix splits its layers across threads; an S5 fix delays its
-    small cells on the helper thread while the caller builds and folds.
+    wideband fix and an S5 fix both delay their cells on the helper thread
+    while the caller builds and folds.
     The trace and run_fix's stacked frame each filter every cell once and
     fold none at the full rate."""
     calls = []
@@ -428,13 +416,36 @@ print(proc.exitcode == 0 and got == parent.tobytes())
 """
 
 
+def test_a_fix_overlaps_its_cells_and_nothing_else(monkeypatch):
+    """A fix's one parallel work is the delay of its cells: run_fix calls
+    _overlap once, with _delay_stacked as the work, on a wideband fix
+    shaped like the benchmark's (20, 10 and 5 MHz, 8 frames) and on an S5
+    fix; no layer hands pieces of itself to _overlap."""
+    works = []
+
+    def recording(work, *args):
+        works.append(work)
+        return real(work, *args)
+
+    real = lte._overlap
+    monkeypatch.setattr(lte, "_overlap", recording)
+    monkeypatch.setattr(harness, "_overlap", recording)
+    for sc in (_wideband_scenario(n_frames=8),
+               _s5_scenario((0, 1500, 3000, 4500, 6000))):
+        harness._bank_for(sc.front_end)
+        works.clear()
+        with cpu_share(2):
+            run_fix(sc, 0)
+        assert works == [harness._delay_stacked]
+
+
 def test_worker_processes_do_not_inherit_the_helper_pool():
     """A forked child makes its own helper threads, and its trace equals
     the parent's bit for bit: submitting to the pool it inherits from its
     parent would wait forever."""
     proc = subprocess.Popen([sys.executable, "-c", _FORKED_POOL_SCRIPT],
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                            text=True, env=_child_env(),
+                            text=True, env=child_env(),
                             start_new_session=True)
     try:
         out, err = proc.communicate(timeout=60)
@@ -513,7 +524,7 @@ def test_detection_wakes_no_other_thread(tmp_path):
     np.save(path, synth_fix_trace(_s5_scenario((0,) * 5), 0))
     out = subprocess.run([sys.executable, "-c", _QUIET_DETECTION_SCRIPT,
                           str(path)], capture_output=True, text=True,
-                         env=_child_env(), timeout=60, check=True).stdout
+                         env=child_env(), timeout=60, check=True).stdout
     gains = json.loads(out)
     assert all(g <= 1 for g in gains.values()), gains
 
@@ -528,7 +539,7 @@ def test_wideband_synthesis_wakes_no_blas_thread():
     CPUs: no BLAS worker spins on after a product, holding a CPU."""
     out = subprocess.run([sys.executable, "-c", _QUIET_SYNTHESIS_SCRIPT],
                          input=pickle.dumps(_wideband_scenario()),
-                         capture_output=True, env=_child_env(), timeout=120,
+                         capture_output=True, env=child_env(), timeout=120,
                          check=True).stdout
     gains = json.loads(out)
     assert all(g <= 1 for g in gains.values()), gains
@@ -893,12 +904,8 @@ ROADS = ("node_a_id,node_b_id,ax,ay,bx,by,max_speed_mps\n"
 
 
 def _run_cli(args):
-    env = dict(os.environ)
-    # the child imports the same foldloc as this process, installed or not
-    src = os.path.dirname(os.path.dirname(foldloc.__file__))
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "foldloc", *args],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=child_env())
 
 
 @pytest.fixture(scope="module")
@@ -1141,6 +1148,24 @@ def test_cli_track_skips_unresolved_fixes(tmp_path):
     rows = list(csv.DictReader(open(tmp_path / "out.snapped.csv")))
     assert [float(r["t"]) for r in rows] == [0.0, 2.0]
     assert [r["reseeded"] for r in rows] == ["0", "0"]
+
+
+@pytest.mark.parametrize("fence", [
+    FENCE, "".join(",".join(f'"{v}"' for v in line.split(",")) + "\n"
+                   for line in FENCE.splitlines())], ids=["plain", "quoted"])
+def test_cli_track_reads_the_geofence_as_csv(tmp_path, fence):
+    """A geofence is a CSV file: with its fields quoted or not, a track
+    that leaves the fence on its last fix exits 0 with one exit alert."""
+    from foldloc.cli import main
+    traj = tmp_path / "traj.csv"
+    traj.write_text("t,x_est,y_est\n0,0,5\n1,30,5\n2,60,5\n")
+    (tmp_path / "roads.csv").write_text(ROADS)
+    (tmp_path / "fence.csv").write_text(fence)
+    assert main(["track", str(traj), "--roads", str(tmp_path / "roads.csv"),
+                 "--geofence", str(tmp_path / "fence.csv"),
+                 "-o", str(tmp_path / "out")]) == 0
+    rows = list(csv.DictReader(open(tmp_path / "out.alerts.csv")))
+    assert [(float(r["t"]), r["event"]) for r in rows] == [(2.0, "exit")]
 
 
 @pytest.mark.parametrize("value", ["1.0", "1.5", "nan", "-1.5"])

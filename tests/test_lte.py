@@ -1,23 +1,21 @@
 """Frame synthesis: sync sequences, grid layout, OFDM round trip."""
 import cmath
+import subprocess
 import sys
 import threading
 import time
 import weakref
-from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from foldloc import lte
 
 from foldloc.lte import (BANDWIDTH_TABLE, FrameConfig, Pci, central_62_bins,
                          frame_samples, generate_pss, generate_sss,
                          sss_shift_pair, sync_segment)
-from conftest import cpu_share
+from conftest import child_env, cpu_share
 from oracles import build_frame, ofdm_demodulate, ofdm_modulate
 
 
@@ -276,40 +274,17 @@ def test_sync_segment_matches_data_free_frames(cfg14, span):
             row, ofdm_modulate(build_frame(cfg14, Pci(p)), cfg14)[lo:hi])
 
 
-@settings(max_examples=200, deadline=None)
-@given(n=st.integers(0, 200), step=st.one_of(st.none(), st.integers(1, 17)),
-       above=st.booleans(), share=st.integers(1, 3))
-def test_run_blocks_covers_every_index_once(n, step, above, share):
-    """However the range is cut and spread over threads, the pieces cover
-    it exactly once and none is longer than step."""
-    size = lte._PARALLEL_MIN if above else lte._PARALLEL_MIN - 1
-    calls, lock = [], threading.Lock()
-
-    def fn(lo, hi):
-        with lock:
-            calls.append((lo, hi, threading.get_ident()))
-
-    with cpu_share(share):
-        lte._run_blocks(fn, n, size, step)
-    covered = Counter(i for lo, hi, _ in calls for i in range(lo, hi))
-    assert covered == Counter(range(n))
-    assert all(lo < hi for lo, hi, _ in calls)
-    if step is None:
-        assert len(calls) <= (share if above else 1)
-    else:
-        assert all(hi - lo <= step for lo, hi, _ in calls)
-
-
-@pytest.mark.parametrize("share,above", [(1, False), (2, False), (3, False),
-                                         (2, True), (3, True)])
+@pytest.mark.parametrize("share,stalled", [(1, False), (2, False),
+                                           (3, False), (2, True), (3, True)])
 @pytest.mark.parametrize("n", [0, 1, 2, 7])
-def test_overlap_finishes_every_job_in_order(share, above, n):
+def test_overlap_finishes_every_job_in_order(share, stalled, n):
     """Every job is worked once and finished in order on the thread that
     calls _overlap, which also draws the jobs; at most share + 1 drawn jobs
-    are unfinished at once, and one at a time when the jobs are large
-    (their works split themselves) or the process has one CPU. Share 3 runs
-    more threads than two CPUs, with frequent thread switches, and the
-    call must return within the timeout."""
+    are unfinished at once, and one at a time when the process has one
+    CPU. Helper threads that never start hold nothing back: the caller
+    works every job and returns. Share 3 runs more threads than two CPUs,
+    with frequent thread switches, and the call must return within the
+    timeout."""
     drawn, finished, held, worked, errors = [], [], [], [], []
     lock = threading.Lock()
 
@@ -321,7 +296,7 @@ def test_overlap_finishes_every_job_in_order(share, above, n):
 
     def work(k, v):
         with lock:
-            worked.append(k)
+            worked.append((k, threading.get_ident()))
         return k, v + 1
 
     def finish(k, out):
@@ -329,10 +304,12 @@ def test_overlap_finishes_every_job_in_order(share, above, n):
 
     def caller():
         try:
-            lte._overlap(work, jobs(), finish, not above)
+            lte._overlap(work, jobs(), finish)
         except BaseException as e:
             errors.append(e)
 
+    release = threading.Event()
+    stalled_pool = ThreadPoolExecutor(share - 1) if stalled else None
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
@@ -340,30 +317,39 @@ def test_overlap_finishes_every_job_in_order(share, above, n):
             if share == 1:   # ThreadPoolExecutor(0) raises
                 mp.setattr(lte, "_helpers",
                            lambda: errors.append("helpers at one CPU"))
+            elif stalled:   # each of the pool's threads stalls
+                for _ in range(share - 1):
+                    stalled_pool.submit(release.wait)
+                mp.setattr(lte, "_helpers", lambda: stalled_pool)
             t = threading.Thread(target=caller, daemon=True)
             t.start()
             t.join(timeout=30)
             assert not t.is_alive(), "_overlap did not return"
             pool = lte._helper_pool
-            if share > 1 and not above:     # the helpers it ran with
+            if share > 1 and not stalled:     # the helpers it ran with
                 assert pool[1]._max_workers == share - 1
             else:
                 assert pool is None
     finally:
         sys.setswitchinterval(interval)
+        release.set()
+        if stalled:
+            stalled_pool.shutdown()
     assert not errors
-    assert sorted(worked) == list(range(n))
+    assert sorted(k for k, _ in worked) == list(range(n))
+    if stalled:
+        assert all(tid == t.ident for _, tid in worked)
     assert [k for k, _ in drawn] == list(range(n))
     assert finished == [(k, (k, k * k + 1), t.ident) for k in range(n)]
     assert all(tid == t.ident for _, tid in drawn)
-    assert max(held, default=0) <= (1 if above or share == 1 else share + 1)
+    assert max(held, default=0) <= (1 if share == 1 else share + 1)
 
 
 @pytest.mark.parametrize("where", ["work", "jobs", "finish"])
 def test_overlap_raises_and_frees_the_helper_threads(where):
     """An error in a work, in drawing a job or in finishing one reaches the
-    caller, and no helper thread is left serving: a layer large enough to
-    split across every helper thread still runs afterwards."""
+    caller, and no helper thread is left serving: a task submitted to the
+    helper pool afterwards runs on its one thread at once."""
     def jobs():
         for k in range(6):
             if where == "jobs" and k == 3:
@@ -381,54 +367,18 @@ def test_overlap_raises_and_frees_the_helper_threads(where):
 
     with cpu_share(2):
         with pytest.raises(KeyError):
-            lte._overlap(work, jobs(), finish, True)
-        seen = []
-        lte._run_blocks(lambda lo, hi: seen.append(lo), 2, lte._PARALLEL_MIN)
-    assert sorted(seen) == [0, 1]
+            lte._overlap(work, jobs(), finish)
+        helper = lte._helpers().submit(threading.get_ident).result(timeout=10)
+    assert helper != threading.get_ident()
 
 
-@pytest.mark.parametrize("case", ["run_blocks", "overlap"])
-def test_a_stalled_helper_holds_nothing_back(case):
-    """A helper thread that never starts holds back no piece of a large
-    layer and no overlapped job: the caller works them all and returns."""
-    release = threading.Event()
-    pool = ThreadPoolExecutor(1)
-    pool.submit(release.wait)       # the pool's one thread stalls
-    ran, errors = [], []
-
-    def caller():
-        try:
-            if case == "run_blocks":
-                lte._run_blocks(lambda lo, hi: ran.append(threading.get_ident()),
-                                6, lte._PARALLEL_MIN, 1)
-            else:
-                lte._overlap(lambda k: ran.append(threading.get_ident()),
-                             ((k,) for k in range(6)),
-                             lambda k, out: None, True)
-        except BaseException as e:
-            errors.append(e)
-
-    try:
-        with cpu_share(2) as mp:
-            mp.setattr(lte, "_helpers", lambda: pool)
-            t = threading.Thread(target=caller, daemon=True)
-            t.start()
-            t.join(timeout=10)
-            assert not t.is_alive(), f"{case} waited for the stalled helper"
-    finally:
-        release.set()
-        pool.shutdown()
-    assert not errors
-    assert ran == [t.ident] * 6
-
-
-@pytest.mark.parametrize("share,parallel", [(1, True), (2, False),
-                                            (2, True), (3, True)])
-def test_overlap_holds_no_finished_job(share, parallel):
+@pytest.mark.parametrize("share", [1, 2, 3])
+def test_overlap_holds_no_finished_job(share):
     """No job's array, nor its work's output, is held after the job is
     finished: each time a job is drawn, at most share earlier jobs are
     alive when helper threads work the jobs, the ones not yet finished,
-    and none when each job is finished before the next is drawn."""
+    and none at one CPU, where each job is finished before the next is
+    drawn."""
     arrays, outputs, alive = [], {}, []
 
     def job(k):     # built outside jobs(), whose frame would hold it
@@ -451,9 +401,28 @@ def test_overlap_holds_no_finished_job(share, parallel):
         assert out[0] == k + 1.0
 
     with cpu_share(share):
-        lte._overlap(work, jobs(), finish, parallel)
+        lte._overlap(work, jobs(), finish)
     assert len(alive) == 12
-    assert max(alive) <= (share if parallel and share > 1 else 0)
+    assert max(alive) <= (share if share > 1 else 0)
+
+
+_NO_AFFINITY_SCRIPT = """
+import os
+if hasattr(os, "sched_getaffinity"):
+    del os.sched_getaffinity     # as on macOS and Windows
+from foldloc import lte
+print(lte._CPU_SHARE == (os.cpu_count() or 1))
+"""
+
+
+def test_import_without_sched_getaffinity():
+    """Where os has no sched_getaffinity, foldloc imports and shares out
+    every CPU os.cpu_count counts."""
+    out = subprocess.run([sys.executable, "-c", _NO_AFFINITY_SCRIPT],
+                         capture_output=True, text=True, env=child_env(),
+                         timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "True"
 
 
 @pytest.mark.skipif(lte._numpy_openblas() is None,

@@ -1,7 +1,9 @@
 """Every name foldloc exports is read in src/ or benchmarks/, outside its own
 definition and the package's import of it; what only tests call belongs in
 tests/oracles.py. Every private module-level name of the package is read in
-src/ outside its own definition. The sources are parsed, not imported."""
+src/ outside its own definition. The package's one parallel work, the delay
+of a fix's cells, is reached one way. The sources are parsed, not
+imported."""
 import ast
 from collections import defaultdict
 from pathlib import Path
@@ -38,7 +40,9 @@ def _defined(node):
     return []
 
 
-TREES = [ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))]
+MODULES = {path.stem: ast.parse(path.read_text())
+           for path in sorted(PACKAGE.glob("*.py"))}
+TREES = list(MODULES.values())
 # (name, defining statement) of every private, not dunder, module-level name
 PRIVATE = sorted(((name, node) for tree in TREES for node in tree.body
                   for name in _defined(node)
@@ -50,6 +54,11 @@ for node in (node for tree in TREES for node in ast.walk(tree)):
     if isinstance(node, (ast.Name, ast.Attribute)) \
             and isinstance(node.ctx, ast.Load):
         LOADS[node.id if isinstance(node, ast.Name) else node.attr].append(node)
+# id of every node of src/ -> (module, name of its module-level statement,
+# None for one that names nothing)
+OWNER = {id(node): (module, getattr(top, "name", None))
+         for module, tree in MODULES.items() for top in tree.body
+         for node in ast.walk(top)}
 
 
 @pytest.mark.parametrize("name,definition", PRIVATE, ids=[n for n, _ in PRIVATE])
@@ -57,3 +66,21 @@ def test_private_name_is_read_in_src(name, definition):
     inside = set(map(id, ast.walk(definition)))
     assert any(id(node) not in inside for node in LOADS[name]), \
         f"{name} has no reader in src/ outside its definition"
+
+
+def test_no_call_asks_for_worker_threads():
+    """No layer splits itself across threads: no call passes workers=,
+    as scipy.fft's transforms would take it."""
+    calls = [(module, node.lineno) for module, tree in MODULES.items()
+             for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and any(k.arg == "workers" for k in node.keywords)]
+    assert not calls
+
+
+def test_only_overlap_reads_the_helper_threads():
+    assert {OWNER[id(n)] for n in LOADS["_helpers"]} == {("lte", "_overlap")}
+
+
+def test_only_a_fix_synthesis_overlaps():
+    """The delays of a fix's cells are the only jobs _overlap is given."""
+    assert {OWNER[id(n)] for n in LOADS["_overlap"]} == {("harness", "_synth")}

@@ -372,6 +372,36 @@ def test_overlap_raises_and_frees_the_helper_threads(where):
     assert helper != threading.get_ident()
 
 
+@pytest.mark.parametrize("case", ["overlap"])
+def test_a_stalled_helper_holds_nothing_back(case):
+    """A helper thread that never starts holds back no overlapped job: the
+    caller works them all and returns."""
+    release = threading.Event()
+    pool = ThreadPoolExecutor(1)
+    pool.submit(release.wait)       # the pool's one thread stalls
+    ran, errors = [], []
+
+    def caller():
+        try:
+            lte._overlap(lambda k: ran.append(threading.get_ident()),
+                         ((k,) for k in range(6)), lambda k, out: None)
+        except BaseException as e:
+            errors.append(e)
+
+    try:
+        with cpu_share(2) as mp:
+            mp.setattr(lte, "_helpers", lambda: pool)
+            t = threading.Thread(target=caller, daemon=True)
+            t.start()
+            t.join(timeout=10)
+            assert not t.is_alive(), f"{case} waited for the stalled helper"
+    finally:
+        release.set()
+        pool.shutdown()
+    assert not errors
+    assert ran == [t.ident] * 6
+
+
 @pytest.mark.parametrize("share", [1, 2, 3])
 def test_overlap_holds_no_finished_job(share):
     """No job's array, nor its work's output, is held after the job is

@@ -5,13 +5,25 @@ derivative-free simplex descent from a handful of deterministic starts.
 Under the free-space law received amplitude scales as 1/distance, so
 amplitude ratios constrain distance ratios; sample-delay differences
 constrain range differences directly. A far-off estimate is not converged.
+
+The descent is the classic simplex of Nelder & Mead (1965), as scipy runs
+it, in a private kernel (`_nelder_mead`) that `minimize` calls as a custom
+method. On a 3-vertex simplex numpy's per-call cost dwarfs the arithmetic,
+so the kernel works in Python floats; it does scipy's float operations in
+scipy's order, so the estimates are scipy's bit for bit. Going through
+`minimize` keeps one call per start, which is what the benchmark wraps and
+counts. Each objective takes its tower distances with one `np.hypot`
+(`math.hypot` rounds differently in the last bit) and adds its pair terms
+left to right in an explicit loop, because `sum()` of floats is
+compensated from Python 3.12 on and would make the estimates depend on
+the interpreter.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import OptimizeResult, minimize
 
 from .frontend import DETECTOR_RATE_HZ, SPEED_OF_LIGHT
 
@@ -65,12 +77,133 @@ def _scene_scale(pos: np.ndarray) -> float:
     return max(float(np.hypot(diffs[..., 0], diffs[..., 1]).max()), 1.0)
 
 
+class _MaxFev(Exception):
+    """An evaluation asked for at maxfev: it ends the iteration uncounted."""
+
+
+def _before(a: float, b: float) -> bool:
+    """a sorts before b in numpy's float order, where NaN is last."""
+    return a < b or (b != b and a == a)
+
+
+def _sort3(sim):
+    """The three (f, x, y) vertices by f: a stable insertion sort, so ties
+    keep their order as np.argsort keeps them on three values."""
+    a, b, c = sim
+    if _before(b[0], a[0]):
+        a, b = b, a
+    if _before(c[0], b[0]):
+        b, c = c, b
+        if _before(b[0], a[0]):
+            a, b = b, a
+    return [a, b, c]
+
+
+def _nelder_mead(fun, start, *, xatol, fatol, maxiter, maxfev, **_):
+    """scipy's Nelder-Mead on two parameters, as a `minimize` method.
+
+    This is scipy's `_minimize_neldermead` with adaptive=False, no bounds
+    and the default initial simplex, in Python floats, with the same float
+    operations in the same order:
+    - the start moves each nonzero coordinate by 5% and a zero one to
+      0.00025;
+    - rho = 1, chi = 2, psi = sigma = 1/2 enter as scipy's coefficients,
+      which are exact in binary (1.5 xbar - 0.5 x_worst is
+      (1 + psi rho) xbar - psi rho x_worst, and so on);
+    - an evaluation asked for at maxfev ends the iteration without
+      counting it, and a shrink moves each vertex before it evaluates it;
+    - vertices sort as a stable np.argsort does, NaN last.
+    So it visits scipy's points and returns scipy's x, fun, nit, nfev,
+    status and success (the tests check it against scipy). The objective
+    gets each point as an (x, y) tuple.
+    """
+    nfev = 0
+
+    def f(x, y):
+        nonlocal nfev
+        if nfev >= maxfev:
+            raise _MaxFev
+        nfev += 1
+        return fun((x, y))
+
+    x, y = float(start[0]), float(start[1])
+    sim = [(np.inf, x, y),
+           (np.inf, (1 + 0.05) * x if x != 0 else 0.00025, y),
+           (np.inf, x, (1 + 0.05) * y if y != 0 else 0.00025)]
+    try:
+        for k, (_f, x, y) in enumerate(sim):
+            sim[k] = (f(x, y), x, y)
+    except _MaxFev:
+        pass
+    sim = _sort3(sim)       # scipy sorts twice; a stable sort's second is a no-op
+    nit = 1
+    while nfev < maxfev and nit < maxiter:
+        (f0, x0, y0), (f1, x1, y1), (f2, x2, y2) = sim
+        if abs(x1 - x0) <= xatol and abs(y1 - y0) <= xatol and \
+                abs(x2 - x0) <= xatol and abs(y2 - y0) <= xatol and \
+                abs(f0 - f1) <= fatol and abs(f0 - f2) <= fatol:
+            break
+        try:
+            xb, yb = (x0 + x1) / 2, (y0 + y1) / 2
+            # reflect: (1 + rho) xbar - rho x_worst
+            xr, yr = 2 * xb - x2, 2 * yb - y2
+            fr = f(xr, yr)
+            shrink = False
+            if fr < f0:
+                # expand: (1 + rho chi) xbar - rho chi x_worst
+                xe, ye = 3 * xb - 2 * x2, 3 * yb - 2 * y2
+                fe = f(xe, ye)
+                sim[2] = (fe, xe, ye) if fe < fr else (fr, xr, yr)
+            elif fr < f1:
+                sim[2] = (fr, xr, yr)
+            elif fr < f2:
+                # contract outside: (1 + psi rho) xbar - psi rho x_worst
+                xc, yc = 1.5 * xb - 0.5 * x2, 1.5 * yb - 0.5 * y2
+                fc = f(xc, yc)
+                if fc <= fr:
+                    sim[2] = (fc, xc, yc)
+                else:
+                    shrink = True
+            else:
+                # contract inside: (1 - psi) xbar + psi x_worst
+                xc, yc = 0.5 * xb + 0.5 * x2, 0.5 * yb + 0.5 * y2
+                fc = f(xc, yc)
+                if fc < f2:
+                    sim[2] = (fc, xc, yc)
+                else:
+                    shrink = True
+            if shrink:          # toward the best: x0 + sigma (x_j - x0)
+                for j in (1, 2):
+                    fj, x, y = sim[j]
+                    x, y = x0 + 0.5 * (x - x0), y0 + 0.5 * (y - y0)
+                    sim[j] = (fj, x, y)     # a maxfev stop leaves it moved
+                    sim[j] = (f(x, y), x, y)
+            nit += 1
+        except _MaxFev:
+            pass
+        sim = _sort3(sim)
+    (f0, x0, y0), f2 = sim[0], sim[2][0]
+    status = 1 if nfev >= maxfev else 2 if nit >= maxiter else 0
+    # NaN sorts last, so f2 is NaN when any is: np.min(fsim) as scipy takes it
+    return OptimizeResult(x=np.array([x0, y0]), fun=f2 if f2 != f2 else f0,
+                          nit=nit, nfev=nfev, status=status,
+                          success=status == 0)
+
+
 def _simplex(objective, init: np.ndarray, scale: float):
-    """Nelder-Mead from four deterministic starts; best result wins."""
+    """Nelder-Mead from four deterministic starts; best result wins.
+
+    Each start is one `minimize` call with `_nelder_mead` as its method.
+    The kernel runs on Python floats because numpy's per-call cost on a
+    3x2 simplex was most of scipy's own Nelder-Mead time. It goes through
+    `minimize` so that a wrapper on `locate.minimize` (the benchmark's)
+    sees every start and its `nit`. The estimates are scipy's Nelder-Mead's
+    bit for bit.
+    """
     offsets = scale * 0.05 * np.array([[0, 0], [1, 1], [-1, 1], [1, -1]])
     best, total_it = None, 0
     for off in offsets:
-        res = minimize(objective, init + off, method="Nelder-Mead",
+        res = minimize(objective, init + off, method=_nelder_mead,
                        options=dict(xatol=1e-6 * scale, fatol=1e-30,
                                     maxiter=2000, maxfev=4000))
         total_it += res.nit
@@ -111,12 +244,16 @@ def trilaterate_ratio(obs) -> PositionEstimate:
     floored = ["amplitude floored"] if np.any(amps < _AMP_FLOOR) else []
     amps = np.maximum(amps, _AMP_FLOOR)
     ii, jj = np.triu_indices(len(obs), 1)
-    ratios = amps[ii] / amps[jj]
+    pairs = list(zip(ii.tolist(), jj.tolist(), (amps[ii] / amps[jj]).tolist()))
+    px, py = pos[:, 0].copy(), pos[:, 1].copy()
 
     def objective(p):
-        d = np.maximum(np.hypot(pos[:, 0] - p[0], pos[:, 1] - p[1]), 1e-9)
-        r = ratios - d[jj] / d[ii]
-        return sum((r * r).tolist())    # summed left to right, pair by pair
+        d = np.maximum(np.hypot(px - p[0], py - p[1]), 1e-9).tolist()
+        total = 0.0
+        for i, j, ratio in pairs:       # summed left to right, pair by pair
+            r = ratio - d[j] / d[i]
+            total += r * r
+        return total
 
     return _solve(objective, pos, floored)
 
@@ -137,12 +274,16 @@ def solve_tdoa(obs) -> PositionEstimate:
     rng_m = np.array([sample_to_distance(o.toa_samples, DETECTOR_RATE_HZ)
                       for o in obs])
     ii, jj = np.triu_indices(len(obs), 1)
-    obs_dd = rng_m[jj] - rng_m[ii]
+    pairs = list(zip(ii.tolist(), jj.tolist(), (rng_m[jj] - rng_m[ii]).tolist()))
+    px, py = pos[:, 0].copy(), pos[:, 1].copy()
 
     def objective(p):
-        d = np.hypot(pos[:, 0] - p[0], pos[:, 1] - p[1])
-        r = obs_dd - (d[jj] - d[ii])
-        return sum((r * r).tolist())    # summed left to right, pair by pair
+        d = np.hypot(px - p[0], py - p[1]).tolist()
+        total = 0.0
+        for i, j, obs_dd in pairs:      # summed left to right, pair by pair
+            r = obs_dd - (d[j] - d[i])
+            total += r * r
+        return total
 
     return _solve(objective, pos, objective_unit=SPEED_OF_LIGHT ** 2)
 

@@ -1,6 +1,8 @@
 """Amplitude-ratio trilateration and TDOA least-squares solvers."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from foldloc.locate import (DIVERGENCE_SCALES, InsufficientAnchorsError,
                             TowerObservation, sample_to_distance, solve_tdoa,
@@ -260,7 +262,8 @@ def test_solvers_table_calls_the_module_attributes(monkeypatch):
 
 
 def _pair_loop_reference(obs, tdoa):
-    """Both objectives as one Python term per unordered pair, in (i, j) order."""
+    """Both objectives as one Python term per unordered pair, added left to
+    right in (i, j) order."""
     from foldloc.locate import _scene_scale, _simplex
     pos = np.array([o.position for o in obs])
     pairs = [(i, j) for i in range(len(obs)) for j in range(i + 1, len(obs))]
@@ -269,14 +272,19 @@ def _pair_loop_reference(obs, tdoa):
 
         def objective(p):
             d = np.hypot(pos[:, 0] - p[0], pos[:, 1] - p[1])
-            return sum((rng_m[j] - rng_m[i] - (d[j] - d[i])) ** 2
-                       for i, j in pairs)
+            total = 0.0
+            for i, j in pairs:
+                total += (rng_m[j] - rng_m[i] - (d[j] - d[i])) ** 2
+            return total
     else:
         amps = [o.amplitude for o in obs]
 
         def objective(p):
             d = np.maximum(np.hypot(pos[:, 0] - p[0], pos[:, 1] - p[1]), 1e-9)
-            return sum((amps[i] / amps[j] - d[j] / d[i]) ** 2 for i, j in pairs)
+            total = 0.0
+            for i, j in pairs:
+                total += (amps[i] / amps[j] - d[j] / d[i]) ** 2
+            return total
     return _simplex(objective, pos.mean(axis=0), _scene_scale(pos))
 
 
@@ -293,3 +301,194 @@ def test_solvers_match_pair_loop_reference_exactly(n):
         ref, nit = _pair_loop_reference(obs, obs is tobs)
         assert est.position == (float(ref.x[0]), float(ref.x[1]))
         assert est.iterations == nit
+
+
+# ------------------------------------------------------ the simplex kernel
+
+S5_TOWERS = np.array([[0.0, 0.0], [6000.0, 0.0], [0.0, 6000.0],
+                      [6000.0, 6000.0], [3000.0, -3000.0]])
+
+
+def _s5_offset_observations():
+    """S5 arrivals at (2000, 2500) with frame origins 0-6000 samples left in,
+    as s5_offset's fixes solve them, and their inverse-distance amplitudes."""
+    d = _dist(S5_TOWERS, (2000.0, 2500.0))
+    toa = d / M_PER_SAMPLE + np.array([0.0, 1500.0, 3000.0, 4500.0, 6000.0])
+    noise = np.random.default_rng(25).normal(scale=0.05, size=(2, 5))
+    tobs = [TowerObservation(tuple(t), toa_samples=ti + e)
+            for t, ti, e in zip(S5_TOWERS, toa, noise[0])]
+    robs = [TowerObservation(tuple(t), amplitude=(1.0 + e) / di)
+            for t, di, e in zip(S5_TOWERS, d, noise[1])]
+    return tobs, robs
+
+
+def _neumaier_sum(values, start=0):
+    """sum() of floats as Python 3.12 and later compute it: compensated."""
+    total, comp = float(start), 0.0
+    for v in values:
+        t = total + v
+        comp += (total - t) + v if abs(total) >= abs(v) else (v - t) + total
+        total = t
+    return total + comp if comp and np.isfinite(comp) else total
+
+
+def test_estimates_do_not_depend_on_the_interpreters_sum(monkeypatch):
+    """From Python 3.12, sum() of floats is compensated (Neumaier), so an
+    objective that called it would solve differently on 3.11 and 3.12: on
+    s5_offset's arrivals it changes the position or the iteration count.
+    The objectives add their pair terms in an explicit loop instead."""
+    from foldloc import locate
+    assert _neumaier_sum([1e16, 1.0, -1e16]) == 1.0
+    tobs, robs = _s5_offset_observations()
+    plain = solve_tdoa(tobs), trilaterate_ratio(robs)
+    monkeypatch.setattr(locate, "sum", _neumaier_sum, raising=False)
+    assert (solve_tdoa(tobs), trilaterate_ratio(robs)) == plain
+
+
+def test_each_solve_is_four_minimize_calls(monkeypatch):
+    """The benchmark wraps locate.minimize and reads each result's nit:
+    locate.minimize.starts counts four calls a solve, and the calls' nit
+    add up to the estimate's iterations."""
+    from foldloc import locate
+    real, nits = locate.minimize, []
+
+    def spy(*args, **kwargs):
+        res = real(*args, **kwargs)
+        nits.append(res.nit)
+        return res
+
+    monkeypatch.setattr(locate, "minimize", spy)
+    tobs, robs = _s5_offset_observations()
+    for solver, obs in ((solve_tdoa, tobs), (trilaterate_ratio, robs)):
+        nits.clear()
+        est = solver(obs)
+        assert len(nits) == 4
+        assert est.iterations == sum(nits)
+
+
+def _objective_of(solver, obs):
+    """The objective, start and scene scale that solver hands _simplex."""
+    from scipy.optimize import OptimizeResult
+
+    from foldloc import locate
+    seen = []
+
+    def capture(objective, init, scale):
+        seen.append((objective, init, scale))
+        return OptimizeResult(x=init, fun=0.0, success=True), 0
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(locate, "_simplex", capture)
+        solver(obs)
+    return seen[0]
+
+
+def _outside_disc(objective, center, radius, value):
+    """objective inside the disc, value (inf or NaN) outside it."""
+    def f(p):
+        inside = np.hypot(p[0] - center[0], p[1] - center[1]) <= radius
+        return objective(p) if inside else value
+    return f
+
+
+def _same_run(objective, x0, **options):
+    """Assert that the kernel and scipy's Nelder-Mead ask for the same
+    points and return the same x, fun, nit, nfev, status and success.
+    Returns how many evaluations scipy's run had made by the end of each
+    iteration (its callback's count)."""
+    from scipy.optimize import minimize
+
+    from foldloc.locate import _nelder_mead
+    runs, ends = [], []
+    for method in ("Nelder-Mead", _nelder_mead):
+        points = []
+
+        def recorded(p):
+            points.append((float(p[0]), float(p[1])))
+            return objective(p)
+
+        runs.append((minimize(recorded, x0, method=method, options=options,
+                              callback=lambda _r: ends.append(len(points))),
+                     points))
+    (ref, ref_points), (res, points) = runs
+    assert points == ref_points
+    assert res.x.tolist() == ref.x.tolist()
+    assert res.fun == ref.fun or (np.isnan(res.fun) and np.isnan(ref.fun))
+    for key in ("nit", "nfev", "status", "success"):
+        assert res[key] == ref[key], key
+    return ends
+
+
+KERNEL = settings(max_examples=40, deadline=None, derandomize=True)
+
+
+@st.composite
+def _solves(draw):
+    """A random geometry of 3-6 towers, its TDOA or ratio objective, a
+    start (perhaps with a zero coordinate) and the solver's options, with
+    maxfev perhaps small enough to stop mid-iteration and maxiter perhaps
+    small enough to stop first."""
+    n = draw(st.integers(3, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    towers = rng.uniform(-3000.0, 3000.0, (n, 2))
+    d = _dist(towers, rng.uniform(-1000.0, 1000.0, 2))
+    noise = rng.standard_normal(n)
+    if draw(st.booleans()):
+        obs = [TowerObservation(tuple(t), toa_samples=di / M_PER_SAMPLE + 0.3 * e)
+               for t, di, e in zip(towers, d, noise)]
+        objective, init, scale = _objective_of(solve_tdoa, obs)
+    else:
+        obs = [TowerObservation(tuple(t), amplitude=(1.0 + 0.05 * e) / di)
+               for t, di, e in zip(towers, d, noise)]
+        objective, init, scale = _objective_of(trilaterate_ratio, obs)
+    x0 = init + scale * 0.05 * np.array(draw(st.sampled_from(
+        [(0, 0), (1, 1), (-1, 1), (1, -1)])))
+    zero = draw(st.sampled_from([(), (0,), (1,), (0, 1)]))
+    x0[list(zero)] = 0.0
+    maxfev = draw(st.one_of(st.integers(1, 60), st.just(4000)))
+    maxiter = draw(st.one_of(st.integers(1, 30), st.just(2000)))
+    return objective, x0, dict(xatol=1e-6 * scale, fatol=1e-30,
+                               maxiter=maxiter, maxfev=maxfev), init, scale
+
+
+@KERNEL
+@given(_solves())
+def test_kernel_equals_scipy_nelder_mead(solve):
+    """The kernel visits scipy's points and returns its x, fun, nit, nfev,
+    status and success bit for bit, on both objectives, from starts with
+    zero coordinates, with maxfev stops mid-iteration and maxiter stops.
+    A scipy upgrade that changes its Nelder-Mead fails here before any
+    digest moves."""
+    objective, x0, options, _init, _scale = solve
+    _same_run(objective, x0, **options)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@KERNEL
+@given(_solves(), st.sampled_from([np.inf, np.nan]), st.floats(0.02, 0.5))
+def test_kernel_equals_scipy_outside_a_disc(solve, value, frac):
+    """An objective that is inf or NaN outside a disc around the tower
+    centroid: NaN sorts last, fun propagates NaN as np.min does, and
+    contractions onto the rim shrink the simplex."""
+    objective, x0, options, init, scale = solve
+    _same_run(_outside_disc(objective, init, frac * scale, value), x0,
+              **options)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("value", [None, np.inf, np.nan])
+def test_kernel_shrinks_as_scipy_does(value):
+    """Runs that shrink, whole and cut by maxfev at each evaluation of
+    their first shrinking iteration, so a shrink's move-then-evaluate
+    order is checked whatever the draws above are. scipy's callback
+    marks the iterations; only a shrink evaluates four points in one."""
+    _tobs, robs = _s5_offset_observations()
+    objective, init, scale = _objective_of(trilaterate_ratio, robs)
+    if value is not None:
+        objective = _outside_disc(objective, init, 0.3 * scale, value)
+    options = dict(xatol=1e-6 * scale, fatol=1e-30, maxiter=2000)
+    steps = np.diff([3, *_same_run(objective, init, maxfev=4000, **options)])
+    assert 4 in steps
+    first = 3 + int(steps[:steps.tolist().index(4)].sum())
+    for maxfev in range(first + 1, first + 5):
+        _same_run(objective, init, maxfev=maxfev, **options)

@@ -18,15 +18,18 @@ product per block of outputs, whose shifted rows add up to the block.
 `detect.build_bank` folds its templates with `fold_baseband`; `harness`'
 synthesis takes each cell's square in its delay and filters it with
 `lowpass_decimate`. The FIR runs on the thread that calls it, and holds
-its products to that thread (`lte._blas_on_caller`).
+its products to that thread (`lte._blas_on_caller`). The low-pass is
+Kaiser's window design; the window's Bessel I0 is Cephes' Chebyshev
+series for |x| <= 8 (`_i0`), which gives scipy.special.i0's bits without
+importing scipy.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import i0
 
 from .lte import FrameConfig, Pci, _blas_on_caller
 
@@ -94,6 +97,37 @@ def path_amplitude(d: float, f: float) -> float:
     return SPEED_OF_LIGHT / (4.0 * np.pi * d * f)
 
 
+# Cephes' Chebyshev coefficients of exp(-x) I0(x) on [0, 8] (i0.c, Moshier)
+_I0_CHEB = (
+    -4.4153416464793395e-18, 3.3307945188222384e-17, -2.431279846547955e-16,
+    1.715391285555133e-15, -1.1685332877993451e-14, 7.676185498604936e-14,
+    -4.856446783111929e-13, 2.95505266312964e-12, -1.726826291441556e-11,
+    9.675809035373237e-11, -5.189795601635263e-10, 2.6598237246823866e-09,
+    -1.300025009986248e-08, 6.046995022541919e-08, -2.670793853940612e-07,
+    1.1173875391201037e-06, -4.4167383584587505e-06, 1.6448448070728896e-05,
+    -5.754195010082104e-05, 0.00018850288509584165, -0.0005763755745385824,
+    0.0016394756169413357, -0.004324309995050576, 0.010546460394594998,
+    -0.02373741480589947, 0.04930528423967071, -0.09490109704804764,
+    0.17162090152220877, -0.3046826723431984, 0.6767952744094761,
+)
+
+
+def _i0(x: float) -> float:
+    """The modified Bessel function I0 at |x| <= 8, as Cephes' i0 (and so
+    scipy.special.i0) computes it: its Chebyshev series at x/2 - 2 summed
+    by Clenshaw's recurrence (chbevl) in Python floats, times math.exp(x).
+    Kaiser's beta at LPF_ATTEN_DB is 5.65, so larger x is refused."""
+    x = abs(x)
+    if not x <= 8.0:
+        raise ValueError(f"_i0 covers |x| <= 8, not {x}")
+    y = x / 2.0 - 2.0
+    b0, b1 = _I0_CHEB[0], 0.0
+    for c in _I0_CHEB[1:]:
+        b2, b1 = b1, b0
+        b0 = y * b1 - b2 + c
+    return math.exp(x) * (0.5 * (b0 - b2))
+
+
 @lru_cache(maxsize=32)
 def design_lowpass(fs: float) -> np.ndarray:
     """Linear-phase Kaiser FIR taps of the detector low-pass at rate fs.
@@ -102,7 +136,8 @@ def design_lowpass(fs: float) -> np.ndarray:
     his empirical formulas for LPF_ATTEN_DB over LPF_TRANSITION_HZ, the
     ideal low-pass's sinc is windowed and the taps are scaled to unit DC
     gain, term for term as scipy.signal's firwin(kaiserord(...)) computes
-    them. Cached per fs; the shared array is read-only.
+    them, with the window's Bessel I0 from Cephes' series (`_i0`). Cached
+    per fs; the shared array is read-only.
     """
     width = LPF_TRANSITION_HZ / (fs / 2.0)
     ntaps = int(np.ceil((LPF_ATTEN_DB - 7.95) / 2.285 / (np.pi * width) + 1))
@@ -111,7 +146,8 @@ def design_lowpass(fs: float) -> np.ndarray:
     cutoff = LPF_CUTOFF_HZ / (fs / 2.0)
     alpha = 0.5 * (ntaps - 1)
     m = np.arange(ntaps, dtype=np.float64) - alpha
-    window = i0(beta * np.sqrt(1 - (m / alpha) ** 2.0)) / i0(beta)
+    arg = beta * np.sqrt(1 - (m / alpha) ** 2.0)
+    window = np.array([_i0(v) for v in arg.tolist()]) / _i0(beta)
     taps = cutoff * np.sinc(cutoff * m) * window
     taps /= np.sum(taps)
     taps.setflags(write=False)

@@ -12,19 +12,20 @@ runs.
 
 Synthesis builds each cell's frames of a fix in one `frame_samples` call,
 then delays them exactly with a four-step DFT (Bailey 1990),
-`_delayed_rows`: its passes are batched scipy.fft transforms along the two
-axes of an (n1, FRAME_LEN) view of the trace, so no full-length transform
-runs and no N-sized scratch buffer is taken. One finish, `_delay_stacked`,
-takes the square of the delayed cell, averaged over the frames that fold
-into each output frame, straight from the row spectra by Parseval's
-theorem, and `lowpass_decimate` filters it: at one frame per output frame
-that is the full trace `synth_fix_trace` returns for `cmd_synth`, and at
-the fix's n frames the one stacked frame `synth_fix_stack` returns for
-`run_fix` to detect on, whose FIR filters one frame-folded square. The
-calling thread builds the cells one after another and folds each into
-the total in cell order, while helper threads delay the cells
-(`lte._overlap`, the threading policy in `lte`'s docstring). `run_eval`
-runs its fixes one after another in the calling process.
+`_delayed_rows`: its passes are batched numpy.fft transforms along the two
+axes of an (n1, FRAME_LEN) view of the trace, each written back into that
+view (`out=`), so no full-length transform runs and no N-sized scratch
+buffer is taken. One finish, `_delay_stacked`, takes the square of the
+delayed cell, averaged over the frames that fold into each output frame,
+straight from the row spectra by Parseval's theorem, and `lowpass_decimate`
+filters it: at one frame per output frame that is the full trace
+`synth_fix_trace` returns for `cmd_synth`, and at the fix's n frames the
+one stacked frame `synth_fix_stack` returns for `run_fix` to detect on,
+whose FIR filters one frame-folded square. The calling thread builds the
+cells one after another and folds each into the total in cell order, while
+helper threads delay the cells (`lte._overlap`, the threading policy in
+`lte`'s docstring). `run_eval` runs its fixes one after another in the
+calling process.
 `_synth` is the only place that adds detector noise: white Gaussian noise
 of the front end's noise_sigma on the summed detector-rate trace, from the
 fix's own "noise" substream; the stacked frame adds the same draw, stacked.
@@ -39,7 +40,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-import scipy.fft
 
 from . import traceio
 from .detect import (FRAME_LEN, THRESH_PSS, THRESH_SSS, Detection,
@@ -93,11 +93,12 @@ def _delayed_rows(bb: np.ndarray, delay_samples: float,
     """
     n1 = bb.size // FRAME_LEN
     step = -2j * np.pi * delay_samples / bb.size
-    a = scipy.fft.fft(bb.reshape(n1, FRAME_LEN), axis=0, overwrite_x=True)
+    a = bb.reshape(n1, FRAME_LEN)
+    np.fft.fft(a, axis=0, out=a)
     _twiddle(a, -1, scale * np.exp(step * np.arange(n1))[:, None])
-    a = scipy.fft.fft(a, axis=1, overwrite_x=True)
-    a *= np.exp(step * n1 * scipy.fft.fftfreq(FRAME_LEN, 1.0 / FRAME_LEN))
-    return scipy.fft.ifft(a, axis=1, overwrite_x=True)
+    np.fft.fft(a, axis=1, out=a)
+    a *= np.exp(step * n1 * np.fft.fftfreq(FRAME_LEN, 1.0 / FRAME_LEN))
+    return np.fft.ifft(a, axis=1, out=a)
 
 
 def _delay_stacked(bb: np.ndarray, delay_samples: float, scale: float,
@@ -131,8 +132,8 @@ def _delay_stacked(bb: np.ndarray, delay_samples: float, scale: float,
     ends = (ends.real * ends.real + ends.imag * ends.imag) / (2 * n1 * n1 * n)
     if q > 1:
         _twiddle(z, 1, k=np.arange(n1) // n * n)
-        z = scipy.fft.ifft(z.reshape(q, n, FRAME_LEN), axis=0, norm="forward",
-                           overwrite_x=True)
+        z = z.reshape(q, n, FRAME_LEN)
+        np.fft.ifft(z, axis=0, norm="forward", out=z)
     parts = z.view(np.float64).reshape(q, n, 2 * FRAME_LEN)   # re, im, ...
     out = np.empty(q * FRAME_LEN + 2 * reach)
     folded = out[reach:reach + q * FRAME_LEN]

@@ -6,12 +6,13 @@ Under the free-space law received amplitude scales as 1/distance, so
 amplitude ratios constrain distance ratios; sample-delay differences
 constrain range differences directly. A far-off estimate is not converged.
 
-The descent is the classic simplex of Nelder & Mead (1965), as scipy runs
-it, in a private kernel (`_nelder_mead`) that `minimize` calls as a custom
-method. On a 3-vertex simplex numpy's per-call cost dwarfs the arithmetic,
-so the kernel works in Python floats; it does scipy's float operations in
-scipy's order, so the estimates are scipy's bit for bit. Going through
-`minimize` keeps one call per start, which is what the benchmark wraps and
+The descent is the classic simplex of Nelder & Mead (1965), as scipy's
+`minimize(method="Nelder-Mead")` runs it, in foldloc's own kernel,
+`minimize`. On a 3-vertex simplex numpy's per-call cost dwarfs the
+arithmetic, so the kernel works in Python floats; it does scipy's float
+operations in scipy's order, so the estimates are scipy's bit for bit, and
+only the tests import scipy to check that. Each start is one `minimize`
+call through the module global, which is what the benchmark wraps and
 counts. Each objective takes its tower distances with one `np.hypot`
 (`math.hypot` rounds differently in the last bit) and adds its pair terms
 left to right in an explicit loop, because `sum()` of floats is
@@ -23,12 +24,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import OptimizeResult, minimize
 
 from .frontend import DETECTOR_RATE_HZ, SPEED_OF_LIGHT
 
 _AMP_FLOOR = 1e-12
 DIVERGENCE_SCALES = 10.0      # farther from the tower centroid is diverged
+_MAXITER = 2000                # each start's iteration cap
+_MAXFEV = 4000                 # and its evaluation cap
 
 
 class InsufficientAnchorsError(ValueError):
@@ -99,8 +101,21 @@ def _sort3(sim):
     return [a, b, c]
 
 
-def _nelder_mead(fun, start, *, xatol, fatol, maxiter, maxfev, **_):
-    """scipy's Nelder-Mead on two parameters, as a `minimize` method.
+@dataclass(frozen=True)
+class MinimizeResult:
+    """Where one Nelder-Mead run stopped: x, its objective fun, the
+    iterations nit and evaluations nfev it took, and status 0 (converged),
+    1 (evaluation cap) or 2 (iteration cap); success is status 0."""
+    x: np.ndarray
+    fun: float
+    nit: int
+    nfev: int
+    status: int
+    success: bool
+
+
+def minimize(fun, x0, *, xatol, fatol, maxiter, maxfev) -> MinimizeResult:
+    """scipy's Nelder-Mead on two parameters, from the start x0.
 
     This is scipy's `_minimize_neldermead` with adaptive=False, no bounds
     and the default initial simplex, in Python floats, with the same float
@@ -114,8 +129,9 @@ def _nelder_mead(fun, start, *, xatol, fatol, maxiter, maxfev, **_):
       counting it, and a shrink moves each vertex before it evaluates it;
     - vertices sort as a stable np.argsort does, NaN last.
     So it visits scipy's points and returns scipy's x, fun, nit, nfev,
-    status and success (the tests check it against scipy). The objective
-    gets each point as an (x, y) tuple.
+    status and success (the tests check it against scipy's
+    `minimize(method="Nelder-Mead")`). The objective gets each point as an
+    (x, y) tuple.
     """
     nfev = 0
 
@@ -126,7 +142,7 @@ def _nelder_mead(fun, start, *, xatol, fatol, maxiter, maxfev, **_):
         nfev += 1
         return fun((x, y))
 
-    x, y = float(start[0]), float(start[1])
+    x, y = float(x0[0]), float(x0[1])
     sim = [(np.inf, x, y),
            (np.inf, (1 + 0.05) * x if x != 0 else 0.00025, y),
            (np.inf, x, (1 + 0.05) * y if y != 0 else 0.00025)]
@@ -185,7 +201,7 @@ def _nelder_mead(fun, start, *, xatol, fatol, maxiter, maxfev, **_):
     (f0, x0, y0), f2 = sim[0], sim[2][0]
     status = 1 if nfev >= maxfev else 2 if nit >= maxiter else 0
     # NaN sorts last, so f2 is NaN when any is: np.min(fsim) as scipy takes it
-    return OptimizeResult(x=np.array([x0, y0]), fun=f2 if f2 != f2 else f0,
+    return MinimizeResult(x=np.array([x0, y0]), fun=f2 if f2 != f2 else f0,
                           nit=nit, nfev=nfev, status=status,
                           success=status == 0)
 
@@ -193,19 +209,15 @@ def _nelder_mead(fun, start, *, xatol, fatol, maxiter, maxfev, **_):
 def _simplex(objective, init: np.ndarray, scale: float):
     """Nelder-Mead from four deterministic starts; best result wins.
 
-    Each start is one `minimize` call with `_nelder_mead` as its method.
-    The kernel runs on Python floats because numpy's per-call cost on a
-    3x2 simplex was most of scipy's own Nelder-Mead time. It goes through
-    `minimize` so that a wrapper on `locate.minimize` (the benchmark's)
-    sees every start and its `nit`. The estimates are scipy's Nelder-Mead's
-    bit for bit.
+    Each start is one call of the module global `minimize`, so a wrapper
+    bound to `locate.minimize` (the benchmark's) sees every start and its
+    `nit`.
     """
     offsets = scale * 0.05 * np.array([[0, 0], [1, 1], [-1, 1], [1, -1]])
     best, total_it = None, 0
     for off in offsets:
-        res = minimize(objective, init + off, method=_nelder_mead,
-                       options=dict(xatol=1e-6 * scale, fatol=1e-30,
-                                    maxiter=2000, maxfev=4000))
+        res = minimize(objective, init + off, xatol=1e-6 * scale,
+                       fatol=1e-30, maxiter=_MAXITER, maxfev=_MAXFEV)
         total_it += res.nit
         if best is None or res.fun < best.fun:
             best = res
@@ -215,14 +227,19 @@ def _simplex(objective, init: np.ndarray, scale: float):
 def _solve(objective, pos: np.ndarray, notes=(),
            objective_unit: float = 1.0) -> PositionEstimate:
     """Minimize from the tower centroid, reporting the objective over
-    objective_unit. The warning joins the geometry check, notes, and a
-    divergence note: an estimate more than DIVERGENCE_SCALES scene scales
-    from the centroid is not converged, whatever the optimizer says."""
+    objective_unit. The warning joins the geometry check, notes, the cap
+    the winning start stopped on, if any, and a divergence note: an
+    estimate more than DIVERGENCE_SCALES scene scales from the centroid is
+    not converged, whatever the optimizer says."""
     centroid, scale = pos.mean(axis=0), _scene_scale(pos)
     res, nit = _simplex(objective, centroid, scale)
     off = float(np.hypot(*(res.x - centroid)))
     diverged = off > DIVERGENCE_SCALES * scale
+    capped = {1: f"evaluation cap (maxfev {_MAXFEV})",
+              2: f"iteration cap (maxiter {_MAXITER})"}.get(res.status)
     notes = [_geometry_warning(pos), *notes,
+             f"not converged: the best start stopped on its {capped}"
+             if capped else None,
              f"diverged: estimate {off:.3g} m from the tower centroid, over "
              f"{DIVERGENCE_SCALES:g}x the scene scale" if diverged else None]
     return PositionEstimate(position=(float(res.x[0]), float(res.x[1])),

@@ -294,6 +294,40 @@ def test_design_lowpass_equals_firwin(fs):
     assert np.array_equal(design_lowpass(fs), want)
 
 
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.floats(0.0, 8.0))
+def test_i0_equals_scipy_special_i0(x):
+    """The low-pass window's Bessel I0 has scipy.special.i0's bits."""
+    from scipy.special import i0
+    assert frontend._i0(x) == i0(x)
+    assert frontend._i0(-x) == i0(-x)
+
+
+@pytest.mark.parametrize("fs", [3.84e6, 7.68e6, 15.36e6, 23.04e6, 30.72e6,
+                                153.6e6])
+def test_i0_equals_scipy_where_design_lowpass_reads_it(fs, monkeypatch):
+    """At every argument of the window at the rates of
+    test_design_lowpass_equals_firwin, and at beta itself."""
+    from scipy.special import i0
+    real, seen = frontend._i0, []
+
+    def recording(x):
+        seen.append(x)
+        return real(x)
+
+    monkeypatch.setattr(frontend, "_i0", recording)
+    taps = design_lowpass.__wrapped__(fs)
+    assert len(seen) == taps.size + 1
+    assert [real(x) for x in seen] == i0(np.array(seen)).tolist()
+
+
+def test_i0_refuses_arguments_past_its_series():
+    frontend._i0(8.0)
+    for x in (8.000001, -9.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            frontend._i0(x)
+
+
 def test_design_lowpass_cached_read_only():
     taps = design_lowpass(FS_RF)
     assert design_lowpass(FS_RF) is taps

@@ -339,6 +339,62 @@ def test_fix_of_detector_rate_cells_does_not_load_scipy_signal():
     assert out.split() == ["False", "False"]
 
 
+_SCIPY_LOADED_SCRIPT = """
+import json
+import sys
+
+
+def loaded():
+    print(json.dumps(sorted(k for k in sys.modules if k.startswith("scipy"))))
+
+
+import foldloc.cli
+loaded()
+from foldloc.detect import Detection
+from foldloc.frontend import CellConfig, FrontEndConfig
+from foldloc.harness import cmd_localize, run_fix
+from foldloc.lte import FrameConfig, Pci
+from foldloc.scenario import Scenario, scenario_cell_db
+
+
+def scenario(bandwidths):
+    cells = [CellConfig(pci=Pci(p), carrier_hz=700e6 + 20e6 * i,
+                        frame_cfg=FrameConfig.from_bandwidth(bw),
+                        position=pos, tx_power_dbm=46.0,
+                        frame_time_origin_s=1500 * i / 1.92e6)
+             for i, (p, bw, pos) in enumerate(zip(
+                 (10, 84, 150), bandwidths,
+                 ((0.0, 0.0), (6000.0, 0.0), (0.0, 6000.0))))]
+    return Scenario(cells=cells, front_end=FrontEndConfig(),
+                    trajectory=[(0.0, 2000.0, 2500.0)], rng_seed=3,
+                    n_frames_per_fix=2)
+
+
+s5 = scenario((1.4, 1.4, 1.4))
+run_fix(s5, 0)
+loaded()
+run_fix(scenario((20.0, 10.0, 5.0)), 0)
+loaded()
+dets = [Detection(c.pci, int(d), 0.9, 1.0, d - int(d))
+        for c in s5.cells
+        for d in [((c.position[0] - 2000.0) ** 2 +
+                   (c.position[1] - 2500.0) ** 2) ** 0.5 / 156.25]]
+rows = cmd_localize([(0.0, dets)], scenario_cell_db(s5), "tdoa")
+assert rows[0][1] != "", rows
+loaded()
+"""
+
+
+def test_no_scipy_module_is_loaded_at_run_time():
+    """foldloc runs on numpy alone: importing the CLI, a fix of 1.4 MHz
+    cells, a fix of 20/10/5 MHz cells (the FIR and its Kaiser design) and
+    a cmd_localize solve load no scipy module, nor the memory one takes."""
+    out = subprocess.run([sys.executable, "-c", _SCIPY_LOADED_SCRIPT],
+                         capture_output=True, text=True, env=child_env(),
+                         timeout=120, check=True).stdout
+    assert [json.loads(line) for line in out.split("\n") if line] == [[]] * 4
+
+
 def test_traced_layers_run_on_the_calling_thread(monkeypatch):
     """Helper threads never enter a layer a tracer may wrap: every call of
     one, through any foldloc binding of it, runs on the thread that

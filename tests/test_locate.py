@@ -218,7 +218,8 @@ def test_ratio_far_estimate_is_not_converged(monkeypatch):
     from foldloc import locate
     towers = np.array([[0.0, 0.0], [2000.0, 0.0], [1000.0, 1732.0]])
     obs = [TowerObservation(tuple(t), amplitude=1.0) for t in towers]
-    far = OptimizeResult(x=np.array([1000.0, 1e6]), fun=0.0, success=True)
+    far = OptimizeResult(x=np.array([1000.0, 1e6]), fun=0.0, success=True,
+                         status=0)
     monkeypatch.setattr(locate, "_simplex", lambda *a: (far, 1))
     est = trilaterate_ratio(obs)
     assert est.position == (1000.0, 1e6)
@@ -366,6 +367,33 @@ def test_each_solve_is_four_minimize_calls(monkeypatch):
         assert est.iterations == sum(nits)
 
 
+def test_a_capped_best_start_is_named_in_the_warning():
+    """On S5 amplitudes with 5% noise the winning start runs out of
+    evaluations: the estimate is not converged, and its warning says which
+    cap stopped it."""
+    _tobs, robs = _s5_offset_observations()
+    est = trilaterate_ratio(robs)
+    assert not est.converged
+    assert est.warning is not None and "evaluation cap" in est.warning
+    assert "maxfev 4000" in est.warning
+
+
+def test_an_iteration_capped_best_start_is_named_in_the_warning(monkeypatch):
+    """No input tried stops on maxiter first, so a capped result is
+    injected."""
+    from foldloc import locate
+    capped = locate.MinimizeResult(x=np.array([1000.0, 600.0]), fun=0.0,
+                                   nit=2000, nfev=3100, status=2,
+                                   success=False)
+    monkeypatch.setattr(locate, "minimize", lambda *a, **k: capped)
+    towers = np.array([[0.0, 0.0], [2000.0, 0.0], [1000.0, 1732.0]])
+    est = trilaterate_ratio([TowerObservation(tuple(t), amplitude=1.0)
+                             for t in towers])
+    assert not est.converged
+    assert est.warning == ("not converged: the best start stopped on its "
+                           "iteration cap (maxiter 2000)")
+
+
 def _objective_of(solver, obs):
     """The objective, start and scene scale that solver hands _simplex."""
     from scipy.optimize import OptimizeResult
@@ -375,7 +403,7 @@ def _objective_of(solver, obs):
 
     def capture(objective, init, scale):
         seen.append((objective, init, scale))
-        return OptimizeResult(x=init, fun=0.0, success=True), 0
+        return OptimizeResult(x=init, fun=0.0, success=True, status=0), 0
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(locate, "_simplex", capture)
@@ -392,30 +420,30 @@ def _outside_disc(objective, center, radius, value):
 
 
 def _same_run(objective, x0, **options):
-    """Assert that the kernel and scipy's Nelder-Mead ask for the same
-    points and return the same x, fun, nit, nfev, status and success.
-    Returns how many evaluations scipy's run had made by the end of each
-    iteration (its callback's count)."""
+    """Assert that the kernel, locate.minimize, and scipy's Nelder-Mead ask
+    for the same points and return the same x, fun, nit, nfev, status and
+    success. Returns how many evaluations scipy's run had made by the end
+    of each iteration (its callback's count)."""
     from scipy.optimize import minimize
 
-    from foldloc.locate import _nelder_mead
-    runs, ends = [], []
-    for method in ("Nelder-Mead", _nelder_mead):
-        points = []
+    from foldloc import locate
 
+    def recording(points):
         def recorded(p):
             points.append((float(p[0]), float(p[1])))
             return objective(p)
+        return recorded
 
-        runs.append((minimize(recorded, x0, method=method, options=options,
-                              callback=lambda _r: ends.append(len(points))),
-                     points))
-    (ref, ref_points), (res, points) = runs
+    ref_points, points, ends = [], [], []
+    ref = minimize(recording(ref_points), x0, method="Nelder-Mead",
+                   options=options,
+                   callback=lambda _r: ends.append(len(ref_points)))
+    res = locate.minimize(recording(points), x0, **options)
     assert points == ref_points
     assert res.x.tolist() == ref.x.tolist()
     assert res.fun == ref.fun or (np.isnan(res.fun) and np.isnan(ref.fun))
     for key in ("nit", "nfev", "status", "success"):
-        assert res[key] == ref[key], key
+        assert getattr(res, key) == ref[key], key
     return ends
 
 

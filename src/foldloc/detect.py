@@ -6,19 +6,24 @@ stacked trace identifies cells and their coarse sample delays. Squaring
 destroys the sign difference between Zadoff-Chu roots 29 and 34, so their
 folded waveforms coincide and stage-1 scanning needs only two PSS shapes.
 
-The bank is four read-only arrays: per PCI a unit-norm window and its
-original norm, then the two PSS scan windows and their conjugate spectra
-at the frame length. A data-free frame is zero outside its four sync
-symbols, and the window holds two zero samples, then SSS and PSS of slot 0
-with their cyclic prefixes. So `build_bank` modulates only those two
-symbols, many PCIs per transform, and folds exactly the window: at the
-detector rate the low-pass is all-pass.
+The bank holds per PCI a unit-norm window and its original norm, the two
+PSS scan windows and their conjugate spectra at the frame length, and the
+stage-2 operator with the three raw PSS halves it is built around. A
+data-free frame is zero outside its four sync symbols, and the window
+holds two zero samples, then SSS and PSS of slot 0 with their cyclic
+prefixes. So `build_bank` modulates only those two symbols, many PCIs per
+transform, and folds exactly the window: at the detector rate the
+low-pass is all-pass.
 
-Stage 1 scores the bank's two PSS shapes at every lag with `_ncc`, from
-one FFT of the trace and the bank's PSS spectra, so a fix transforms no
-template. Stage 2 scores every candidate window against the whole bank
-with one matrix product. Both run on the calling thread, as `lte`'s
-threading policy says.
+Stage 1 correlates the bank's two PSS shapes with the trace at every lag,
+from one FFT of the trace and the bank's PSS spectra, so a fix transforms
+no template; it normalizes only the lags whose raw correlation can clear
+the threshold. Stage 2 scores every candidate window against the whole
+bank. A window's PSS half is the same for the three sectors' PCIs up to
+each PCI's mean and norm, so the product splits: the SSS half against all
+504 rows, the PSS half against the three raw PSS halves, and the window's
+PSS sum, in one product with the bank's operator. Both stages run on the
+calling thread, as `lte`'s threading policy says.
 Detection returns scored (pci, delay) pairs; `refine`, the single
 enrichment step, gives them their received power, suppresses false
 positives by it and gives the survivors a sub-sample offset.
@@ -40,6 +45,7 @@ HALF_FRAME = 9600             # sync repeats every 5 ms
 TEMPLATE_START = 684          # window start within a slot-aligned frame
 TEMPLATE_LEN = 276            # two tail samples + SSS symbol + PSS symbol
 PSS_TEMPLATE_LEN = 138        # trailing CP + PSS portion of the window
+SSS_END = 139                 # two tail samples + SSS symbol; the PSS half follows
 CANDIDATE_WINDOW = 3          # stage-2 lags searched either side of a PSS peak
 STAGE1_GROUP_GAP = 8          # PSS lags this close above threshold are one peak
 DELAY_CLUSTER_RADIUS = 5      # delays this close (mod half frame) are one cluster
@@ -74,12 +80,23 @@ class TemplateBank:
     0 and 1, the only two folded PSS shapes.
     pss_spec (2, 9601): conj(rfft(pss_unit, n=FRAME_LEN)), the spectra
     stage 1 correlates a stacked frame with.
+    pss_halves (3, 137): the raw folded PSS half (window samples SSS_END
+    on) of sectors 0, 1 and 2. Every PCI's raw window ends in its
+    sector's row exactly; rows 1 and 2 differ by about 1e-13.
+    stage2_op (143, 504): the operator stage 2 scores with. Rows 0-138
+    are samples[:, :SSS_END].T; row 139 + s holds 1 / norms[p] in the
+    columns of sector s's PCIs; row 142 is samples[:, 0], which is
+    -mean / norm of the raw window. A unit window w then scores
+    w @ samples[p] = w[:139] @ samples[p, :139]
+    + (w[139:] @ pss_halves[s]) / norms[p] + samples[p, 0] * w[139:].sum().
     """
 
     samples: np.ndarray = field(repr=False)
     norms: np.ndarray = field(repr=False)
     pss_unit: np.ndarray = field(repr=False)
     pss_spec: np.ndarray = field(repr=False)
+    pss_halves: np.ndarray = field(repr=False)
+    stage2_op: np.ndarray = field(repr=False)
 
 
 def build_bank() -> TemplateBank:
@@ -90,34 +107,42 @@ def build_bank() -> TemplateBank:
     TEMPLATE_START. Only the window is built: per block of BANK_CHUNK
     PCIs, `sync_segment` modulates its SSS and PSS of slot 0 in one IFFT,
     and one fold_baseband call folds the (BANK_CHUNK, TEMPLATE_LEN) array.
+    The PSS scan windows and PSS halves come from the raw windows of
+    PCIs 0-2, sectors 0-2 of group 0.
     """
     cfg = FrameConfig.from_bandwidth(1.4)    # sampled at the detector rate
-
-    def windows(pcis):
-        return fold_baseband(sync_segment(cfg, pcis, TEMPLATE_START,
-                                          TEMPLATE_START + TEMPLATE_LEN),
-                             cfg.sample_rate_hz)
-
     samples = np.empty((504, TEMPLATE_LEN))
     norms = np.empty(504)
     # BANK_CHUNK PCIs at a time: freeing a whole-bank temporary (2.2 MB)
     # raises glibc's mmap threshold, and later set-ups then peak ~3 MB higher
     for block in np.split(np.arange(504), range(BANK_CHUNK, 504, BANK_CHUNK)):
+        raw = fold_baseband(sync_segment(cfg, block, TEMPLATE_START,
+                                         TEMPLATE_START + TEMPLATE_LEN),
+                            cfg.sample_rate_hz)
+        if block[0] == 0:
+            group0 = raw[:3].copy()
         # row by row: norm(axis=1) can differ from the 1-D norm in the last
         # bit, and each row must equal its single-frame reference exactly
-        for p, w in zip(block, windows(block)):
+        for p, w in zip(block, raw):
             w0 = w - w.mean()
             norms[p] = np.linalg.norm(w0)
             samples[p] = w0 / norms[p]
-    # sectors 0 and 1 of group 0; root 34 (sector 2) folds identically to
-    # root 29 and needs no third entry
-    w = windows(np.arange(2))[:, -PSS_TEMPLATE_LEN:]
+    # root 34 (sector 2) folds identically to root 29 (sector 1) in the
+    # scan window and needs no third entry
+    w = group0[:2, -PSS_TEMPLATE_LEN:]
     w = w - w.mean(axis=1, keepdims=True)
     pss_unit = w / np.linalg.norm(w, axis=1, keepdims=True)
     pss_spec = np.conj(np.fft.rfft(pss_unit, n=FRAME_LEN, axis=1))
-    for a in (samples, norms, pss_unit, pss_spec):
+    pss_halves = group0[:, SSS_END:]
+    pcis = np.arange(504)
+    stage2_op = np.zeros((SSS_END + 4, 504))
+    stage2_op[:SSS_END] = samples[:, :SSS_END].T
+    stage2_op[SSS_END + pcis % 3, pcis] = 1.0 / norms
+    stage2_op[-1] = samples[:, 0]
+    for a in (samples, norms, pss_unit, pss_spec, pss_halves, stage2_op):
         a.setflags(write=False)
-    return TemplateBank(samples, norms, pss_unit, pss_spec)
+    return TemplateBank(samples, norms, pss_unit, pss_spec, pss_halves,
+                        stage2_op)
 
 
 def stack_frames(trace: np.ndarray, n_frames: int) -> np.ndarray:
@@ -154,39 +179,46 @@ def _window_norms(x: np.ndarray, wlen: int) -> np.ndarray:
     return np.where(flat, 0.0, np.sqrt(np.maximum(var, 0.0)))
 
 
-def _ncc(stacked: np.ndarray, wlen: int, spec: np.ndarray) -> np.ndarray:
-    """(k, n) scores at every circular lag of the k templates of length wlen
-    whose conjugate spectra, at the trace's length, are spec (k, n//2 + 1).
-
-    The trace is transformed once and each lag divided by its window norm
-    (Lewis's running-sum fast NCC; flat windows score 0). Scores are
-    clipped to [-1, 1].
-    """
-    n = stacked.size
-    denom = _window_norms(stacked, wlen)
-    out = np.fft.irfft(np.fft.rfft(stacked) * spec, n=n, axis=1) / \
-        np.maximum(denom, _EPS)
-    out[:, denom == 0.0] = 0.0
-    return np.clip(out, -1.0, 1.0)
-
-
 def _stage1_candidates(stacked: np.ndarray, bank: TemplateBank,
                        thresh_pss: float) -> list[int]:
     """Peak lags of the two folded PSS shapes, one per group of lags above
     thresh_pss that lie at most STAGE1_GROUP_GAP apart.
 
-    The scores are `_ncc`'s from the bank's PSS spectra, so stacked must
-    be one frame of FRAME_LEN samples.
+    A lag scores its correlation with a PSS scan window, from one FFT of
+    the trace and the bank's PSS spectra, over the norm of its
+    mean-removed trace window (Lewis's running-sum fast NCC), clipped to
+    [-1, 1]; flat windows score 0. Only the lags whose raw correlation
+    exceeds a bound just below thresh_pss times the norm get that score,
+    so the lags above thresh_pss are those of scoring every lag. stacked
+    must be one finite frame of FRAME_LEN samples.
     """
     if stacked.size != FRAME_LEN:
         raise ValueError(f"stacked frame of {stacked.size} samples, not "
                          f"{FRAME_LEN}")
+    finite = np.isfinite(stacked)
+    if not finite.all():
+        raise ValueError(f"stacked frame has a non-finite sample at index "
+                         f"{np.argmin(finite)}")
+    denom = _window_norms(stacked, PSS_TEMPLATE_LEN)
+    flat = denom == 0.0
+    denom = np.maximum(denom, _EPS)
+    # just below thresh_pss * denom whatever the threshold's sign, a margin
+    # far above the round-off of the division; a flat window scores 0
+    floor = (thresh_pss - abs(thresh_pss) * 1e-9) * denom
+    floor[flat] = -np.inf if thresh_pss < 0.0 else np.inf
+    corr = np.fft.irfft(np.fft.rfft(stacked) * bank.pss_spec, n=FRAME_LEN,
+                        axis=1)
     cands = set()
-    for scores in _ncc(stacked, PSS_TEMPLATE_LEN, bank.pss_spec):
-        above = np.flatnonzero(scores > thresh_pss)
-        groups = np.split(above,
-                          np.flatnonzero(np.diff(above) > STAGE1_GROUP_GAP) + 1)
-        cands.update(int(g[np.argmax(scores[g])]) for g in groups if g.size)
+    for c in corr:
+        lags = np.flatnonzero(c > floor)
+        scores = np.clip(c[lags] / denom[lags], -1.0, 1.0)
+        scores[flat[lags]] = 0.0
+        keep = scores > thresh_pss
+        lags, scores = lags[keep], scores[keep]
+        groups = np.split(np.arange(lags.size),
+                          np.flatnonzero(np.diff(lags) > STAGE1_GROUP_GAP) + 1)
+        cands.update(int(lags[g[np.argmax(scores[g])]]) for g in groups
+                     if g.size)
     return sorted(cands)
 
 
@@ -195,14 +227,19 @@ def hierarchical_detect(stacked: np.ndarray, bank: TemplateBank,
                         thresh_sss: float = THRESH_SSS) -> list[Detection]:
     """Two-stage search: PSS scan for candidate lags, full bank only there.
 
-    stacked is one frame of FRAME_LEN samples. Stage 1 scans all its lags
-    with the two folded PSS waveforms and keeps grouped peaks above
-    thresh_pss. Stage 2 scores all 504 full templates at each candidate's
-    implied window start (PSS peak minus the PSS-template offset) within
-    +-CANDIDATE_WINDOW lags, in one matrix product on the calling thread,
-    and keeps each PCI's best lag (the first, on ties) if it scores above
-    thresh_sss. Returns scored detections sorted by score descending;
-    `refine` fills in amplitude and sub-sample offset.
+    stacked is one finite frame of FRAME_LEN samples. Stage 1 scans all
+    its lags with the two folded PSS waveforms and keeps grouped peaks
+    above thresh_pss. Stage 2 scores all 504 full templates at each
+    candidate's implied window start (PSS peak minus the PSS-template
+    offset) within +-CANDIDATE_WINDOW lags. Each mean-removed unit window
+    w gives the row [w[:SSS_END], w[SSS_END:] @ pss_halves.T,
+    w[SSS_END:].sum()], and the rows times bank.stage2_op are the scores
+    of w against every unit template, at about half the arithmetic of
+    multiplying by bank.samples.T. Both products run on the calling
+    thread. Each PCI keeps its best lag (the first, on ties) if it scores
+    above thresh_sss; flat windows score -inf. Returns scored detections
+    sorted by score descending; `refine` fills in amplitude and sub-sample
+    offset.
     """
     cands = _stage1_candidates(stacked, bank, thresh_pss)
     if not cands:
@@ -214,8 +251,14 @@ def hierarchical_detect(stacked: np.ndarray, bank: TemplateBank,
     windows -= windows.mean(axis=1, keepdims=True)
     nrm = np.linalg.norm(windows, axis=1)
     flat = nrm < _EPS
+    windows /= np.where(flat, 1.0, nrm)[:, None]
+    pss = windows[:, SSS_END:]
+    x = np.empty((lags.size, SSS_END + 4))
+    x[:, :SSS_END] = windows[:, :SSS_END]
+    x[:, -1] = pss.sum(axis=1)
     with _blas_on_caller():
-        scores = (windows / np.where(flat, 1.0, nrm)[:, None]) @ bank.samples.T
+        x[:, SSS_END:-1] = pss @ bank.pss_halves.T
+        scores = x @ bank.stage2_op
     scores[flat] = -np.inf
     best = np.argmax(scores, axis=0)
     top = scores[best, np.arange(504)]

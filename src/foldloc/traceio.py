@@ -83,9 +83,10 @@ def read_trace(path) -> tuple[np.ndarray, float]:
         if have > 4 * count:
             raise TraceFormatError(f"{path}: {have - 4 * count} trailing bytes "
                                    f"after {count} samples")
-        payload = f.read(4 * count)
-    if len(payload) != 4 * count:
+        # straight into one float32 array, then the one float64 copy
+        data = np.empty(count, dtype="<f4")
+        got = f.readinto(data)
+    if got != 4 * count:
         raise TraceFormatError(f"{path}: expected {count} samples, file short")
-    samples = np.frombuffer(payload, dtype="<f4").astype(np.float64)
-    _check_samples(path, samples)
-    return samples, rate
+    _check_samples(path, data)
+    return data.astype(np.float64), rate

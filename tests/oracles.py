@@ -2,8 +2,11 @@
 
 An LTE frame built one symbol at a time, with its OFDM inverse; the real-RF
 receive path, whose explicit upconversion and square also capture the
-cross-band intermodulation that the fast path's |I+jQ|^2/2 leaves out; and
-an exhaustive scan of templates at every lag through foldloc's NCC kernel.
+cross-band intermodulation that the fast path's |I+jQ|^2/2 leaves out; an
+exhaustive scan of templates at every lag through `ncc`, the NCC kernel
+stage 1 once ran; and that earlier detector itself, which normalized every
+lag before thresholding and scored stage 2 with all 276 columns of the
+bank.
 """
 from __future__ import annotations
 
@@ -12,6 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from foldloc import detect
+from foldloc.amplitude import _EPS
+from foldloc.detect import (CANDIDATE_WINDOW, FRAME_LEN, PSS_TEMPLATE_LEN,
+                            STAGE1_GROUP_GAP, TEMPLATE_LEN, Detection,
+                            _window_norms)
 from foldloc.frontend import (LPF_CUTOFF_HZ, SPEED_OF_LIGHT, CellConfig,
                               lowpass_decimate, path_amplitude)
 from foldloc.lte import (SYMBOLS_PER_FRAME, SYMBOLS_PER_SLOT, FrameConfig,
@@ -209,18 +216,79 @@ def folded_sync_overlap(c1: CellConfig, c2: CellConfig,
     return 100.0 * min(1.0, cross_inband(spacing) / ref)
 
 
+def ncc(stacked: np.ndarray, wlen: int, spec: np.ndarray) -> np.ndarray:
+    """(k, n) scores at every circular lag of the k templates of length wlen
+    whose conjugate spectra, at the trace's length, are spec (k, n//2 + 1).
+
+    The trace is transformed once and each lag divided by its window norm
+    (Lewis's running-sum fast NCC; flat windows score 0). Scores are
+    clipped to [-1, 1].
+    """
+    n = stacked.size
+    denom = _window_norms(stacked, wlen)
+    out = np.fft.irfft(np.fft.rfft(stacked) * spec, n=n, axis=1) / \
+        np.maximum(denom, _EPS)
+    out[:, denom == 0.0] = 0.0
+    return np.clip(out, -1.0, 1.0)
+
+
 def correlate_bank(stacked: np.ndarray, templates: np.ndarray) -> np.ndarray:
     """(k, n) normalized cross-correlation of k templates at every lag.
 
     Every circular lag of the stacked frame is scored against each row of
-    templates (k, L), zero-mean and unit-norm, by `detect._ncc`, the kernel
-    stage 1 runs, BANK_CHUNK templates per call. A single template scores
-    as correlate_bank(x, tpl[None])[0].
+    templates (k, L), zero-mean and unit-norm, by `ncc`, BANK_CHUNK
+    templates per call. A single template scores as
+    correlate_bank(x, tpl[None])[0].
     """
     n = stacked.size
     if n < templates.shape[1]:
         raise ValueError("trace shorter than template")
     return np.concatenate([
-        detect._ncc(stacked, templates.shape[1], np.conj(
+        ncc(stacked, templates.shape[1], np.conj(
             np.fft.rfft(templates[lo:lo + detect.BANK_CHUNK], n=n, axis=1)))
         for lo in range(0, len(templates), detect.BANK_CHUNK)])
+
+
+def stage1_candidates(stacked: np.ndarray, bank: detect.TemplateBank,
+                      thresh_pss: float) -> list[int]:
+    """Stage 1 normalizing every lag, then thresholding: `ncc` scores both
+    PSS shapes at all lags from the bank's spectra; runs of lags above
+    thresh_pss at most STAGE1_GROUP_GAP apart keep their best lag."""
+    if stacked.size != FRAME_LEN:
+        raise ValueError(f"stacked frame of {stacked.size} samples, not "
+                         f"{FRAME_LEN}")
+    cands = set()
+    for scores in ncc(stacked, PSS_TEMPLATE_LEN, bank.pss_spec):
+        above = np.flatnonzero(scores > thresh_pss)
+        groups = np.split(above,
+                          np.flatnonzero(np.diff(above) > STAGE1_GROUP_GAP) + 1)
+        cands.update(int(g[np.argmax(scores[g])]) for g in groups if g.size)
+    return sorted(cands)
+
+
+def hierarchical_detect(stacked: np.ndarray, bank: detect.TemplateBank,
+                        thresh_pss: float = detect.THRESH_PSS,
+                        thresh_sss: float = detect.THRESH_SSS
+                        ) -> list[Detection]:
+    """The two-stage search with `stage1_candidates` and a stage 2 that
+    multiplies each normalized candidate window by all 276 columns of
+    bank.samples; flat windows score -inf, and each PCI keeps its first
+    best lag above thresh_sss. Sorted by score descending."""
+    cands = stage1_candidates(stacked, bank, thresh_pss)
+    if not cands:
+        return []
+    offsets = np.arange(-CANDIDATE_WINDOW, CANDIDATE_WINDOW + 1)
+    lags = ((np.array(cands)[:, None] - (TEMPLATE_LEN - PSS_TEMPLATE_LEN)
+             + offsets).ravel() % stacked.size)
+    windows = stacked.take(lags[:, None] + np.arange(TEMPLATE_LEN), mode="wrap")
+    windows -= windows.mean(axis=1, keepdims=True)
+    nrm = np.linalg.norm(windows, axis=1)
+    flat = nrm < _EPS
+    scores = (windows / np.where(flat, 1.0, nrm)[:, None]) @ bank.samples.T
+    scores[flat] = -np.inf
+    best = np.argmax(scores, axis=0)
+    top = scores[best, np.arange(504)]
+    out = [Detection(Pci(int(p)), int(lags[best[p]]), float(top[p]))
+           for p in np.flatnonzero(top > thresh_sss)]
+    out.sort(key=lambda d: (-d.score, d.delay_samples, d.pci.value))
+    return out

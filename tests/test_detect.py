@@ -7,12 +7,14 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import fold_frame
-from foldloc.detect import (FRAME_LEN, HALF_FRAME, PSS_TEMPLATE_LEN,
+import oracles
+from foldloc.detect import (FRAME_LEN, HALF_FRAME, PSS_TEMPLATE_LEN, SSS_END,
                             TEMPLATE_LEN, TEMPLATE_START, Detection,
-                            build_bank, hierarchical_detect, refine,
-                            stack_frames, suppress_false_positives)
+                            _stage1_candidates, build_bank,
+                            hierarchical_detect, refine, stack_frames,
+                            suppress_false_positives)
 from foldloc.cli import read_detections_csv, write_detections_csv
-from foldloc.harness import _bank_for
+from foldloc.harness import _bank_for, detect_trace
 from foldloc.lte import Pci
 from oracles import correlate_bank
 
@@ -75,6 +77,56 @@ def test_bank_pss_spectra_are_the_scan_windows_transformed(bank):
 def test_stage1_rejects_stack_not_one_frame_long(bank, n):
     with pytest.raises(ValueError, match=f"stacked frame of {n} samples"):
         hierarchical_detect(np.ones(n), bank)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_sample_in_the_stacked_frame_raises(bank, bad):
+    """A non-finite sample fails loudly, naming its index, instead of
+    scoring nothing and returning no detections."""
+    x = fold_frame(10)
+    x[1234] = bad
+    with pytest.raises(ValueError, match="non-finite sample at index 1234"):
+        detect_trace(x, bank, n_stack=1)
+    with pytest.raises(ValueError, match="non-finite sample at index 0"):
+        detect_trace(np.full(FRAME_LEN, bad), bank, n_stack=1)
+
+
+def test_windows_split_into_sss_and_a_shared_pss_half(bank):
+    """The facts stage 2's split rests on: every PCI's raw folded window
+    (its data-free frame, folded, before mean removal) opens with two zero
+    samples and ends in its sector's PSS half to the bit; the PSS halves
+    of sectors 1 and 2 stay two rows, about 1e-13 apart."""
+    raw = np.stack([fold_frame(p)[TEMPLATE_START:TEMPLATE_START + TEMPLATE_LEN]
+                    for p in range(504)])
+    assert not raw[:, :2].any()
+    assert np.array_equal(raw[:, SSS_END:], bank.pss_halves[np.arange(504) % 3])
+    assert 0.0 < np.abs(bank.pss_halves[1] - bank.pss_halves[2]).max() < 1e-11
+
+
+def test_stage2_operator_layout(bank):
+    pcis = np.arange(504)
+    op = bank.stage2_op
+    assert op.shape == (SSS_END + 4, 504)
+    assert np.array_equal(op[:SSS_END], bank.samples[:, :SSS_END].T)
+    want = np.zeros((3, 504))
+    want[pcis % 3, pcis] = 1.0 / bank.norms
+    assert np.array_equal(op[SSS_END:-1], want)
+    assert np.array_equal(op[-1], bank.samples[:, 0])
+    again = build_bank()
+    for name in ("pss_halves", "stage2_op"):
+        assert np.array_equal(getattr(again, name), getattr(bank, name))
+        assert not getattr(bank, name).flags.writeable
+
+
+def test_split_product_scores_as_the_full_bank(bank):
+    """[w[:139], w[139:] @ pss_halves.T, w[139:].sum()] @ stage2_op is
+    w @ samples.T for mean-removed unit windows w."""
+    w = np.random.default_rng(5).normal(size=(200, TEMPLATE_LEN))
+    w -= w.mean(axis=1, keepdims=True)
+    w /= np.linalg.norm(w, axis=1, keepdims=True)
+    x = np.hstack([w[:, :SSS_END], w[:, SSS_END:] @ bank.pss_halves.T,
+                   w[:, SSS_END:].sum(axis=1, keepdims=True)])
+    assert np.abs(x @ bank.stage2_op - w @ bank.samples.T).max() < 1e-12
 
 
 def test_folded_pss_halves_merge_for_conjugate_roots(bank):
@@ -245,6 +297,49 @@ def test_scale_invariance(bank, scale):
     db = hierarchical_detect(scale * x, bank)
     assert [(d.pci.value, d.delay_samples) for d in da] == \
            [(d.pci.value, d.delay_samples) for d in db]
+
+
+@st.composite
+def mixtures(draw):
+    """A frame of 1-5 distinct folded PCIs at random lags and amplitudes,
+    plus noise and a zero stretch (flat windows). Distinct, because one PCI
+    twice without noise scores two lags equal to round-off, and which of
+    them wins is then round-off's choice."""
+    cells = draw(st.lists(st.tuples(st.integers(0, 503),
+                                    st.integers(0, FRAME_LEN - 1),
+                                    st.floats(0.05, 5.0)),
+                          min_size=1, max_size=5, unique_by=lambda c: c[0]))
+    noise = draw(st.floats(0.0, 0.5))
+    zero_at = draw(st.integers(0, FRAME_LEN - 1))
+    zero_len = draw(st.integers(0, 3000))
+    seed = draw(st.integers(0, 2**32 - 1))
+    x = sum(a * np.roll(fold_frame(p), lag) for p, lag, a in cells)
+    x = x + np.random.default_rng(seed).normal(0.0, noise * x.std(), x.size)
+    x[zero_at:zero_at + zero_len] = 0.0
+    return x
+
+
+@PROPERTY
+@given(x=mixtures(), copy_at=st.integers(0, FRAME_LEN - PSS_TEMPLATE_LEN),
+       sector=st.integers(0, 1), thresh_pss=st.sampled_from([0.3, 0.05]))
+def test_detection_matches_the_full_product_reference(bank, x, copy_at, sector,
+                                                      thresh_pss):
+    """Stage 1 normalizing only lags that can clear the threshold, and
+    stage 2 scoring the split product, find what the detector that
+    normalized every lag and multiplied all 276 columns finds. An exact
+    copy of a PSS scan window gives a stage-1 score clipped at 1.0. The
+    lists are sorted by score, so without noise, where several PCIs score
+    1 to round-off, they are compared in (pci, delay) order."""
+    x[copy_at:copy_at + PSS_TEMPLATE_LEN] = bank.pss_unit[sector]
+    assert _stage1_candidates(x, bank, thresh_pss) == \
+        oracles.stage1_candidates(x, bank, thresh_pss)
+    got, want = (sorted(detect(x, bank, thresh_pss, 0.3),
+                        key=lambda d: (d.pci.value, d.delay_samples))
+                 for detect in (hierarchical_detect,
+                                oracles.hierarchical_detect))
+    assert [(d.pci, d.delay_samples) for d in got] == \
+        [(d.pci, d.delay_samples) for d in want]
+    assert all(abs(g.score - w.score) <= 1e-12 for g, w in zip(got, want))
 
 
 def _det(pci, delay, score=0.9, amp=1.0):

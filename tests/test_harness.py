@@ -29,6 +29,7 @@ from foldloc.harness import (cmd_localize, cmd_synth, compute_metrics,
 from foldloc.locate import PositionEstimate
 from foldloc.lte import FrameConfig, Pci
 from foldloc.scenario import CellDatabase, Scenario, load_scenario, substream
+import oracles
 from conftest import child_env, cpu_share
 from oracles import build_frame, correlate_bank, ofdm_modulate
 
@@ -677,23 +678,26 @@ def test_stage1_matches_per_shape_reference(bank, origins):
 @pytest.mark.parametrize("origins", [(0, 1500, 3000, 4500, 6000), (0,) * 5],
                          ids=["s5_offset", "s5_synchronized"])
 def test_stage1_scores_equal_correlate_bank(bank, origins, monkeypatch):
-    """Stage 1 scores from the bank's PSS spectra exactly what
-    correlate_bank scores from the PSS windows themselves."""
+    """The reference stage 1 scores from the bank's PSS spectra exactly
+    what correlate_bank scores from the PSS windows themselves, and stage
+    1, which scores only the lags that can clear the threshold, keeps the
+    reference's candidates."""
     seen = []
 
     def spy(*args):
         seen.append(real_ncc(*args))
         return seen[-1]
 
-    real_ncc = detect._ncc
-    monkeypatch.setattr(detect, "_ncc", spy)
+    real_ncc = oracles.ncc
+    monkeypatch.setattr(oracles, "ncc", spy)
     sc = _s5_scenario(origins)
     for i in range(len(sc.trajectory)):
         stacked = stack_frames(synth_fix_trace(sc, i), sc.n_frames_per_fix)
         seen.clear()
-        _stage1_candidates(stacked, bank, THRESH_PSS)
+        want = oracles.stage1_candidates(stacked, bank, THRESH_PSS)
         [scores] = seen
         assert np.array_equal(scores, correlate_bank(stacked, bank.pss_unit))
+        assert _stage1_candidates(stacked, bank, THRESH_PSS) == want
 
 
 @pytest.mark.parametrize("origins", [(0, 1500, 3000, 4500, 6000), (0,) * 5],
@@ -711,6 +715,26 @@ def test_stage2_matches_per_lag_reference(bank, origins):
         want = suppress_false_positives(
             _seed_enrich(stacked, bank, _seed_stage2(stacked, bank, 0.3, 0.5)))
         _assert_same_detections(detect_trace(trace, bank, n_stack=2), want)
+
+
+@pytest.mark.parametrize("sc", [
+    _s5_scenario((0, 1500, 3000, 4500, 6000)), _s5_scenario((0,) * 5),
+    replace(_wideband_scenario(), trajectory=[(0.0, 10.0, -20.0),
+                                              (1.0, 30.0, -20.0)])],
+    ids=["s5_offset", "s5_synchronized", "wideband"])
+def test_detection_matches_the_full_product_reference(bank, sc):
+    """On synthesized stacks, stage 1 keeps the candidates of the stage 1
+    that normalized every lag, and the split stage-2 product finds the
+    detections of multiplying all 276 columns of the bank."""
+    for i in range(2):
+        stacked = synth_fix_stack(sc, i)
+        for thresh_pss, thresh_sss in ((0.3, 0.5), (0.05, 0.3)):
+            assert _stage1_candidates(stacked, bank, thresh_pss) == \
+                oracles.stage1_candidates(stacked, bank, thresh_pss)
+            _assert_same_detections(
+                hierarchical_detect(stacked, bank, thresh_pss, thresh_sss),
+                oracles.hierarchical_detect(stacked, bank, thresh_pss,
+                                            thresh_sss))
 
 
 def test_detect_single_cell_at_geometric_delay(bank):

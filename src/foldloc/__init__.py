@@ -15,7 +15,7 @@ from .harness import RunReport, run_eval, run_fix, run_urban_sim
 from .locate import (InsufficientAnchorsError, PositionEstimate,
                      TowerObservation, sample_to_distance, solve_tdoa,
                      trilaterate_ratio)
-from .lte import FrameConfig, Pci, frame_samples, generate_pss, generate_sss
+from .lte import FrameConfig, Pci, generate_pss, generate_sss
 from .roads import (Fix, GeofenceRegion, RoadGraph, geofence_events,
                     point_in_polygon, snap_trajectory)
 from .scenario import CellDatabase, Scenario, ScenarioError, load_cell_db, \

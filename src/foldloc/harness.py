@@ -10,22 +10,24 @@ built once per process, with no disk cache. Every random draw comes from a
 named substream of the scenario seed, so reports are byte-identical across
 runs.
 
-Synthesis builds each cell's frames of a fix in one `frame_samples` call,
-then delays them exactly with a four-step DFT (Bailey 1990),
-`_delayed_rows`: its passes are batched numpy.fft transforms along the two
-axes of an (n1, FRAME_LEN) view of the trace, each written back into that
-view (`out=`), so no full-length transform runs and no N-sized scratch
-buffer is taken. One finish, `_delay_stacked`, takes the square of the
-delayed cell, averaged over the frames that fold into each output frame,
-straight from the row spectra by Parseval's theorem, and `lowpass_decimate`
+Synthesis builds each cell's frames of a fix with `lte._frames`, then
+delays them exactly with a four-step DFT (Bailey 1990), `_delayed_rows`:
+its passes are batched numpy.fft transforms along the two axes of an
+(n1, FRAME_LEN) view of the trace, each written back into that view
+(`out=`), so no full-length transform runs and no N-sized scratch buffer
+is taken. One finish, `_delay_stacked`, takes the square of the delayed
+cell, averaged over the frames that fold into each output frame, straight
+from the row spectra by Parseval's theorem, and `lowpass_decimate`
 filters it: at one frame per output frame that is the full trace
 `synth_fix_trace` returns for `cmd_synth`, and at the fix's n frames the
 one stacked frame `synth_fix_stack` returns for `run_fix` to detect on,
-whose FIR filters one frame-folded square. The calling thread builds the
-cells one after another and folds each into the total in cell order, while
-helper threads delay the cells (`lte._overlap`, the threading policy in
-`lte`'s docstring). `run_eval` runs its fixes one after another in the
-calling process.
+whose FIR filters one frame-folded square. A cell's whole synthesis,
+payload draw, frame build and delay, is one job, `_synth_cell`, that the
+helper threads and the waiting caller work (`lte._overlap`, the threading
+policy in `lte`'s docstring); the calling thread only hands out the
+cells, each with its own payload Generator, filters each result and folds
+it into the total in cell order. `run_eval` runs its fixes one after
+another in the calling process.
 `_synth` is the only place that adds detector noise: white Gaussian noise
 of the front end's noise_sigma on the summed detector-rate trace, from the
 fix's own "noise" substream; the stacked frame adds the same draw, stacked.
@@ -47,7 +49,7 @@ from .detect import (FRAME_LEN, THRESH_PSS, THRESH_SSS, Detection,
 from .frontend import (DETECTOR_RATE_HZ, SENSITIVITY_FLOOR_DBM,
                        SPEED_OF_LIGHT, FrontEndConfig, _fir_reach, arrival,
                        lowpass_decimate)
-from .lte import _overlap, frame_samples
+from .lte import _frames, _overlap
 from .locate import SOLVERS, TowerObservation, solve_tdoa
 from .scenario import Scenario, scenario_cell_db, substream, write_csv_rows
 
@@ -155,6 +157,16 @@ def _heard_cells(sc: Scenario, rx) -> list:
             if (a := arrival(c, rx))[2] >= SENSITIVITY_FLOOR_DBM]
 
 
+def _synth_cell(cell, rng, n: int, delay_s: float, scale: float, per: int,
+                reach: int) -> np.ndarray:
+    """One cell's whole synthesis, the job `_synth` hands to _overlap: its n
+    frames, payload from rng, then `_delay_stacked` by delay_s seconds
+    with per frames averaged into each output frame."""
+    cfg = cell.frame_cfg
+    return _delay_stacked(_frames(cfg, cell.pci, rng, n),
+                          delay_s * cfg.sample_rate_hz, scale, per, reach)
+
+
 def _synth(sc: Scenario, fix_idx: int, per: int) -> np.ndarray:
     """The fix's trace with per frames averaged into each output frame:
     the trace itself at per = 1, its stacked frame at per = n."""
@@ -163,21 +175,19 @@ def _synth(sc: Scenario, fix_idx: int, per: int) -> np.ndarray:
     n = sc.n_frames_per_fix
     total = np.zeros(n // per * FRAME_LEN)
     heard = _heard_cells(sc, rx)
-
-    def built():
-        for ci, cell, (delay_s, a_rx, _) in heard:
-            cfg = cell.frame_cfg
-            rng = substream(sc.rng_seed, "payload", fix_idx, ci)
-            yield (frame_samples(cfg, cell.pci, rng, n_frames=n),
-                   delay_s * cfg.sample_rate_hz, a_rx, per,
-                   _fir_reach(cfg.sample_rate_hz))
+    # each cell's own Generator, which only that cell's job draws from; the
+    # reach on this thread, as its first call per rate designs the filter
+    # through the public design_lowpass
+    jobs = [(cell, substream(sc.rng_seed, "payload", fix_idx, ci), n, delay_s,
+             a_rx, per, _fir_reach(cell.frame_cfg.sample_rate_hz))
+            for ci, cell, (delay_s, a_rx, _) in heard]
 
     def fold(k, out):   # the outputs centered on the folded square
         out = lowpass_decimate(out, heard[k][1].frame_cfg.sample_rate_hz)
         first = (out.size - total.size) // 2
         np.add(total, out[first:first + total.size], out=total)
 
-    _overlap(_delay_stacked, built(), fold)
+    _overlap(_synth_cell, jobs, fold)
 
     if sc.front_end.noise_sigma > 0:
         rng = substream(sc.rng_seed, "noise", fix_idx)
@@ -189,12 +199,12 @@ def _synth(sc: Scenario, fix_idx: int, per: int) -> np.ndarray:
 def synth_fix_trace(sc: Scenario, fix_idx: int) -> np.ndarray:
     """Detector-rate trace for one fix: delayed, scaled, folded cells + noise.
 
-    Each cell's n frames are one batched `frame_samples` call; its payload
-    comes from substream(seed, "payload", fix, cell) as if drawn frame by
-    frame. Each is finished by `_delay_stacked` at one frame per output
-    frame, its square extended as the low-pass's zero padding needs, and
-    filtered. Cells are built, and folded into the total, in cell order on
-    the calling thread; their delays overlap (lte._overlap).
+    Each cell's n frames come from substream(seed, "payload", fix, cell),
+    drawn frame by frame. Each cell is finished by `_delay_stacked` at one
+    frame per output frame, its square extended as the low-pass's zero
+    padding needs, and filtered. Cells are synthesized, frames and delay,
+    on whichever thread works their job (lte._overlap), and filtered and
+    folded into the total in cell order on the calling thread.
     """
     return _synth(sc, fix_idx, 1)
 

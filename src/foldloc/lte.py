@@ -5,25 +5,28 @@ sequences on the central 62 subcarriers, random QPSK payload across the
 occupied band, and cyclic-prefixed OFDM modulation. Only what the
 square-law receiver chain needs is modeled; no PBCH, CRS, or coding chains.
 
-`frame_samples` draws the payload of all n frames of a cell at once,
-bit-identical to n draws of one frame each, then builds the frames one at
-a time: it fills a symbol-major (140, fft) grid, runs its IFFT and gathers
-it, cyclic prefixes inserted by one precomputed index per FFT size, into
-one preallocated output. `sync_segment` builds a span of many PCIs'
-data-free frames from the sync symbols inside it alone.
+`frame_samples` builds a cell's n frames one at a time, each frame's
+payload its own draw, bit-identical to one draw of all n: it fills one
+symbol-major (140, fft) grid, runs its IFFT into one body buffer and
+gathers that, cyclic prefixes inserted by one precomputed index per FFT
+size, into one preallocated output. `sync_segment` builds a span of many
+PCIs' data-free frames from the sync symbols inside it alone.
 
-Threading, for the whole package: foldloc's one parallel work is the
-delay of a fix's cells. `harness._synth` hands them to `_overlap`, which
-draws the jobs into one queue and finishes them in order on the calling
-thread; the helper threads work the queue, and so does the caller while
-it waits, so a busy or descheduled helper holds back only a job it
-started. A helper that has not started by the end is cancelled. A helper
-returns a cell's square, folded over the frames averaged into each output
-frame, which the caller filters. The numpy calls in the jobs release the
-GIL, so the jobs do run at once. Job functions are private and call no
-public function of the package, so a tracer that wraps public functions,
-and keeps one span stack for all threads, sees every call on the thread
-that made it. The output does not depend on the thread count.
+Threading, for the whole package: foldloc's one parallel work is a cell's
+synthesis (draw, build, delay). `harness._synth` hands a fix's cells to
+`_overlap`, each job holding the cell's own payload Generator, which no
+other job draws from; `_overlap` draws the jobs into one queue and
+finishes them in order on the calling thread. The helper threads work the
+queue, and so does the caller while it waits, so a busy or descheduled
+helper holds back only a job it started. A helper that has not started by
+the end is cancelled. A job builds the cell's frames through the private
+`_frames` and returns its square, folded over the frames averaged into
+each output frame, which the caller filters and folds into the fix in
+cell order. The numpy calls in the jobs release the GIL, so the jobs do
+run at once. Job functions are private and call no public function of the
+package, so a tracer that wraps public functions, and keeps one span
+stack for all threads, sees every call on the thread that made it. The
+output does not depend on the thread count.
 
 No layer splits itself across threads, and with one CPU there is no
 parallel work at all. Detection runs on the calling thread. No BLAS call
@@ -99,6 +102,9 @@ def _overlap(work, jobs, finish) -> None:
     _CPU_SHARE - 1 helper threads work the queue, and so does the caller
     whenever it waits: it draws the next job while at most _CPU_SHARE
     drawn jobs are unfinished, so at most _CPU_SHARE + 1 are held at once.
+    A held job costs what its arguments hold until a thread works it (a
+    cell's job holds a Generator, not a built cell), then its result until
+    it is finished.
     A helper that has not started by the end is cancelled, not waited for.
     With one CPU each job is worked and finished on the caller before the
     next is drawn. work must call no public function of the package; the
@@ -379,20 +385,17 @@ def _sync_columns(pci: Pci) -> list[tuple[int, np.ndarray]]:
         [(col, pss) for col in PSS_COLS]
 
 
-def _grid(cfg: FrameConfig, sync, bits: np.ndarray) -> np.ndarray:
-    """The frames of bits, (n, band, 140) 2-bit payload symbols, as a
-    symbol-major (n, 140, fft_size) grid; sync is _sync_columns' list."""
-    grid = np.zeros((bits.shape[0], SYMBOLS_PER_FRAME, cfg.fft_size),
-                    dtype=np.complex128)
+def _grid(cfg: FrameConfig, sync, bits: np.ndarray, grid: np.ndarray) -> None:
+    """Write one frame's bits, (band, 140) 2-bit payload symbols, and sync,
+    _sync_columns' list, into grid, a symbol-major (140, fft_size) frame
+    whose bins outside the band are zero."""
     half = 6 * cfg.n_resource_blocks
-    qpsk = np.take(_QPSK, bits)
     # the band's negative subcarriers first, then 1..half
-    grid[:, :, -half:] = qpsk[:, :half].transpose(0, 2, 1)
-    grid[:, :, 1:half + 1] = qpsk[:, half:].transpose(0, 2, 1)
+    np.take(_QPSK, bits[:half].T, out=grid[:, -half:], mode="clip")
+    np.take(_QPSK, bits[half:].T, out=grid[:, 1:half + 1], mode="clip")
     c62 = central_62_bins(cfg.fft_size)
     for col, seq in sync:
-        grid[:, col, c62] = seq
-    return grid
+        grid[col, c62] = seq
 
 
 @lru_cache(maxsize=len(BANDWIDTH_TABLE))
@@ -416,28 +419,41 @@ def _cp_layout(cfg: FrameConfig) -> np.ndarray:
     return insert
 
 
+def _frames(cfg: FrameConfig, pci: Pci, rng: np.random.Generator,
+            n: int) -> np.ndarray:
+    """frame_samples' n frames, built one at a time in one grid and one
+    body buffer: each frame's payload is one (band, 140) draw written into
+    the grid, whose IFFT goes to the bodies, which the cyclic-prefix gather
+    takes into the frame's row of the output."""
+    sync = _sync_columns(pci)
+    insert = _cp_layout(cfg)
+    band = 12 * cfg.n_resource_blocks
+    grid = np.zeros((SYMBOLS_PER_FRAME, cfg.fft_size), dtype=np.complex128)
+    bodies = np.empty_like(grid)
+    out = np.empty((n, cfg.frame_len), dtype=np.complex128)
+    for frame in out:
+        _grid(cfg, sync, rng.integers(0, 4, size=(band, SYMBOLS_PER_FRAME),
+                                      dtype=np.int32), grid)
+        np.fft.ifft(grid, axis=-1, norm="ortho", out=bodies)
+        np.take(bodies.ravel(), insert, out=frame, mode="wrap")
+    return out.ravel()
+
+
 def frame_samples(cfg: FrameConfig, pci: Pci, rng: np.random.Generator,
                   n_frames: int = 1) -> np.ndarray:
     """n_frames consecutive 10 ms frames of one cell, modulated end to end.
 
-    The occupied band carries random QPSK from one (n, band, 140) int32
-    draw of rng, which takes the same values, and leaves rng in the same
-    state, as n int64 draws of one frame each. Equal, to
-    rounding, to concatenating n_frames single-frame calls that share one
-    Generator, but built frame by frame into one output array.
+    The occupied band carries random QPSK, one (band, 140) int32 draw of
+    rng per frame, which takes the same values, and leaves rng in the same
+    state, as one int64 draw of that shape: n_frames single-frame calls
+    that share one Generator give the same samples. Frames are built one
+    at a time into one output array, so the build holds the output and
+    about two frame grids. The pipeline builds frames through `_frames`,
+    on whichever thread synthesizes the cell.
     """
     if n_frames < 1:
         raise ValueError(f"n_frames must be at least 1, got {n_frames}")
-    bits = rng.integers(0, 4, size=(n_frames, 12 * cfg.n_resource_blocks,
-                                    SYMBOLS_PER_FRAME), dtype=np.int32)
-    sync = _sync_columns(pci)
-    insert = _cp_layout(cfg)
-    out = np.empty((n_frames, cfg.frame_len), dtype=np.complex128)
-    for f, frame in enumerate(out):
-        grid = _grid(cfg, sync, bits[f:f + 1])
-        np.fft.ifft(grid, axis=-1, norm="ortho", out=grid)
-        np.take(grid.ravel(), insert, out=frame, mode="wrap")
-    return out.ravel()
+    return _frames(cfg, pci, rng, n_frames)
 
 
 def sync_segment(cfg: FrameConfig, pcis, lo: int, hi: int) -> np.ndarray:

@@ -63,7 +63,7 @@ def write_trace(path, samples: np.ndarray, sample_rate_hz: float) -> None:
     _check_rate(path, rate)
     with open(path, "wb") as f:
         f.write(_HEADER.pack(MAGIC, VERSION, 0, rate, data.size))
-        f.write(data.tobytes())
+        f.write(data)       # through the buffer protocol, not a copy
 
 
 def read_trace(path) -> tuple[np.ndarray, float]:

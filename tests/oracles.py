@@ -1,6 +1,7 @@
 """References the tests compare foldloc against; the pipeline calls none.
 
-An LTE frame built one symbol at a time, with its OFDM inverse; the real-RF
+An LTE frame built one symbol at a time, with its OFDM inverse; the frame
+build as it was before it drew each frame's payload on its own; the real-RF
 receive path, whose explicit upconversion and square also capture the
 cross-band intermodulation that the fast path's |I+jQ|^2/2 leaves out; an
 exhaustive scan of templates at every lag through `ncc`, the NCC kernel
@@ -21,8 +22,9 @@ from foldloc.detect import (CANDIDATE_WINDOW, FRAME_LEN, PSS_TEMPLATE_LEN,
                             _window_norms)
 from foldloc.frontend import (LPF_CUTOFF_HZ, SPEED_OF_LIGHT, CellConfig,
                               lowpass_decimate, path_amplitude)
-from foldloc.lte import (SYMBOLS_PER_FRAME, SYMBOLS_PER_SLOT, FrameConfig,
-                         Pci, central_62_bins, frame_samples, generate_pss,
+from foldloc.lte import (_QPSK, SYMBOLS_PER_FRAME, SYMBOLS_PER_SLOT,
+                         FrameConfig, Pci, _cp_layout, _sync_columns,
+                         central_62_bins, frame_samples, generate_pss,
                          generate_sss)
 
 SYNC_BAND_HZ = 1.08e6         # folded sync occupies DC..~1 MHz
@@ -87,6 +89,31 @@ def ofdm_demodulate(samples: np.ndarray, cfg: FrameConfig) -> np.ndarray:
         bodies.append(samples[pos:pos + cfg.fft_size])
         pos += cfg.fft_size
     return np.fft.fft(np.stack(bodies), axis=-1, norm="ortho").T
+
+
+def frame_samples_batched(cfg: FrameConfig, pci: Pci,
+                          rng: np.random.Generator,
+                          n_frames: int = 1) -> np.ndarray:
+    """`lte.frame_samples` as it was built before it drew frame by frame:
+    one (n, band, 140) int32 draw of every frame's payload, then a fresh
+    (140, fft_size) grid per frame, its IFFT in place, gathered with the
+    cyclic prefixes into one preallocated output."""
+    half = 6 * cfg.n_resource_blocks
+    bits = rng.integers(0, 4, size=(n_frames, 2 * half, SYMBOLS_PER_FRAME),
+                        dtype=np.int32)
+    c62 = central_62_bins(cfg.fft_size)
+    insert = _cp_layout(cfg)
+    out = np.empty((n_frames, cfg.frame_len), dtype=np.complex128)
+    for f, frame in enumerate(out):
+        grid = np.zeros((SYMBOLS_PER_FRAME, cfg.fft_size), dtype=np.complex128)
+        qpsk = np.take(_QPSK, bits[f])
+        grid[:, -half:] = qpsk[:half].T
+        grid[:, 1:half + 1] = qpsk[half:].T
+        for col, seq in _sync_columns(pci):
+            grid[col, c62] = seq
+        np.fft.ifft(grid, axis=-1, norm="ortho", out=grid)
+        np.take(grid.ravel(), insert, out=frame, mode="wrap")
+    return out.ravel()
 
 
 @dataclass(frozen=True)

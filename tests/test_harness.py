@@ -32,6 +32,7 @@ from foldloc.scenario import CellDatabase, Scenario, load_scenario, substream
 import oracles
 from conftest import child_env, cpu_share
 from oracles import build_frame, correlate_bank, ofdm_modulate
+from test_bench_targets import TARGETS
 
 FS = 1.92e6
 CFG = FrameConfig.from_bandwidth(1.4)
@@ -397,13 +398,14 @@ def test_no_scipy_module_is_loaded_at_run_time():
 
 
 def test_traced_layers_run_on_the_calling_thread(monkeypatch):
-    """Helper threads never enter a layer a tracer may wrap: every call of
-    one, through any foldloc binding of it, runs on the thread that
-    synthesizes the fix, so the spans of a tracer with one stack nest. A
-    wideband fix and an S5 fix both delay their cells on the helper thread
-    while the caller builds and folds.
-    The trace and run_fix's stacked frame each filter every cell once and
-    fold none at the full rate."""
+    """Helper threads never enter a function the benchmark's tracer wraps:
+    every call of one, through any foldloc binding of it, runs on the
+    thread that synthesizes the fix, so the spans of a tracer with one
+    stack nest. A wideband fix and an S5 fix both synthesize their cells,
+    frame build and delay, on the helper thread while the caller filters
+    and folds. The trace and run_fix's stacked frame each filter every
+    cell once, build no frame on the caller and fold none at the full
+    rate."""
     calls = []
 
     def recording(name, original):
@@ -412,11 +414,10 @@ def test_traced_layers_run_on_the_calling_thread(monkeypatch):
             return original(*args, **kwargs)
         return wrapper
 
-    for mod_name, attr in (("lte", "frame_samples"),
-                           ("frontend", "fold_baseband"),
-                           ("frontend", "lowpass_decimate")):
+    for target in TARGETS:
+        mod_name, attr = target.split(".")
         original = getattr(sys.modules[f"foldloc.{mod_name}"], attr)
-        wrapper = recording(attr, original)
+        wrapper = recording(target, original)
         for name, mod in list(sys.modules.items()):
             if name == "foldloc" or name.startswith("foldloc."):
                 for key, value in list(vars(mod).items()):
@@ -434,8 +435,11 @@ def test_traced_layers_run_on_the_calling_thread(monkeypatch):
             with cpu_share(2):
                 run(sc, 0)
             assert helpers, f"no work of {run.__name__} ran on a helper thread"
-            assert sorted(n for n, _ in calls) == \
-                sorted(["frame_samples", "lowpass_decimate"] * n_cells)
+            synthesis = [n for n, _ in calls
+                         if n.split(".")[0] in ("lte", "frontend")]
+            assert synthesis == ["frontend.lowpass_decimate"] * n_cells
+            if run is synth_fix_trace:
+                assert len(calls) == n_cells
             assert {t for _, t in calls} == {threading.get_ident()}
 
 
@@ -474,8 +478,8 @@ print(proc.exitcode == 0 and got == parent.tobytes())
 
 
 def test_a_fix_overlaps_its_cells_and_nothing_else(monkeypatch):
-    """A fix's one parallel work is the delay of its cells: run_fix calls
-    _overlap once, with _delay_stacked as the work, on a wideband fix
+    """A fix's one parallel work is the synthesis of its cells: run_fix calls
+    _overlap once, with _synth_cell as the work, on a wideband fix
     shaped like the benchmark's (20, 10 and 5 MHz, 8 frames) and on an S5
     fix; no layer hands pieces of itself to _overlap."""
     works = []
@@ -493,7 +497,7 @@ def test_a_fix_overlaps_its_cells_and_nothing_else(monkeypatch):
         works.clear()
         with cpu_share(2):
             run_fix(sc, 0)
-        assert works == [harness._delay_stacked]
+        assert works == [harness._synth_cell]
 
 
 def test_worker_processes_do_not_inherit_the_helper_pool():

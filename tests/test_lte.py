@@ -4,6 +4,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 
@@ -12,11 +13,12 @@ import pytest
 
 from foldloc import lte
 
-from foldloc.lte import (BANDWIDTH_TABLE, FrameConfig, Pci, central_62_bins,
-                         frame_samples, generate_pss, generate_sss,
-                         sss_shift_pair, sync_segment)
+from foldloc.lte import (BANDWIDTH_TABLE, SYMBOLS_PER_FRAME, FrameConfig, Pci,
+                         central_62_bins, frame_samples, generate_pss,
+                         generate_sss, sss_shift_pair, sync_segment)
 from conftest import child_env, cpu_share
-from oracles import build_frame, ofdm_demodulate, ofdm_modulate
+from oracles import (build_frame, frame_samples_batched, ofdm_demodulate,
+                     ofdm_modulate)
 
 
 def test_pci_decomposition():
@@ -232,6 +234,39 @@ def test_batched_frames_match_single_frame_calls(bw):
     assert np.abs(batched - single).max() <= 1e-12 * np.abs(single).max()
     # both consumed the same number of draws
     assert rng.integers(1 << 30) == batched_rng.integers(1 << 30)
+
+
+@pytest.mark.parametrize("n", [1, 3, 8])
+@pytest.mark.parametrize("bw", sorted(BANDWIDTH_TABLE))
+def test_frames_equal_the_batched_reference(bw, n):
+    """Drawn and built frame by frame, the frames equal, to the bit, the
+    build that drew every frame's payload at once and gave each frame a
+    fresh grid; both leave the Generator in the same state."""
+    cfg = FrameConfig.from_bandwidth(bw)
+    rng, ref_rng = np.random.default_rng([11, n]), np.random.default_rng([11, n])
+    assert np.array_equal(frame_samples(cfg, Pci(250), rng, n_frames=n),
+                          frame_samples_batched(cfg, Pci(250), ref_rng, n))
+    assert rng.integers(1 << 30) == ref_rng.integers(1 << 30)
+
+
+def test_frame_build_holds_its_output_and_few_grids():
+    """Building 8 frames at 20 MHz allocates at most the 37.5 MiB output
+    plus four (140, 2048) frame grids at its peak: the frames reuse one
+    grid and one body buffer instead of one fresh grid each."""
+    cfg = FrameConfig.from_bandwidth(20.0)
+    n = 8
+    out_bytes = n * cfg.frame_len * 16
+    grid_bytes = SYMBOLS_PER_FRAME * cfg.fft_size * 16
+    frame_samples(cfg, Pci(101), np.random.default_rng(0))   # caches warm
+    tracemalloc.start()
+    try:
+        x = frame_samples(cfg, Pci(101), np.random.default_rng(1), n_frames=n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert x.nbytes == out_bytes
+    assert peak < out_bytes + 4 * grid_bytes, \
+        f"peak {peak / 1e6:.1f} MB against {(out_bytes + 4 * grid_bytes) / 1e6:.1f}"
 
 
 def test_ofdm_round_trip_multiple_frames(cfg14):

@@ -1,7 +1,7 @@
 """Every name foldloc exports is read in src/ or benchmarks/, outside its own
 definition and the package's import of it; what only tests call belongs in
 tests/oracles.py. Every private module-level name of the package is read in
-src/ outside its own definition. The package's one parallel work, the delay
+src/ outside its own definition. The package's one parallel work, the synthesis
 of a fix's cells, is reached one way. The sources are parsed, not
 imported."""
 import ast
@@ -82,5 +82,5 @@ def test_only_overlap_reads_the_helper_threads():
 
 
 def test_only_a_fix_synthesis_overlaps():
-    """The delays of a fix's cells are the only jobs _overlap is given."""
+    """The syntheses of a fix's cells are the only jobs _overlap is given."""
     assert {OWNER[id(n)] for n in LOADS["_overlap"]} == {("harness", "_synth")}

@@ -1,5 +1,6 @@
 """Binary trace format: header fields, float32 payload, failure modes."""
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -34,6 +35,22 @@ def test_header_layout(tmp_path):
     assert magic == b"FTRC" and version == 1
     assert rate == 2.5e6 and count == 3
     assert len(raw) == 24 + 3 * 4
+
+
+def test_float32_samples_written_without_a_copy(tmp_path):
+    """A little-endian float32 trace goes to the file as it is: writing it
+    allocates well under its own size (the finiteness check's mask), and
+    the payload is the samples' bytes."""
+    p = tmp_path / "t.bin"
+    x = np.random.default_rng(2).normal(size=1 << 20).astype("<f4")
+    tracemalloc.start()
+    try:
+        write_trace(p, x, 1.92e6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < x.nbytes / 2
+    assert p.read_bytes()[24:] == x.tobytes()
 
 
 def test_bad_magic_rejected(tmp_path):

@@ -11,22 +11,25 @@ named substream of the scenario seed, so reports are byte-identical across
 runs.
 
 Synthesis builds each cell's frames of a fix with `lte._frames`, then
-delays them exactly with a four-step DFT (Bailey 1990), `_delayed_rows`:
-its passes are batched numpy.fft transforms along the two axes of an
-(n1, FRAME_LEN) view of the trace, each written back into that view
-(`out=`), so no full-length transform runs and no N-sized scratch buffer
-is taken. One finish, `_delay_stacked`, takes the square of the delayed
-cell, averaged over the frames that fold into each output frame, straight
-from the row spectra by Parseval's theorem, and `lowpass_decimate`
-filters it: at one frame per output frame that is the full trace
-`synth_fix_trace` returns for `cmd_synth`, and at the fix's n frames the
-one stacked frame `synth_fix_stack` returns for `run_fix` to detect on,
-whose FIR filters one frame-folded square. A cell's whole synthesis,
-payload draw, frame build and delay, is one job, `_synth_cell`, that the
-helper threads and the waiting caller work (`lte._overlap`, the threading
-policy in `lte`'s docstring); the calling thread only hands out the
-cells, each with its own payload Generator, filters each result and folds
-it into the total in cell order. `run_eval` runs its fixes one after
+delays them exactly with a four-step DFT (Bailey 1990) in
+`_delay_stacked`: its passes are batched numpy.fft transforms along the
+two axes of an (n1, FRAME_LEN) view of the trace, each written back into
+that view (`out=`), so no full-length transform runs and no N-sized
+scratch buffer is taken. It finishes with the square of the delayed cell,
+averaged over the frames that fold into each output frame, straight from
+the row spectra by Parseval's theorem, and `lowpass_decimate` filters it:
+at one frame per output frame that is the full trace `synth_fix_trace`
+returns for `cmd_synth`, and at the fix's n frames the one stacked frame
+`synth_fix_stack` returns for `run_fix` to detect on, whose FIR filters
+one frame-folded square. The threads work one queue: a fix's cells, and
+the pieces of a large cell's passes (`lte._overlap` and `lte._split`, the
+threading policy in `lte`'s docstring). A cell's whole synthesis, payload
+draw, frame build and delay, is one job, `_synth_cell`, that the helper
+threads and the waiting caller work, and a cell of at least _SPLIT_MIN
+samples offers the pieces of each delay pass to the threads idle on the
+queue; the calling thread only hands out the cells, each with its own
+payload Generator, filters each result and folds it into the total in
+cell order. `run_eval` runs its fixes one after
 another in the calling process.
 `_synth` is the only place that adds detector noise: white Gaussian noise
 of the front end's noise_sigma on the summed detector-rate trace, from the
@@ -49,7 +52,7 @@ from .detect import (FRAME_LEN, THRESH_PSS, THRESH_SSS, Detection,
 from .frontend import (DETECTOR_RATE_HZ, SENSITIVITY_FLOOR_DBM,
                        SPEED_OF_LIGHT, FrontEndConfig, _fir_reach, arrival,
                        lowpass_decimate)
-from .lte import _frames, _overlap
+from .lte import _frames, _overlap, _split
 from .locate import SOLVERS, TowerObservation, solve_tdoa
 from .scenario import Scenario, scenario_cell_db, substream, write_csv_rows
 
@@ -62,89 +65,122 @@ def _bank_for(fe: FrontEndConfig):
     return build_bank()
 
 
-def _twiddle(a: np.ndarray, sign: int, row: np.ndarray | None = None,
-             k: np.ndarray | None = None) -> None:
-    """a[j, b] *= row[j, 0] * exp(sign*2j*pi*k[j]*b/N) in place, N = a.size,
-    with row 1 when None and k[j] = j when None.
-
-    With b = 160*q + r (FRAME_LEN = 120*160) the factor is the product of
-    an (n1, 120) and an (n1, 160) table, so no N-sized table is made.
-    """
-    v = a.reshape(a.shape[0], FRAME_LEN // 160, 160)
-    kj = np.arange(a.shape[0]) if k is None else k
-    step = sign * 2j * np.pi / a.size * kj[:, None]
-    q = np.exp(step * 160 * np.arange(FRAME_LEN // 160))
-    v *= (q if row is None else row * q)[:, :, None]
-    v *= np.exp(step * np.arange(160))[:, None, :]
-
-
-def _delayed_rows(bb: np.ndarray, delay_samples: float,
-                  scale: float) -> np.ndarray:
-    """Z, (n1, FRAME_LEN), of y = scale * ifft(fft(bb) *
-    exp(-2j*pi*fftfreq(N)*delay_samples)), bb delayed exactly, circularly
-    and band-limited: at m = FRAME_LEN*j + b,
-    y[m] = sum over k of Z[k, b] * exp(2j*pi*k*m/N) / n1. bb may be
-    overwritten.
-
-    bb, N samples in whole 10 ms frames, is viewed as an (n1, FRAME_LEN)
-    array. n1-point transforms along axis 0, a twiddle and FRAME_LEN-point
-    transforms along axis 1 leave bin k1 + n1*k2 at [k1, k2], so the ramp
-    is a row factor (with scale) times a column factor; k2 >= FRAME_LEN/2
-    holds the negative frequencies, as in fftfreq. FRAME_LEN-point inverse
-    transforms along axis 1 then give Z.
-    """
-    n1 = bb.size // FRAME_LEN
-    step = -2j * np.pi * delay_samples / bb.size
-    a = bb.reshape(n1, FRAME_LEN)
-    np.fft.fft(a, axis=0, out=a)
-    _twiddle(a, -1, scale * np.exp(step * np.arange(n1))[:, None])
-    np.fft.fft(a, axis=1, out=a)
-    a *= np.exp(step * n1 * np.fft.fftfreq(FRAME_LEN, 1.0 / FRAME_LEN))
-    return np.fft.ifft(a, axis=1, out=a)
+# a cell of at least this many samples splits its delay's passes into
+# _PIECES pieces (lte._split); smaller ones, such as every 1.4 MHz cell,
+# measured no gain from it
+_SPLIT_MIN = 1 << 20
+_PIECES = 4
 
 
 def _delay_stacked(bb: np.ndarray, delay_samples: float, scale: float,
                    n: int, reach: int) -> np.ndarray:
-    """The square |y|**2 / 2 of `_delayed_rows`' delayed trace y, summed
-    over its n equal parts and divided by n, as the detector low-pass of
-    the whole trace sees it: q*FRAME_LEN samples, q = n1/n, extended by
-    reach samples each side. n is 1 for the trace itself and the frame
-    count for its stacked frame. bb may be overwritten.
+    """The square |y|**2 / 2 of the delayed trace y, summed over its n
+    equal parts and divided by n, as the detector low-pass of the whole
+    trace sees it: q*FRAME_LEN samples, q = n1/n, extended by reach
+    samples each side. n is 1 for the trace itself and the frame count for
+    its stacked frame. bb may be overwritten.
 
-    Part f of y holds rows q*f .. q*f + q - 1 of the (n1, FRAME_LEN) view,
-    so with k = n*kb + ka the sum over f is Parseval's over the n-point
-    transform along ka: the twiddle's ka half has unit modulus and drops
-    out, the kb half is the (q, FRAME_LEN) table
-    exp(2j*pi*kb*b/(q*FRAME_LEN)), and a q-point unnormalized inverse
-    along kb leaves the energy to sum over ka, scaled by 1/(2*n*n*q*q).
-    At n = 1 that is y's own n1-point inverse; at q = 1 it is the sum of
-    |Z|**2/(2*n*n) alone. The low-pass zero-pads the trace, so the
-    extension is the folded square taken periodically, less the square
-    of the trace's last reach samples before it and of its first reach
-    samples after it; those 2*reach samples of y come from Z directly.
-    The energy is summed one output row at a time, so no temporary spans
-    every row.
+    y = scale * ifft(fft(bb) * exp(-2j*pi*fftfreq(N)*delay_samples)) is bb
+    delayed exactly, circularly and band-limited, by a four-step DFT: bb,
+    N samples in whole 10 ms frames, is viewed as an (n1, FRAME_LEN)
+    array. n1-point transforms along axis 0, a twiddle and FRAME_LEN-point
+    transforms along axis 1 leave bin k1 + n1*k2 at [k1, k2], so the ramp
+    is a row factor (with scale) times a column factor; k2 >= FRAME_LEN/2
+    holds the negative frequencies, as in fftfreq. FRAME_LEN-point inverse
+    transforms along axis 1 then give Z, with
+    y[m] = sum over k of Z[k, b] * exp(2j*pi*k*m/N) / n1 at
+    m = FRAME_LEN*j + b. Each transform is written back into the view
+    (`out=`), so no N-sized scratch buffer is taken.
+
+    Part f of y holds rows q*f .. q*f + q - 1 of the view, so with
+    k = n*kb + ka the sum over f is Parseval's over the n-point transform
+    along ka: the twiddle's ka half has unit modulus and drops out, the kb
+    half is the (q, FRAME_LEN) table exp(2j*pi*kb*b/(q*FRAME_LEN)), and a
+    q-point unnormalized inverse along kb leaves the energy to sum over
+    ka, scaled by 1/(2*n*n*q*q). At n = 1 that is y's own n1-point
+    inverse; at q = 1 it is the sum of |Z|**2/(2*n*n) alone. The low-pass
+    zero-pads the trace, so the extension is the folded square taken
+    periodically, less the square of the trace's last reach samples
+    before it and of its first reach samples after it; those 2*reach
+    samples of y come from Z directly. The energy is summed one output row
+    at a time, so no temporary spans every row.
+
+    The work runs as five passes, each a `lte._split` into _PIECES pieces
+    on a cell of at least _SPLIT_MIN samples and into one piece otherwise:
+    the n1-point transforms (column blocks); twiddle, FRAME_LEN-point
+    transform, ramp and inverse (row blocks); the stacked twiddle (row
+    blocks); the q-point inverse (column blocks); the energy (output
+    rows). Every element takes the same operations however the passes are
+    cut. The ends are taken whole between the two row passes: the bits of
+    their product of two temporaries depend on its size, through numpy's
+    reuse of temporaries.
     """
-    z = _delayed_rows(bb, delay_samples, scale)
-    n1 = z.shape[0]
+    size = bb.size
+    n1 = size // FRAME_LEN
     q = n1 // n
+    a = bb.reshape(n1, FRAME_LEN)
+    step = -2j * np.pi * delay_samples / size
+    pieces = _PIECES if size >= _SPLIT_MIN else 1
+
+    def split(extent, piece):
+        # piece(lo, hi) over the pieces of range(extent)
+        count = min(pieces, extent)
+        _split(lambda k: piece(k * extent // count,
+                               (k + 1) * extent // count), count)
+
+    def twiddle(v, sign, kj, row=None):
+        # v[j, b] *= row[j, 0] * exp(sign*2j*pi*kj[j]*b/size), row 1 when
+        # None; with b = 160*c + r (FRAME_LEN = 120*160) the factor is the
+        # product of a (rows, 120) and a (rows, 160) table
+        v = v.reshape(v.shape[0], FRAME_LEN // 160, 160)
+        w = sign * 2j * np.pi / size * kj[:, None]
+        c = np.exp(w * 160 * np.arange(FRAME_LEN // 160))
+        v *= (c if row is None else row * c)[:, :, None]
+        v *= np.exp(w * np.arange(160))[:, None, :]
+
+    def columns(lo, hi):
+        x = a[:, lo:hi]
+        np.fft.fft(x, axis=0, out=x)
+
+    split(FRAME_LEN, columns)
+    ramp = np.exp(step * n1 * np.fft.fftfreq(FRAME_LEN, 1.0 / FRAME_LEN))
+
+    def rows(lo, hi):
+        x, j = a[lo:hi], np.arange(lo, hi)
+        twiddle(x, -1, j, scale * np.exp(step * j)[:, None])
+        np.fft.fft(x, axis=1, out=x)
+        x *= ramp
+        np.fft.ifft(x, axis=1, out=x)
+
+    split(n1, rows)
+    del ramp    # held only while the pass that reads it runs
     p = np.arange(-reach, reach)
-    ends = (z[:, p % FRAME_LEN] *
-            np.exp(2j * np.pi / z.size * np.outer(np.arange(n1), p))).sum(axis=0)
+    ends = (a[:, p % FRAME_LEN] *
+            np.exp(2j * np.pi / size * np.outer(np.arange(n1), p))).sum(axis=0)
     ends = (ends.real * ends.real + ends.imag * ends.imag) / (2 * n1 * n1 * n)
     if q > 1:
-        _twiddle(z, 1, k=np.arange(n1) // n * n)
-        z = z.reshape(q, n, FRAME_LEN)
-        np.fft.ifft(z, axis=0, norm="forward", out=z)
-    parts = z.view(np.float64).reshape(q, n, 2 * FRAME_LEN)   # re, im, ...
+        split(n1, lambda lo, hi: twiddle(a[lo:hi], 1,
+                                         np.arange(lo, hi) // n * n))
+        z = a.reshape(q, n * FRAME_LEN)
+
+        def inverse(lo, hi):
+            x = z[:, lo:hi]
+            np.fft.ifft(x, axis=0, norm="forward", out=x)
+
+        split(n * FRAME_LEN, inverse)
+    parts = a.view(np.float64).reshape(q, n, 2 * FRAME_LEN)   # re, im, ...
     out = np.empty(q * FRAME_LEN + 2 * reach)
     folded = out[reach:reach + q * FRAME_LEN]
-    rows = folded.reshape(q, FRAME_LEN)
-    for i in range(q):
-        x = parts[i:i + 1]
-        e = np.einsum("ijk,ijk->ik", x, x)      # summed over ka in order
-        np.add(e[:, 0::2], e[:, 1::2], out=rows[i:i + 1])
-    rows /= 2 * n * n * q * q
+    energy_rows = folded.reshape(q, FRAME_LEN)
+
+    def energy(lo, hi):
+        for i in range(lo, hi):
+            x = parts[i:i + 1]
+            e = np.einsum("ijk,ijk->ik", x, x)      # summed over ka in order
+            np.add(e[:, 0::2], e[:, 1::2], out=energy_rows[i:i + 1])
+        energy_rows[lo:hi] /= 2 * n * n * q * q
+
+    split(q, energy)
     out[:reach] = folded[folded.size - reach:] - ends[:reach]
     out[reach + folded.size:] = folded[:reach] - ends[reach:]
     return out

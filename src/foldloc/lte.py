@@ -12,23 +12,31 @@ gathers that, cyclic prefixes inserted by one precomputed index per FFT
 size, into one preallocated output. `sync_segment` builds a span of many
 PCIs' data-free frames from the sync symbols inside it alone.
 
-Threading, for the whole package: foldloc's one parallel work is a cell's
-synthesis (draw, build, delay). `harness._synth` hands a fix's cells to
-`_overlap`, each job holding the cell's own payload Generator, which no
-other job draws from; `_overlap` draws the jobs into one queue and
-finishes them in order on the calling thread. The helper threads work the
-queue, and so does the caller while it waits, so a busy or descheduled
-helper holds back only a job it started. A helper that has not started by
-the end is cancelled. A job builds the cell's frames through the private
-`_frames` and returns its square, folded over the frames averaged into
-each output frame, which the caller filters and folds into the fix in
-cell order. The numpy calls in the jobs release the GIL, so the jobs do
-run at once. Job functions are private and call no public function of the
-package, so a tracer that wraps public functions, and keeps one span
-stack for all threads, sees every call on the thread that made it. The
-output does not depend on the thread count.
+Threading, for the whole package: foldloc's threads work one queue: a
+fix's cells, and the pieces of a large cell's passes. `harness._synth`
+hands a fix's cells to `_overlap`, each job holding the cell's own payload
+Generator, which no other job draws from; `_overlap` draws the jobs into
+one queue and finishes them in order on the calling thread. The helper
+threads work the queue, and so does the caller while it waits, so a busy
+or descheduled helper holds back only a job it started. A helper that has
+not started by the end is cancelled. A job builds the cell's frames
+through the private `_frames` and returns its square, folded over the
+frames averaged into each output frame, which the caller filters and
+folds into the fix in cell order. A job may offer the pieces of one pass
+to the threads idle on its queue (`_split`, help-first as in work
+stealing): it puts one token per helper in the queue, works pieces
+itself, claims those left and waits only for pieces another thread has
+started, and no token left in the queue holds the pass's array.
+`harness._delay_stacked` splits the passes of a cell of at least 2**20
+samples, so a wideband fix's 20 MHz cell does not run alone while the
+other threads idle. The numpy calls in the jobs and pieces release the
+GIL, so they do run at once. Job and piece functions are private and call
+no public function of the package, so a tracer that wraps public
+functions, and keeps one span stack for all threads, sees every call on
+the thread that made it. The output depends neither on the thread count
+nor on how a pass is cut.
 
-No layer splits itself across threads, and with one CPU there is no
+No layer asks for threads of its own, and with one CPU there is no
 parallel work at all. Detection runs on the calling thread. No BLAS call
 wakes a thread: numpy's OpenBLAS would share a large product with worker
 threads that keep spinning after it returns, so `_blas_on_caller` holds
@@ -45,8 +53,7 @@ from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor, wait
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import lru_cache
-from queue import Empty, SimpleQueue
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -94,6 +101,45 @@ def _helpers() -> ThreadPoolExecutor:
     return _helper_pool[1]
 
 
+class _Queue:
+    """The one queue of an _overlap: its jobs, the tokens of the passes its
+    jobs split (_split), and the None that ends a helper. A thread waiting
+    in get wakes on every put and every wake(), so the caller, waiting for
+    its next job in order, also takes a token offered meanwhile."""
+
+    def __init__(self, helpers: int):
+        self.helpers = helpers
+        self._items = deque()
+        self._cond = threading.Condition(threading.Lock())
+
+    def put(self, item) -> None:
+        with self._cond:
+            self._items.append(item)
+            self._cond.notify_all()
+
+    def wake(self) -> None:
+        with self._cond:
+            self._cond.notify_all()
+
+    def get(self, done=lambda: False):
+        """The next item, waiting for one while done() is false; None once
+        it is true."""
+        with self._cond:
+            while not done():
+                if self._items:
+                    return self._items.popleft()
+                self._cond.wait()
+        return None
+
+    def clear(self) -> None:
+        with self._cond:
+            self._items.clear()
+
+
+# .queue: the _Queue of the job this thread works, None outside a job
+_local = threading.local()
+
+
 def _overlap(work, jobs, finish) -> None:
     """finish(k, work(*job)) for the k-th job of the iterable jobs, in order.
 
@@ -104,7 +150,8 @@ def _overlap(work, jobs, finish) -> None:
     drawn jobs are unfinished, so at most _CPU_SHARE + 1 are held at once.
     A held job costs what its arguments hold until a thread works it (a
     cell's job holds a Generator, not a built cell), then its result until
-    it is finished.
+    it is finished. A job may offer the pieces of one pass at a time to
+    the threads idle on the queue (_split).
     A helper that has not started by the end is cancelled, not waited for.
     With one CPU each job is worked and finished on the caller before the
     next is drawn. work must call no public function of the package; the
@@ -112,28 +159,27 @@ def _overlap(work, jobs, finish) -> None:
     """
     helpers = _CPU_SHARE - 1
     ahead = _CPU_SHARE if helpers else 0
-    todo = SimpleQueue()    # (future, job) not yet started; None ends a helper
+    todo = _Queue(helpers)  # unstarted jobs and tokens; None ends a helper
 
-    def run(item):
-        out, job = item
+    def run(out, job):
+        prev, _local.queue = getattr(_local, "queue", None), todo
         try:
             out.set_result(work(*job))
         except BaseException as e:      # raised on the caller by out.result()
             out.set_exception(e)
+        finally:
+            _local.queue = prev
+        todo.wake()     # a caller waiting for out
 
     def serve():
         for item in iter(todo.get, None):
-            run(item)
+            item()
             del item    # hold no job's arrays while waiting for the next
 
     def result(out):
-        # work queued jobs on this thread until out's job is done or started
-        while not out.done():
-            try:
-                item = todo.get_nowait()
-            except Empty:
-                break
-            run(item)
+        # work queued items on this thread until out's job is done
+        while (item := todo.get(out.done)) is not None:
+            item()
             del item
         return out.result()
 
@@ -143,7 +189,7 @@ def _overlap(work, jobs, finish) -> None:
     try:
         for job in jobs:
             unfinished.append(Future())
-            todo.put((unfinished[-1], job))
+            todo.put(partial(run, unfinished[-1], job))
             del job
             while unfinished and (len(unfinished) > ahead
                                   or unfinished[0].done()):
@@ -153,16 +199,88 @@ def _overlap(work, jobs, finish) -> None:
             finish(finished, result(unfinished.popleft()))
             finished += 1
     finally:
-        try:
-            while True:             # drop the jobs no thread started
-                todo.get_nowait()
-        except Empty:
-            pass
+        todo.clear()                # drop the jobs no thread started
         # wait() counts a cancelled serve done only once a thread dequeues it
         started = [f for f in serves if not f.cancel()]
         for _ in started:
             todo.put(None)
         wait(started)
+
+
+class _Pass:
+    """The count pieces of one pass of a job, piece(k) for each k, claimed
+    in order by the job's thread and by every thread that takes one of the
+    pass's tokens from the queue."""
+
+    def __init__(self, piece, count: int):
+        self._piece, self._count = piece, count
+        self._next = self._running = 0
+        self._error = None
+        self._cond = threading.Condition(threading.Lock())
+
+    def work(self) -> None:
+        """Run pieces until none is left to claim: a token's work. A piece
+        that raises stops the claims, and its error waits for end()."""
+        while True:
+            with self._cond:
+                if self._next == self._count:
+                    return
+                k, piece = self._next, self._piece
+                self._next += 1
+                self._running += 1
+            try:
+                piece(k)
+            except BaseException as e:
+                with self._cond:
+                    if self._error is None:
+                        self._error = e
+                    self._next = self._count
+            finally:
+                del piece
+                with self._cond:
+                    self._running -= 1
+                    self._cond.notify_all()
+
+    def end(self) -> None:
+        """Wait for the pieces other threads have started, drop piece, so a
+        token still in the queue holds no array, and raise a piece's
+        error."""
+        with self._cond:
+            self._next = self._count
+            while self._running:
+                self._cond.wait()
+            self._piece = None
+            error, self._error = self._error, None
+        if error is not None:
+            raise error
+
+
+def _split(piece, count: int) -> None:
+    """piece(k) for each k in range(count), in any order on any thread.
+
+    Inside a job of an _overlap whose queue has helpers, the pass puts one
+    token per helper in the queue, up to count - 1, for a thread idle on
+    the queue to claim pieces with; the job's own thread works pieces and
+    claims those left, then waits only for pieces another thread has
+    started. Elsewhere the pieces run in order on the calling thread.
+    piece(k) must write what no other piece reads or writes, and call no
+    public function of the package and no BLAS, since it may run on a
+    helper thread.
+    """
+    queue = getattr(_local, "queue", None)
+    tokens = min(queue.helpers, count - 1) if queue is not None else 0
+    if not tokens:
+        for k in range(count):
+            piece(k)
+        return
+    pass_ = _Pass(piece, count)
+    del piece
+    for _ in range(tokens):
+        queue.put(pass_.work)
+    try:
+        pass_.work()
+    finally:
+        pass_.end()
 
 
 @lru_cache(maxsize=1)

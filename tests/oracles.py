@@ -5,9 +5,10 @@ build as it was before it drew each frame's payload on its own; the real-RF
 receive path, whose explicit upconversion and square also capture the
 cross-band intermodulation that the fast path's |I+jQ|^2/2 leaves out; an
 exhaustive scan of templates at every lag through `ncc`, the NCC kernel
-stage 1 once ran; and that earlier detector itself, which normalized every
+stage 1 once ran; that earlier detector itself, which normalized every
 lag before thresholding and scored stage 2 with all 276 columns of the
-bank.
+bank; and the exact delay and its stacked square as they ran before their
+passes could be split across threads.
 """
 from __future__ import annotations
 
@@ -114,6 +115,97 @@ def frame_samples_batched(cfg: FrameConfig, pci: Pci,
         np.fft.ifft(grid, axis=-1, norm="ortho", out=grid)
         np.take(grid.ravel(), insert, out=frame, mode="wrap")
     return out.ravel()
+
+
+def twiddle(a: np.ndarray, sign: int, row: np.ndarray | None = None,
+             k: np.ndarray | None = None) -> None:
+    """`harness._delay_stacked`'s twiddle as it was before its passes were
+    split: a[j, b] *= row[j, 0] * exp(sign*2j*pi*k[j]*b/N) in place,
+    N = a.size, with row 1 when None and k[j] = j when None.
+
+    With b = 160*q + r (FRAME_LEN = 120*160) the factor is the product of
+    an (n1, 120) and an (n1, 160) table, so no N-sized table is made.
+    """
+    v = a.reshape(a.shape[0], FRAME_LEN // 160, 160)
+    kj = np.arange(a.shape[0]) if k is None else k
+    step = sign * 2j * np.pi / a.size * kj[:, None]
+    q = np.exp(step * 160 * np.arange(FRAME_LEN // 160))
+    v *= (q if row is None else row * q)[:, :, None]
+    v *= np.exp(step * np.arange(160))[:, None, :]
+
+
+def delayed_rows(bb: np.ndarray, delay_samples: float,
+                 scale: float) -> np.ndarray:
+    """`harness._delay_stacked`'s first three passes, whole, as they were
+    before they were split: Z, (n1, FRAME_LEN), of
+    y = scale * ifft(fft(bb) * exp(-2j*pi*fftfreq(N)*delay_samples)), bb
+    delayed exactly, circularly and band-limited: at m = FRAME_LEN*j + b,
+    y[m] = sum over k of Z[k, b] * exp(2j*pi*k*m/N) / n1. bb may be
+    overwritten.
+
+    bb, N samples in whole 10 ms frames, is viewed as an (n1, FRAME_LEN)
+    array. n1-point transforms along axis 0, a twiddle and FRAME_LEN-point
+    transforms along axis 1 leave bin k1 + n1*k2 at [k1, k2], so the ramp
+    is a row factor (with scale) times a column factor; k2 >= FRAME_LEN/2
+    holds the negative frequencies, as in fftfreq. FRAME_LEN-point inverse
+    transforms along axis 1 then give Z.
+    """
+    n1 = bb.size // FRAME_LEN
+    step = -2j * np.pi * delay_samples / bb.size
+    a = bb.reshape(n1, FRAME_LEN)
+    np.fft.fft(a, axis=0, out=a)
+    twiddle(a, -1, scale * np.exp(step * np.arange(n1))[:, None])
+    np.fft.fft(a, axis=1, out=a)
+    a *= np.exp(step * n1 * np.fft.fftfreq(FRAME_LEN, 1.0 / FRAME_LEN))
+    return np.fft.ifft(a, axis=1, out=a)
+
+
+def delay_stacked(bb: np.ndarray, delay_samples: float, scale: float,
+                  n: int, reach: int) -> np.ndarray:
+    """`harness._delay_stacked` as it was before it split its passes: the
+    square |y|**2 / 2 of `delayed_rows`' delayed trace y, summed
+    over its n equal parts and divided by n, as the detector low-pass of
+    the whole trace sees it: q*FRAME_LEN samples, q = n1/n, extended by
+    reach samples each side. n is 1 for the trace itself and the frame
+    count for its stacked frame. bb may be overwritten.
+
+    Part f of y holds rows q*f .. q*f + q - 1 of the (n1, FRAME_LEN) view,
+    so with k = n*kb + ka the sum over f is Parseval's over the n-point
+    transform along ka: the twiddle's ka half has unit modulus and drops
+    out, the kb half is the (q, FRAME_LEN) table
+    exp(2j*pi*kb*b/(q*FRAME_LEN)), and a q-point unnormalized inverse
+    along kb leaves the energy to sum over ka, scaled by 1/(2*n*n*q*q).
+    At n = 1 that is y's own n1-point inverse; at q = 1 it is the sum of
+    |Z|**2/(2*n*n) alone. The low-pass zero-pads the trace, so the
+    extension is the folded square taken periodically, less the square
+    of the trace's last reach samples before it and of its first reach
+    samples after it; those 2*reach samples of y come from Z directly.
+    The energy is summed one output row at a time, so no temporary spans
+    every row.
+    """
+    z = delayed_rows(bb, delay_samples, scale)
+    n1 = z.shape[0]
+    q = n1 // n
+    p = np.arange(-reach, reach)
+    ends = (z[:, p % FRAME_LEN] *
+            np.exp(2j * np.pi / z.size * np.outer(np.arange(n1), p))).sum(axis=0)
+    ends = (ends.real * ends.real + ends.imag * ends.imag) / (2 * n1 * n1 * n)
+    if q > 1:
+        twiddle(z, 1, k=np.arange(n1) // n * n)
+        z = z.reshape(q, n, FRAME_LEN)
+        np.fft.ifft(z, axis=0, norm="forward", out=z)
+    parts = z.view(np.float64).reshape(q, n, 2 * FRAME_LEN)   # re, im, ...
+    out = np.empty(q * FRAME_LEN + 2 * reach)
+    folded = out[reach:reach + q * FRAME_LEN]
+    rows = folded.reshape(q, FRAME_LEN)
+    for i in range(q):
+        x = parts[i:i + 1]
+        e = np.einsum("ijk,ijk->ik", x, x)      # summed over ka in order
+        np.add(e[:, 0::2], e[:, 1::2], out=rows[i:i + 1])
+    rows /= 2 * n * n * q * q
+    out[:reach] = folded[folded.size - reach:] - ends[:reach]
+    out[reach + folded.size:] = folded[:reach] - ends[reach:]
+    return out
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,8 @@ import struct
 import subprocess
 import sys
 import threading
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields, replace
 
 import numpy as np
@@ -22,7 +24,8 @@ from foldloc.detect import (FRAME_LEN, PSS_TEMPLATE_LEN, TEMPLATE_LEN,
                             stack_frames, suppress_false_positives)
 from foldloc.frontend import (DETECTOR_RATE_HZ, SENSITIVITY_FLOOR_DBM,
                               SPEED_OF_LIGHT, CellConfig, FrontEndConfig,
-                              arrival, design_lowpass, path_amplitude)
+                              _fir_reach, arrival, design_lowpass,
+                              path_amplitude)
 from foldloc.harness import (cmd_localize, cmd_synth, compute_metrics,
                              detect_trace, run_eval, run_fix, run_urban_sim,
                              synth_fix_stack, synth_fix_trace)
@@ -281,14 +284,18 @@ for sc in pickle.load(sys.stdin.buffer):
 
 def test_synth_does_not_depend_on_the_cpu_share():
     """The trace and the stacked frame are the same bits at every CPU
-    share: five small cells whose delays overlap, wideband cells mixed
-    with a small one, and a lone 20 MHz cell with nothing to overlap. It
+    share, whose threads work one queue: a fix's cells, and the pieces of
+    a large cell's passes. Five small cells whose delays overlap, wideband
+    cells mixed with a small one, the benchmark's wideband shape (8
+    frames), whose 20 and 10 MHz cells split their passes, and a lone
+    20 MHz cell of 8 frames, whose passes are the only work to share. It
     runs in a child process, so a deadlock fails the test instead of
     hanging."""
     scenarios = [_s5_scenario((0, 1500, 3000, 4500, 6000)),
                  _wideband_scenario(),
                  _wideband_scenario((20.0, 15.0, 1.4)),
-                 _wideband_scenario((20.0,))]
+                 _wideband_scenario(n_frames=8),
+                 _wideband_scenario((20.0,), n_frames=8)]
     proc = subprocess.Popen([sys.executable, "-c", _THREAD_COUNTS_SCRIPT],
                             stdin=subprocess.PIPE, stdout=subprocess.PIPE,
                             stderr=subprocess.PIPE, env=child_env(),
@@ -301,6 +308,65 @@ def test_synth_does_not_depend_on_the_cpu_share():
         pytest.fail("a fix at some CPU share did not finish")
     assert proc.returncode == 0, err.decode()
     assert out.decode().split() == ["True"] * 2 * len(scenarios)
+
+
+@pytest.mark.parametrize("n", [1, 3, 8])
+@pytest.mark.parametrize("bw", sorted(lte.BANDWIDTH_TABLE))
+def test_split_delay_equals_the_whole_reference(bw, n, monkeypatch):
+    """_delay_stacked equals the reference that runs each pass whole
+    (tests/oracles.py), bit for bit, at one output frame per frame and at
+    n, as an _overlap job at CPU shares 1, 2 and 3: with its passes split
+    where the cell is large enough, and with every cell's passes split."""
+    cfg = FrameConfig.from_bandwidth(bw)
+    bb = lte._frames(cfg, Pci(77), np.random.default_rng(11), n)
+    args = 1234.567, 0.37, _fir_reach(cfg.sample_rate_hz)
+    for per in sorted({1, n}):
+        want = oracles.delay_stacked(bb.copy(), args[0], args[1], per,
+                                     args[2])
+        for split_min in (harness._SPLIT_MIN, 1):
+            monkeypatch.setattr(harness, "_SPLIT_MIN", split_min)
+            for share in (1, 2, 3):
+                got = []
+                with cpu_share(share):
+                    lte._overlap(harness._delay_stacked,
+                                 [(bb.copy(), args[0], args[1], per,
+                                   args[2])],
+                                 lambda k, out: got.append(out))
+                assert np.array_equal(got[0], want), (per, split_min, share)
+
+
+@pytest.mark.parametrize("stalled", [False, True])
+def test_a_split_pass_keeps_nothing_alive(stalled):
+    """Once _delay_stacked returns, nothing holds the cell's frames, while
+    the _overlap that runs it still runs: not the pieces a helper thread
+    worked, and not the pass's tokens that a helper that never starts
+    leaves in the queue, which hold no closure over the array."""
+    cfg = FrameConfig.from_bandwidth(20.0)
+    release = threading.Event()
+    pool = ThreadPoolExecutor(1)
+    if stalled:
+        pool.submit(release.wait)       # the pool's one thread stalls
+    seen = []
+
+    def work(k):
+        bb = lte._frames(cfg, Pci(5), np.random.default_rng(k), 4)
+        assert bb.size >= harness._SPLIT_MIN
+        # the array that owns the memory: a view of bb holds it, not bb
+        frames = weakref.ref(bb if bb.base is None else bb.base)
+        harness._delay_stacked(bb, 321.5, 1.0, 4, 144)
+        del bb
+        seen.append((frames() is None, len(lte._local.queue._items)))
+
+    try:
+        with cpu_share(2) as mp:
+            mp.setattr(lte, "_helpers", lambda: pool)
+            lte._overlap(work, [(0,), (1,)], lambda k, out: None)
+    finally:
+        release.set()
+        pool.shutdown()
+    assert [dead for dead, _ in seen] == [True, True]
+    if stalled:     # every pass left its token in the queue
+        assert all(tokens for _, tokens in seen)
 
 
 _SIGNAL_LOADED_SCRIPT = """
@@ -478,26 +544,37 @@ print(proc.exitcode == 0 and got == parent.tobytes())
 
 
 def test_a_fix_overlaps_its_cells_and_nothing_else(monkeypatch):
-    """A fix's one parallel work is the synthesis of its cells: run_fix calls
-    _overlap once, with _synth_cell as the work, on a wideband fix
-    shaped like the benchmark's (20, 10 and 5 MHz, 8 frames) and on an S5
-    fix; no layer hands pieces of itself to _overlap."""
-    works = []
+    """A fix's threads work one queue: a fix's cells, and the pieces of a
+    large cell's passes. run_fix calls _overlap once, with _synth_cell as
+    the work, on a wideband fix shaped like the benchmark's (20, 10 and
+    5 MHz, 8 frames) and on an S5 fix. Only the delay's passes split, and
+    only on cells of at least _SPLIT_MIN samples: the wideband fix's 20
+    and 10 MHz cells split each of their five passes into _PIECES pieces,
+    and no pass of its 5 MHz cell or of an S5 cell splits."""
+    works, counts = [], []
 
     def recording(work, *args):
         works.append(work)
         return real(work, *args)
 
-    real = lte._overlap
+    def split(piece, count):
+        counts.append(count)
+        return real_split(piece, count)
+
+    real, real_split = lte._overlap, lte._split
     monkeypatch.setattr(lte, "_overlap", recording)
     monkeypatch.setattr(harness, "_overlap", recording)
-    for sc in (_wideband_scenario(n_frames=8),
-               _s5_scenario((0, 1500, 3000, 4500, 6000))):
+    monkeypatch.setattr(harness, "_split", split)
+    wideband, s5 = (_wideband_scenario(n_frames=8),
+                    _s5_scenario((0, 1500, 3000, 4500, 6000)))
+    for sc, pieces in ((wideband, [harness._PIECES] * 10), (s5, [])):
         harness._bank_for(sc.front_end)
         works.clear()
+        counts.clear()
         with cpu_share(2):
             run_fix(sc, 0)
         assert works == [harness._synth_cell]
+        assert [c for c in counts if c > 1] == pieces
 
 
 def test_worker_processes_do_not_inherit_the_helper_pool():

@@ -380,11 +380,23 @@ def test_overlap_finishes_every_job_in_order(share, stalled, n):
     assert max(held, default=0) <= (1 if share == 1 else share + 1)
 
 
-@pytest.mark.parametrize("where", ["work", "jobs", "finish"])
+@pytest.mark.parametrize("where", ["work", "jobs", "finish", "piece"])
 def test_overlap_raises_and_frees_the_helper_threads(where):
-    """An error in a work, in drawing a job or in finishing one reaches the
-    caller, and no helper thread is left serving: a task submitted to the
-    helper pool afterwards runs on its one thread at once."""
+    """An error in a work, in drawing a job, in finishing one or in a piece
+    of a job's split pass reaches the caller, and no helper thread is left
+    serving: a task submitted to the helper pool afterwards runs on its
+    one thread at once. The piece that raises is the one the job's own
+    thread leaves to a thread that takes the pass's token, and the job's
+    thread waits for it."""
+    started = threading.Event()
+
+    def piece(i):
+        if i == 0:      # hold the job's thread until piece 1 is taken
+            started.wait(10)
+        else:
+            started.set()
+            raise KeyError(i)
+
     def jobs():
         for k in range(6):
             if where == "jobs" and k == 3:
@@ -394,6 +406,8 @@ def test_overlap_raises_and_frees_the_helper_threads(where):
     def work(k):
         if where == "work" and k == 2:
             raise KeyError(k)
+        if where == "piece" and k == 2:
+            lte._split(piece, 2)
         return k
 
     def finish(k, _out):
@@ -407,19 +421,26 @@ def test_overlap_raises_and_frees_the_helper_threads(where):
     assert helper != threading.get_ident()
 
 
-@pytest.mark.parametrize("case", ["overlap"])
+@pytest.mark.parametrize("case", ["overlap", "split"])
 def test_a_stalled_helper_holds_nothing_back(case):
-    """A helper thread that never starts holds back no overlapped job: the
-    caller works them all and returns."""
+    """A helper thread that never starts holds back no overlapped job and
+    no piece of a job's split pass: the caller works them all and
+    returns."""
     release = threading.Event()
     pool = ThreadPoolExecutor(1)
     pool.submit(release.wait)       # the pool's one thread stalls
     ran, errors = [], []
+    pieces = 4 if case == "split" else 1
+
+    def work(k):
+        if case == "split":
+            lte._split(lambda i: ran.append(threading.get_ident()), pieces)
+        else:
+            ran.append(threading.get_ident())
 
     def caller():
         try:
-            lte._overlap(lambda k: ran.append(threading.get_ident()),
-                         ((k,) for k in range(6)), lambda k, out: None)
+            lte._overlap(work, ((k,) for k in range(6)), lambda k, out: None)
         except BaseException as e:
             errors.append(e)
 
@@ -434,7 +455,7 @@ def test_a_stalled_helper_holds_nothing_back(case):
         release.set()
         pool.shutdown()
     assert not errors
-    assert ran == [t.ident] * 6
+    assert ran == [t.ident] * 6 * pieces
 
 
 @pytest.mark.parametrize("share", [1, 2, 3])
@@ -469,6 +490,49 @@ def test_overlap_holds_no_finished_job(share):
         lte._overlap(work, jobs(), finish)
     assert len(alive) == 12
     assert max(alive) <= (share if share > 1 else 0)
+
+
+@pytest.mark.parametrize("share", [1, 2, 3])
+def test_split_runs_every_piece_once(share):
+    """Every piece of a split pass runs once before _split returns: in
+    order on the calling thread outside an _overlap job and at one CPU,
+    and on the job's thread and the helpers that take the pass's tokens
+    inside one. Share 3 runs more threads than two CPUs, with frequent
+    thread switches, and the call must return within the timeout."""
+    count = 64
+    ran, got, errors = {0: [], 1: [], 2: []}, [], []
+
+    def work(k):
+        def piece(i):
+            time.sleep(1e-4)    # releases the GIL, as numpy's calls do
+            ran[k].append((i, threading.get_ident()))
+
+        lte._split(piece, count)
+        return sorted(i for i, _ in ran[k])
+
+    def caller():
+        try:
+            got.append(work(0))     # outside a job
+            lte._overlap(work, [(1,), (2,)], lambda k, out: got.append(out))
+        except BaseException as e:
+            errors.append(e)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with cpu_share(share):
+            t = threading.Thread(target=caller, daemon=True)
+            t.start()
+            t.join(timeout=30)
+            assert not t.is_alive(), "_split did not return"
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors
+    assert got == [list(range(count))] * 3
+    in_order = [(i, t.ident) for i in range(count)]
+    assert ran[0] == in_order
+    if share == 1:
+        assert ran[1] == ran[2] == in_order
 
 
 _NO_AFFINITY_SCRIPT = """

@@ -1,9 +1,9 @@
 """Every name foldloc exports is read in src/ or benchmarks/, outside its own
 definition and the package's import of it; what only tests call belongs in
 tests/oracles.py. Every private module-level name of the package is read in
-src/ outside its own definition. The package's one parallel work, the synthesis
-of a fix's cells, is reached one way. The sources are parsed, not
-imported."""
+src/ outside its own definition. The package's threads work one queue: a
+fix's cells, and the pieces of a large cell's passes; each is reached one
+way. The sources are parsed, not imported."""
 import ast
 from collections import defaultdict
 from pathlib import Path
@@ -69,8 +69,9 @@ def test_private_name_is_read_in_src(name, definition):
 
 
 def test_no_call_asks_for_worker_threads():
-    """No layer splits itself across threads: no call passes workers=,
-    as scipy.fft's transforms would take it."""
+    """Threads work one queue: a fix's cells, and the pieces of a large
+    cell's passes. No call asks for threads of its own by passing
+    workers=, as scipy.fft's transforms would take it."""
     calls = [(module, node.lineno) for module, tree in MODULES.items()
              for node in ast.walk(tree) if isinstance(node, ast.Call)
              and any(k.arg == "workers" for k in node.keywords)]
@@ -84,3 +85,39 @@ def test_only_overlap_reads_the_helper_threads():
 def test_only_a_fix_synthesis_overlaps():
     """The syntheses of a fix's cells are the only jobs _overlap is given."""
     assert {OWNER[id(n)] for n in LOADS["_overlap"]} == {("harness", "_synth")}
+
+
+def test_only_the_delay_splits_its_passes():
+    assert {OWNER[id(n)] for n in LOADS["_split"]} == \
+        {("harness", "_delay_stacked")}
+
+
+# module-level public functions of the package
+PUBLIC = {node.name for tree in TREES for node in tree.body
+          if isinstance(node, ast.FunctionDef)
+          and not node.name.startswith("_")}
+# numpy calls that run a BLAS product, which may wake BLAS threads
+BLAS = {"dot", "vdot", "inner", "matmul", "tensordot", "linalg"}
+
+
+def test_pieces_call_no_public_function_and_no_blas():
+    """The pieces of _delay_stacked's passes, its nested functions and
+    lambdas, may run on a helper thread: they call no public function of
+    the package, which a tracer with one span stack would see off the
+    calling thread, and no BLAS product, which _blas_on_caller keeps on
+    the thread that asks for it; einsum is not asked to optimize, which
+    would hand its product to BLAS."""
+    delay = next(node for node in MODULES["harness"].body
+                 if getattr(node, "name", None) == "_delay_stacked")
+    pieces = [node for node in ast.walk(delay) if node is not delay and
+              isinstance(node, (ast.FunctionDef, ast.Lambda))]
+    assert pieces
+    for node in (node for piece in pieces for node in ast.walk(piece)):
+        assert not (isinstance(node, ast.BinOp)
+                    and isinstance(node.op, ast.MatMult))
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            assert name not in PUBLIC | BLAS, name
+            assert all(k.arg != "optimize" for k in node.keywords)
+        if isinstance(node, ast.Attribute):
+            assert node.attr not in BLAS, node.attr

@@ -37,6 +37,9 @@ class SubsampleEstimate:
 
 
 def _window(x: np.ndarray, d: int, wlen: int) -> np.ndarray:
+    """x[d:d + wlen], circularly; a view unless it wraps."""
+    if 0 <= d and d + wlen <= x.size:
+        return x[d:d + wlen]
     return x.take(np.arange(d, d + wlen), mode="wrap")
 
 
@@ -79,13 +82,15 @@ def estimate_subsample(x: np.ndarray, tpl: np.ndarray, d: int) -> SubsampleEstim
 
     g = spec_x[usable] * np.conj(spec_t[usable])
     wts = mag[usable] ** 2
+    wk = wts * k
+    wkk = wk @ k
     slope = 0.0
     for _ in range(SUBSAMPLE_PASSES):
         resid = np.angle(g * np.exp(-1j * slope * k))
-        slope += float((wts * k) @ resid / ((wts * k) @ k))
+        slope += float(wk @ resid / wkk)
     resid = np.angle(g * np.exp(-1j * slope * k))
     coherence = float(np.abs(wts @ np.exp(1j * resid)) / wts.sum())
 
     tau = -slope * tpl.size / (2.0 * np.pi)
-    tau = float(np.clip(tau, -0.999999, 0.999999))
+    tau = float(min(max(tau, -0.999999), 0.999999))
     return SubsampleEstimate(tau=tau, confidence=coherence, n_bins=int(n_bins))

@@ -17,13 +17,18 @@ low-pass is all-pass.
 
 Stage 1 correlates the bank's two PSS shapes with the trace at every lag,
 from one FFT of the trace and the bank's PSS spectra, so a fix transforms
-no template; it normalizes only the lags whose raw correlation can clear
-the threshold. Stage 2 scores every candidate window against the whole
-bank. A window's PSS half is the same for the three sectors' PCIs up to
-each PCI's mean and norm, so the product splits: the SSS half against all
-504 rows, the PSS half against the three raw PSS halves, and the window's
-PSS sum, in one product with the bank's operator. Both stages run on the
-calling thread, as `lte`'s threading policy says.
+no template. The window norms come from two running sums in one buffer,
+with the variance and its root taken in place; only the lags whose raw
+correlation can clear the threshold are normalized, and the runs of both
+shapes are reduced to their peaks in one vectorized pass. Stage 2 scores
+every candidate window against the whole bank, the windows copied out of
+one strided view of the frame. A window's PSS half is the same for the
+three sectors' PCIs up to each PCI's mean and norm, so the product
+splits: the SSS half against all 504 rows, the PSS half against the
+three raw PSS halves, and the window's PSS sum, in one product with the
+bank's operator. A column maximum then picks the PCIs above threshold,
+and only their columns are searched for the best lag. Both stages run on
+the calling thread, as `lte`'s threading policy says.
 Detection returns scored (pci, delay) pairs; `refine`, the single
 enrichment step, gives them their received power, suppresses false
 positives by it and gives the survivors a sub-sample offset.
@@ -167,21 +172,29 @@ def _window_norms(x: np.ndarray, wlen: int) -> np.ndarray:
     to about n * eps * sum(x**2); dividing FFT round-off by its root would
     fabricate scores. Windows at or below that bound get norm 0 and score 0;
     the bound scales with the trace, so scaling never changes which windows
-    are flat.
+    are flat. The running sums of x and x**2 share one buffer, and the
+    variance and its root are taken in place.
     """
-    ext = np.concatenate([x, x[:wlen - 1]])
-    c1 = np.concatenate([[0.0], np.cumsum(ext)])
-    c2 = np.concatenate([[0.0], np.cumsum(ext * ext)])
-    s1 = c1[wlen:] - c1[:-wlen]
-    s2 = c2[wlen:] - c2[:-wlen]
-    var = s2 - s1 * s1 / wlen
-    flat = var <= x.size * np.finfo(np.float64).eps * c2[x.size]
-    return np.where(flat, 0.0, np.sqrt(np.maximum(var, 0.0)))
+    n = x.size
+    ext = np.empty(n + wlen - 1)
+    ext[:n] = x
+    ext[n:] = x[:wlen - 1]
+    c = np.empty((2, n + wlen))
+    c[:, 0] = 0.0
+    np.cumsum(ext, out=c[0, 1:])
+    np.multiply(ext, ext, out=ext)
+    np.cumsum(ext, out=c[1, 1:])
+    s1, var = c[:, wlen:] - c[:, :-wlen]     # window sums of x and x**2
+    np.multiply(s1, s1, out=s1)
+    s1 /= wlen
+    var -= s1
+    var[var <= n * np.finfo(np.float64).eps * c[1, n]] = 0.0
+    return np.sqrt(var, out=var)
 
 
 def _stage1_candidates(stacked: np.ndarray, bank: TemplateBank,
                        thresh_pss: float) -> list[int]:
-    """Peak lags of the two folded PSS shapes, one per group of lags above
+    """Peak lags of the two folded PSS shapes, one per run of lags above
     thresh_pss that lie at most STAGE1_GROUP_GAP apart.
 
     A lag scores its correlation with a PSS scan window, from one FFT of
@@ -189,8 +202,10 @@ def _stage1_candidates(stacked: np.ndarray, bank: TemplateBank,
     mean-removed trace window (Lewis's running-sum fast NCC), clipped to
     [-1, 1]; flat windows score 0. Only the lags whose raw correlation
     exceeds a bound just below thresh_pss times the norm get that score,
-    so the lags above thresh_pss are those of scoring every lag. stacked
-    must be one finite frame of FRAME_LEN samples.
+    so the lags above thresh_pss are those of scoring every lag. The runs
+    of both shapes are reduced in one pass: each keeps its first lag at
+    the run's maximum. stacked must be one finite frame of FRAME_LEN
+    samples.
     """
     if stacked.size != FRAME_LEN:
         raise ValueError(f"stacked frame of {stacked.size} samples, not "
@@ -201,25 +216,34 @@ def _stage1_candidates(stacked: np.ndarray, bank: TemplateBank,
                          f"{np.argmin(finite)}")
     denom = _window_norms(stacked, PSS_TEMPLATE_LEN)
     flat = denom == 0.0
-    denom = np.maximum(denom, _EPS)
+    np.maximum(denom, _EPS, out=denom)
     # just below thresh_pss * denom whatever the threshold's sign, a margin
     # far above the round-off of the division; a flat window scores 0
     floor = (thresh_pss - abs(thresh_pss) * 1e-9) * denom
     floor[flat] = -np.inf if thresh_pss < 0.0 else np.inf
     corr = np.fft.irfft(np.fft.rfft(stacked) * bank.pss_spec, n=FRAME_LEN,
                         axis=1)
-    cands = set()
-    for c in corr:
-        lags = np.flatnonzero(c > floor)
-        scores = np.clip(c[lags] / denom[lags], -1.0, 1.0)
-        scores[flat[lags]] = 0.0
-        keep = scores > thresh_pss
-        lags, scores = lags[keep], scores[keep]
-        groups = np.split(np.arange(lags.size),
-                          np.flatnonzero(np.diff(lags) > STAGE1_GROUP_GAP) + 1)
-        cands.update(int(lags[g[np.argmax(scores[g])]]) for g in groups
-                     if g.size)
-    return sorted(cands)
+    shape, lags = np.divmod(np.flatnonzero(corr > floor), FRAME_LEN)
+    scores = corr[shape, lags] / denom[lags]
+    np.clip(scores, -1.0, 1.0, out=scores)
+    scores[flat[lags]] = 0.0
+    keep = np.flatnonzero(scores > thresh_pss)
+    if not keep.size:
+        return []
+    shape, lags, scores = shape[keep], lags[keep], scores[keep]
+    # a run starts where its shape's lags step by more than STAGE1_GROUP_GAP
+    # or the other shape's lags begin
+    new_run = np.empty(lags.size, dtype=bool)
+    new_run[0] = True
+    np.greater(np.diff(lags), STAGE1_GROUP_GAP, out=new_run[1:])
+    new_run[1:] |= shape[1:] != shape[:-1]
+    starts = np.flatnonzero(new_run)
+    top = np.maximum.reduceat(scores, starts)[np.cumsum(new_run) - 1]
+    # each run's first lag at its maximum
+    n = lags.size
+    first = np.minimum.reduceat(np.where(scores == top, np.arange(n), n),
+                                starts)
+    return sorted(set(lags[first].tolist()))
 
 
 def hierarchical_detect(stacked: np.ndarray, bank: TemplateBank,
@@ -231,39 +255,47 @@ def hierarchical_detect(stacked: np.ndarray, bank: TemplateBank,
     its lags with the two folded PSS waveforms and keeps grouped peaks
     above thresh_pss. Stage 2 scores all 504 full templates at each
     candidate's implied window start (PSS peak minus the PSS-template
-    offset) within +-CANDIDATE_WINDOW lags. Each mean-removed unit window
-    w gives the row [w[:SSS_END], w[SSS_END:] @ pss_halves.T,
-    w[SSS_END:].sum()], and the rows times bank.stage2_op are the scores
-    of w against every unit template, at about half the arithmetic of
-    multiplying by bank.samples.T. Both products run on the calling
-    thread. Each PCI keeps its best lag (the first, on ties) if it scores
-    above thresh_sss; flat windows score -inf. Returns scored detections
-    sorted by score descending; `refine` fills in amplitude and sub-sample
-    offset.
+    offset) within +-CANDIDATE_WINDOW lags, gathered from a strided view
+    of the frame extended by TEMPLATE_LEN - 1 samples and normalized in
+    place. Each mean-removed unit window w gives the row [w[:SSS_END],
+    w[SSS_END:] @ pss_halves.T, w[SSS_END:].sum()], and the rows times
+    bank.stage2_op are the scores of w against every unit template, at
+    about half the arithmetic of multiplying by bank.samples.T. Both
+    products run on the calling thread. Each PCI keeps its best lag (the
+    first, on ties) if it scores above thresh_sss: a column maximum picks
+    the PCIs, and only their columns are searched for the lag. Flat
+    windows score -inf. Returns scored detections sorted by score
+    descending; `refine` fills in amplitude and sub-sample offset.
     """
     cands = _stage1_candidates(stacked, bank, thresh_pss)
     if not cands:
         return []
     offsets = np.arange(-CANDIDATE_WINDOW, CANDIDATE_WINDOW + 1)
     lags = ((np.array(cands)[:, None] - (TEMPLATE_LEN - PSS_TEMPLATE_LEN)
-             + offsets).ravel() % stacked.size)
-    windows = stacked.take(lags[:, None] + np.arange(TEMPLATE_LEN), mode="wrap")
+             + offsets).ravel() % FRAME_LEN)
+    ext = np.concatenate([stacked, stacked[:TEMPLATE_LEN - 1]])
+    # row i of the view is the window at lag i; indexing it copies the rows
+    windows = np.ndarray((FRAME_LEN, TEMPLATE_LEN), buffer=ext,
+                         strides=ext.strides * 2)[lags]
     windows -= windows.mean(axis=1, keepdims=True)
-    nrm = np.linalg.norm(windows, axis=1)
+    # the arithmetic of np.linalg.norm(windows, axis=1), without its copies
+    nrm = np.sqrt(np.add.reduce(windows * windows, axis=1))
     flat = nrm < _EPS
-    windows /= np.where(flat, 1.0, nrm)[:, None]
+    nrm[flat] = 1.0
+    windows /= nrm[:, None]
     pss = windows[:, SSS_END:]
     x = np.empty((lags.size, SSS_END + 4))
     x[:, :SSS_END] = windows[:, :SSS_END]
-    x[:, -1] = pss.sum(axis=1)
+    np.add.reduce(pss, axis=1, out=x[:, -1])
     with _blas_on_caller():
         x[:, SSS_END:-1] = pss @ bank.pss_halves.T
         scores = x @ bank.stage2_op
     scores[flat] = -np.inf
-    best = np.argmax(scores, axis=0)
-    top = scores[best, np.arange(504)]
-    out = [Detection(Pci(int(p)), int(lags[best[p]]), float(top[p]))
-           for p in np.flatnonzero(top > thresh_sss)]
+    top = scores.max(axis=0)
+    pcis = np.flatnonzero(top > thresh_sss)
+    best = lags[scores[:, pcis].argmax(axis=0)]
+    out = [Detection(Pci(p), d, s) for p, d, s in
+           zip(pcis.tolist(), best.tolist(), top[pcis].tolist())]
     out.sort(key=lambda d: (-d.score, d.delay_samples, d.pci.value))
     return out
 

@@ -481,31 +481,43 @@ def generate_sss(group, sector, subframe: int) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=len(BANDWIDTH_TABLE))
 def central_62_bins(fft_size: int) -> np.ndarray:
     """FFT-bin indices for the central 62 subcarriers, DC excluded.
 
     Sequence element 0..30 lands on subcarriers -31..-1 and element 31..61
-    lands on +1..+31, so bin order is [fft-31 .. fft-1, 1 .. 31].
+    lands on +1..+31, so bin order is [fft-31 .. fft-1, 1 .. 31]. Cached
+    per FFT size, read-only.
     """
     neg = np.arange(fft_size - 31, fft_size)
     pos = np.arange(1, 32)
-    return np.concatenate([neg, pos])
+    bins = np.concatenate([neg, pos])
+    bins.setflags(write=False)
+    return bins
 
 
 _QPSK = np.exp(1j * (np.pi / 4 + np.pi / 2 * np.arange(4)))   # 2-bit symbol -> point
 
 
-def _sync_columns(pci: Pci) -> list[tuple[int, np.ndarray]]:
-    """(symbol, central-62 sequence) of each sync symbol of a frame."""
+@lru_cache(maxsize=504)
+def _sync_columns(pci: Pci) -> tuple[tuple[int, np.ndarray], ...]:
+    """(symbol, central-62 sequence) of each sync symbol of a frame.
+
+    Cached per PCI, the sequences read-only: every frame of a cell, and
+    every fix, writes the same four.
+    """
     pss = generate_pss(pci.sector)
-    return [(col, generate_sss(pci.group, pci.sector, subframe))
-            for col, subframe in zip(SSS_COLS, (0, 5))] + \
-        [(col, pss) for col in PSS_COLS]
+    cols = tuple((col, generate_sss(pci.group, pci.sector, subframe))
+                 for col, subframe in zip(SSS_COLS, (0, 5))) + \
+        tuple((col, pss) for col in PSS_COLS)
+    for _, seq in cols:
+        seq.setflags(write=False)
+    return cols
 
 
 def _grid(cfg: FrameConfig, sync, bits: np.ndarray, grid: np.ndarray) -> None:
     """Write one frame's bits, (band, 140) 2-bit payload symbols, and sync,
-    _sync_columns' list, into grid, a symbol-major (140, fft_size) frame
+    _sync_columns' pairs, into grid, a symbol-major (140, fft_size) frame
     whose bins outside the band are zero."""
     half = 6 * cfg.n_resource_blocks
     # the band's negative subcarriers first, then 1..half

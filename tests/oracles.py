@@ -5,10 +5,11 @@ build as it was before it drew each frame's payload on its own; the real-RF
 receive path, whose explicit upconversion and square also capture the
 cross-band intermodulation that the fast path's |I+jQ|^2/2 leaves out; an
 exhaustive scan of templates at every lag through `ncc`, the NCC kernel
-stage 1 once ran; that earlier detector itself, which normalized every
-lag before thresholding and scored stage 2 with all 276 columns of the
-bank; and the exact delay and its stacked square as they ran before their
-passes could be split across threads.
+stage 1 once ran, with the window norms it ran on; that earlier detector
+itself, which normalized every lag before thresholding, kept each run's
+best lag one run at a time and scored stage 2 with all 276 columns of
+the bank; and the exact delay and its stacked square as they ran before
+their passes could be split across threads.
 """
 from __future__ import annotations
 
@@ -19,8 +20,7 @@ import numpy as np
 from foldloc import detect
 from foldloc.amplitude import _EPS
 from foldloc.detect import (CANDIDATE_WINDOW, FRAME_LEN, PSS_TEMPLATE_LEN,
-                            STAGE1_GROUP_GAP, TEMPLATE_LEN, Detection,
-                            _window_norms)
+                            STAGE1_GROUP_GAP, TEMPLATE_LEN, Detection)
 from foldloc.frontend import (LPF_CUTOFF_HZ, SPEED_OF_LIGHT, CellConfig,
                               lowpass_decimate, path_amplitude)
 from foldloc.lte import (_QPSK, SYMBOLS_PER_FRAME, SYMBOLS_PER_SLOT,
@@ -335,16 +335,31 @@ def folded_sync_overlap(c1: CellConfig, c2: CellConfig,
     return 100.0 * min(1.0, cross_inband(spacing) / ref)
 
 
+def window_norms(x: np.ndarray, wlen: int) -> np.ndarray:
+    """`detect._window_norms` as it was before its passes shared buffers:
+    the L2 norm of every mean-removed circular window of wlen from running
+    sums over x extended by wlen - 1 samples, 0 where the variance is at
+    most x.size * eps * sum(x**2)."""
+    ext = np.concatenate([x, x[:wlen - 1]])
+    c1 = np.concatenate([[0.0], np.cumsum(ext)])
+    c2 = np.concatenate([[0.0], np.cumsum(ext * ext)])
+    s1 = c1[wlen:] - c1[:-wlen]
+    s2 = c2[wlen:] - c2[:-wlen]
+    var = s2 - s1 * s1 / wlen
+    flat = var <= x.size * np.finfo(np.float64).eps * c2[x.size]
+    return np.where(flat, 0.0, np.sqrt(np.maximum(var, 0.0)))
+
+
 def ncc(stacked: np.ndarray, wlen: int, spec: np.ndarray) -> np.ndarray:
     """(k, n) scores at every circular lag of the k templates of length wlen
     whose conjugate spectra, at the trace's length, are spec (k, n//2 + 1).
 
     The trace is transformed once and each lag divided by its window norm
-    (Lewis's running-sum fast NCC; flat windows score 0). Scores are
-    clipped to [-1, 1].
+    (`window_norms`, Lewis's running-sum fast NCC; flat windows score 0).
+    Scores are clipped to [-1, 1].
     """
     n = stacked.size
-    denom = _window_norms(stacked, wlen)
+    denom = window_norms(stacked, wlen)
     out = np.fft.irfft(np.fft.rfft(stacked) * spec, n=n, axis=1) / \
         np.maximum(denom, _EPS)
     out[:, denom == 0.0] = 0.0
@@ -372,7 +387,8 @@ def stage1_candidates(stacked: np.ndarray, bank: detect.TemplateBank,
                       thresh_pss: float) -> list[int]:
     """Stage 1 normalizing every lag, then thresholding: `ncc` scores both
     PSS shapes at all lags from the bank's spectra; runs of lags above
-    thresh_pss at most STAGE1_GROUP_GAP apart keep their best lag."""
+    thresh_pss at most STAGE1_GROUP_GAP apart keep their best lag, the
+    first on ties."""
     if stacked.size != FRAME_LEN:
         raise ValueError(f"stacked frame of {stacked.size} samples, not "
                          f"{FRAME_LEN}")

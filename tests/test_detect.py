@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 from conftest import fold_frame
 import oracles
 from foldloc.detect import (FRAME_LEN, HALF_FRAME, PSS_TEMPLATE_LEN, SSS_END,
-                            TEMPLATE_LEN, TEMPLATE_START, Detection,
-                            _stage1_candidates, build_bank,
-                            hierarchical_detect, refine, stack_frames,
-                            suppress_false_positives)
+                            STAGE1_GROUP_GAP, TEMPLATE_LEN, TEMPLATE_START,
+                            Detection, _stage1_candidates, _window_norms,
+                            build_bank, hierarchical_detect, refine,
+                            stack_frames, suppress_false_positives)
 from foldloc.cli import read_detections_csv, write_detections_csv
 from foldloc.harness import _bank_for, detect_trace
 from foldloc.lte import Pci
@@ -340,6 +340,118 @@ def test_detection_matches_the_full_product_reference(bank, x, copy_at, sector,
     assert [(d.pci, d.delay_samples) for d in got] == \
         [(d.pci, d.delay_samples) for d in want]
     assert all(abs(g.score - w.score) <= 1e-12 for g, w in zip(got, want))
+
+
+@st.composite
+def bank_frames(draw):
+    """Parameters of `_bank_frame`: 1-4 distinct bank rows at random lags
+    and amplitudes (0 included, so some frames are all zero), noise of a
+    random share of the frame's spread (often none), and 0-20 back-to-back
+    copies of a PSS scan window at a random lag."""
+    rows = draw(st.lists(st.tuples(st.integers(0, 503),
+                                   st.integers(0, FRAME_LEN - 1),
+                                   st.floats(-5.0, 5.0)),
+                         min_size=1, max_size=4, unique_by=lambda r: r[0]))
+    noise = draw(st.just(0.0) | st.floats(1e-3, 1.0))
+    copies = draw(st.integers(0, 20))
+    return (rows, noise, copies, draw(st.integers(0, FRAME_LEN - 1)),
+            draw(st.integers(0, 1)), draw(st.integers(0, 2**32 - 1)))
+
+
+def _bank_frame(bank, rows, noise, copies, copy_at, sector, seed):
+    """The sum of amp * bank.samples[p] placed circularly at lag, for each
+    (p, lag, amp) of rows, plus noise, with copies of pss_unit[sector]
+    written end to end from copy_at. Several exact copies score 1.0 after
+    clipping at their lags, so a run can hold tied maxima."""
+    x = np.zeros(FRAME_LEN)
+    pad = (0, FRAME_LEN - TEMPLATE_LEN)
+    for p, lag, amp in rows:
+        x += amp * np.roll(np.pad(bank.samples[p], pad), lag)
+    x += np.random.default_rng(seed).normal(0.0, noise * x.std(), FRAME_LEN)
+    at = np.arange(copy_at, copy_at + copies * PSS_TEMPLATE_LEN) % FRAME_LEN
+    x[at] = np.tile(bank.pss_unit[sector], copies)
+    return x
+
+
+THRESHOLDS = st.floats(-1.0, 1.0, exclude_max=True)
+
+
+@PROPERTY
+@given(frame=bank_frames(), thresh_pss=THRESHOLDS, thresh_sss=THRESHOLDS)
+@example(frame=([(0, 0, 0.0)], 0.0, 0, 0, 0, 0), thresh_pss=-0.5,
+         thresh_sss=0.5)                                    # all zero
+@example(frame=([(40, 5000, 1.0)], 0.0, 20, 1000, 1, 0), thresh_pss=-1.0,
+         thresh_sss=0.5)                                    # tied run
+def test_detection_matches_the_references_on_bank_rows(bank, frame, thresh_pss,
+                                                       thresh_sss):
+    """On frames of bank rows, stage 1 returns the reference's lags exactly
+    and stage 2 its (pci, delay) pairs with scores within 1e-12, for any
+    thresholds in [-1, 1)."""
+    x = _bank_frame(bank, *frame)
+    assert _stage1_candidates(x, bank, thresh_pss) == \
+        oracles.stage1_candidates(x, bank, thresh_pss)
+    got, want = (sorted(detect(x, bank, thresh_pss, thresh_sss),
+                        key=lambda d: (d.pci.value, d.delay_samples))
+                 for detect in (hierarchical_detect,
+                                oracles.hierarchical_detect))
+    assert [(d.pci, d.delay_samples) for d in got] == \
+        [(d.pci, d.delay_samples) for d in want]
+    assert all(abs(g.score - w.score) <= 1e-12 for g, w in zip(got, want))
+
+
+def test_stage1_keeps_the_first_lag_of_a_tied_run(bank):
+    """Twenty copies of a scan window end to end score exactly 1.0 at
+    several of their lags, all in one run at a threshold of -1: the run
+    keeps the first of them."""
+    x = np.zeros(FRAME_LEN)
+    x[1000:1000 + 20 * PSS_TEMPLATE_LEN] = np.tile(bank.pss_unit[1], 20)
+    scores = oracles.ncc(x, PSS_TEMPLATE_LEN, bank.pss_spec)[1]
+    run = np.flatnonzero(scores > -1.0)
+    assert np.diff(run).max() <= STAGE1_GROUP_GAP
+    tied = run[scores[run] == scores[run].max()]
+    assert tied.size > 1
+    cands = _stage1_candidates(x, bank, -1.0)
+    assert cands == oracles.stage1_candidates(x, bank, -1.0)
+    assert tied[0] in cands and not set(tied[1:]) & set(cands)
+
+
+def _partly_flat():
+    """Noise with a zero stretch, a constant stretch and a stretch across
+    the frame's end: flat windows of both kinds, one of them circular."""
+    x = np.random.default_rng(8).normal(size=FRAME_LEN)
+    x[2000:4000] = 0.0
+    x[9000:9500] = 3.25
+    x[-300:] = -1.5
+    x[:100] = -1.5
+    return x
+
+
+@pytest.mark.parametrize("wlen", [PSS_TEMPLATE_LEN, TEMPLATE_LEN])
+@pytest.mark.parametrize("frame", [
+    lambda: np.full(FRAME_LEN, 2.5),
+    lambda: np.zeros(FRAME_LEN),
+    _partly_flat,
+    lambda: 1e-12 * _partly_flat(),
+    lambda: 1e12 * _partly_flat(),
+    lambda: fold_frame(77) + 1e-5,
+], ids=["constant", "zero", "partly_flat", "scaled_1e-12", "scaled_1e12",
+        "folded"])
+def test_window_norms_equal_the_reference(frame, wlen):
+    """The in-place window norms are the reference's to the bit."""
+    x = frame()
+    got = _window_norms(x, wlen)
+    assert got.shape == (FRAME_LEN,)
+    assert np.array_equal(got, oracles.window_norms(x, wlen))
+
+
+def test_flat_windows_do_not_move_with_scale():
+    x = _partly_flat()
+    flat = _window_norms(x, PSS_TEMPLATE_LEN) == 0.0
+    # exactly the windows inside the zero, constant and wrapping stretches
+    assert flat.sum() == sum(n - PSS_TEMPLATE_LEN + 1 for n in (2000, 500, 400))
+    for scale in (1e-12, 1e12):
+        scaled = _window_norms(scale * x, PSS_TEMPLATE_LEN)
+        assert np.array_equal(scaled == 0.0, flat)
 
 
 def _det(pci, delay, score=0.9, amp=1.0):

@@ -31,8 +31,9 @@ from .locate import SOLVERS
 from .lte import Pci
 from .roads import Fix, geofence_events, load_geofence_csv, \
     load_road_graph_csv, snap_trajectory
-from .scenario import ScenarioError, _finite, check_thresholds, load_cell_db, \
-    load_scenario, read_csv_rows, write_csv_rows
+from .scenario import CELL_DB_COLUMNS, ScenarioError, _finite, \
+    check_thresholds, load_cell_db, load_scenario, read_csv_rows, \
+    write_csv_rows
 from .traceio import TraceFormatError
 
 EXIT_OK = 0
@@ -68,7 +69,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pl = sub.add_parser("localize", help="solve positions from detections")
     pl.add_argument("manifest", help="detections manifest from `detect`")
-    pl.add_argument("--cell-db", required=True)
+    pl.add_argument("--cell-db", required=True,
+                    help="cell DB CSV with the columns "
+                         f"{', '.join(CELL_DB_COLUMNS)}; frame_time_origin_s "
+                         "is the tower's frame offset in seconds, 0 on a "
+                         "synchronized network")
     pl.add_argument("--method", choices=SOLVERS, default="tdoa")
     pl.add_argument("-o", "--out", required=True, help="trajectory CSV")
 

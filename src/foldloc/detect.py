@@ -151,17 +151,23 @@ def build_bank() -> TemplateBank:
 
 
 def stack_frames(trace: np.ndarray, n_frames: int) -> np.ndarray:
-    """Element-wise mean of n_frames consecutive frame-length windows.
+    """Element-wise mean of n_frames consecutive frame-length windows, in
+    float64.
 
     Sync content repeats each frame and reinforces; payload and noise
-    average down, improving peak SNR by about sqrt(n) in amplitude.
+    average down, improving peak SNR by about sqrt(n) in amplitude. The
+    rows are added in order into a float64 frame, then divided by
+    n_frames, as mean(axis=0) of a float64 trace does; a float32 trace (a
+    replayed `traceio.read_trace`) widens exactly as it is added, so it
+    stacks to the bits of its float64 copy without that copy being made.
     """
     if n_frames < 1:
         raise ValueError("n_frames must be >= 1")
     if trace.size < n_frames * FRAME_LEN:
         raise ValueError(f"trace of {trace.size} samples too short for "
                          f"{n_frames} frames of {FRAME_LEN}")
-    return trace[:n_frames * FRAME_LEN].reshape(n_frames, FRAME_LEN).mean(axis=0)
+    rows = trace[:n_frames * FRAME_LEN].reshape(n_frames, FRAME_LEN)
+    return np.add.reduce(rows, axis=0, dtype=np.float64) / n_frames
 
 
 def _window_norms(x: np.ndarray, wlen: int) -> np.ndarray:

@@ -47,8 +47,9 @@ from functools import lru_cache
 import numpy as np
 
 from . import traceio
-from .detect import (FRAME_LEN, THRESH_PSS, THRESH_SSS, Detection,
-                     build_bank, hierarchical_detect, refine, stack_frames)
+from .detect import (FRAME_LEN, HALF_FRAME, THRESH_PSS, THRESH_SSS,
+                     Detection, build_bank, hierarchical_detect, refine,
+                     stack_frames)
 from .frontend import (DETECTOR_RATE_HZ, SENSITIVITY_FLOOR_DBM,
                        SPEED_OF_LIGHT, FrontEndConfig, _fir_reach, arrival,
                        lowpass_decimate)
@@ -283,7 +284,11 @@ def _observations(dets: list[Detection], db, prev_fix=None):
     A detection's amplitude is already the received amplitude squared
     (`refine` divided it by the template norm); its square root, corrected
     for carrier frequency and transmit power from the database cell, is
-    proportional to 1/distance.
+    proportional to 1/distance. Its arrival time is its delay less the
+    cell's frame_time_origin_s in detector samples, so the towers' frame
+    offsets leave the solve; delays are known only modulo HALF_FRAME, so
+    each corrected delay is moved by whole half frames to within
+    HALF_FRAME/2 of the first tower's.
     """
     obs, skipped = [], []
     for det in dets:
@@ -293,9 +298,12 @@ def _observations(dets: list[Detection], db, prev_fix=None):
             continue
         amp = np.sqrt(max(det.amplitude, 0.0)) * cell.carrier_hz / \
             np.sqrt(10.0 ** ((cell.tx_power_dbm - 30.0) / 10.0))
-        obs.append(TowerObservation(
-            position=cell.position, amplitude=float(amp),
-            toa_samples=det.delay_samples + det.subsample_offset))
+        toa = det.delay_samples + det.subsample_offset - \
+            cell.frame_time_origin_s * DETECTOR_RATE_HZ
+        if obs:
+            toa -= HALF_FRAME * round((toa - obs[0].toa_samples) / HALF_FRAME)
+        obs.append(TowerObservation(position=cell.position,
+                                    amplitude=float(amp), toa_samples=toa))
     return obs, skipped
 
 

@@ -13,11 +13,15 @@ keeps the default of the dataclass field it sets.
 - `[trajectory]`: `static = x y` with `n_fixes` (default 1) fixes at
   t = 0, 1, ..., or `points = t,x,y; t,x,y; ...`.
 
-The cell database is a CSV with the columns CELL_DB_COLUMNS and no others,
-each row read by `parse_cell`. `read_csv_rows` reads every CSV table and
-`write_csv_rows` writes every one the CLI makes, whole or not at all. All
-randomness in a run flows from the scenario seed through named
-substreams, so results are reproducible and independent of execution order.
+The cell database is a CSV with the columns CELL_DB_COLUMNS (`pci`, `x`,
+`y`, `carrier_hz`, `bandwidth_mhz`, `tx_power_dbm`, `frame_time_origin_s`)
+and no others, each row read by `parse_cell`. `frame_time_origin_s` is
+the tower's frame offset in seconds, finite, which localization takes off
+the tower's delay (`harness._observations`); a synchronized network
+writes 0. `read_csv_rows` reads every CSV table and `write_csv_rows`
+writes every one the CLI makes, whole or not at all. All randomness in a
+run flows from the scenario seed through named substreams, so results
+are reproducible and independent of execution order.
 """
 from __future__ import annotations
 
@@ -170,7 +174,8 @@ def _field_types(cls, skip=()) -> dict[str, type]:
 CELL_KEYS = {"pci": lambda v: Pci(int(v)), "carrier_hz": float, "x": float,
              "y": float, "bandwidth_mhz": FrameConfig.from_bandwidth,
              "tx_power_dbm": float, "frame_time_origin_s": float}
-CELL_DB_COLUMNS = ("pci", "x", "y", "carrier_hz", "bandwidth_mhz", "tx_power_dbm")
+CELL_DB_COLUMNS = ("pci", "x", "y", "carrier_hz", "bandwidth_mhz",
+                   "tx_power_dbm", "frame_time_origin_s")
 
 
 def parse_cell(values, where: str) -> CellConfig:

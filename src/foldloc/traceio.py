@@ -11,11 +11,11 @@ Layout, all little-endian:
     24      ...   samples, float32 * sample_count
 
 Samples are real post-detector values. Writing then reading returns the
-float32-rounded samples bit-exactly. A reader rejects a file whose size is
-not exactly the header plus sample_count samples, a sample rate that is not
-finite and positive, and any non-finite sample; a writer raises on the
-same faults, and on samples that are not one-dimensional, before it opens
-the file.
+float32-rounded samples bit-exactly, as float32. A reader rejects a file
+whose size is not exactly the header plus sample_count samples, a sample
+rate that is not finite and positive, and any non-finite sample; a writer
+raises on the same faults, and on samples that are not one-dimensional,
+before it opens the file.
 """
 from __future__ import annotations
 
@@ -67,6 +67,13 @@ def write_trace(path, samples: np.ndarray, sample_rate_hz: float) -> None:
 
 
 def read_trace(path) -> tuple[np.ndarray, float]:
+    """(samples, sample_rate_hz) of the trace file at path. The samples are
+    the stored float32 values, read straight into one array and not
+    widened: `detect.stack_frames` adds them into a float64 frame.
+
+    Raises TraceFormatError naming path on any fault the module docstring
+    lists.
+    """
     with open(path, "rb") as f:
         head = f.read(_HEADER.size)
         if len(head) < _HEADER.size:
@@ -83,10 +90,9 @@ def read_trace(path) -> tuple[np.ndarray, float]:
         if have > 4 * count:
             raise TraceFormatError(f"{path}: {have - 4 * count} trailing bytes "
                                    f"after {count} samples")
-        # straight into one float32 array, then the one float64 copy
         data = np.empty(count, dtype="<f4")
         got = f.readinto(data)
     if got != 4 * count:
         raise TraceFormatError(f"{path}: expected {count} samples, file short")
     _check_samples(path, data)
-    return data.astype(np.float64), rate
+    return data, rate

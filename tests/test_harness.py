@@ -917,6 +917,65 @@ def test_run_fix_keeps_true_pci_over_its_half_frame_alias():
     assert abs(got[10] - 703) <= 1
 
 
+def test_run_fix_solves_tdoa_with_the_frame_origins_taken_off():
+    """Fix 5 of the seed-1 S5 offset scenario resolves three towers whose
+    frame origins are 0, 1500 and 3000 samples: with the origins taken
+    off their delays the estimate is metres from the truth and
+    converged, where delays that still held them sent it thousands of
+    kilometres off."""
+    point = (5.0, 1840.755179550707, 2415.420520220291)
+    sc = replace(_s5_scenario((0, 1500, 3000, 4500, 6000)), rng_seed=1,
+                 n_frames_per_fix=10,
+                 trajectory=[(float(i), 2000.0, 2500.0) for i in range(5)]
+                 + [point])
+    r = run_fix(sc, 5)
+    assert r["n_towers"] == 3
+    assert r["error_m"] < 25.0
+    assert r["converged"]
+
+
+def _observed(origins_samples, delays):
+    """harness._observations of detections at delays (fractional samples)
+    of towers with the given frame origins, in detection order."""
+    towers = [(10, 0.0, 0.0), (11, 2000.0, 0.0), (12, 1000.0, 1732.0),
+              (13, 0.0, 2000.0)]
+    db = CellDatabase([
+        CellConfig(Pci(p), 2.145e9 + 2e7 * i, CFG, (x, y), 46.0,
+                   frame_time_origin_s=o / DETECTOR_RATE_HZ)
+        for i, ((p, x, y), o) in enumerate(zip(towers, origins_samples))])
+    dets = [Detection(Pci(p), int(np.floor(d)), 0.9, 1.0, d - np.floor(d))
+            for (p, _, _), d in zip(towers, delays)]
+    obs, skipped = harness._observations(dets, db)
+    assert skipped == []
+    return np.array([o.toa_samples for o in obs])
+
+
+def test_observations_take_the_frame_origins_off_the_delays():
+    """Each delay loses its tower's frame_time_origin_s in detector
+    samples; a delay seen a half frame early or late (the PSS repeats
+    every HALF_FRAME) moves back to within HALF_FRAME/2 of the first
+    tower's."""
+    geo = np.array([704.3, 712.9, 709.1, 716.6])
+    origins = np.array([0.0, 1500.0, 3000.0, 6000.0])
+    toa = _observed(origins, geo + origins)
+    assert np.allclose(toa, geo, rtol=0.0, atol=1e-9)
+    shifted = _observed(origins, geo + origins
+                        + detect.HALF_FRAME * np.array([0, 1, -1, 1]))
+    assert np.allclose(shifted, geo, rtol=0.0, atol=1e-9)
+    # the first tower sets the reference: a whole half frame moves all
+    first = _observed(origins, geo + origins + [detect.HALF_FRAME, 0, 0, 0])
+    assert np.allclose(first, geo + detect.HALF_FRAME, rtol=0.0, atol=1e-9)
+
+
+def test_observations_of_synchronized_towers_keep_the_delays_bits():
+    """Origins of 0 and delays within a half frame of each other leave
+    each arrival time the detection's delay_samples + subsample_offset,
+    bit for bit, as before the origins were taken off."""
+    delays = [704.3, 712.9, 709.1, 716.6]
+    assert _observed([0.0] * 4, delays).tolist() == \
+        [int(np.floor(d)) + (d - np.floor(d)) for d in delays]
+
+
 def test_run_fix_ratio_solver_localizes():
     sc = _three_cell_ratio_scenario()
     r = run_fix(sc, 0)
@@ -984,6 +1043,28 @@ def test_cmd_synth_writes_manifest_and_traces(tmp_path):
     assert rate == FS
     assert samples.size == 2 * FRAME_LEN
     assert rows[0]["true_pcis"] == "101"
+
+
+@pytest.mark.parametrize("origins", [(0,) * 5, (0, 1500, 3000, 4500, 6000)],
+                         ids=["synchronized", "offset"])
+def test_replayed_trace_stacks_to_the_bits_of_its_float64_copy(tmp_path,
+                                                                origins):
+    """read_trace returns the stored float32 samples, and stacking them
+    gives the bits of the float64 copy it used to return, stacked by
+    mean(axis=0), so replayed detections are unchanged: noisy S5 traces
+    of 10 frames."""
+    sc = replace(_s5_scenario(origins), n_frames_per_fix=10,
+                 front_end=FrontEndConfig(noise_sigma=1e-9))
+    manifest = cmd_synth(sc, str(tmp_path / "traces"))
+    bank = harness._bank_for(sc.front_end)
+    for row in csv.DictReader(open(manifest)):
+        samples, _ = traceio.read_trace(row["trace_path"])
+        assert samples.dtype == np.float32
+        wide = samples.astype(np.float64)
+        for n in (1, 9, 10):
+            old = wide[:n * FRAME_LEN].reshape(n, FRAME_LEN).mean(axis=0)
+            assert stack_frames(samples, n).tobytes() == old.tobytes()
+        assert detect_trace(samples, bank) == detect_trace(wide, bank)
 
 
 def test_cmd_detect_rejects_rate_mismatch(tmp_path, capsys):
@@ -1057,8 +1138,8 @@ tx_power_dbm = 46
 points = 0,468.75,0; 1,500,0
 """
 
-CELL_DB = ("pci,x,y,carrier_hz,bandwidth_mhz,tx_power_dbm\n"
-           "101,0,0,2.145e9,1.4,46\n")
+CELL_DB = ("pci,x,y,carrier_hz,bandwidth_mhz,tx_power_dbm,frame_time_origin_s\n"
+           "101,0,0,2.145e9,1.4,46,0\n")
 
 ROADS = ("node_a_id,node_b_id,ax,ay,bx,by,max_speed_mps\n"
          "a,b,-1000,0,1000,0,30\n")
@@ -1223,9 +1304,9 @@ def test_cli_localize_nonfinite_detection_exits_2(tmp_path, capsys, column,
         w.writerows(rows)
     (tmp_path / "manifest.csv").write_text(f"t,detections_path\n0.0,{dets}\n")
     (tmp_path / "cells.csv").write_text(
-        "pci,x,y,carrier_hz,bandwidth_mhz,tx_power_dbm\n"
-        "1,0,0,2.145e9,1.4,46\n2,2000,0,2.145e9,1.4,46\n"
-        "3,1000,1732,2.145e9,1.4,46\n")
+        "pci,x,y,carrier_hz,bandwidth_mhz,tx_power_dbm,frame_time_origin_s\n"
+        "1,0,0,2.145e9,1.4,46,0\n2,2000,0,2.145e9,1.4,46,0\n"
+        "3,1000,1732,2.145e9,1.4,46,0\n")
     assert main(["localize", str(tmp_path / "manifest.csv"),
                  "--cell-db", str(tmp_path / "cells.csv"),
                  "-o", str(tmp_path / "traj.csv")]) == 2
@@ -1528,17 +1609,17 @@ def test_cli_localize_empty_manifest_exits_2(tmp_path, capsys):
     assert not (tmp_path / "traj.csv").exists()
 
 
-@pytest.mark.parametrize("row", ["999,0,0,2.145e9,1.4,46",
-                                 "101,0,0,2.145e9,7.0,46",
-                                 "101,0,0,1000,1.4,46",
-                                 "101,0,0,2.145e9,1.4,inf",
-                                 "101,nan,0,2.145e9,1.4,46"],
+@pytest.mark.parametrize("row", ["999,0,0,2.145e9,1.4,46,0",
+                                 "101,0,0,2.145e9,7.0,46,0",
+                                 "101,0,0,1000,1.4,46,0",
+                                 "101,0,0,2.145e9,1.4,inf,0",
+                                 "101,nan,0,2.145e9,1.4,46,0"],
                          ids=["pci_999", "bandwidth_7", "carrier_1kHz",
                               "tx_power_inf", "x_nan"])
 def test_cli_localize_bad_cell_db_row_exits_2(tmp_path, capsys, row):
     from foldloc.cli import main
     db = tmp_path / "cells.csv"
-    db.write_text(CELL_DB.splitlines()[0] + "\n102,9,9,2.145e9,1.4,46\n"
+    db.write_text(CELL_DB.splitlines()[0] + "\n102,9,9,2.145e9,1.4,46,0\n"
                   + row + "\n")
     (tmp_path / "manifest.csv").write_text("t,detections_path\n")
     assert main(["localize", str(tmp_path / "manifest.csv"),
@@ -1556,6 +1637,25 @@ def test_cli_localize_unknown_cell_db_column_exits_2(tmp_path, capsys):
     assert main(["localize", str(tmp_path / "manifest.csv"),
                  "--cell-db", str(db), "-o", str(tmp_path / "traj.csv")]) == 2
     assert "unknown columns ['tx_powr_dbm']" in capsys.readouterr().err
+    assert not (tmp_path / "traj.csv").exists()
+
+
+@pytest.mark.parametrize("text", [
+    "pci,x,y,carrier_hz,bandwidth_mhz,tx_power_dbm\n101,0,0,2.145e9,1.4,46\n",
+    CELL_DB.replace(",46,0\n", ",46,nan\n"),
+    CELL_DB.replace(",46,0\n", ",46,-inf\n"),
+], ids=["missing", "nan", "-inf"])
+def test_cli_localize_cell_db_frame_origin_exits_2(tmp_path, capsys, text):
+    """A cell DB without the frame_time_origin_s column, or with a value
+    in it that is not finite, exits 2 naming the column, and writes no
+    trajectory."""
+    from foldloc.cli import main
+    db = tmp_path / "cells.csv"
+    db.write_text(text)
+    (tmp_path / "manifest.csv").write_text("t,detections_path\n")
+    assert main(["localize", str(tmp_path / "manifest.csv"),
+                 "--cell-db", str(db), "-o", str(tmp_path / "traj.csv")]) == 2
+    assert "frame_time_origin_s" in capsys.readouterr().err
     assert not (tmp_path / "traj.csv").exists()
 
 

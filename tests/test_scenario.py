@@ -337,7 +337,7 @@ def test_substream_unknown_name_raises():
 # ---------------------------------------------------------- cell database
 
 
-DB_HEADER = "pci,x,y,carrier_hz,bandwidth_mhz,tx_power_dbm"
+DB_HEADER = "pci,x,y,carrier_hz,bandwidth_mhz,tx_power_dbm,frame_time_origin_s"
 
 
 def _cell(pci, x, carrier=2.1e9):
@@ -370,7 +370,7 @@ def test_db_duplicate_rejected():
 
 def test_db_nonfinite_rejected(tmp_path):
     p = tmp_path / "cells.csv"
-    p.write_text(DB_HEADER + "\n10,nan,0,2.1e9,1.4,30\n")
+    p.write_text(DB_HEADER + "\n10,nan,0,2.1e9,1.4,30,0\n")
     with pytest.raises(ScenarioError, match=r"cells\.csv:2: non-finite value in CellConfig"):
         load_cell_db(p)
 
@@ -386,37 +386,39 @@ def test_cell_config_rejects_nonfinite(cfg14):
 def test_load_cell_db_round_trip(tmp_path):
     p = tmp_path / "cells.csv"
     p.write_text(DB_HEADER + "\n"
-                 "10,0,0,2.145e9,1.4,30\n"
-                 "11,2000,0,2.145e9,1.4,33\n")
+                 "10,0,0,2.145e9,1.4,30,0\n"
+                 "11,2000,0,2.145e9,1.4,33,0.00078125\n")
     db = load_cell_db(p)
     assert len(db.cells) == 2
     c = db.cells[1]
     assert (c.pci.value, c.position, c.carrier_hz, c.frame_cfg.bandwidth_mhz,
-            c.tx_power_dbm) == (11, (2000.0, 0.0), 2.145e9, 1.4, 33.0)
+            c.tx_power_dbm, c.frame_time_origin_s) == \
+        (11, (2000.0, 0.0), 2.145e9, 1.4, 33.0, 0.00078125)
 
 
 @pytest.mark.parametrize("row, what", [
-    ("999,0,0,2.1e9,1.4,30", "PCI 999"),
-    ("10,0,0,2.1e9,7.0,30", "bandwidth 7.0"),
-    ("10,0,0,1000,1.4,30", "carrier"),
-    ("10,0,inf,2.1e9,1.4,30", r"non-finite .*position=\(0\.0, inf\)"),
-    ("10,0,0,2.1e9,1.4,nan", "non-finite .*tx_power_dbm=nan"),
-    ("10,0,0,nan,1.4,30", "non-finite .*carrier_hz=nan"),
-    ("10.5,0,0,2.1e9,1.4,30", "pci"),
+    ("999,0,0,2.1e9,1.4,30,0", "PCI 999"),
+    ("10,0,0,2.1e9,7.0,30,0", "bandwidth 7.0"),
+    ("10,0,0,1000,1.4,30,0", "carrier"),
+    ("10,0,inf,2.1e9,1.4,30,0", r"non-finite .*position=\(0\.0, inf\)"),
+    ("10,0,0,2.1e9,1.4,nan,0", "non-finite .*tx_power_dbm=nan"),
+    ("10,0,0,nan,1.4,30,0", "non-finite .*carrier_hz=nan"),
+    ("10.5,0,0,2.1e9,1.4,30,0", "pci"),
+    ("10,0,0,2.1e9,1.4,30,inf", "non-finite .*frame_time_origin_s=inf"),
+    ("10,0,0,2.1e9,1.4,30,x", "frame_time_origin_s = 'x'"),
 ], ids=["pci_999", "bandwidth_7", "carrier_1kHz", "y_inf", "tx_power_nan",
-        "carrier_nan", "pci_10.5"])
+        "carrier_nan", "pci_10.5", "origin_inf", "origin_x"])
 def test_load_cell_db_rejects_bad_row(tmp_path, row, what):
     p = tmp_path / "cells.csv"
-    p.write_text(DB_HEADER + "\n10,0,0,2.2e9,1.4,30\n" + row + "\n")
+    p.write_text(DB_HEADER + "\n10,0,0,2.2e9,1.4,30,0\n" + row + "\n")
     with pytest.raises(ScenarioError, match=r"cells\.csv:3: .*" + what):
         load_cell_db(p)
 
 
-@pytest.mark.parametrize("column", ["tx_powr_dbm", "frame_offset_s",
-                                    "frame_time_origin_s"])
+@pytest.mark.parametrize("column", ["tx_powr_dbm", "frame_offset_s"])
 def test_load_cell_db_rejects_unknown_column(tmp_path, column):
     p = tmp_path / "cells.csv"
-    p.write_text(f"{DB_HEADER},{column}\n10,0,0,2.2e9,1.4,30,0\n")
+    p.write_text(f"{DB_HEADER},{column}\n10,0,0,2.2e9,1.4,30,0,0\n")
     with pytest.raises(ScenarioError,
                        match=rf"cells\.csv: unknown columns \['{column}'\]"):
         load_cell_db(p)
@@ -434,7 +436,8 @@ def _cells(draw):
         frame_cfg=FrameConfig.from_bandwidth(bw),
         position=(draw(st.floats(-1e7, 1e7, **_finite)),
                   draw(st.floats(-1e7, 1e7, **_finite))),
-        tx_power_dbm=draw(st.floats(-50.0, 90.0, **_finite)))
+        tx_power_dbm=draw(st.floats(-50.0, 90.0, **_finite)),
+        frame_time_origin_s=draw(st.floats(-1.0, 1.0, **_finite)))
 
 
 @settings(max_examples=200, deadline=None)
@@ -442,9 +445,21 @@ def _cells(draw):
 def test_cell_db_row_round_trips_any_valid_cell(tmp_path_factory, cell):
     p = tmp_path_factory.mktemp("db") / "cells.csv"
     values = (cell.pci.value, *cell.position, cell.carrier_hz,
-              cell.frame_cfg.bandwidth_mhz, cell.tx_power_dbm)
+              cell.frame_cfg.bandwidth_mhz, cell.tx_power_dbm,
+              cell.frame_time_origin_s)
     p.write_text(DB_HEADER + "\n" + ",".join(map(repr, values)) + "\n")
     assert load_cell_db(p).cells == [cell]
+
+
+def test_load_cell_db_without_frame_origin_column_rejected(tmp_path):
+    """frame_time_origin_s is required: a DB written before it joined
+    CELL_DB_COLUMNS is refused, not read as a synchronized network."""
+    p = tmp_path / "cells.csv"
+    p.write_text("pci,x,y,carrier_hz,bandwidth_mhz,tx_power_dbm\n"
+                 "10,0,0,2.1e9,1.4,30\n")
+    with pytest.raises(ScenarioError,
+                       match=r"lacks columns \['frame_time_origin_s'\]"):
+        load_cell_db(p)
 
 
 def test_load_cell_db_without_rows_rejected(tmp_path):

@@ -15,8 +15,9 @@ def test_round_trip_bit_exact(tmp_path):
     write_trace(p, x, 1.92e6)
     back, rate = read_trace(p)
     assert rate == 1.92e6
-    # stored as f32; returned at float64 for downstream headroom
-    assert np.array_equal(back, x.astype(np.float64))
+    # returned as stored: float32, no widened copy
+    assert back.dtype == np.float32
+    assert np.array_equal(back, x)
 
 
 def test_float64_input_quantized_to_f32(tmp_path):
@@ -24,6 +25,7 @@ def test_float64_input_quantized_to_f32(tmp_path):
     x = np.random.default_rng(1).normal(size=64)
     write_trace(p, x, 1e6)
     back, _ = read_trace(p)
+    assert back.dtype == np.float32
     assert np.array_equal(back, x.astype(np.float32))
 
 

@@ -23,7 +23,8 @@ import sys
 from contextlib import suppress
 
 from . import traceio
-from .detect import THRESH_PSS, THRESH_SSS, BankMismatchError, Detection
+from .detect import FRAME_LEN, THRESH_PSS, THRESH_SSS, BankMismatchError, \
+    Detection
 from .frontend import DETECTOR_RATE_HZ, FrontEndConfig
 from .harness import MANIFEST_COLUMNS, TRAJECTORY_COLUMNS, _bank_for, \
     cmd_localize, cmd_synth, detect_trace, run_eval
@@ -120,11 +121,17 @@ def read_detections_csv(path) -> list[Detection]:
 
 
 def _detect_file(trace_path: str, out_csv: str, args) -> list[Detection]:
-    """Detections of one trace file, also written to out_csv."""
+    """Detections of one trace file, also written to out_csv. Without
+    --stack, a file holding no whole frame is a data error, not a usage
+    error; a --stack beyond the trace's frames stays a usage error."""
     samples, rate = traceio.read_trace(trace_path)
     if abs(rate - DETECTOR_RATE_HZ) > 1e-6:
         raise BankMismatchError(
             f"trace rate {rate:g} is not the detector rate {DETECTOR_RATE_HZ:g}")
+    if args.stack is None and samples.size < FRAME_LEN:
+        raise TraceFormatError(f"{trace_path}: trace of {samples.size} "
+                               f"samples is shorter than one frame of "
+                               f"{FRAME_LEN}")
     dets = detect_trace(samples, _bank_for(FrontEndConfig()), args.thresh_pss,
                         args.thresh_sss, args.stack)
     os.makedirs(os.path.dirname(out_csv), exist_ok=True)

@@ -11,9 +11,11 @@ PSS scan windows and their conjugate spectra at the frame length, and the
 stage-2 operator with the three raw PSS halves it is built around. A
 data-free frame is zero outside its four sync symbols, and the window
 holds two zero samples, then SSS and PSS of slot 0 with their cyclic
-prefixes. So `build_bank` modulates only those two symbols, many PCIs per
-transform, and folds exactly the window: at the detector rate the
-low-pass is all-pass.
+prefixes. So `build_bank` builds exactly the window, BANK_CHUNK PCIs at a
+time, from each distinct sync body modulated once: the three sectors' PSS
+bodies, gathered by sector, and each PCI's SSS of slot 0. At the detector
+rate the low-pass is all-pass, so folding is squaring, and each block is
+mean-removed, normed and divided as array operations.
 
 Stage 1 correlates the bank's two PSS shapes with the trace at every lag,
 from one FFT of the trace and the bank's PSS spectra, so a fix transforms
@@ -109,35 +111,40 @@ def build_bank() -> TemplateBank:
 
     Each row equals the PCI's data-free 1.4 MHz frame folded to the
     detector rate, where the low-pass is all-pass, and windowed at
-    TEMPLATE_START. Only the window is built: per block of BANK_CHUNK
-    PCIs, `sync_segment` modulates its SSS and PSS of slot 0 in one IFFT,
-    and one fold_baseband call folds the (BANK_CHUNK, TEMPLATE_LEN) array.
-    The PSS scan windows and PSS halves come from the raw windows of
-    PCIs 0-2, sectors 0-2 of group 0.
+    TEMPLATE_START. Only the window is built, per block of BANK_CHUNK
+    PCIs: `sync_segment` modulates the block's SSS of slot 0 in one IFFT
+    and gathers the PSS bodies, transformed once, by sector; one
+    fold_baseband call folds the (BANK_CHUNK, TEMPLATE_LEN) array, which
+    is then mean-removed, normed and divided into the block's rows. A
+    row's norm is its dot with itself, one batched (1, L) @ (L, 1) product
+    per block, which has the bits of the 1-D np.linalg.norm the tests'
+    reference takes; norm(axis=1) and einsum round differently. The PSS
+    scan windows and PSS halves come from the raw windows of PCIs 0-2,
+    sectors 0-2 of group 0.
     """
     cfg = FrameConfig.from_bandwidth(1.4)    # sampled at the detector rate
     samples = np.empty((504, TEMPLATE_LEN))
     norms = np.empty(504)
     # BANK_CHUNK PCIs at a time: freeing a whole-bank temporary (2.2 MB)
     # raises glibc's mmap threshold, and later set-ups then peak ~3 MB higher
-    for block in np.split(np.arange(504), range(BANK_CHUNK, 504, BANK_CHUNK)):
-        raw = fold_baseband(sync_segment(cfg, block, TEMPLATE_START,
-                                         TEMPLATE_START + TEMPLATE_LEN),
-                            cfg.sample_rate_hz)
-        if block[0] == 0:
-            group0 = raw[:3].copy()
-        # row by row: norm(axis=1) can differ from the 1-D norm in the last
-        # bit, and each row must equal its single-frame reference exactly
-        for p, w in zip(block, raw):
-            w0 = w - w.mean()
-            norms[p] = np.linalg.norm(w0)
-            samples[p] = w0 / norms[p]
+    for lo in range(0, 504, BANK_CHUNK):
+        hi = min(lo + BANK_CHUNK, 504)
+        w = fold_baseband(sync_segment(cfg, np.arange(lo, hi), TEMPLATE_START,
+                                       TEMPLATE_START + TEMPLATE_LEN),
+                          cfg.sample_rate_hz)
+        if lo == 0:
+            group0 = w[:3].copy()
+        w -= w.mean(axis=1, keepdims=True)
+        np.sqrt(np.matmul(w[:, None, :], w[:, :, None]).ravel(),
+                out=norms[lo:hi])
+        np.divide(w, norms[lo:hi, None], out=samples[lo:hi])
     # root 34 (sector 2) folds identically to root 29 (sector 1) in the
     # scan window and needs no third entry
     w = group0[:2, -PSS_TEMPLATE_LEN:]
     w = w - w.mean(axis=1, keepdims=True)
     pss_unit = w / np.linalg.norm(w, axis=1, keepdims=True)
-    pss_spec = np.conj(np.fft.rfft(pss_unit, n=FRAME_LEN, axis=1))
+    pss_spec = np.fft.rfft(pss_unit, n=FRAME_LEN, axis=1)
+    np.conj(pss_spec, out=pss_spec)
     pss_halves = group0[:, SSS_END:]
     pcis = np.arange(504)
     stage2_op = np.zeros((SSS_END + 4, 504))

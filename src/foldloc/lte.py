@@ -10,7 +10,10 @@ payload its own draw, bit-identical to one draw of all n: it fills one
 symbol-major (140, fft) grid, runs its IFFT into one body buffer and
 gathers that, cyclic prefixes inserted by one precomputed index per FFT
 size, into one preallocated output. `sync_segment` builds a span of many
-PCIs' data-free frames from the sync symbols inside it alone.
+PCIs' data-free frames from the distinct sync bodies inside it alone: the
+three sectors' PSS bodies, transformed once per FFT size and gathered by
+sector, and each SSS in the span, all PCIs in one IFFT. The zero symbols
+around them are not transformed.
 
 Threading, for the whole package: foldloc's threads work one queue: a
 fix's cells, and the pieces of a large cell's passes. `harness._synth`
@@ -433,6 +436,10 @@ def _mseq(taps: tuple[int, ...]) -> np.ndarray:
 _S_TILDE = 1 - 2 * _mseq((2, 0))
 _C_TILDE = 1 - 2 * _mseq((3, 0))
 _Z_TILDE = 1 - 2 * _mseq((4, 2, 1, 0))
+# row k of each table is its sequence x shifted by k, x((n + k) mod 31)
+_S_SHIFTS, _C_SHIFTS, _Z_SHIFTS = (
+    x[(np.arange(31)[:, None] + np.arange(31)) % 31]
+    for x in (_S_TILDE, _C_TILDE, _Z_TILDE))
 
 
 def sss_shift_pair(group):
@@ -462,22 +469,18 @@ def generate_sss(group, sector, subframe: int) -> np.ndarray:
     """
     if subframe not in (0, 5):
         raise ValueError("SSS exists only in subframes 0 and 5")
+    sector = np.asarray(sector)
+    if np.any((sector < 0) | (sector > 2)):
+        raise ValueError(f"sector {sector} not in {{0,1,2}}")
     m0, m1 = sss_shift_pair(group)
-    m0, m1, sector = m0[..., None], m1[..., None], np.asarray(sector)[..., None]
-    n = np.arange(31)
-    s_m0 = _S_TILDE[(n + m0) % 31]
-    s_m1 = _S_TILDE[(n + m1) % 31]
-    c0 = _C_TILDE[(n + sector) % 31]
-    c1 = _C_TILDE[(n + sector + 3) % 31]
-    z_m0 = _Z_TILDE[(n + (m0 % 8)) % 31]
-    z_m1 = _Z_TILDE[(n + (m1 % 8)) % 31]
-    out = np.empty(np.broadcast_shapes(s_m0.shape, c0.shape)[:-1] + (62,))
-    if subframe == 0:
-        out[..., 0::2] = s_m0 * c0
-        out[..., 1::2] = s_m1 * c1 * z_m0
-    else:
-        out[..., 0::2] = s_m1 * c0
-        out[..., 1::2] = s_m0 * c1 * z_m1
+    if subframe == 5:
+        m0, m1 = m1, m0
+    # subframe 0: s(m0) c0 on even, s(m1) c1 z(m0 mod 8) on odd subcarriers
+    even = _S_SHIFTS[m0] * _C_SHIFTS[sector]
+    odd = _S_SHIFTS[m1] * _C_SHIFTS[sector + 3] * _Z_SHIFTS[m0 % 8]
+    out = np.empty(even.shape[:-1] + (62,))
+    out[..., 0::2] = even
+    out[..., 1::2] = odd
     return out
 
 
@@ -586,28 +589,45 @@ def frame_samples(cfg: FrameConfig, pci: Pci, rng: np.random.Generator,
     return _frames(cfg, pci, rng, n_frames)
 
 
+@lru_cache(maxsize=len(BANDWIDTH_TABLE))
+def _pss_bodies(fft_size: int) -> np.ndarray:
+    """The (3, fft_size) time-domain PSS bodies of sectors 0, 1 and 2,
+    without cyclic prefix. Cached per FFT size, read-only."""
+    bodies = np.zeros((3, fft_size), dtype=np.complex128)
+    bodies[:, central_62_bins(fft_size)] = [generate_pss(s) for s in range(3)]
+    np.fft.ifft(bodies, axis=-1, norm="ortho", out=bodies)
+    bodies.setflags(write=False)
+    return bodies
+
+
 def sync_segment(cfg: FrameConfig, pcis, lo: int, hi: int) -> np.ndarray:
     """Samples lo:hi of the data-free frame of each PCI, (len(pcis), hi - lo).
 
     Row k equals, to the bit, samples lo:hi of the PCI's whole data-free
     frame as the tests' per-symbol oracle builds it (`tests/oracles.py`,
-    build_frame then ofdm_modulate), but only the sync symbols inside the
-    span are modulated, all PCIs in one IFFT: every other symbol of a
-    data-free frame is zero.
+    build_frame then ofdm_modulate). Every other symbol of a data-free
+    frame is zero, so only the distinct sync bodies in the span are
+    modulated: the PSS bodies of the three sectors (`_pss_bodies`, once
+    per FFT size), gathered by each PCI's sector, and each SSS in the
+    span, all PCIs in one IFFT. The samples of the other symbols stay
+    zero, untransformed.
     """
     pcis = np.asarray(pcis)
-    sym, pos = np.divmod(_cp_layout(cfg)[lo:hi], cfg.fft_size)
-    # the span's sync symbols, then one zero symbol for all the others
-    cols = [c for c in SSS_COLS + PSS_COLS if c in sym]
-    bodies = np.zeros((pcis.size, len(cols) + 1, cfg.fft_size),
-                      dtype=np.complex128)
-    c62 = central_62_bins(cfg.fft_size)
-    sss_subframe = dict(zip(SSS_COLS, (0, 5)))
-    pss = np.stack([generate_pss(s) for s in range(3)])[pcis % 3]
-    for i, col in enumerate(cols):
-        bodies[:, i, c62] = pss if col in PSS_COLS else \
-            generate_sss(pcis // 3, pcis % 3, sss_subframe[col])
-    np.fft.ifft(bodies, axis=-1, norm="ortho", out=bodies)
-    slot = np.full(SYMBOLS_PER_FRAME, len(cols))
-    slot[cols] = np.arange(len(cols))
-    return bodies.reshape(pcis.size, -1)[:, slot[sym] * cfg.fft_size + pos]
+    group, sector = np.divmod(pcis, 3)
+    fft = cfg.fft_size
+    sym, pos = np.divmod(_cp_layout(cfg)[lo:hi], fft)
+    out = np.zeros((pcis.size, hi - lo), dtype=np.complex128)
+    for col in SSS_COLS + PSS_COLS:
+        # the span's samples of symbol col: one run, as sym never decreases
+        a, b = np.searchsorted(sym, (col, col + 1))
+        if a == b:
+            continue
+        if col in PSS_COLS:
+            out[:, a:b] = _pss_bodies(fft)[:, pos[a:b]][sector]
+        else:
+            bodies = np.zeros((pcis.size, fft), dtype=np.complex128)
+            bodies[:, central_62_bins(fft)] = generate_sss(
+                group, sector, 0 if col == SSS_COLS[0] else 5)
+            np.fft.ifft(bodies, axis=-1, norm="ortho", out=bodies)
+            out[:, a:b] = bodies[:, pos[a:b]]
+    return out

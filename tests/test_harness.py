@@ -1077,6 +1077,29 @@ def test_cmd_detect_rejects_rate_mismatch(tmp_path, capsys):
     assert not (tmp_path / "t.detections.csv").exists()
 
 
+@pytest.mark.parametrize("n", [100, 0])
+def test_cli_detect_trace_under_one_frame_exits_3(tmp_path, capsys, n):
+    """Without --stack, a trace file holding no whole frame is a data
+    error: exit 3 naming the file, and no detections written."""
+    p = tmp_path / "t.bin"
+    traceio.write_trace(p, np.zeros(n), FS)
+    assert cli.main(["detect", str(p), "-o", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert f"{p}: trace of {n} samples is shorter than one frame" in err
+    assert not (tmp_path / "t.detections.csv").exists()
+
+
+def test_cli_detect_stack_beyond_the_trace_exits_2(tmp_path, capsys):
+    """--stack asking for more frames than the trace holds is a usage
+    error: exit 2, and no detections written."""
+    p = tmp_path / "t.bin"
+    traceio.write_trace(p, np.zeros(10 * FRAME_LEN), FS)
+    assert cli.main(["detect", str(p), "-o", str(tmp_path),
+                     "--stack", "20"]) == 2
+    assert "too short for 20 frames" in capsys.readouterr().err
+    assert not (tmp_path / "t.detections.csv").exists()
+
+
 def test_cmd_localize_rows(tmp_path):
     # three synchronized towers, detections at exact geometric delays
     towers = [(10, 0.0, 0.0), (11, 2000.0, 0.0), (12, 1000.0, 1732.0)]

@@ -10,6 +10,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from foldloc import lte
 
@@ -105,6 +107,50 @@ def test_sss_batched_matches_scalar_calls():
             assert (m0[p], m1[p]) == sss_shift_pair(p // 3)
     with pytest.raises(ValueError):
         sss_shift_pair(np.array([0, 168]))
+
+
+def _sss_element_wise(group: int, sector: int, subframe: int) -> list[int]:
+    """TS 36.211 6.11.2.1, one element at a time: d(2n) and d(2n + 1) from
+    the m-sequences s, c and z, their shifts m0 and m1 from the group."""
+    def mseq(taps):
+        x = [0, 0, 0, 0, 1]
+        for i in range(26):
+            x.append(sum(x[i + t] for t in taps) % 2)
+        return [1 - 2 * v for v in x]
+    s, c, z = mseq((2, 0)), mseq((3, 0)), mseq((4, 2, 1, 0))
+    qp = group // 30
+    q = (group + qp * (qp + 1) // 2) // 30
+    mp = group + q * (q + 1) // 2
+    m0 = mp % 31
+    m1 = (m0 + mp // 31 + 1) % 31
+    d = []
+    for n in range(31):
+        s0, s1 = s[(n + m0) % 31], s[(n + m1) % 31]
+        c0, c1 = c[(n + sector) % 31], c[(n + sector + 3) % 31]
+        z0, z1 = z[(n + m0 % 8) % 31], z[(n + m1 % 8) % 31]
+        d += ([s0 * c0, s1 * c1 * z0] if subframe == 0
+              else [s1 * c0, s0 * c1 * z1])
+    return d
+
+
+def test_sss_matches_the_element_wise_definition():
+    """Every (group, sector) pair of both subframes, in one batched call,
+    equals the standard's element-wise definition."""
+    groups = np.arange(168)[:, None]
+    for sf in (0, 5):
+        batch = generate_sss(groups, np.arange(3), sf)
+        assert batch.shape == (168, 3, 62)
+        for g in range(168):
+            for sector in range(3):
+                assert batch[g, sector].tolist() == \
+                    _sss_element_wise(g, sector, sf)
+
+
+@pytest.mark.parametrize("sector", [3, -1, 28, [0, 3]])
+def test_sss_rejects_a_sector_outside_0_2(sector):
+    """As generate_pss does, instead of returning another sequence."""
+    with pytest.raises(ValueError, match="sector"):
+        generate_sss(0, np.array(sector), 0)
 
 
 def test_sss_distinct_across_groups():
@@ -307,6 +353,44 @@ def test_sync_segment_matches_data_free_frames(cfg14, span):
     for row, p in zip(got, pcis):
         assert np.array_equal(
             row, ofdm_modulate(build_frame(cfg14, Pci(p)), cfg14)[lo:hi])
+
+
+_CFG14 = FrameConfig.from_bandwidth(1.4)
+# the first sample of each symbol of a 1.4 MHz frame, then the frame's end
+_SYMBOL_STARTS = np.concatenate([[0], np.cumsum(
+    [_CFG14.cp_len(s % 7) + _CFG14.fft_size
+     for s in range(SYMBOLS_PER_FRAME)])])
+# where a span's end changes which part of which sync symbol it holds: the
+# start, end and cyclic-prefix end of each of the four sync symbols
+_SYNC_EDGES = sorted({int(_SYMBOL_STARTS[c + d]) for c in (5, 6, 75, 76)
+                      for d in (0, 1)} |
+                     {int(_SYMBOL_STARTS[c]) + _CFG14.cp_len(c % 7)
+                      for c in (5, 6, 75, 76)})
+_span_ends = st.one_of(
+    st.integers(0, _CFG14.frame_len),
+    st.builds(lambda e, d: min(max(e + d, 0), _CFG14.frame_len),
+              st.sampled_from(_SYNC_EDGES), st.integers(-12, 12)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(ends=st.tuples(_span_ends, _span_ends).filter(lambda t: t[0] != t[1]),
+       pcis=st.lists(st.integers(0, 503), min_size=1, max_size=6))
+@example(ends=(0, 600), pcis=[7])                   # no sync symbol
+@example(ends=(700, 750), pcis=[1, 2])              # part of the slot-0 SSS
+@example(ends=(684, 960), pcis=[503, 2, 2, 0])      # the slot-0 pair
+@example(ends=(10286, 10560), pcis=[250, 5, 250])   # the slot-10 pair
+@example(ends=(0, 19200), pcis=[4, 3])              # all four
+def test_sync_segment_is_any_span_of_data_free_frames(ends, pcis):
+    """Any span lo < hi of one frame and any PCI list, repeats and
+    unsorted order included: row k equals the span of PCI k's whole
+    data-free frame, built one symbol at a time, to the bit."""
+    lo, hi = sorted(ends)
+    got = sync_segment(_CFG14, pcis, lo, hi)
+    assert got.shape == (len(pcis), hi - lo)
+    frames = {p: ofdm_modulate(build_frame(_CFG14, Pci(p)), _CFG14)
+              for p in set(pcis)}
+    for row, p in zip(got, pcis):
+        assert np.array_equal(row, frames[p][lo:hi])
 
 
 @pytest.mark.parametrize("share,stalled", [(1, False), (2, False),

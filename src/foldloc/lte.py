@@ -7,13 +7,14 @@ square-law receiver chain needs is modeled; no PBCH, CRS, or coding chains.
 
 `frame_samples` builds a cell's n frames one at a time, each frame's
 payload its own draw, bit-identical to one draw of all n: it fills one
-symbol-major (140, fft) grid, runs its IFFT into one body buffer and
-gathers that, cyclic prefixes inserted by one precomputed index per FFT
-size, into one preallocated output. `sync_segment` builds a span of many
-PCIs' data-free frames from the distinct sync bodies inside it alone: the
-three sectors' PSS bodies, transformed once per FFT size and gathered by
-sector, and each SSS in the span, all PCIs in one IFFT. The zero symbols
-around them are not transformed.
+symbol-major (140, fft) grid, takes its IFFT in place and copies the
+symbols into one preallocated output, each cyclic prefix copied from its
+body's tail, so a build holds its output, one grid and one frame's draw.
+`sync_segment` builds a span of many PCIs' data-free frames from the
+distinct sync bodies inside it alone: the three sectors' PSS bodies,
+transformed once per FFT size and gathered by sector, and each SSS in the
+span, all PCIs in one IFFT. The zero symbols around them are not
+transformed.
 
 Threading, for the whole package: foldloc's threads work one queue: a
 fix's cells, and the pieces of a large cell's passes. `harness._synth`
@@ -531,44 +532,34 @@ def _grid(cfg: FrameConfig, sync, bits: np.ndarray, grid: np.ndarray) -> None:
         grid[col, c62] = seq
 
 
-@lru_cache(maxsize=len(BANDWIDTH_TABLE))
-def _cp_layout(cfg: FrameConfig) -> np.ndarray:
-    """Gather indices from one frame's 140 symbol bodies to the frame.
-
-    With bodies the (140, fft_size) time-domain symbols of a frame,
-    bodies.ravel()[insert] is the frame with cyclic prefixes. Read-only.
-    """
-    fft = cfg.fft_size
-    cps = np.array([cfg.cp_len(s % SYMBOLS_PER_SLOT)
-                    for s in range(SYMBOLS_PER_FRAME)])
-    sym = np.repeat(np.arange(SYMBOLS_PER_FRAME), cps + fft)
-    starts = np.concatenate([[0], np.cumsum(cps + fft)[:-1]])
-    # offset of each frame sample within its symbol, counted from the body
-    # start, so the cyclic prefix sits at negative offsets
-    offset = np.arange(sym.size) - starts[sym] - cps[sym]
-    insert = sym * fft + offset % fft
-    assert insert.size == cfg.frame_len
-    insert.setflags(write=False)
-    return insert
-
-
 def _frames(cfg: FrameConfig, pci: Pci, rng: np.random.Generator,
             n: int) -> np.ndarray:
-    """frame_samples' n frames, built one at a time in one grid and one
-    body buffer: each frame's payload is one (band, 140) draw written into
-    the grid, whose IFFT goes to the bodies, which the cyclic-prefix gather
-    takes into the frame's row of the output."""
+    """frame_samples' n frames, built one at a time in one grid: each
+    frame's payload is one (band, 140) draw written into the grid, whose
+    IFFT, taken in place, is copied symbol by symbol into the frame's row
+    of the output, each cyclic prefix then copied from its body's tail."""
     sync = _sync_columns(pci)
-    insert = _cp_layout(cfg)
-    band = 12 * cfg.n_resource_blocks
-    grid = np.zeros((SYMBOLS_PER_FRAME, cfg.fft_size), dtype=np.complex128)
-    bodies = np.empty_like(grid)
+    fft, half = cfg.fft_size, 6 * cfg.n_resource_blocks
+    cp0, cp1 = cfg.cp_len(0), cfg.cp_len(1)
+    grid = np.zeros((SYMBOLS_PER_FRAME, fft), dtype=np.complex128)
+    slots = grid.reshape(SLOTS_PER_FRAME, SYMBOLS_PER_SLOT, fft)
     out = np.empty((n, cfg.frame_len), dtype=np.complex128)
-    for frame in out:
-        _grid(cfg, sync, rng.integers(0, 4, size=(band, SYMBOLS_PER_FRAME),
+    # views of out: each slot's symbol 0, then its symbols 1-6, each with
+    # its cyclic prefix (the reshape splits a contiguous axis: no copy)
+    s = out.reshape(n, SLOTS_PER_FRAME, cfg.frame_len // SLOTS_PER_FRAME)
+    rest = s[:, :, cp0 + fft:].reshape(n, SLOTS_PER_FRAME,
+                                       SYMBOLS_PER_SLOT - 1, cp1 + fft)
+    for first, others in zip(s[:, :, :cp0 + fft], rest):
+        _grid(cfg, sync, rng.integers(0, 4, size=(2 * half, SYMBOLS_PER_FRAME),
                                       dtype=np.int32), grid)
-        np.fft.ifft(grid, axis=-1, norm="ortho", out=bodies)
-        np.take(bodies.ravel(), insert, out=frame, mode="wrap")
+        np.fft.ifft(grid, axis=-1, norm="ortho", out=grid)
+        first[:, cp0:] = slots[:, 0]
+        others[:, :, cp1:] = slots[:, 1:]
+        first[:, :cp0] = first[:, fft:]
+        others[:, :, :cp1] = others[:, :, fft:]
+        # _grid writes only the band and the sync
+        grid[:, half + 1:fft - half] = 0
+        grid[:, 0] = 0
     return out.ravel()
 
 
@@ -580,9 +571,9 @@ def frame_samples(cfg: FrameConfig, pci: Pci, rng: np.random.Generator,
     rng per frame, which takes the same values, and leaves rng in the same
     state, as one int64 draw of that shape: n_frames single-frame calls
     that share one Generator give the same samples. Frames are built one
-    at a time into one output array, so the build holds the output and
-    about two frame grids. The pipeline builds frames through `_frames`,
-    on whichever thread synthesizes the cell.
+    at a time into one output array, so the build holds the output, one
+    frame grid and one frame's draw. The pipeline builds frames through
+    `_frames`, on whichever thread synthesizes the cell.
     """
     if n_frames < 1:
         raise ValueError(f"n_frames must be at least 1, got {n_frames}")
@@ -610,24 +601,29 @@ def sync_segment(cfg: FrameConfig, pcis, lo: int, hi: int) -> np.ndarray:
     modulated: the PSS bodies of the three sectors (`_pss_bodies`, once
     per FFT size), gathered by each PCI's sector, and each SSS in the
     span, all PCIs in one IFFT. The samples of the other symbols stay
-    zero, untransformed.
+    zero, untransformed. Each sync symbol's samples are found from the
+    slot geometry `_frames` writes with: a slot of frame_len / 20
+    samples, symbol 0 with a cp_len(0) prefix, symbols 1-6 with cp_len(1).
     """
     pcis = np.asarray(pcis)
     group, sector = np.divmod(pcis, 3)
-    fft = cfg.fft_size
-    sym, pos = np.divmod(_cp_layout(cfg)[lo:hi], fft)
+    fft, cp0, cp1 = cfg.fft_size, cfg.cp_len(0), cfg.cp_len(1)
     out = np.zeros((pcis.size, hi - lo), dtype=np.complex128)
     for col in SSS_COLS + PSS_COLS:
-        # the span's samples of symbol col: one run, as sym never decreases
-        a, b = np.searchsorted(sym, (col, col + 1))
-        if a == b:
+        # symbol col's samples: its cyclic prefix, then its body from start
+        slot, sym = divmod(col, SYMBOLS_PER_SLOT)
+        start = (slot * (cfg.frame_len // SLOTS_PER_FRAME) + cp0
+                 + sym * (cp1 + fft))
+        a, b = max(lo, start - cfg.cp_len(sym)), min(hi, start + fft)
+        if a >= b:
             continue
+        pos = (np.arange(a, b) - start) % fft
         if col in PSS_COLS:
-            out[:, a:b] = _pss_bodies(fft)[:, pos[a:b]][sector]
+            out[:, a - lo:b - lo] = _pss_bodies(fft)[:, pos][sector]
         else:
             bodies = np.zeros((pcis.size, fft), dtype=np.complex128)
             bodies[:, central_62_bins(fft)] = generate_sss(
                 group, sector, 0 if col == SSS_COLS[0] else 5)
             np.fft.ifft(bodies, axis=-1, norm="ortho", out=bodies)
-            out[:, a:b] = bodies[:, pos[a:b]]
+            out[:, a - lo:b - lo] = bodies[:, pos]
     return out

@@ -24,7 +24,7 @@ from foldloc.detect import (CANDIDATE_WINDOW, FRAME_LEN, PSS_TEMPLATE_LEN,
 from foldloc.frontend import (LPF_CUTOFF_HZ, SPEED_OF_LIGHT, CellConfig,
                               lowpass_decimate, path_amplitude)
 from foldloc.lte import (_QPSK, SYMBOLS_PER_FRAME, SYMBOLS_PER_SLOT,
-                         FrameConfig, Pci, _cp_layout, _sync_columns,
+                         FrameConfig, Pci, _sync_columns,
                          central_62_bins, frame_samples, generate_pss,
                          generate_sss)
 
@@ -90,6 +90,25 @@ def ofdm_demodulate(samples: np.ndarray, cfg: FrameConfig) -> np.ndarray:
         bodies.append(samples[pos:pos + cfg.fft_size])
         pos += cfg.fft_size
     return np.fft.fft(np.stack(bodies), axis=-1, norm="ortho").T
+
+
+def _cp_layout(cfg: FrameConfig) -> np.ndarray:
+    """Gather indices from one frame's 140 symbol bodies to the frame.
+
+    With bodies the (140, fft_size) time-domain symbols of a frame,
+    bodies.ravel()[insert] is the frame with cyclic prefixes.
+    """
+    fft = cfg.fft_size
+    cps = np.array([cfg.cp_len(s % SYMBOLS_PER_SLOT)
+                    for s in range(SYMBOLS_PER_FRAME)])
+    sym = np.repeat(np.arange(SYMBOLS_PER_FRAME), cps + fft)
+    starts = np.concatenate([[0], np.cumsum(cps + fft)[:-1]])
+    # offset of each frame sample within its symbol, counted from the body
+    # start, so the cyclic prefix sits at negative offsets
+    offset = np.arange(sym.size) - starts[sym] - cps[sym]
+    insert = sym * fft + offset % fft
+    assert insert.size == cfg.frame_len
+    return insert
 
 
 def frame_samples_batched(cfg: FrameConfig, pci: Pci,

@@ -26,10 +26,11 @@ the pieces of a large cell's passes (`lte._overlap` and `lte._split`, the
 threading policy in `lte`'s docstring). A cell's whole synthesis, payload
 draw, frame build and delay, is one job, `_synth_cell`, that the helper
 threads and the waiting caller work, and a cell of at least _SPLIT_MIN
-samples offers the pieces of each delay pass to the threads idle on the
-queue; the calling thread only hands out the cells, each with its own
-payload Generator, filters each result and folds it into the total in
-cell order. `run_eval` runs its fixes one after
+samples queues the pieces of each delay pass, each a Future as its job
+is, for the threads idle on the queue; the cell's own thread works each
+piece no other thread took. The calling thread only hands out the cells,
+each with its own payload Generator, filters each result and folds it
+into the total in cell order. `run_eval` runs its fixes one after
 another in the calling process.
 `_synth` is the only place that adds detector noise: white Gaussian noise
 of the front end's noise_sigma on the summed detector-rate trace, from the

@@ -20,17 +20,20 @@ Threading, for the whole package: foldloc's threads work one queue: a
 fix's cells, and the pieces of a large cell's passes. `harness._synth`
 hands a fix's cells to `_overlap`, each job holding the cell's own payload
 Generator, which no other job draws from; `_overlap` draws the jobs into
-one queue and finishes them in order on the calling thread. The helper
-threads work the queue, and so does the caller while it waits, so a busy
-or descheduled helper holds back only a job it started. A helper that has
-not started by the end is cancelled. A job builds the cell's frames
-through the private `_frames` and returns its square, folded over the
-frames averaged into each output frame, which the caller filters and
-folds into the fix in cell order. A job may offer the pieces of one pass
-to the threads idle on its queue (`_split`, help-first as in work
-stealing): it puts one token per helper in the queue, works pieces
-itself, claims those left and waits only for pieces another thread has
-started, and no token left in the queue holds the pass's array.
+one queue and finishes them in order on the calling thread. Every unit
+of work on the queue, a job or a piece of a pass, is a `Future` that one
+runner, `_run`, completes with its result or its error, unless it was
+cancelled first. The helper threads work the queue, and so does the
+caller while it waits, so a busy or descheduled helper holds back only a
+job it started. A helper that has not started by the end is cancelled. A
+job builds the cell's frames through the private `_frames` and returns
+its square, folded over the frames averaged into each output frame,
+which the caller filters and folds into the fix in cell order. A job may
+offer the pieces of one pass to the threads idle on its queue (`_split`,
+help-first as in work stealing): it queues every piece but the first,
+works the first itself, then works every queued piece it can still
+cancel, and waits only for the pieces another thread took; a piece left
+in the queue holds no array of the pass.
 `harness._delay_stacked` splits the passes of a cell of at least 2**20
 samples, so a wideband fix's 20 MHz cell does not run alone while the
 other threads idle. The numpy calls in the jobs and pieces release the
@@ -106,13 +109,13 @@ def _helpers() -> ThreadPoolExecutor:
 
 
 class _Queue:
-    """The one queue of an _overlap: its jobs, the tokens of the passes its
-    jobs split (_split), and the None that ends a helper. A thread waiting
-    in get wakes on every put and every wake(), so the caller, waiting for
-    its next job in order, also takes a token offered meanwhile."""
+    """The one queue of an _overlap: its jobs, the pieces its jobs' passes
+    offer (_split), each a call of _run, and the None that ends a helper.
+    A thread in work() wakes on every put and every wake(), so the caller,
+    working until its next job in order is done, also takes a piece
+    offered meanwhile."""
 
-    def __init__(self, helpers: int):
-        self.helpers = helpers
+    def __init__(self):
         self._items = deque()
         self._cond = threading.Condition(threading.Lock())
 
@@ -125,166 +128,134 @@ class _Queue:
         with self._cond:
             self._cond.notify_all()
 
-    def get(self, done=lambda: False):
-        """The next item, waiting for one while done() is false; None once
-        it is true."""
-        with self._cond:
-            while not done():
-                if self._items:
-                    return self._items.popleft()
-                self._cond.wait()
-        return None
-
-    def clear(self) -> None:
-        with self._cond:
-            self._items.clear()
+    def work(self, done=lambda: False) -> None:
+        """Run items from the front, waiting for one while done() is
+        false, until done() is true or the item is None."""
+        while True:
+            with self._cond:
+                self._cond.wait_for(lambda: done() or self._items)
+                item = None if done() else self._items.popleft()
+            if item is None:
+                return
+            item()
+            del item    # hold no job's arrays while waiting for the next
 
 
 # .queue: the _Queue of the job this thread works, None outside a job
 _local = threading.local()
 
 
+def _run(out, queue, fn, *args) -> None:
+    """Complete the Future out with fn(*args), its result or its error,
+    unless out was cancelled first: a job or a piece of queue, run with
+    queue as this thread's _local.queue. A thread waiting in queue.work()
+    for out wakes after."""
+    if not out.set_running_or_notify_cancel():
+        return
+    prev, _local.queue = getattr(_local, "queue", None), queue
+    try:
+        out.set_result(fn(*args))
+    except BaseException as e:      # raised by out.result()
+        out.set_exception(e)
+    finally:
+        _local.queue = prev
+    queue.wake()
+
+
 def _overlap(work, jobs, finish) -> None:
     """finish(k, work(*job)) for the k-th job of the iterable jobs, in order.
 
-    Jobs are drawn from jobs into one queue, and finished, on the calling
-    thread alone. When the process may use several CPUs, the
-    _CPU_SHARE - 1 helper threads work the queue, and so does the caller
-    whenever it waits: it draws the next job while at most _CPU_SHARE
-    drawn jobs are unfinished, so at most _CPU_SHARE + 1 are held at once.
-    A held job costs what its arguments hold until a thread works it (a
-    cell's job holds a Generator, not a built cell), then its result until
-    it is finished. A job may offer the pieces of one pass at a time to
-    the threads idle on the queue (_split).
-    A helper that has not started by the end is cancelled, not waited for.
+    Jobs are drawn from jobs into one queue, each a Future completed by
+    _run, and finished, on the calling thread alone. When the process may
+    use several CPUs, the _CPU_SHARE - 1 helper threads work the queue,
+    and so does the caller until the job it finishes next is done: it
+    draws the next job while at most _CPU_SHARE drawn jobs are unfinished,
+    so at most _CPU_SHARE + 1 are held at once. A held job costs what its
+    arguments hold until a thread works it (a cell's job holds a
+    Generator, not a built cell), then its result until it is finished. A
+    job may offer the pieces of one pass at a time to the threads idle on
+    the queue (_split). On the way out the jobs no thread started are
+    cancelled and dropped from the queue, and a helper that has not
+    started is cancelled, not waited for.
     With one CPU each job is worked and finished on the caller before the
     next is drawn. work must call no public function of the package; the
     outputs do not depend on the thread count.
     """
     helpers = _CPU_SHARE - 1
     ahead = _CPU_SHARE if helpers else 0
-    todo = _Queue(helpers)  # unstarted jobs and tokens; None ends a helper
-
-    def run(out, job):
-        prev, _local.queue = getattr(_local, "queue", None), todo
-        try:
-            out.set_result(work(*job))
-        except BaseException as e:      # raised on the caller by out.result()
-            out.set_exception(e)
-        finally:
-            _local.queue = prev
-        todo.wake()     # a caller waiting for out
-
-    def serve():
-        for item in iter(todo.get, None):
-            item()
-            del item    # hold no job's arrays while waiting for the next
-
-    def result(out):
-        # work queued items on this thread until out's job is done
-        while (item := todo.get(out.done)) is not None:
-            item()
-            del item
-        return out.result()
-
-    serves = [_helpers().submit(serve) for _ in range(helpers)]
+    todo = _Queue()
+    serves = [_helpers().submit(todo.work) for _ in range(helpers)]
     unfinished = deque()    # futures of the drawn jobs not yet finished
+
+    def finish_first(k):
+        todo.work(unfinished[0].done)   # work the queue until job k is done
+        finish(k, unfinished.popleft().result())
+
     finished = 0
     try:
         for job in jobs:
             unfinished.append(Future())
-            todo.put(partial(run, unfinished[-1], job))
+            todo.put(partial(_run, unfinished[-1], todo, work, *job))
             del job
             while unfinished and (len(unfinished) > ahead
                                   or unfinished[0].done()):
-                finish(finished, result(unfinished.popleft()))
+                finish_first(finished)
                 finished += 1
         while unfinished:
-            finish(finished, result(unfinished.popleft()))
+            finish_first(finished)
             finished += 1
     finally:
-        todo.clear()                # drop the jobs no thread started
+        for out in unfinished:      # no thread runs a job cancelled here
+            out.cancel()
         # wait() counts a cancelled serve done only once a thread dequeues it
         started = [f for f in serves if not f.cancel()]
-        for _ in started:
+        for _ in range(len(started) + 1):
             todo.put(None)
+        todo.work()     # drop what no thread started, with its arguments
         wait(started)
-
-
-class _Pass:
-    """The count pieces of one pass of a job, piece(k) for each k, claimed
-    in order by the job's thread and by every thread that takes one of the
-    pass's tokens from the queue."""
-
-    def __init__(self, piece, count: int):
-        self._piece, self._count = piece, count
-        self._next = self._running = 0
-        self._error = None
-        self._cond = threading.Condition(threading.Lock())
-
-    def work(self) -> None:
-        """Run pieces until none is left to claim: a token's work. A piece
-        that raises stops the claims, and its error waits for end()."""
-        while True:
-            with self._cond:
-                if self._next == self._count:
-                    return
-                k, piece = self._next, self._piece
-                self._next += 1
-                self._running += 1
-            try:
-                piece(k)
-            except BaseException as e:
-                with self._cond:
-                    if self._error is None:
-                        self._error = e
-                    self._next = self._count
-            finally:
-                del piece
-                with self._cond:
-                    self._running -= 1
-                    self._cond.notify_all()
-
-    def end(self) -> None:
-        """Wait for the pieces other threads have started, drop piece, so a
-        token still in the queue holds no array, and raise a piece's
-        error."""
-        with self._cond:
-            self._next = self._count
-            while self._running:
-                self._cond.wait()
-            self._piece = None
-            error, self._error = self._error, None
-        if error is not None:
-            raise error
 
 
 def _split(piece, count: int) -> None:
     """piece(k) for each k in range(count), in any order on any thread.
 
-    Inside a job of an _overlap whose queue has helpers, the pass puts one
-    token per helper in the queue, up to count - 1, for a thread idle on
-    the queue to claim pieces with; the job's own thread works pieces and
-    claims those left, then waits only for pieces another thread has
-    started. Elsewhere the pieces run in order on the calling thread.
-    piece(k) must write what no other piece reads or writes, and call no
-    public function of the package and no BLAS, since it may run on a
-    helper thread.
+    Inside a job of an _overlap that has helper threads, pieces 1 to
+    count - 1 go to the job's queue, each a Future completed by _run, for
+    a thread idle on the queue to take. The job's own thread works piece
+    0, then, from the back, every piece it can still cancel, which no
+    other thread took, and waits only for the pieces another thread took.
+    An error in its own pieces stops it; an error in a taken piece, the
+    first in piece order, is raised once its own pieces are done. A queued
+    piece reaches piece through a box emptied when the pass ends, so one
+    left in the queue holds no array. Elsewhere the pieces run in order on
+    the calling thread. piece(k) must write what no other piece reads or
+    writes, and call no public function of the package and no BLAS, since
+    it may run on a helper thread.
     """
-    queue = getattr(_local, "queue", None)
-    tokens = min(queue.helpers, count - 1) if queue is not None else 0
-    if not tokens:
+    queue = getattr(_local, "queue", None) if _CPU_SHARE > 1 else None
+    if queue is None or count < 2:
         for k in range(count):
             piece(k)
         return
-    pass_ = _Pass(piece, count)
+    box = [piece]
     del piece
-    for _ in range(tokens):
-        queue.put(pass_.work)
+
+    def run(k):
+        box[0](k)
+
+    outs = [Future() for _ in range(count - 1)]
+    for k, out in enumerate(outs, 1):
+        queue.put(partial(_run, out, queue, run, k))
     try:
-        pass_.work()
+        run(0)
+        for k in range(count - 1, 0, -1):
+            if outs[k - 1].cancel():
+                run(k)
     finally:
-        pass_.end()
+        taken = [out for out in outs if not out.cancel()]
+        wait(taken)
+        box.clear()
+    for out in taken:
+        out.result()
 
 
 @lru_cache(maxsize=1)

@@ -339,8 +339,9 @@ def test_split_delay_equals_the_whole_reference(bw, n, monkeypatch):
 def test_a_split_pass_keeps_nothing_alive(stalled):
     """Once _delay_stacked returns, nothing holds the cell's frames, while
     the _overlap that runs it still runs: not the pieces a helper thread
-    worked, and not the pass's tokens that a helper that never starts
-    leaves in the queue, which hold no closure over the array."""
+    worked, and not the pass's cancelled pieces that a helper that never
+    starts leaves in the queue, which reach the array only through a box
+    the pass empties."""
     cfg = FrameConfig.from_bandwidth(20.0)
     release = threading.Event()
     pool = ThreadPoolExecutor(1)
@@ -365,7 +366,7 @@ def test_a_split_pass_keeps_nothing_alive(stalled):
         release.set()
         pool.shutdown()
     assert [dead for dead, _ in seen] == [True, True]
-    if stalled:     # every pass left its token in the queue
+    if stalled:     # every pass left its cancelled pieces in the queue
         assert all(tokens for _, tokens in seen)
 
 

@@ -1,5 +1,6 @@
 """Frame synthesis: sync sequences, grid layout, OFDM round trip."""
 import cmath
+import gc
 import subprocess
 import sys
 import threading
@@ -7,6 +8,7 @@ import time
 import tracemalloc
 import weakref
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 
 import numpy as np
 import pytest
@@ -495,7 +497,7 @@ def test_overlap_raises_and_frees_the_helper_threads(where):
     of a job's split pass reaches the caller, and no helper thread is left
     serving: a task submitted to the helper pool afterwards runs on its
     one thread at once. The piece that raises is the one the job's own
-    thread leaves to a thread that takes the pass's token, and the job's
+    thread leaves in the queue for another thread to take, and the job's
     thread waits for it."""
     started = threading.Event()
 
@@ -605,8 +607,8 @@ def test_overlap_holds_no_finished_job(share):
 def test_split_runs_every_piece_once(share):
     """Every piece of a split pass runs once before _split returns: in
     order on the calling thread outside an _overlap job and at one CPU,
-    and on the job's thread and the helpers that take the pass's tokens
-    inside one. Share 3 runs more threads than two CPUs, with frequent
+    and on the job's thread and the threads that take the pass's queued
+    pieces inside one. Share 3 runs more threads than two CPUs, with frequent
     thread switches, and the call must return within the timeout."""
     count = 64
     ran, got, errors = {0: [], 1: [], 2: []}, [], []
@@ -642,6 +644,91 @@ def test_split_runs_every_piece_once(share):
     assert ran[0] == in_order
     if share == 1:
         assert ran[1] == ran[2] == in_order
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(counts=st.lists(st.integers(1, 8), min_size=1, max_size=4),
+       share=st.integers(1, 3), stalled=st.booleans(),
+       error=st.sampled_from([None, "piece", "job"]),
+       where=st.tuples(st.integers(0, 3), st.integers(0, 7)))
+def test_overlap_of_split_jobs_completes_each_piece_once(counts, share,
+                                                         stalled, error,
+                                                         where):
+    """Jobs that each split a pass of counts[k] pieces, at CPU shares 1-3,
+    with or without a stalled helper pool, and with no error, a piece
+    raising or a job raising: the jobs finish in order on the caller up to
+    the one that raised, whose error reaches the caller; every piece runs
+    at most once, and exactly once in each pass whose job returned; the
+    pass's array is dead once _split returns, and every job's argument
+    once _overlap returns; and _overlap returns within the timeout."""
+    bad_job = where[0] % len(counts)
+    bad = (bad_job, where[1] % counts[bad_job]) if error else None
+    ran = {k: [] for k in range(len(counts))}
+    args, finished, dead, errors = [], [], [], []
+    lock = threading.Lock()
+
+    def job(k):     # built outside the generator, whose frame would hold it
+        args.append(weakref.ref(a := np.zeros(1)))
+        return k, a
+
+    def fill(k, a, i):
+        time.sleep(1e-4)    # releases the GIL, as numpy's calls do
+        with lock:
+            ran[k].append(i)
+        if error == "piece" and (k, i) == bad:
+            raise KeyError(("piece", k))
+        a[i] = i
+
+    def work(k, _arg):
+        a = np.full(8, -1.0)
+        array = weakref.ref(a)
+        lte._split(partial(fill, k, a), counts[k])
+        del a
+        dead.append((k, array() is None))
+        if error == "job" and k == bad[0]:
+            raise KeyError(("job", k))
+        return k
+
+    def caller():
+        try:
+            lte._overlap(work, (job(k) for k in range(len(counts))),
+                         lambda k, out: finished.append((k, out)))
+        except KeyError as e:
+            errors.append(e.args[0])
+
+    release = threading.Event()
+    stalled = stalled and share > 1
+    pool = ThreadPoolExecutor(share - 1) if stalled else None
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with cpu_share(share) as mp:
+            if stalled:     # each of the pool's threads stalls
+                for _ in range(share - 1):
+                    pool.submit(release.wait)
+                mp.setattr(lte, "_helpers", lambda: pool)
+            t = threading.Thread(target=caller, daemon=True)
+            t.start()
+            t.join(timeout=10)
+            assert not t.is_alive(), "_overlap did not return"
+            if error:   # its traceback holds the frames it left in a cycle
+                gc.collect()
+            alive = [k for k, a in enumerate(args) if a() is not None]
+    finally:
+        sys.setswitchinterval(interval)
+        release.set()
+        if stalled:     # not waited for: a deadlock must fail, not hang
+            pool.shutdown(wait=False)
+    last = len(counts) if bad is None else bad[0]
+    assert errors == ([] if bad is None else [(error, bad[0])])
+    assert finished == [(k, k) for k in range(last)]
+    assert not alive
+    for k, pieces in ran.items():
+        assert len(pieces) == len(set(pieces))
+        if k < last:
+            assert sorted(pieces) == list(range(counts[k]))
+    assert all(d for _, d in dead)
+    assert {k for k, _ in dead} >= set(range(last))
 
 
 _NO_AFFINITY_SCRIPT = """

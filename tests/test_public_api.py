@@ -82,6 +82,23 @@ def test_only_overlap_reads_the_helper_threads():
     assert {OWNER[id(n)] for n in LOADS["_helpers"]} == {("lte", "_overlap")}
 
 
+def test_only_overlap_and_split_run_work():
+    """Every job and every piece of a split pass completes through _run's
+    Future."""
+    assert {OWNER[id(n)] for n in LOADS["_run"]} == \
+        {("lte", "_overlap"), ("lte", "_split")}
+
+
+def test_lte_builds_one_condition():
+    """The _Queue's is the only threading.Condition lte constructs: jobs and
+    pieces wait on their Futures, not on conditions of their own."""
+    calls = [node for node in ast.walk(MODULES["lte"])
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "attr", getattr(node.func, "id", None))
+             == "Condition"]
+    assert [OWNER[id(node)] for node in calls] == [("lte", "_Queue")]
+
+
 def test_only_a_fix_synthesis_overlaps():
     """The syntheses of a fix's cells are the only jobs _overlap is given."""
     assert {OWNER[id(n)] for n in LOADS["_overlap"]} == {("harness", "_synth")}
